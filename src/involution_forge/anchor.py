@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from random import Random
 
 from .errors import (
     Degenerate,
@@ -27,6 +26,7 @@ from .errors import (
 from .exterior import (
     Form,
     MultiVector,
+    accumulate,
     differential,
     exterior_derivative,
     interior,
@@ -34,14 +34,8 @@ from .exterior import (
     wedge,
     wedge_power,
 )
-from .linalg import det, invert
-from .symexpr import (
-    RationalFunction,
-    VarKind,
-    VarTable,
-    migrate_ratfun,
-    sample_point,
-)
+from .linalg import invert
+from .symexpr import RationalFunction, VarKind, VarTable, migrate_ratfun
 
 APPENDED_NAME = "s"
 
@@ -102,24 +96,13 @@ def bivector_sharp(Pi: MultiVector, alpha: Form) -> MultiVector:
         raise DegreeError("bivector_sharp pairs a bivector with a 1-form")
     Pi.table.require_same(alpha.table)
     comps: dict = {}
-
-    def bump(idx, value):
-        if value.is_zero():
-            return
-        acc = comps.get(idx)
-        total = value if acc is None else acc + value
-        if total.is_zero():
-            comps.pop(idx, None)
-        else:
-            comps[idx] = total
-
     for (i, j), w in Pi.comps.items():
         ai = alpha.comps.get((i,))
         if ai is not None:
-            bump((j,), w * ai)
+            accumulate(comps, (j,), w * ai)
         aj = alpha.comps.get((j,))
         if aj is not None:
-            bump((i,), -(w * aj))
+            accumulate(comps, (i,), -(w * aj))
     return MultiVector(Pi.table, 1, comps)
 
 
@@ -174,12 +157,14 @@ class SymplecticAnchor:
 
 class CosymplecticAnchor:
     """Odd-dimensional structure (vartheta, Theta) with its contravariant
-    side (Lambda, E) and volume vartheta^Theta^n/n!."""
+    side (Lambda, E), volume vartheta^Theta^n/n!, and the symplectic anchor
+    of omega' = Theta + ds^vartheta on the table extended by s."""
 
     __slots__ = ("table", "vartheta", "theta", "lambda_bi", "reeb", "n",
-                 "volume")
+                 "volume", "lifted")
 
-    def __init__(self, table, vartheta, theta, lambda_bi, reeb, n, volume):
+    def __init__(self, table, vartheta, theta, lambda_bi, reeb, n, volume,
+                 lifted):
         self.table = table
         self.vartheta = vartheta
         self.theta = theta
@@ -187,6 +172,7 @@ class CosymplecticAnchor:
         self.reeb = reeb
         self.n = n
         self.volume = volume
+        self.lifted = lifted
 
 
 class LiftedAnchor:
@@ -199,48 +185,24 @@ class LiftedAnchor:
         self.lifted = lifted
 
 
-def _certify_nondegenerate(rows, table):
-    value = det(rows, table)
-    if value.is_zero():
-        raise Degenerate("component matrix is singular")
-    rng = Random(0)
-    sample_point(table, [value], rng)
-    return value
-
-
-def build_symplectic(lambda_bi: MultiVector) -> SymplecticAnchor:
-    """Anchor from a nondegenerate bivector; omega = -(matrix inverse)."""
-    if lambda_bi.degree != 2:
-        raise DegreeError("a symplectic anchor needs a bivector")
-    table = lambda_bi.table
+def build_symplectic(given) -> SymplecticAnchor:
+    """Anchor from a nondegenerate bivector Lambda or 2-form omega; the
+    other side is minus the inverse of its component matrix.  The pivots of
+    that one inversion are the exact nondegeneracy test."""
+    if given.degree != 2:
+        raise DegreeError("a symplectic anchor needs a bivector or a 2-form")
+    table = given.table
     if table.dim % 2:
         raise OddDimension(
             f"geometric dimension {table.dim} is odd; no symplectic anchor"
         )
-    rows = full_matrix(lambda_bi)
-    _certify_nondegenerate(rows, table)
-    inverse = invert(rows, table)
-    omega = from_matrix(
-        table, [[-v for v in row] for row in inverse], Form
+    given_bivector = isinstance(given, MultiVector)
+    inverse = invert(full_matrix(given), table)
+    other = from_matrix(
+        table, [[-v for v in row] for row in inverse],
+        Form if given_bivector else MultiVector,
     )
-    n = table.dim // 2
-    volume = wedge_power(omega, n, Fraction(1, factorial(n)))
-    return SymplecticAnchor(table, lambda_bi, omega, n, volume)
-
-
-def _symplectic_from_omega(omega: Form) -> SymplecticAnchor:
-    """Anchor from a nondegenerate 2-form; Lambda = -(matrix inverse)."""
-    table = omega.table
-    if table.dim % 2:
-        raise OddDimension(
-            f"geometric dimension {table.dim} is odd; no symplectic anchor"
-        )
-    rows = full_matrix(omega)
-    _certify_nondegenerate(rows, table)
-    inverse = invert(rows, table)
-    lambda_bi = from_matrix(
-        table, [[-v for v in row] for row in inverse], MultiVector
-    )
+    lambda_bi, omega = (given, other) if given_bivector else (other, given)
     n = table.dim // 2
     volume = wedge_power(omega, n, Fraction(1, factorial(n)))
     return SymplecticAnchor(table, lambda_bi, omega, n, volume)
@@ -270,7 +232,7 @@ def build_cosymplectic(vartheta: Form, theta: Form) -> CosymplecticAnchor:
         ds, migrate_alternating(vartheta, ext)
     )
     try:
-        lifted = _symplectic_from_omega(omega_prime)
+        lifted = build_symplectic(omega_prime)
     except Degenerate as exc:
         raise DegenerateVolume(str(exc)) from exc
 
@@ -293,21 +255,17 @@ def build_cosymplectic(vartheta: Form, theta: Form) -> CosymplecticAnchor:
     if not bivector_sharp(lambda_bi, vartheta).is_zero():
         raise Degenerate("recovered Lambda fails Lambda#(vartheta) = 0")
     return CosymplecticAnchor(
-        table, vartheta, theta, lambda_bi, reeb, n, volume
+        table, vartheta, theta, lambda_bi, reeb, n, volume, lifted
     )
 
 
 def lift(base: CosymplecticAnchor) -> LiftedAnchor:
-    """Symplectization: omega' = Theta + ds^vartheta on the extended table."""
-    ext = base.table.extend(APPENDED_NAME, VarKind.APPENDED)
-    s_idx = ext.appended_index
-    ds = Form(ext, 1, {(s_idx,): 1})
-    omega_prime = migrate_alternating(base.theta, ext) + wedge(
-        ds, migrate_alternating(base.vartheta, ext)
-    )
-    lifted = _symplectic_from_omega(omega_prime)
+    """Symplectization: the anchor of omega' = Theta + ds^vartheta that
+    build_cosymplectic inverted, checked against Lambda + Ds^E."""
+    lifted = base.lifted
+    ext = lifted.table
     expected = migrate_alternating(base.lambda_bi, ext) + wedge(
-        MultiVector.basis_vector(ext, s_idx),
+        MultiVector.basis_vector(ext, ext.appended_index),
         migrate_alternating(base.reeb, ext),
     )
     if lifted.lambda_bi != expected:
@@ -337,24 +295,13 @@ def flat(anchor: SymplecticAnchor, X: MultiVector) -> Form:
     if X.degree != 1:
         raise DegreeError("flat acts on vector fields")
     comps: dict = {}
-
-    def bump(idx, value):
-        if value.is_zero():
-            return
-        acc = comps.get(idx)
-        total = value if acc is None else acc + value
-        if total.is_zero():
-            comps.pop(idx, None)
-        else:
-            comps[idx] = total
-
     for (i, j), w in anchor.omega.comps.items():
         Xi = X.comps.get((i,))
         if Xi is not None:
-            bump((j,), -(w * Xi))
+            accumulate(comps, (j,), -(w * Xi))
         Xj = X.comps.get((j,))
         if Xj is not None:
-            bump((i,), w * Xj)
+            accumulate(comps, (i,), w * Xj)
     return Form(X.table, 1, comps)
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import jsonschema
 
 from .anchor import (
+    APPENDED_NAME,
     LiftedAnchor,
     build_cosymplectic,
     build_symplectic,
@@ -40,7 +41,7 @@ from .pencil import (
     closed_form_interior,
     solve_recursion_ansatz,
 )
-from .symexpr import VarKind, VarTable
+from .symexpr import VarKind, VarTable, parse_ratfun
 from .verify import certify
 
 COMMANDS = ("check", "pencil", "bracket", "solve-ansatz", "report")
@@ -318,6 +319,9 @@ def parse_spec(payload, path: str = "spec") -> SpecFile:
             exc.message, f"{path}.{where}" if where else path
         ) from exc
 
+    # a cosymplectic anchor appends this coordinate to the table
+    reserved = (APPENDED_NAME if payload["anchor"]["type"] == "cosymplectic"
+                else None)
     variables = []
     seen = set()
     for pos, entry in enumerate(payload["variables"]):
@@ -328,6 +332,12 @@ def parse_spec(payload, path: str = "spec") -> SpecFile:
         if name in seen:
             raise SpecError(
                 f"variable {name!r} repeated", f"{path}.variables[{pos}]"
+            )
+        if name == reserved:
+            raise SpecError(
+                f"variable {name!r} is reserved for the appended coordinate "
+                "of a cosymplectic anchor",
+                f"{path}.variables[{pos}]",
             )
         seen.add(name)
         variables.append((name, kind))
@@ -374,12 +384,16 @@ def parse_spec(payload, path: str = "spec") -> SpecFile:
 
     ansatz = payload["sigma1"].get("ansatz")
     if ansatz is not None:
+        constants = set()
         for pos, extra in enumerate(ansatz.get("constants", ())):
-            if extra in seen:
+            where = f"{path}.sigma1.ansatz.constants[{pos}]"
+            if extra in seen or extra == reserved:
                 raise SpecError(
-                    f"ansatz constant {extra!r} shadows a variable",
-                    f"{path}.sigma1.ansatz.constants[{pos}]",
+                    f"ansatz constant {extra!r} shadows a variable", where
                 )
+            if extra in constants:
+                raise SpecError(f"ansatz constant {extra!r} repeated", where)
+            constants.add(extra)
 
     return SpecFile(
         name=payload["name"],
@@ -402,6 +416,8 @@ def load_payload(spec_path: str) -> dict:
         raise SpecError(f"cannot read spec file: {exc}", spec_path) from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"invalid JSON: {exc}", spec_path) from exc
+    except RecursionError as exc:
+        raise SpecError("JSON nested too deeply", spec_path) from exc
 
 
 # --- elaboration ----------------------------------------------------------------
@@ -436,8 +452,6 @@ def _records_form(table: VarTable, degree: int, records, path: str,
 
 
 def _parse_coeff(table: VarTable, text: str, path: str):
-    from .symexpr import parse_ratfun
-
     try:
         return parse_ratfun(text, table)
     except ForgeError as exc:
@@ -445,10 +459,12 @@ def _parse_coeff(table: VarTable, text: str, path: str):
 
 
 def _build_family(table: VarTable, entries, seed: int, path: str):
-    for pos, (_, text) in enumerate(entries):
-        _parse_coeff(table, text, f"{path}[{pos}].expression")
+    parsed = [
+        (name, _parse_coeff(table, text, f"{path}[{pos}].expression"))
+        for pos, (name, text) in enumerate(entries)
+    ]
     try:
-        return build_family(table, entries, seed)
+        return build_family(table, parsed, seed)
     except SpecError:
         raise
     except ForgeError as exc:
@@ -703,9 +719,8 @@ def _cmd_solve_ansatz(spec: SpecFile, seed: int) -> tuple:
             sorted(problem.specialize.items())
         )
         lines.append(f"  specialized at {assignment}:")
-        for a, b in solution.pairs:
-            name = f"k{a}{b}"
-            lines.append(f"    {name} = {values[name].render()}")
+        for name, value in values.items():
+            lines.append(f"    {name} = {value.render()}")
         special = solution.specialize(problem.specialize)
         lines.append(f"  sigma1[specialized] = {special.render()}")
     return 0, "\n".join(lines)

@@ -33,6 +33,19 @@ def _as_coeff(table: VarTable, value) -> RationalFunction:
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 
 
+def accumulate(comps: dict, idx, value: RationalFunction) -> None:
+    """Add ``value`` into the sparse component ``comps[idx]``; an entry
+    that cancels is dropped, so ``comps`` never holds a zero."""
+    if value.is_zero():
+        return
+    acc = comps.get(idx)
+    total = value if acc is None else acc + value
+    if total.is_zero():
+        comps.pop(idx, None)
+    else:
+        comps[idx] = total
+
+
 def _merge_sign(left: tuple, right: tuple):
     """Sign of the permutation sorting ``left + right`` (both increasing,
     assumed disjoint): parity of the inversion count."""
@@ -103,12 +116,7 @@ class _Alternating:
             )
         comps = dict(self.comps)
         for idx, value in other.comps.items():
-            acc = comps.get(idx)
-            total = value if acc is None else acc + value
-            if total.is_zero():
-                comps.pop(idx, None)
-            else:
-                comps[idx] = total
+            accumulate(comps, idx, value)
         return self._like(self.degree, comps)
 
     def __neg__(self):
@@ -237,13 +245,7 @@ def wedge(a, b):
                 continue
             sign = _merge_sign(left, right)
             idx = tuple(sorted(left + right))
-            value = cl * cr if sign > 0 else -(cl * cr)
-            acc = comps.get(idx)
-            total = value if acc is None else acc + value
-            if total.is_zero():
-                comps.pop(idx, None)
-            else:
-                comps[idx] = total
+            accumulate(comps, idx, cl * cr if sign > 0 else -(cl * cr))
     return a._like(a.degree + b.degree, comps)
 
 
@@ -272,13 +274,7 @@ def exterior_derivative(a: Form) -> Form:
                 continue
             sign = _merge_sign((v,), idx)
             key = tuple(sorted((v,) + idx))
-            value = dc if sign > 0 else -dc
-            acc = comps.get(key)
-            total = value if acc is None else acc + value
-            if total.is_zero():
-                comps.pop(key, None)
-            else:
-                comps[key] = total
+            accumulate(comps, key, dc if sign > 0 else -dc)
     return Form(a.table, a.degree + 1, comps)
 
 
@@ -308,13 +304,7 @@ def interior(P: MultiVector, a: Form) -> Form:
                 continue
             K = tuple(i for i in I if i not in jset)
             sign = _merge_sign(J, K)
-            value = w * c if sign > 0 else -(w * c)
-            acc = comps.get(K)
-            total = value if acc is None else acc + value
-            if total.is_zero():
-                comps.pop(K, None)
-            else:
-                comps[K] = total
+            accumulate(comps, K, w * c if sign > 0 else -(w * c))
     return Form(a.table, a.degree - P.degree, comps)
 
 
@@ -366,21 +356,10 @@ def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
 def _lie_derivative(X: MultiVector, Q: MultiVector) -> MultiVector:
     table = X.table
     comps: dict = {}
-
-    def bump(idx, value):
-        if value.is_zero():
-            return
-        acc = comps.get(idx)
-        total = value if acc is None else acc + value
-        if total.is_zero():
-            comps.pop(idx, None)
-        else:
-            comps[idx] = total
-
     for J, c in Q.comps.items():
         # transport of the coefficient along X
         for (xi,), xc in X.comps.items():
-            bump(J, xc * c.derivative(xi))
+            accumulate(comps, J, xc * c.derivative(xi))
         # frame correction: [X, D_j] = -sum_b (d_j X^b) D_b in each slot
         for m, jm in enumerate(J):
             rest = J[:m] + J[m + 1 :]
@@ -392,13 +371,13 @@ def _lie_derivative(X: MultiVector, Q: MultiVector) -> MultiVector:
                 if dx.is_zero():
                     continue
                 if b == jm:
-                    bump(J, -(c * dx))
+                    accumulate(comps, J, -(c * dx))
                     continue
                 placed = J[:m] + (b,) + J[m + 1 :]
                 sorted_idx = tuple(sorted(placed))
                 sign = _permutation_sign(placed, sorted_idx)
                 value = c * dx
-                bump(sorted_idx, -(value * sign))
+                accumulate(comps, sorted_idx, -(value * sign))
     return MultiVector(table, Q.degree, comps)
 
 

@@ -158,7 +158,7 @@ def invert(rows: list, table: VarTable) -> list:
                  for row, ident_row in zip(rows, identity(table, n))]
     reduced, pivots = rref(augmented)
     if pivots != list(range(n)):
-        raise Degenerate("matrix is not invertible")
+        raise Degenerate("component matrix is singular")
     return [row[n:] for row in reduced]
 
 

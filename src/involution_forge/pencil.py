@@ -31,7 +31,6 @@ from .anchor import (
     full_matrix,
     hamiltonian_vf,
     migrate_alternating,
-    poisson_bracket,
     reduce_bivector,
 )
 from .errors import (
@@ -85,10 +84,10 @@ def _as_function(table: VarTable, value) -> RationalFunction:
 
 
 class FunctionFamily:
-    """Named functions in prescribed involution, with the integers r, k, l
+    """Named functions in prescribed involution, with the integers r, k
     implied by |entries| = r+k and dim = 2r+k."""
 
-    __slots__ = ("table", "names", "entries", "r", "k", "l")
+    __slots__ = ("table", "names", "entries", "r", "k")
 
     def __init__(self, table: VarTable, entries):
         named = []
@@ -118,7 +117,6 @@ class FunctionFamily:
         self.entries = dict(named)
         self.r = r
         self.k = k
-        self.l = k // 2
 
     def entry(self, name: str) -> RationalFunction:
         try:
@@ -295,10 +293,9 @@ def annihilator_basis(anchor, D: Distribution):
 
 
 class SigmaPair:
-    """The two constrained 2-forms; primed lifts in the odd case, where the
-    tau parts of sigma' = sigma + tau^ds are split off for inspection."""
+    """The two constrained 2-forms; primed lifts in the odd case."""
 
-    __slots__ = ("sigma0", "sigma1", "tau0", "tau1")
+    __slots__ = ("sigma0", "sigma1")
 
     def __init__(self, sigma0: Form, sigma1: Form):
         sigma0.table.require_same(sigma1.table)
@@ -306,12 +303,6 @@ class SigmaPair:
             raise DegreeError("a sigma pair holds 2-forms")
         self.sigma0 = sigma0
         self.sigma1 = sigma1
-        if sigma0.table.appended_index is not None:
-            _, self.tau0 = decompose_prime(sigma0)
-            _, self.tau1 = decompose_prime(sigma1)
-        else:
-            self.tau0 = None
-            self.tau1 = None
 
 
 def sigma_pair_invariants(anchor, family: FunctionFamily, partition,
@@ -322,7 +313,7 @@ def sigma_pair_invariants(anchor, family: FunctionFamily, partition,
     for j in (0, 1):
         D = distribution(anchor, family, partition, j)
         for g, X in enumerate(D.generators):
-            residual = interior_form(X, sigmas[j])
+            residual = interior(X, sigmas[j])
             report.add(
                 f"sigma{j} annihilates generator {g} of D{j}",
                 residual.is_zero(),
@@ -345,11 +336,6 @@ def sigma_pair_invariants(anchor, family: FunctionFamily, partition,
             f"best sampled rank {best}",
         )
     return report
-
-
-def interior_form(X: MultiVector, a: Form) -> Form:
-    """sigma(X, .) as a 1-form (first-slot contraction)."""
-    return interior(X, a)
 
 
 def check_sigma_conditions(anchor, pair: SigmaPair) -> Report:
@@ -399,7 +385,7 @@ def check_recursion(anchor, pair: SigmaPair, family: FunctionFamily,
     for cp in partition:
         fields = _recursion_fields(anchor, family, cp)
         for j in range(1, cp.degree + 1):
-            residual = interior_form(fields[j], pair.sigma0) - interior_form(
+            residual = interior(fields[j], pair.sigma0) - interior(
                 fields[j - 1], pair.sigma1
             )
             report.add(
@@ -502,10 +488,8 @@ def solve_recursion_ansatz(anchor, sigma0: Form, basis, family: FunctionFamily,
     for cp in partition:
         fields = _recursion_fields(anchor, family, cp)
         for j in range(1, cp.degree + 1):
-            lhs_form = interior_form(fields[j], sigma0)
-            col_forms = [
-                interior_form(fields[j - 1], w) for w in wedges
-            ]
+            lhs_form = interior(fields[j], sigma0)
+            col_forms = [interior(fields[j - 1], w) for w in wedges]
             for i in geo:
                 rows.append(
                     [cf.comps.get((i,), zero) for cf in col_forms]
@@ -544,7 +528,7 @@ class Pencil:
 
     __slots__ = (
         "table", "anchor", "Pi0", "Pi1", "sigma_lambda", "g_lambda",
-        "F_lambda", "F_functions", "r", "k", "l", "Pi0_prime", "Pi1_prime",
+        "F_lambda", "F_functions", "r", "k", "Pi0_prime", "Pi1_prime",
         "_phi",
     )
 
@@ -560,7 +544,6 @@ class Pencil:
         self.F_functions = list(F_functions)
         self.r = r
         self.k = k
-        self.l = k // 2
         self.Pi0_prime = Pi0_prime
         self.Pi1_prime = Pi1_prime
         self._phi = None
@@ -575,18 +558,6 @@ class Pencil:
 
     def F_coefficients(self) -> dict:
         return coefficients_in(self.F_lambda, self.pencil_name)
-
-    @property
-    def F_leading(self) -> RationalFunction:
-        return self.F_coefficients().get(
-            self.r, RationalFunction.zero(self.table)
-        )
-
-    @property
-    def F_trailing(self) -> RationalFunction:
-        return self.F_coefficients().get(
-            0, RationalFunction.zero(self.table)
-        )
 
 
 def compute_F_lambda(anchor, family: FunctionFamily, partition

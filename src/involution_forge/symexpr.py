@@ -338,14 +338,10 @@ class Polynomial:
             total += value
         return total
 
-    def substitute(self, mapping: dict) -> "RationalFunction":
-        """Replace named variables by exact values or expressions."""
-        return RationalFunction.from_polynomial(self)._substitute(mapping)
-
     # --- display --------------------------------------------------------------
 
     def render(self) -> str:
-        """Canonical text, re-parseable by ``parse_expr``."""
+        """Canonical text, re-parseable by ``parse_ratfun``."""
         if self.is_zero():
             return "0"
         pieces = []
@@ -440,16 +436,6 @@ def _univariate_view(p: Polynomial, v: int):
         bucket = coeffs.setdefault(d, {})
         bucket[tuple(stripped)] = bucket.get(tuple(stripped), 0) + c
     return {d: Polynomial(p.table, t) for d, t in coeffs.items()}
-
-
-def _from_univariate(table: VarTable, v: int, coeffs: dict) -> Polynomial:
-    terms: dict = {}
-    for d, poly in coeffs.items():
-        for e, c in poly.terms.items():
-            lifted = list(e)
-            lifted[v] += d
-            terms[tuple(lifted)] = terms.get(tuple(lifted), 0) + c
-    return Polynomial(table, terms)
 
 
 def _lc_in(p: Polynomial, v: int) -> Polynomial:
@@ -590,11 +576,6 @@ class RationalFunction:
     def is_polynomial(self) -> bool:
         return self.den == Polynomial.one(self.table)
 
-    def as_polynomial(self) -> Polynomial:
-        if not self.is_polynomial():
-            raise ValueError(f"{self.render()} is not a polynomial")
-        return self.num
-
     def involves(self, index: int) -> bool:
         return self.num.involves(index) or self.den.involves(index)
 
@@ -703,9 +684,6 @@ class RationalFunction:
     def substitute(self, mapping: dict) -> "RationalFunction":
         """Replace named variables by Fractions, Polynomials, or fractions
         of polynomials; the rest of the table is left symbolic."""
-        return self._substitute(mapping)
-
-    def _substitute(self, mapping: dict) -> "RationalFunction":
         table = self.table
         values = {}
         for name, value in mapping.items():
@@ -823,19 +801,6 @@ class RationalPoint:
             self, "values", tuple(_coerce_fraction(v) for v in self.values)
         )
 
-    @staticmethod
-    def from_mapping(table: VarTable, mapping: dict) -> "RationalPoint":
-        missing = [n for n in table.names if n not in mapping]
-        if missing:
-            raise TableMismatch(f"point missing values for {missing}")
-        return RationalPoint(table, tuple(mapping[n] for n in table.names))
-
-    def value_of(self, name: str) -> Fraction:
-        return self.values[self.table.index(name)]
-
-    def as_mapping(self) -> dict:
-        return dict(zip(self.table.names, self.values))
-
 
 SAMPLE_BOUND = 10**6
 SAMPLE_RETRIES = 50
@@ -857,7 +822,7 @@ def sample_point(table: VarTable, avoid, rng: Random,
             ),
         )
         try:
-            if all(_guard_value(g, point) != 0 for g in guards):
+            if all(g.evaluate(point) != 0 for g in guards):
                 return point
         except PoleAtPoint:
             continue
@@ -867,14 +832,13 @@ def sample_point(table: VarTable, avoid, rng: Random,
     )
 
 
-def _guard_value(guard, point: RationalPoint) -> Fraction:
-    if isinstance(guard, Polynomial):
-        return guard.evaluate(point)
-    return guard.evaluate(point)
-
-
 # --- parsing ------------------------------------------------------------------
 
+
+# Each level of parentheses costs the recursive-descent parser four stack
+# frames; this bound keeps the deepest accepted expression far below
+# Python's default recursion limit.
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
@@ -909,17 +873,18 @@ class _Parser:
     """Recursive-descent parser for the expression grammar.
 
     expr   := ['-'] term (('+'|'-') term)*
-    term   := factor ('*' factor)*          (plus '/' in fraction mode)
+    term   := factor (('*'|'/') factor)*
     factor := base ('^' uint)?
-    base   := rational | ident | '(' expr ')'
+    base   := uint | ident | '(' expr ')'
 
-    No implicit multiplication; whitespace is insignificant."""
+    '/' divides, left associative.  No implicit multiplication; whitespace
+    is insignificant.  Parentheses nest at most MAX_NESTING deep."""
 
-    def __init__(self, text: str, table: VarTable, allow_division: bool):
+    def __init__(self, text: str, table: VarTable):
         self.tokens = _tokenize(text)
         self.table = table
-        self.allow_division = allow_division
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -967,7 +932,7 @@ class _Parser:
             if kind == "op" and value == "*":
                 self.advance()
                 acc = acc * self.factor()
-            elif kind == "op" and value == "/" and self.allow_division:
+            elif kind == "op" and value == "/":
                 self.advance()
                 rhs = self.factor()
                 if rhs.is_zero():
@@ -994,49 +959,24 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "num":
             self.advance()
-            numerator = value
-            denominator = 1
-            # in strict mode a '/' binds only inside a rational literal
-            if not self.allow_division:
-                kind2, v2, _ = self.peek()
-                kind3, v3, p3 = self.tokens[self.i + 1] if self.i + 1 < len(
-                    self.tokens
-                ) else ("end", None, 0)
-                if kind2 == "op" and v2 == "/" and kind3 == "num":
-                    self.advance()
-                    self.advance()
-                    if v3 == 0:
-                        raise DivisionByZero(
-                            f"zero denominator at position {p3}"
-                        )
-                    denominator = v3
-            return self.make_constant(Fraction(numerator, denominator))
+            return RationalFunction.constant(self.table, value)
         if kind == "ident":
             self.advance()
-            return self.make_variable(value)
+            return RationalFunction.variable(self.table, value)
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", pos
+                )
             self.advance()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input", pos)
 
-    def make_constant(self, q: Fraction):
-        if self.allow_division:
-            return RationalFunction.constant(self.table, q)
-        return Polynomial.constant(self.table, q)
-
-    def make_variable(self, name: str):
-        if self.allow_division:
-            return RationalFunction.variable(self.table, name)
-        return Polynomial.variable(self.table, name)
-
-
-def parse_expr(text: str, table: VarTable) -> Polynomial:
-    """Parse polynomial expression text (strict grammar, no division)."""
-    return _Parser(text, table, allow_division=False).parse()
-
 
 def parse_ratfun(text: str, table: VarTable) -> RationalFunction:
     """Parse a rational expression ('/' divides, left associative)."""
-    return _Parser(text, table, allow_division=True).parse()
+    return _Parser(text, table).parse()

@@ -21,12 +21,7 @@ from .anchor import (
 from .errors import DegreeError, SpecError
 from .exterior import differential, schouten
 from .linalg import det, rank_at_point as matrix_rank_at_point
-from .pencil import (
-    FunctionFamily,
-    Pencil,
-    bracket_closed_form,
-    casimir_function,
-)
+from .pencil import FunctionFamily, Pencil, bracket_closed_form
 from .report import Verdict
 from .symexpr import (
     RationalFunction,
@@ -218,7 +213,7 @@ def certify(pencil: Pencil, family: FunctionFamily, partition,
     jacobi_pencil = jacobi_check(pi_lam, "jacobi[pencil]")
     compatibility = compatibility_check(Pi0, Pi1, "compatibility[Pi0,Pi1]")
 
-    F_list = [casimir_function(family, cp) for cp in partition]
+    F_list = pencil.F_functions
     casimir_verdicts = [
         casimir_check(pi_lam, F_i, f"casimir[F^{pos}]")
         for pos, F_i in enumerate(F_list, start=1)

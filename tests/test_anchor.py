@@ -31,6 +31,7 @@ from involution_forge import (
     wedge,
     wedge_power,
 )
+from involution_forge import anchor as anchor_module
 from involution_forge.pencil import decompose_prime
 from helpers import (
     random_form,
@@ -175,6 +176,21 @@ def test_lift_adds_one_coordinate(toda_anchor):
     theta_l = from_records(ltab, 2, toda_anchor.theta.to_records())
     vartheta_l = from_records(ltab, 1, toda_anchor.vartheta.to_records())
     assert lifted.lifted.omega == theta_l + wedge(ds, vartheta_l)
+
+
+def test_cosymplectic_anchor_inverts_once(toda_anchor, monkeypatch):
+    calls = []
+    real = anchor_module.invert
+
+    def counting(rows, table):
+        calls.append(len(rows))
+        return real(rows, table)
+
+    monkeypatch.setattr(anchor_module, "invert", counting)
+    lifted = lift(build_cosymplectic(toda_anchor.vartheta, toda_anchor.theta))
+    # one inversion of the 6x6 matrix of omega', reused by lift
+    assert calls == [6]
+    assert lifted.lifted is lifted.base.lifted
 
 
 def test_lift_reduce_round_trip(toda_anchor):

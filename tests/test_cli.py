@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, determinism, output shapes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import involution_forge
 from involution_forge.cli import main, run
 from involution_forge.fixtures import fixture_file, load_fixture
 
@@ -151,3 +156,68 @@ def test_report_full_contains_certificate(lagrange_path):
     assert code == 0
     assert "rank[sampled]" in text
     assert "closed-form[coordinates]" in text
+
+
+def test_duplicate_ansatz_constant_exits_two(spec_on_disk):
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    constants = payload["sigma1"]["ansatz"]["constants"]
+    constants.append(constants[0])
+    code, text = run("solve-ansatz", spec_on_disk(payload))
+    assert code == 2
+    assert f"sigma1.ansatz.constants[{len(constants) - 1}]" in text
+    assert "repeated" in text
+
+
+def test_appended_coordinate_name_is_reserved(spec_on_disk):
+    payload = json.loads(fixture_file("toda_first").read_text())
+    # a variable named s collides with the coordinate a cosymplectic
+    # anchor appends; renaming b3 keeps every expression well-formed
+    renamed = json.loads(json.dumps(payload).replace("b3", "s"))
+    code, text = run("check", spec_on_disk(renamed))
+    assert code == 2
+    assert "variables[4]" in text
+    assert "reserved" in text
+
+
+def test_deeply_nested_json_exits_two(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, text = run("check", str(path))
+    assert code == 2
+    assert text == f"error: {path}: JSON nested too deeply"
+
+
+def test_deeply_nested_expression_exits_two(spec_on_disk):
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["family"][1]["expression"] = "(" * 5000 + "x1" + ")" * 5000
+    code, text = run("check", spec_on_disk(payload))
+    assert code == 2
+    assert "family[1].expression" in text
+    assert "nested deeper" in text
+
+
+def test_singular_symplectic_anchor_exits_one(spec_on_disk):
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["anchor"]["pairs"] = [[1, 4], [2, 5]]
+    code, text = run("report", spec_on_disk(payload))
+    assert (code, text) == (1, "error: Degenerate: component matrix is singular")
+
+
+def test_degenerate_cosymplectic_anchor_exits_one(spec_on_disk):
+    payload = json.loads(fixture_file("toda_first").read_text())
+    payload["anchor"]["vartheta"] = [{"indices": [1], "coeff": "1"}]
+    code, text = run("report", spec_on_disk(payload))
+    assert code == 1
+    assert text.startswith("error: DegenerateVolume: ")
+
+
+def test_python_dash_m_runs_the_cli(lagrange_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(involution_forge.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "involution_forge", "check", lagrange_path],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "schema = ok" in proc.stdout

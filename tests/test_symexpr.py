@@ -17,6 +17,7 @@ from involution_forge import (
     parse_ratfun,
     sample_point,
 )
+from involution_forge.symexpr import MAX_NESTING
 from helpers import (
     random_polynomial,
     random_rational,
@@ -141,6 +142,10 @@ def test_parse_error_paths(table):
         parse_ratfun("x1 x2", table)
     with pytest.raises(DivisionByZero):
         parse_ratfun("x1/(x2 - x2)", table)
+    nested = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+    assert parse_ratfun(nested, table) == parse_ratfun("x1", table)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_ratfun(f"({nested})", table)
 
 
 def test_table_kinds_and_lookup():

@@ -145,43 +145,37 @@ def _sharp_extend(Pi: MultiVector, a: Form) -> MultiVector:
 class SymplecticAnchor:
     """Nondegenerate bivector with its inverse 2-form and volume."""
 
-    __slots__ = ("table", "lambda_bi", "omega", "n", "volume")
+    __slots__ = ("table", "lambda_bi", "omega", "volume")
 
-    def __init__(self, table, lambda_bi, omega, n, volume):
+    def __init__(self, table, lambda_bi, omega, volume):
         self.table = table
         self.lambda_bi = lambda_bi
         self.omega = omega
-        self.n = n
         self.volume = volume
+
+    @property
+    def lifted(self) -> "SymplecticAnchor":
+        """The symplectic anchor the sigma pair lives on: this one."""
+        return self
 
 
 class CosymplecticAnchor:
     """Odd-dimensional structure (vartheta, Theta) with its contravariant
-    side (Lambda, E), volume vartheta^Theta^n/n!, and the symplectic anchor
-    of omega' = Theta + ds^vartheta on the table extended by s."""
+    side (Lambda, E), volume vartheta^Theta^n/n!, and in ``lifted`` the
+    symplectic anchor of omega' = Theta + ds^vartheta on the table
+    extended by s."""
 
-    __slots__ = ("table", "vartheta", "theta", "lambda_bi", "reeb", "n",
+    __slots__ = ("table", "vartheta", "theta", "lambda_bi", "reeb",
                  "volume", "lifted")
 
-    def __init__(self, table, vartheta, theta, lambda_bi, reeb, n, volume,
+    def __init__(self, table, vartheta, theta, lambda_bi, reeb, volume,
                  lifted):
         self.table = table
         self.vartheta = vartheta
         self.theta = theta
         self.lambda_bi = lambda_bi
         self.reeb = reeb
-        self.n = n
         self.volume = volume
-        self.lifted = lifted
-
-
-class LiftedAnchor:
-    """Cosymplectic anchor together with its symplectization by s."""
-
-    __slots__ = ("base", "lifted")
-
-    def __init__(self, base: CosymplecticAnchor, lifted: SymplecticAnchor):
-        self.base = base
         self.lifted = lifted
 
 
@@ -205,11 +199,12 @@ def build_symplectic(given) -> SymplecticAnchor:
     lambda_bi, omega = (given, other) if given_bivector else (other, given)
     n = table.dim // 2
     volume = wedge_power(omega, n, Fraction(1, factorial(n)))
-    return SymplecticAnchor(table, lambda_bi, omega, n, volume)
+    return SymplecticAnchor(table, lambda_bi, omega, volume)
 
 
 def build_cosymplectic(vartheta: Form, theta: Form) -> CosymplecticAnchor:
-    """Anchor from (vartheta, Theta); (Lambda, E) by lifting and inverting."""
+    """Anchor from (vartheta, Theta); (Lambda, E) by inverting the
+    symplectization omega' once, checked against Lambda' = Lambda + Ds^E."""
     if vartheta.degree != 1 or theta.degree != 2:
         raise DegreeError("a cosymplectic anchor needs a 1-form and a 2-form")
     vartheta.table.require_same(theta.table)
@@ -254,23 +249,14 @@ def build_cosymplectic(vartheta: Form, theta: Form) -> CosymplecticAnchor:
         raise Degenerate("recovered E fails i_E Theta = 0")
     if not bivector_sharp(lambda_bi, vartheta).is_zero():
         raise Degenerate("recovered Lambda fails Lambda#(vartheta) = 0")
-    return CosymplecticAnchor(
-        table, vartheta, theta, lambda_bi, reeb, n, volume, lifted
-    )
-
-
-def lift(base: CosymplecticAnchor) -> LiftedAnchor:
-    """Symplectization: the anchor of omega' = Theta + ds^vartheta that
-    build_cosymplectic inverted, checked against Lambda + Ds^E."""
-    lifted = base.lifted
-    ext = lifted.table
-    expected = migrate_alternating(base.lambda_bi, ext) + wedge(
-        MultiVector.basis_vector(ext, ext.appended_index),
-        migrate_alternating(base.reeb, ext),
+    expected = migrate_alternating(lambda_bi, ext) + wedge(
+        MultiVector.basis_vector(ext, s_idx), migrate_alternating(reeb, ext)
     )
     if lifted.lambda_bi != expected:
         raise Degenerate("lifted bivector is not Lambda + Ds^E")
-    return LiftedAnchor(base, lifted)
+    return CosymplecticAnchor(
+        table, vartheta, theta, lambda_bi, reeb, volume, lifted
+    )
 
 
 # --- induced maps ------------------------------------------------------------
@@ -278,8 +264,6 @@ def lift(base: CosymplecticAnchor) -> LiftedAnchor:
 
 def sharp(anchor, a: Form) -> MultiVector:
     """Degree-p sharp; semi-basic required past degree 1 on odd anchors."""
-    if isinstance(anchor, LiftedAnchor):
-        anchor = anchor.lifted
     if isinstance(anchor, CosymplecticAnchor) and a.degree >= 2:
         residue = interior(anchor.reeb, a)
         if not residue.is_zero():

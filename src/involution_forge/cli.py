@@ -23,11 +23,9 @@ import jsonschema
 
 from .anchor import (
     APPENDED_NAME,
-    LiftedAnchor,
     build_cosymplectic,
     build_symplectic,
     full_matrix,
-    lift,
     poisson_bracket,
 )
 from .errors import ForgeError, RankTooSmall, SpecError
@@ -40,6 +38,7 @@ from .pencil import (
     build_family,
     closed_form_interior,
     solve_recursion_ansatz,
+    unknown_name,
 )
 from .symexpr import VarKind, VarTable, parse_ratfun
 from .verify import certify
@@ -322,6 +321,13 @@ def parse_spec(payload, path: str = "spec") -> SpecFile:
     # a cosymplectic anchor appends this coordinate to the table
     reserved = (APPENDED_NAME if payload["anchor"]["type"] == "cosymplectic"
                 else None)
+    # solve-ansatz adjoins each free unknown to the table under its name
+    ansatz = payload["sigma1"].get("ansatz")
+    width = len(ansatz["basis"]) if ansatz is not None else 0
+    unknowns = {
+        unknown_name(a, b)
+        for b in range(2, width + 1) for a in range(1, b)
+    }
     variables = []
     seen = set()
     for pos, entry in enumerate(payload["variables"]):
@@ -337,6 +343,11 @@ def parse_spec(payload, path: str = "spec") -> SpecFile:
             raise SpecError(
                 f"variable {name!r} is reserved for the appended coordinate "
                 "of a cosymplectic anchor",
+                f"{path}.variables[{pos}]",
+            )
+        if name in unknowns:
+            raise SpecError(
+                f"variable {name!r} is reserved for an ansatz unknown",
                 f"{path}.variables[{pos}]",
             )
         seen.add(name)
@@ -382,7 +393,6 @@ def parse_spec(payload, path: str = "spec") -> SpecFile:
                         f"{path}.{key}.coefficients[{pos}]",
                     )
 
-    ansatz = payload["sigma1"].get("ansatz")
     if ansatz is not None:
         constants = set()
         for pos, extra in enumerate(ansatz.get("constants", ())):
@@ -390,6 +400,11 @@ def parse_spec(payload, path: str = "spec") -> SpecFile:
             if extra in seen or extra == reserved:
                 raise SpecError(
                     f"ansatz constant {extra!r} shadows a variable", where
+                )
+            if extra in unknowns:
+                raise SpecError(
+                    f"ansatz constant {extra!r} is reserved for an ansatz "
+                    "unknown", where
                 )
             if extra in constants:
                 raise SpecError(f"ansatz constant {extra!r} repeated", where)
@@ -478,14 +493,15 @@ def build_table(spec: SpecFile, extra_constants=()) -> VarTable:
 
 
 def build_anchor(spec: SpecFile, table: VarTable):
-    """The anchor structure over the given table; cosymplectic data is
-    lifted immediately, so sigma parsing happens over the lifted table."""
+    """The anchor structure over the given table.  A cosymplectic anchor
+    carries its symplectization in ``lifted``, and the sigma forms are
+    parsed over ``anchor.lifted.table`` for either parity."""
     data = spec.anchor
     if data["type"] == "cosymplectic":
         vartheta = _records_form(table, 1, data["vartheta"],
                                  "anchor.vartheta")
         theta = _records_form(table, 2, data["theta"], "anchor.theta")
-        return lift(build_cosymplectic(vartheta, theta))
+        return build_cosymplectic(vartheta, theta)
     if data["type"] == "canonical":
         records = [
             {"indices": list(pair), "coeff": "1"} for pair in data["pairs"]
@@ -496,12 +512,6 @@ def build_anchor(spec: SpecFile, table: VarTable):
         path = "anchor.bivector"
     lambda_bi = _records_form(table, 2, records, path, kind=MultiVector)
     return build_symplectic(lambda_bi)
-
-
-def sigma_table(anchor) -> VarTable:
-    if isinstance(anchor, LiftedAnchor):
-        return anchor.lifted.table
-    return anchor.table
 
 
 def resolve_basis(block, table: VarTable, path: str) -> list:
@@ -560,7 +570,7 @@ def elaborate(spec: SpecFile, seed: int = 0,
               need_sigma1: bool = True) -> Elaborated:
     table = build_table(spec)
     anchor = build_anchor(spec, table)
-    stable = sigma_table(anchor)
+    stable = anchor.lifted.table
     family = _build_family(table, spec.family, seed, "family")
     partition = [CasimirPolynomial(tuple(chain)) for chain in spec.partition]
     sigma0 = resolve_sigma(spec.sigma0, stable, "sigma0")
@@ -595,7 +605,7 @@ def elaborate_ansatz(spec: SpecFile, seed: int = 0) -> AnsatzProblem:
         raise SpecError("sigma1 declares no ansatz", "sigma1")
     table = build_table(spec, block.get("constants", ()))
     anchor = build_anchor(spec, table)
-    stable = sigma_table(anchor)
+    stable = anchor.lifted.table
     entries = [
         (item["name"], item["expression"])
         for item in block.get("family", ())
@@ -665,7 +675,7 @@ def _cmd_pencil(spec: SpecFile, seed: int) -> tuple:
     lines.extend(_matrix_lines("Pi1", full_matrix(pencil.Pi1)))
     lines.append(f"  sigma_lambda = {pencil.sigma_lambda.render()}")
     try:
-        phi = closed_form_interior(pencil, parts.anchor)
+        phi = closed_form_interior(pencil)
         lines.append(f"  phi = {phi.render()}")
     except RankTooSmall:
         lines.append("  phi = unavailable (r < 2)")
@@ -687,7 +697,7 @@ def _cmd_bracket(spec: SpecFile, seed: int, pair) -> tuple:
         parts.anchor, SigmaPair(parts.sigma0, parts.sigma1),
         parts.family, parts.partition, seed,
     )
-    closed = bracket_closed_form(pencil, parts.anchor, f, h)
+    closed = bracket_closed_form(pencil, f, h)
     contracted = poisson_bracket(pencil.pi_lambda(), f, h)
     agree = closed == contracted
     lines = _header("bracket", spec, seed)
@@ -698,6 +708,20 @@ def _cmd_bracket(spec: SpecFile, seed: int, pair) -> tuple:
     lines.append(f"  {mark}  closed-form[{names[0]},{names[1]}]")
     lines.append(f"  status = {mark}")
     return (0 if agree else 1), "\n".join(lines)
+
+
+def _specialization(solution, mapping: dict) -> dict:
+    """The specialize block parsed over the solution's table; a bad name
+    or value is a spec error at its own path."""
+    values = {}
+    for name, text in mapping.items():
+        try:
+            values.update(solution.substitution({name: text}))
+        except ForgeError as exc:
+            raise SpecError(
+                str(exc), f"sigma1.ansatz.specialize.{name}"
+            ) from exc
+    return values
 
 
 def _cmd_solve_ansatz(spec: SpecFile, seed: int) -> tuple:
@@ -713,15 +737,15 @@ def _cmd_solve_ansatz(spec: SpecFile, seed: int) -> tuple:
     for line in solution.render().splitlines():
         lines.append(f"    {line}")
     if problem.specialize:
-        values = solution.values_at(problem.specialize)
+        values = _specialization(solution, problem.specialize)
         assignment = ", ".join(
             f"{name} = {text}" for name, text in
             sorted(problem.specialize.items())
         )
         lines.append(f"  specialized at {assignment}:")
-        for name, value in values.items():
+        for name, value in solution.values_at(values).items():
             lines.append(f"    {name} = {value.render()}")
-        special = solution.specialize(problem.specialize)
+        special = solution.specialize(values)
         lines.append(f"  sigma1[specialized] = {special.render()}")
     return 0, "\n".join(lines)
 

@@ -14,23 +14,10 @@ Sign conventions (fixed once, everything downstream is calibrated to them):
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import DegreeError, ForbiddenVariable, UnsupportedDegrees
-from .symexpr import Polynomial, RationalFunction, VarTable
-
-
-def _as_coeff(table: VarTable, value) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        table.require_same(value.table)
-        return value
-    if isinstance(value, Polynomial):
-        table.require_same(value.table)
-        return RationalFunction.from_polynomial(value)
-    if isinstance(value, (int, Fraction)):
-        return RationalFunction.constant(table, value)
-    raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
+from .symexpr import RationalFunction, VarTable, as_ratfun
 
 
 def accumulate(comps: dict, idx, value: RationalFunction) -> None:
@@ -80,7 +67,7 @@ class _Alternating:
                     raise ForbiddenVariable(
                         f"variable {table.names[i]!r} cannot carry a differential"
                     )
-            value = _as_coeff(table, value)
+            value = as_ratfun(table, value)
             if not value.is_zero():
                 clean[idx] = value
         self.table = table
@@ -128,7 +115,7 @@ class _Alternating:
         return self + (-other)
 
     def __mul__(self, scalar):
-        scalar = _as_coeff(self.table, scalar)
+        scalar = as_ratfun(self.table, scalar)
         if scalar.is_zero():
             return self._like(self.degree, {})
         return self._like(
@@ -280,8 +267,6 @@ def exterior_derivative(a: Form) -> Form:
 
 def differential(f, table: VarTable = None) -> Form:
     """df for a scalar (RationalFunction or Polynomial)."""
-    if isinstance(f, Polynomial):
-        f = RationalFunction.from_polynomial(f)
     if table is None:
         table = f.table
     return exterior_derivative(Form.scalar(table, f))

@@ -12,29 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import Degenerate, DimensionMismatch, Inconsistent
-from .symexpr import Polynomial, RationalFunction, RationalPoint, VarTable
-
-
-def _coerce(table: VarTable, value) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        return value
-    if isinstance(value, Polynomial):
-        return RationalFunction.from_polynomial(value)
-    if isinstance(value, str):
-        from .symexpr import parse_ratfun
-
-        return parse_ratfun(value, table)
-    return RationalFunction.constant(table, value)
-
-
-def matrix(table: VarTable, rows) -> list:
-    """Normalize a nested iterable into a rectangular coefficient matrix."""
-    out = [[_coerce(table, v) for v in row] for row in rows]
-    if out:
-        width = len(out[0])
-        if any(len(row) != width for row in out):
-            raise DimensionMismatch("ragged matrix")
-    return out
+from .symexpr import (
+    SAMPLE_RETRIES,
+    RationalFunction,
+    RationalPoint,
+    VarTable,
+    as_ratfun,
+    sample_point,
+)
 
 
 def identity(table: VarTable, n: int) -> list:
@@ -135,7 +120,9 @@ def solve_linear(rows: list, rhs: list, table: VarTable):
     if not rows:
         return [], [], []
     width = len(rows[0])
-    augmented = [list(row) + [_coerce(table, b)] for row, b in zip(rows, rhs)]
+    augmented = [
+        list(row) + [as_ratfun(table, b)] for row, b in zip(rows, rhs)
+    ]
     reduced, pivots = rref(augmented)
     if width in pivots:
         raise Inconsistent("no solution: pivot in the right-hand column")
@@ -223,3 +210,18 @@ def rank_at_point(rows: list, point: RationalPoint) -> int:
         if rank == m:
             break
     return rank
+
+
+def sampled_rank(rows: list, table: VarTable, guards, rng, target: int):
+    """Best rank of the matrix over up to SAMPLE_RETRIES sampled points,
+    stopping at the first draw that reaches ``target``; returns
+    (best rank, the point where it was first attained)."""
+    best, best_point = -1, None
+    for _ in range(SAMPLE_RETRIES):
+        point = sample_point(table, guards, rng)
+        rank = rank_at_point(rows, point)
+        if rank > best:
+            best, best_point = rank, point
+        if best == target:
+            break
+    return best, best_point

@@ -23,8 +23,6 @@ from random import Random
 
 from .anchor import (
     CosymplecticAnchor,
-    LiftedAnchor,
-    SymplecticAnchor,
     bivector_sharp,
     codifferential,
     decompose_prime,
@@ -32,6 +30,7 @@ from .anchor import (
     hamiltonian_vf,
     migrate_alternating,
     reduce_bivector,
+    sharp,
 )
 from .errors import (
     ConditionFailed,
@@ -54,30 +53,18 @@ from .exterior import (
     wedge,
     wedge_power,
 )
-from .linalg import rank_at_point, rref, nullspace, solve_linear
+from .linalg import rref, nullspace, sampled_rank, solve_linear
 from .report import Report
 from .symexpr import (
-    Polynomial,
     RationalFunction,
-    SAMPLE_RETRIES,
     VarKind,
     VarTable,
+    as_ratfun,
     coefficients_in,
     migrate_ratfun,
     parse_ratfun,
     sample_point,
 )
-
-
-def _as_function(table: VarTable, value) -> RationalFunction:
-    if isinstance(value, str):
-        return parse_ratfun(value, table)
-    if isinstance(value, Polynomial):
-        return RationalFunction.from_polynomial(value)
-    if isinstance(value, RationalFunction):
-        table.require_same(value.table)
-        return value
-    return RationalFunction.constant(table, value)
 
 
 # --- the function family and its partition -----------------------------------
@@ -96,7 +83,7 @@ class FunctionFamily:
             if name in seen:
                 raise SpecError(f"family entry {name!r} repeated")
             seen.add(name)
-            named.append((name, _as_function(table, value)))
+            named.append((name, as_ratfun(table, value)))
         count = len(named)
         r = table.dim - count
         k = 2 * count - table.dim
@@ -127,22 +114,20 @@ class FunctionFamily:
     def functions(self):
         return [self.entries[name] for name in self.names]
 
-    def independence_point(self, rng: Random, retries: int = SAMPLE_RETRIES):
+    def independence_point(self, rng: Random):
         """A rational point where the family Jacobian has full rank r+k."""
-        table = self.table
-        geo = table.geometric_indices
+        geo = self.table.geometric_indices
         guards = [f.den for f in self.entries.values()]
         rows = [
             [f.derivative(i) for i in geo] for f in self.functions()
         ]
         want = self.r + self.k
-        for _ in range(retries):
-            point = sample_point(table, guards, rng, retries)
-            if rank_at_point(rows, point) == want:
-                return point
-        raise RankDrop(
-            f"family Jacobian never reached rank {want} at sampled points"
-        )
+        rank, point = sampled_rank(rows, self.table, guards, rng, want)
+        if rank != want:
+            raise RankDrop(
+                f"family Jacobian never reached rank {want} at sampled points"
+            )
+        return point
 
 
 def build_family(table: VarTable, entries, seed: int = 0) -> FunctionFamily:
@@ -227,42 +212,30 @@ class Distribution:
         return self.generators[0].table
 
 
-def _reference(anchor):
-    """The symplectic side used for sharps and the codifferential."""
-    if isinstance(anchor, LiftedAnchor):
-        return anchor.lifted
-    if isinstance(anchor, SymplecticAnchor):
-        return anchor
-    raise SpecError(
-        "expected a SymplecticAnchor or a LiftedAnchor, got "
-        f"{type(anchor).__name__}"
-    )
-
-
-def _base(anchor):
-    """The table-level structure carrying Lambda, the reference 2-form,
-    and the volume used by the closed bracket formula."""
-    if isinstance(anchor, LiftedAnchor):
-        return anchor.base
-    return anchor
+def _hamiltonian_fields(anchor, family: FunctionFamily, names) -> list:
+    """Hamiltonian fields of family entries on the symplectic anchor the
+    sigma pair lives on (the lifted one in odd dimension)."""
+    lifted = anchor.lifted
+    return [
+        hamiltonian_vf(
+            lifted.lambda_bi, migrate_ratfun(family.entry(name), lifted.table)
+        )
+        for name in names
+    ]
 
 
 def distribution(anchor, family: FunctionFamily, partition, which: int
                  ) -> Distribution:
-    """D_0 (which = 0, leading coefficients) or D_1 (trailing); the lifted
-    odd case appends the Hamiltonian field of s."""
-    ref = _reference(anchor)
+    """D_0 (which = 0, leading coefficients) or D_1 (trailing); the odd
+    case appends the Hamiltonian field of s."""
     pick = 0 if which == 0 else -1
-    generators = []
-    for cp in partition:
-        f = family.entry(cp.names[pick])
-        if isinstance(anchor, LiftedAnchor):
-            f = migrate_ratfun(f, ref.table)
-        generators.append(hamiltonian_vf(ref.lambda_bi, f))
-    if isinstance(anchor, LiftedAnchor):
-        s_idx = ref.table.appended_index
-        ds = Form(ref.table, 1, {(s_idx,): 1})
-        generators.append(bivector_sharp(ref.lambda_bi, ds))
+    generators = _hamiltonian_fields(
+        anchor, family, [cp.names[pick] for cp in partition]
+    )
+    if isinstance(anchor, CosymplecticAnchor):
+        lifted = anchor.lifted
+        ds = Form(lifted.table, 1, {(lifted.table.appended_index,): 1})
+        generators.append(bivector_sharp(lifted.lambda_bi, ds))
     return Distribution(generators)
 
 
@@ -322,14 +295,10 @@ def sigma_pair_invariants(anchor, family: FunctionFamily, partition,
     table = pair.sigma0.table
     rng = Random(seed)
     for j in (0, 1):
-        rows = full_matrix(sigmas[j])
         guards = [c.den for c in sigmas[j].comps.values()]
-        best = -1
-        for _ in range(SAMPLE_RETRIES):
-            point = sample_point(table, guards, rng)
-            best = max(best, rank_at_point(rows, point))
-            if best == 2 * family.r:
-                break
+        best, _ = sampled_rank(
+            full_matrix(sigmas[j]), table, guards, rng, 2 * family.r
+        )
         report.add(
             f"sigma{j} has rank {2 * family.r} at a sampled point",
             best == 2 * family.r,
@@ -341,11 +310,10 @@ def sigma_pair_invariants(anchor, family: FunctionFamily, partition,
 def check_sigma_conditions(anchor, pair: SigmaPair) -> Report:
     """The three codifferential identities; delta' on the lifted anchor in
     the odd case.  Failures are data, never exceptions."""
-    ref = _reference(anchor)
     s0, s1 = pair.sigma0, pair.sigma1
 
     def delta(a):
-        return codifferential(ref, a)
+        return codifferential(anchor.lifted, a)
 
     report = Report("sigma conditions")
     residual = delta(wedge(s0, s0)) - wedge(s0, delta(s0)) * 2
@@ -365,25 +333,12 @@ def check_sigma_conditions(anchor, pair: SigmaPair) -> Report:
     return report
 
 
-def _recursion_fields(anchor, family: FunctionFamily, cp: CasimirPolynomial):
-    """Hamiltonian fields of the coefficients of one Casimir polynomial,
-    lifted when the anchor is."""
-    ref = _reference(anchor)
-    fields = []
-    for name in cp.names:
-        f = family.entry(name)
-        if isinstance(anchor, LiftedAnchor):
-            f = migrate_ratfun(f, ref.table)
-        fields.append(hamiltonian_vf(ref.lambda_bi, f))
-    return fields
-
-
 def check_recursion(anchor, pair: SigmaPair, family: FunctionFamily,
                     partition) -> Report:
     """sigma0(X_{f^i_j}, .) = sigma1(X_{f^i_{j-1}}, .) for 1 <= j <= r_i."""
     report = Report("recursion relations")
     for cp in partition:
-        fields = _recursion_fields(anchor, family, cp)
+        fields = _hamiltonian_fields(anchor, family, cp.names)
         for j in range(1, cp.degree + 1):
             residual = interior(fields[j], pair.sigma0) - interior(
                 fields[j - 1], pair.sigma1
@@ -399,7 +354,7 @@ def check_recursion(anchor, pair: SigmaPair, family: FunctionFamily,
 # --- the ansatz solver --------------------------------------------------------
 
 
-def _unknown_name(a: int, b: int) -> str:
+def unknown_name(a: int, b: int) -> str:
     if a < 10 and b < 10:
         return f"k{a}{b}"
     return f"k{a}_{b}"
@@ -418,9 +373,11 @@ class AnsatzSolution:
     sigma1: Form
 
     def expression(self, a: int, b: int) -> RationalFunction:
-        return self.expressions[_unknown_name(a, b)]
+        return self.expressions[unknown_name(a, b)]
 
-    def _substitution(self, mapping) -> dict:
+    def substitution(self, mapping) -> dict:
+        """Values for free unknowns or constants, expression strings parsed
+        over ``table``; raises SpecError on any other name."""
         values = {}
         for name, value in mapping.items():
             if name not in self.free_names and (
@@ -439,7 +396,7 @@ class AnsatzSolution:
         """Substitute values for the free unknowns (and, if desired, for
         constants of the table) and push the resulting 2-form back to the
         original table."""
-        values = self._substitution(mapping)
+        values = self.substitution(mapping)
         comps = {}
         for idx, c in self.sigma1.comps.items():
             comps[idx] = migrate_ratfun(
@@ -450,10 +407,10 @@ class AnsatzSolution:
     def values_at(self, mapping) -> dict:
         """The coefficient of each basis pair after the same substitution,
         pushed back to the original table; keys are the unknown names."""
-        values = self._substitution(mapping)
+        values = self.substitution(mapping)
         out = {}
         for a, b in self.pairs:
-            name = _unknown_name(a, b)
+            name = unknown_name(a, b)
             out[name] = migrate_ratfun(
                 self.expressions[name].substitute(values), self.base_table
             )
@@ -462,7 +419,7 @@ class AnsatzSolution:
     def render(self) -> str:
         lines = []
         for a, b in self.pairs:
-            name = _unknown_name(a, b)
+            name = unknown_name(a, b)
             expr = self.expressions[name]
             tag = " (free)" if name in self.free_names else ""
             lines.append(f"{name} = {expr.render()}{tag}")
@@ -486,7 +443,7 @@ def solve_recursion_ansatz(anchor, sigma0: Form, basis, family: FunctionFamily,
     rows = []
     rhs = []
     for cp in partition:
-        fields = _recursion_fields(anchor, family, cp)
+        fields = _hamiltonian_fields(anchor, family, cp.names)
         for j in range(1, cp.degree + 1):
             lhs_form = interior(fields[j], sigma0)
             col_forms = [interior(fields[j - 1], w) for w in wedges]
@@ -500,7 +457,7 @@ def solve_recursion_ansatz(anchor, sigma0: Form, basis, family: FunctionFamily,
     ext = table
     free_names = []
     for col in free:
-        name = _unknown_name(*pairs[col])
+        name = unknown_name(*pairs[col])
         ext = ext.extend(name, VarKind.CONSTANT)
         free_names.append(name)
     expressions = {}
@@ -508,13 +465,13 @@ def solve_recursion_ansatz(anchor, sigma0: Form, basis, family: FunctionFamily,
         expr = migrate_ratfun(particular[p], ext)
         for vec, col in zip(kernel, free):
             term = migrate_ratfun(vec[p], ext) * RationalFunction.variable(
-                ext, _unknown_name(*pairs[col])
+                ext, unknown_name(*pairs[col])
             )
             expr = expr + term
-        expressions[_unknown_name(a, b)] = expr
+        expressions[unknown_name(a, b)] = expr
     sigma1 = Form.zero(ext, 2)
     for p, w in enumerate(wedges):
-        coeff = expressions[_unknown_name(*pairs[p])]
+        coeff = expressions[unknown_name(*pairs[p])]
         if not coeff.is_zero():
             sigma1 = sigma1 + migrate_alternating(w, ext) * coeff
     return AnsatzSolution(table, ext, pairs, expressions, free_names, sigma1)
@@ -560,40 +517,25 @@ class Pencil:
         return coefficients_in(self.F_lambda, self.pencil_name)
 
 
-def compute_F_lambda(anchor, family: FunctionFamily, partition
-                     ) -> RationalFunction:
+def compute_F_lambda(anchor, functions, r: int) -> RationalFunction:
     """F(lambda) = <dF^1^...^dF^k, Lambda^l/l!> (even anchor) or
-    <..., E^Lambda^l/l!> (odd); degree exactly r in lambda with nonzero
-    leading and trailing coefficients, certified at a sampled point."""
-    k = len(partition)
-    r = sum(cp.degree for cp in partition)
-    base = _base(anchor)
-    table = base.table
-    if isinstance(base, SymplecticAnchor):
-        if k % 2:
-            raise DegreeError(
-                f"an even anchor pairs with an even number of Casimir "
-                f"polynomials, got {k}"
-            )
-        l = k // 2
-        against = wedge_power(
-            base.lambda_bi, l, Fraction(1, factorial(l))
+    <..., E^Lambda^l/l!> (odd) for the Casimir polynomials F^i; degree
+    exactly r in lambda with nonzero leading and trailing coefficients,
+    certified at a sampled point."""
+    k = len(functions)
+    odd = isinstance(anchor, CosymplecticAnchor)
+    if k % 2 != odd:
+        parity = "odd" if odd else "even"
+        raise DegreeError(
+            f"an {parity} anchor pairs with an {parity} number of Casimir "
+            f"polynomials, got {k}"
         )
-    elif isinstance(base, CosymplecticAnchor):
-        if k % 2 == 0:
-            raise DegreeError(
-                f"an odd anchor pairs with an odd number of Casimir "
-                f"polynomials, got {k}"
-            )
-        l = (k - 1) // 2
-        against = wedge(
-            base.reeb,
-            wedge_power(base.lambda_bi, l, Fraction(1, factorial(l))),
-        )
-    else:
-        raise SpecError(f"unsupported anchor {type(base).__name__}")
+    l = k // 2
+    against = wedge_power(anchor.lambda_bi, l, Fraction(1, factorial(l)))
+    if odd:
+        against = wedge(anchor.reeb, against)
 
-    functions = [casimir_function(family, cp) for cp in partition]
+    table = anchor.table
     covector = Form.scalar(table, 1)
     for f in functions:
         covector = wedge(covector, differential(f, table))
@@ -641,35 +583,27 @@ def assemble_pencil(anchor, pair: SigmaPair, family: FunctionFamily,
                 f"{report.title}: {failed.label} does not hold"
             )
 
-    ref = _reference(anchor)
-    base = _base(anchor)
-    table = base.table
+    lifted = anchor.lifted
+    table = anchor.table
     if table.pencil_index is None:
         raise SpecError("the table declares no pencil parameter")
-    lam_name = table.names[table.pencil_index]
-
-    from .anchor import sharp as anchor_sharp
-
-    if isinstance(anchor, LiftedAnchor):
-        Pi0_prime = anchor_sharp(ref, pair.sigma0)
-        Pi1_prime = anchor_sharp(ref, pair.sigma1)
+    lam = RationalFunction.variable(
+        lifted.table, table.names[table.pencil_index]
+    )
+    Pi0 = sharp(lifted, pair.sigma0)
+    Pi1 = sharp(lifted, pair.sigma1)
+    sigma_lambda = pair.sigma1 - pair.sigma0 * lam
+    Pi0_prime = Pi1_prime = None
+    if isinstance(anchor, CosymplecticAnchor):
+        Pi0_prime, Pi1_prime = Pi0, Pi1
         Pi0 = reduce_bivector(Pi0_prime)
         Pi1 = reduce_bivector(Pi1_prime)
-        lam_ext = RationalFunction.variable(ref.table, lam_name)
-        sigma_prime = pair.sigma1 - pair.sigma0 * lam_ext
-        sigma_part, _ = decompose_prime(sigma_prime)
+        sigma_part, _ = decompose_prime(sigma_lambda)
         sigma_lambda = migrate_alternating(sigma_part, table)
-    else:
-        Pi0_prime = None
-        Pi1_prime = None
-        Pi0 = anchor_sharp(ref, pair.sigma0)
-        Pi1 = anchor_sharp(ref, pair.sigma1)
-        lam = RationalFunction.variable(table, lam_name)
-        sigma_lambda = pair.sigma1 - pair.sigma0 * lam
 
-    g_lambda = -pairing(sigma_lambda, base.lambda_bi)
-    F_lambda = compute_F_lambda(anchor, family, partition)
+    g_lambda = -pairing(sigma_lambda, anchor.lambda_bi)
     F_functions = [casimir_function(family, cp) for cp in partition]
+    F_lambda = compute_F_lambda(anchor, F_functions, family.r)
     return Pencil(
         table, anchor, Pi0, Pi1, sigma_lambda, g_lambda, F_lambda,
         F_functions, family.r, family.k, Pi0_prime, Pi1_prime,
@@ -679,7 +613,7 @@ def assemble_pencil(anchor, pair: SigmaPair, family: FunctionFamily,
 # --- closed-form brackets -------------------------------------------------------
 
 
-def closed_form_interior(pencil: Pencil, anchor) -> Form:
+def closed_form_interior(pencil: Pencil) -> Form:
     """Phi_lambda = -(1/F) (sigma_lambda + g_lambda/(r-1) w) ^ w^{r-2}/(r-2)!
     ^ dF^1 ^ ... ^ dF^k, with w the anchor 2-form (Theta when odd)."""
     if pencil._phi is not None:
@@ -688,9 +622,10 @@ def closed_form_interior(pencil: Pencil, anchor) -> Form:
         raise RankTooSmall(
             f"the closed formula needs r >= 2, got r = {pencil.r}"
         )
-    base = _base(anchor)
-    table = base.table
-    reference = base.omega if isinstance(base, SymplecticAnchor) else base.theta
+    anchor = pencil.anchor
+    table = pencil.table
+    reference = (anchor.theta if isinstance(anchor, CosymplecticAnchor)
+                 else anchor.omega)
     r = pencil.r
     core = pencil.sigma_lambda + reference * (
         pencil.g_lambda * Fraction(1, r - 1)
@@ -718,19 +653,18 @@ def _top_quotient(numerator: Form, volume: Form) -> RationalFunction:
     return numerator.coefficient(top) / volume.coefficient(top)
 
 
-def bracket_closed_form(pencil: Pencil, anchor, f, h) -> RationalFunction:
+def bracket_closed_form(pencil: Pencil, f, h) -> RationalFunction:
     """{f,h}(lambda): df^dh^Phi_lambda divided by the volume form; the
     result must be polynomial in lambda, anything else certifies a
     construction error upstream."""
-    base = _base(anchor)
-    table = base.table
-    f = _as_function(table, f)
-    h = _as_function(table, h)
-    phi = closed_form_interior(pencil, anchor)
+    table = pencil.table
+    f = as_ratfun(table, f)
+    h = as_ratfun(table, h)
+    phi = closed_form_interior(pencil)
     numerator = wedge(
         differential(f, table), wedge(differential(h, table), phi)
     )
-    value = _top_quotient(numerator, base.volume)
+    value = _top_quotient(numerator, pencil.anchor.volume)
     pencil_index = table.pencil_index
     if pencil_index is not None and value.den.involves(pencil_index):
         raise NonExactDivision(
@@ -750,10 +684,10 @@ def jacobian_bracket(functions, prefactor, volume: Form, g, h
             f"{len(functions)} Casimirs on a {table.dim}-dimensional "
             "table; need dim - 2"
         )
-    g = _as_function(table, g)
-    h = _as_function(table, h)
-    prefactor = _as_function(table, prefactor)
+    g = as_ratfun(table, g)
+    h = as_ratfun(table, h)
+    prefactor = as_ratfun(table, prefactor)
     numerator = wedge(differential(g, table), differential(h, table))
     for c in functions:
-        numerator = wedge(numerator, differential(_as_function(table, c), table))
+        numerator = wedge(numerator, differential(as_ratfun(table, c), table))
     return _top_quotient(numerator * prefactor, volume)

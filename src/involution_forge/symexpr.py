@@ -980,3 +980,17 @@ class _Parser:
 def parse_ratfun(text: str, table: VarTable) -> RationalFunction:
     """Parse a rational expression ('/' divides, left associative)."""
     return _Parser(text, table).parse()
+
+
+def as_ratfun(table: VarTable, value) -> RationalFunction:
+    """Coerce an expression string, a Polynomial, a RationalFunction or an
+    exact scalar to a RationalFunction over ``table``."""
+    if isinstance(value, RationalFunction):
+        table.require_same(value.table)
+        return value
+    if isinstance(value, str):
+        return parse_ratfun(value, table)
+    if isinstance(value, Polynomial):
+        table.require_same(value.table)
+        return RationalFunction.from_polynomial(value)
+    return RationalFunction.constant(table, value)

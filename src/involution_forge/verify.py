@@ -13,7 +13,6 @@ from random import Random
 
 from .anchor import (
     APPENDED_NAME,
-    LiftedAnchor,
     bivector_sharp,
     full_matrix,
     poisson_bracket,
@@ -203,7 +202,6 @@ class PencilCertificate:
 def certify(pencil: Pencil, family: FunctionFamily, partition,
             seed: int = 0) -> PencilCertificate:
     """Run every check on an assembled pencil; deterministic given seed."""
-    anchor = pencil.anchor
     table = pencil.table
     Pi0, Pi1 = pencil.Pi0, pencil.Pi1
     pi_lam = pencil.pi_lambda()
@@ -256,11 +254,11 @@ def certify(pencil: Pencil, family: FunctionFamily, partition,
     )
     rank_facts = [fact_sample, fact_bound]
 
-    det_identity = _det_identity(pencil, anchor, F_list)
+    det_identity = _det_identity(pencil, F_list)
 
     closed_form = None
     if pencil.r >= 2:
-        closed_form = _closed_form_equivalence(pencil, anchor, pi_lam)
+        closed_form = _closed_form_equivalence(pencil, pi_lam)
 
     return PencilCertificate(
         jacobi0, jacobi1, jacobi_pencil, casimir_verdicts, involution,
@@ -269,27 +267,23 @@ def certify(pencil: Pencil, family: FunctionFamily, partition,
     )
 
 
-def _det_identity(pencil: Pencil, anchor, F_list) -> Verdict:
+def _det_identity(pencil: Pencil, F_list) -> Verdict:
     """F(lambda)^2 = det of the bracket matrix of the Casimir polynomials.
 
-    Even anchors bracket the F^i among themselves; lifted anchors adjoin
-    the appended coordinate as a final row and column, since on the lifted
-    space it completes the F^i to a maximal bracket-nondegenerate set."""
+    The brackets are taken on the symplectic anchor the sigma pair lives
+    on; a lifted table adjoins the appended coordinate as a final row and
+    column, since on the lifted space it completes the F^i to a maximal
+    bracket-nondegenerate set."""
     label = "det[F^2]"
-    if isinstance(anchor, LiftedAnchor):
-        lifted = anchor.lifted
-        funcs = [migrate_ratfun(F, lifted.table) for F in F_list]
-        funcs.append(RationalFunction.variable(lifted.table, APPENDED_NAME))
-        reference = lifted.lambda_bi
-        F_sq = migrate_ratfun(pencil.F_lambda, lifted.table) ** 2
-        table = lifted.table
-    else:
-        funcs = F_list
-        reference = anchor.lambda_bi
-        F_sq = pencil.F_lambda ** 2
-        table = pencil.table
+    lifted = pencil.anchor.lifted
+    table = lifted.table
+    funcs = [migrate_ratfun(F, table) for F in F_list]
+    if table.appended_index is not None:
+        funcs.append(RationalFunction.variable(table, APPENDED_NAME))
+    F_sq = migrate_ratfun(pencil.F_lambda, table) ** 2
     rows = [
-        [poisson_bracket(reference, a, b) for b in funcs] for a in funcs
+        [poisson_bracket(lifted.lambda_bi, a, b) for b in funcs]
+        for a in funcs
     ]
     value = det(rows, table)
     if value == F_sq:
@@ -300,7 +294,7 @@ def _det_identity(pencil: Pencil, anchor, F_list) -> Verdict:
     )
 
 
-def _closed_form_equivalence(pencil: Pencil, anchor, pi_lam) -> Verdict:
+def _closed_form_equivalence(pencil: Pencil, pi_lam) -> Verdict:
     """bracket_closed_form agrees with the sharp-contraction bracket on
     every coordinate pair; both are polynomials in the pencil parameter."""
     label = "closed-form[coordinates]"
@@ -310,7 +304,7 @@ def _closed_form_equivalence(pencil: Pencil, anchor, pi_lam) -> Verdict:
         for b in range(a + 1, len(geo)):
             f = RationalFunction.variable(table, table.names[geo[a]])
             h = RationalFunction.variable(table, table.names[geo[b]])
-            lhs = bracket_closed_form(pencil, anchor, f, h)
+            lhs = bracket_closed_form(pencil, f, h)
             rhs = poisson_bracket(pi_lam, f, h)
             if lhs != rhs:
                 witness = (

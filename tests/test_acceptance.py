@@ -125,7 +125,7 @@ def test_criterion_03_interior_form_and_vanishing_brackets(lagrange):
     with budget(60.0):
         fixture, elab, pencil = lagrange
         table = pencil.table
-        phi = closed_form_interior(pencil, elab.anchor)
+        phi = closed_form_interior(pencil)
         expected = from_records(table, 4, fixture.expected["phi"])
         assert len(fixture.expected["phi"]) == 12
         assert len(phi.comps) == 12
@@ -133,7 +133,7 @@ def test_criterion_03_interior_form_and_vanishing_brackets(lagrange):
         names = elab.family.names
         for i, f in enumerate(names):
             for h in names[i + 1:]:
-                value = bracket_closed_form(pencil, elab.anchor,
+                value = bracket_closed_form(pencil,
                                             elab.family.entry(f),
                                             elab.family.entry(h))
                 assert value.is_zero()
@@ -195,7 +195,7 @@ def test_criterion_06_toda_chain_first_selection(toda_first):
                     assert rows[i][j] == expected[i][j]
         assert pencil.F_lambda == parse_ratfun(fixture.expected["F"], table)
         assert pencil.g_lambda == parse_ratfun(fixture.expected["g"], table)
-        phi = closed_form_interior(pencil, elab.anchor)
+        phi = closed_form_interior(pencil)
         assert len(fixture.expected["phi"]) == 7
         assert phi == from_records(phi.table, phi.degree,
                                    fixture.expected["phi"])

@@ -20,7 +20,6 @@ from involution_forge import (
     exterior_derivative,
     flat,
     interior,
-    lift,
     pairing,
     parse_ratfun,
     poisson_bracket,
@@ -163,9 +162,8 @@ def test_cosymplectic_identities(toda_anchor):
 
 
 def test_lift_adds_one_coordinate(toda_anchor):
-    lifted = lift(toda_anchor)
     base = toda_anchor.table
-    ltab = lifted.lifted.table
+    ltab = toda_anchor.lifted.table
     assert ltab.dim == base.dim + 1
     assert ltab.appended_index is not None
     # the lifted structure is symplectic: omega = theta + ds ^ vartheta
@@ -175,7 +173,7 @@ def test_lift_adds_one_coordinate(toda_anchor):
     from involution_forge.exterior import from_records
     theta_l = from_records(ltab, 2, toda_anchor.theta.to_records())
     vartheta_l = from_records(ltab, 1, toda_anchor.vartheta.to_records())
-    assert lifted.lifted.omega == theta_l + wedge(ds, vartheta_l)
+    assert toda_anchor.lifted.omega == theta_l + wedge(ds, vartheta_l)
 
 
 def test_cosymplectic_anchor_inverts_once(toda_anchor, monkeypatch):
@@ -187,15 +185,13 @@ def test_cosymplectic_anchor_inverts_once(toda_anchor, monkeypatch):
         return real(rows, table)
 
     monkeypatch.setattr(anchor_module, "invert", counting)
-    lifted = lift(build_cosymplectic(toda_anchor.vartheta, toda_anchor.theta))
-    # one inversion of the 6x6 matrix of omega', reused by lift
+    build_cosymplectic(toda_anchor.vartheta, toda_anchor.theta)
+    # one inversion of the 6x6 matrix of omega'
     assert calls == [6]
-    assert lifted.lifted is lifted.base.lifted
 
 
 def test_lift_reduce_round_trip(toda_anchor):
-    lifted = lift(toda_anchor)
-    ltab = lifted.lifted.table
+    ltab = toda_anchor.lifted.table
     rng = Random(103)
     # a semi-basic bivector with coefficients free of the appended
     # coordinate reduces back to itself
@@ -214,8 +210,7 @@ def test_lift_reduce_round_trip(toda_anchor):
 
 
 def test_reduce_rejects_appended_dependence(toda_anchor):
-    lifted = lift(toda_anchor)
-    ltab = lifted.lifted.table
+    ltab = toda_anchor.lifted.table
     s = parse_ratfun(ltab.names[ltab.appended_index], ltab)
     geo = [i for i in ltab.geometric_indices if i != ltab.appended_index]
     P = MultiVector(ltab, 2, {(geo[0], geo[1]): s})
@@ -228,8 +223,7 @@ def test_reduce_rejects_appended_dependence(toda_anchor):
 
 
 def test_decompose_prime_round_trip(toda_anchor):
-    lifted = lift(toda_anchor)
-    ltab = lifted.lifted.table
+    ltab = toda_anchor.lifted.table
     rng = Random(107)
     one = RationalFunction.one(ltab)
     ds = Form(ltab, 1, {(ltab.appended_index,): one})

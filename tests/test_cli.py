@@ -168,6 +168,42 @@ def test_duplicate_ansatz_constant_exits_two(spec_on_disk):
     assert "repeated" in text
 
 
+def test_ansatz_unknown_names_are_reserved(spec_on_disk):
+    # solve-ansatz adjoins free unknowns named k12, k13, ... k34 for the
+    # four-covector basis of the Lagrange top
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["variables"].append({"name": "k34", "kind": "constant"})
+    code, text = run("solve-ansatz", spec_on_disk(payload))
+    assert code == 2
+    assert f"variables[{len(payload['variables']) - 1}]" in text
+    assert "reserved" in text
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    constants = payload["sigma1"]["ansatz"]["constants"]
+    constants.append("k12")
+    code, text = run("solve-ansatz", spec_on_disk(payload))
+    assert code == 2
+    assert f"sigma1.ansatz.constants[{len(constants) - 1}]" in text
+    assert "reserved" in text
+
+
+def test_unknown_specialize_name_exits_two(spec_on_disk):
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["sigma1"]["ansatz"]["specialize"]["zz"] = "1"
+    code, text = run("solve-ansatz", spec_on_disk(payload))
+    assert code == 2
+    assert text.startswith("error: sigma1.ansatz.specialize.zz: ")
+    assert "neither a free unknown nor a constant" in text
+
+
+def test_bad_specialize_value_exits_two(spec_on_disk):
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["sigma1"]["ansatz"]["specialize"]["k34"] = "1/0"
+    code, text = run("solve-ansatz", spec_on_disk(payload))
+    assert code == 2
+    assert text.startswith("error: sigma1.ansatz.specialize.k34: ")
+    assert "division by zero" in text
+
+
 def test_appended_coordinate_name_is_reserved(spec_on_disk):
     payload = json.loads(fixture_file("toda_first").read_text())
     # a variable named s collides with the coordinate a cosymplectic

@@ -57,7 +57,6 @@ def test_sigma_basis_expansion_matches_components():
     assert "components" in block and "basis" in block
     elab, _ = assemble_fixture(fixture)
     table = elab.sigma_table
-    from involution_forge.cli import sigma_table, build_anchor, build_table
 
     spec = fixture.spec
     resolved = resolve_sigma(spec.sigma1, table, "sigma1")

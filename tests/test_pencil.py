@@ -32,6 +32,7 @@ from involution_forge import (
     poisson_bracket,
     wedge,
 )
+from involution_forge import pencil as pencil_module
 from involution_forge.cli import elaborate, elaborate_ansatz
 from involution_forge.fixtures import assemble_fixture, load_fixture
 from involution_forge.pencil import (
@@ -118,6 +119,23 @@ def test_casimir_polynomial_degree_and_function(toda):
                 + family.entry("f1") * lam
                 + family.entry("f2"))
     assert F == expected
+
+
+def test_assembly_builds_each_casimir_polynomial_once(lagrange,
+                                                      monkeypatch):
+    _, elab, _ = lagrange
+    calls = []
+    real = pencil_module.casimir_function
+
+    def counting(family, cp):
+        calls.append(cp.names)
+        return real(family, cp)
+
+    monkeypatch.setattr(pencil_module, "casimir_function", counting)
+    assemble_pencil(elab.anchor, SigmaPair(elab.sigma0, elab.sigma1),
+                    elab.family, elab.partition)
+    assert calls == [cp.names for cp in elab.partition]
+    assert len(calls) == 2
 
 
 def test_casimir_function_singleton_chain(toda):
@@ -240,9 +258,9 @@ def test_closed_form_needs_rank_at_least_two(lagrange):
                   pencil.sigma_lambda, pencil.g_lambda, pencil.F_lambda,
                   pencil.F_functions, r=1, k=pencil.k)
     with pytest.raises(RankTooSmall):
-        closed_form_interior(stub, elab.anchor)
+        closed_form_interior(stub)
     with pytest.raises(RankTooSmall):
-        bracket_closed_form(stub, elab.anchor, "x1", "y1")
+        bracket_closed_form(stub, "x1", "y1")
 
 
 def test_closed_form_bracket_matches_contraction(lagrange):
@@ -255,7 +273,7 @@ def test_closed_form_bracket_matches_contraction(lagrange):
               else parse_ratfun(f, table))
         hh = (elab.family.entry(h) if h in elab.family.names
               else parse_ratfun(h, table))
-        closed = bracket_closed_form(pencil, elab.anchor, ff, hh)
+        closed = bracket_closed_form(pencil, ff, hh)
         direct = poisson_bracket(pi_lam, ff, hh)
         assert closed == direct
 
@@ -265,7 +283,7 @@ def test_family_brackets_vanish_identically(lagrange):
     names = elab.family.names
     for i, f in enumerate(names):
         for h in names[i + 1:]:
-            value = bracket_closed_form(pencil, elab.anchor,
+            value = bracket_closed_form(pencil,
                                         elab.family.entry(f),
                                         elab.family.entry(h))
             assert value.is_zero()

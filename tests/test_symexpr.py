@@ -11,13 +11,14 @@ from involution_forge import (
     ParseError,
     Polynomial,
     RationalFunction,
+    TableMismatch,
     UnknownVariable,
     VarKind,
     VarTable,
     parse_ratfun,
     sample_point,
 )
-from involution_forge.symexpr import MAX_NESTING
+from involution_forge.symexpr import MAX_NESTING, as_ratfun
 from helpers import (
     random_polynomial,
     random_rational,
@@ -163,3 +164,20 @@ def test_table_kinds_and_lookup():
     assert table.appended_index == 3
     assert table.kind_of("lambda") is VarKind.PENCIL
     assert table.kind_of("k1") is VarKind.CONSTANT
+
+
+def test_as_ratfun_coerces_each_accepted_type(table):
+    x1 = RationalFunction.variable(table, "x1")
+    assert as_ratfun(table, "x1/2") == x1 * Fraction(1, 2)
+    assert as_ratfun(table, x1) is x1
+    assert as_ratfun(table, Polynomial.variable(table, "x1")) == x1
+    assert as_ratfun(table, 3) == RationalFunction.constant(table, 3)
+    assert as_ratfun(table, Fraction(1, 3)) == RationalFunction.constant(
+        table, Fraction(1, 3))
+    with pytest.raises(TypeError):
+        as_ratfun(table, 0.5)
+    other = VarTable.build(["x1", "x2"])
+    with pytest.raises(TableMismatch):
+        as_ratfun(table, Polynomial.variable(other, "x1"))
+    with pytest.raises(TableMismatch):
+        as_ratfun(table, RationalFunction.variable(other, "x1"))

@@ -278,15 +278,7 @@ def flat(anchor: SymplecticAnchor, X: MultiVector) -> Form:
     """Inverse of sharp on vector fields."""
     if X.degree != 1:
         raise DegreeError("flat acts on vector fields")
-    comps: dict = {}
-    for (i, j), w in anchor.omega.comps.items():
-        Xi = X.comps.get((i,))
-        if Xi is not None:
-            accumulate(comps, (j,), -(w * Xi))
-        Xj = X.comps.get((j,))
-        if Xj is not None:
-            accumulate(comps, (i,), w * Xj)
-    return Form(X.table, 1, comps)
+    return -interior(X, anchor.omega)
 
 
 def star(anchor: SymplecticAnchor, a: Form) -> Form:

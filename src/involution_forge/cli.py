@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import jsonschema
 
@@ -36,6 +36,7 @@ from .pencil import (
     assemble_pencil,
     bracket_closed_form,
     build_family,
+    check_partition,
     closed_form_interior,
     solve_recursion_ansatz,
     unknown_name,
@@ -47,14 +48,14 @@ COMMANDS = ("check", "pencil", "bracket", "solve-ansatz", "report")
 
 # verdict-label prefix for each requestable check group
 CHECK_GROUPS = {
-    "jacobi": ("jacobi[",),
-    "casimir": ("casimir[",),
-    "involution": ("involution[",),
-    "compatibility": ("compatibility[",),
-    "lenard_magri": ("chain[",),
-    "rank": ("rank[",),
-    "det_identity": ("det[",),
-    "closed_form": ("closed-form[",),
+    "jacobi": "jacobi[",
+    "casimir": "casimir[",
+    "involution": "involution[",
+    "compatibility": "compatibility[",
+    "lenard_magri": "chain[",
+    "rank": "rank[",
+    "det_identity": "det[",
+    "closed_form": "closed-form[",
 }
 
 _IDENT = "^[A-Za-z][A-Za-z0-9_]*$"
@@ -264,8 +265,10 @@ SPEC_SCHEMA = {
 
 @dataclass
 class SpecFile:
-    """A validated spec payload, normalized for reproducible re-emission."""
+    """A validated spec payload; ``path`` names the document, and every
+    error about its content is reported at ``<path>.<JSON path>``."""
 
+    path: str
     name: str
     variables: list
     anchor: dict
@@ -275,32 +278,6 @@ class SpecFile:
     sigma1: dict
     checks: tuple
     expected: dict
-
-    def to_payload(self) -> dict:
-        """The canonical JSON payload; parsing it again is the identity."""
-        variables = []
-        for name, kind in self.variables:
-            if kind is VarKind.MANIFOLD:
-                variables.append(name)
-            else:
-                variables.append({"name": name, "kind": kind.value})
-        out = {
-            "name": self.name,
-            "variables": variables,
-            "anchor": _copy(self.anchor),
-            "family": [
-                {"name": name, "expression": text}
-                for name, text in self.family
-            ],
-            "partition": [list(chain) for chain in self.partition],
-            "sigma0": _copy(self.sigma0),
-            "sigma1": _copy(self.sigma1),
-        }
-        if self.checks:
-            out["checks"] = list(self.checks)
-        if self.expected:
-            out["expected"] = _copy(self.expected)
-        return out
 
 
 def _copy(value):
@@ -318,40 +295,48 @@ def parse_spec(payload, path: str = "spec") -> SpecFile:
             exc.message, f"{path}.{where}" if where else path
         ) from exc
 
-    # a cosymplectic anchor appends this coordinate to the table
-    reserved = (APPENDED_NAME if payload["anchor"]["type"] == "cosymplectic"
-                else None)
-    # solve-ansatz adjoins each free unknown to the table under its name
-    ansatz = payload["sigma1"].get("ansatz")
-    width = len(ansatz["basis"]) if ansatz is not None else 0
+    variables = [
+        (entry, VarKind.MANIFOLD) if isinstance(entry, str)
+        else (entry["name"], VarKind(entry["kind"]))
+        for entry in payload["variables"]
+    ]
+    ansatz = payload["sigma1"].get("ansatz", {})
+    constants = ansatz.get("constants", [])
+    # Every table name is taken once.  The engine adjoins two kinds itself:
+    # the coordinate a cosymplectic anchor appends, and the free unknowns
+    # solve-ansatz names k12, k13, ... after the basis pairs.
+    width = len(ansatz.get("basis", ()))
     unknowns = {
         unknown_name(a, b)
         for b in range(2, width + 1) for a in range(1, b)
     }
-    variables = []
-    seen = set()
-    for pos, entry in enumerate(payload["variables"]):
-        if isinstance(entry, str):
-            name, kind = entry, VarKind.MANIFOLD
-        else:
-            name, kind = entry["name"], VarKind(entry["kind"])
-        if name in seen:
+    taken = dict.fromkeys(unknowns, "is reserved for an ansatz unknown")
+    if payload["anchor"]["type"] == "cosymplectic":
+        taken[APPENDED_NAME] = (
+            "is reserved for the appended coordinate of a cosymplectic anchor"
+        )
+    named = [
+        ("variable", f"variables[{pos}]", name)
+        for pos, (name, _) in enumerate(variables)
+    ] + [
+        ("ansatz constant", f"sigma1.ansatz.constants[{pos}]", name)
+        for pos, name in enumerate(constants)
+    ]
+    for what, where, name in named:
+        if name in taken:
+            raise SpecError(f"{what} {name!r} {taken[name]}",
+                            f"{path}.{where}")
+        taken[name] = f"repeated (first at {where})"
+    settable = unknowns.union(constants, (
+        name for name, kind in variables if kind is VarKind.CONSTANT
+    ))
+    for name in ansatz.get("specialize", {}):
+        if name not in settable:
             raise SpecError(
-                f"variable {name!r} repeated", f"{path}.variables[{pos}]"
+                f"{name!r} is neither a free unknown nor a constant",
+                f"{path}.sigma1.ansatz.specialize.{name}",
             )
-        if name == reserved:
-            raise SpecError(
-                f"variable {name!r} is reserved for the appended coordinate "
-                "of a cosymplectic anchor",
-                f"{path}.variables[{pos}]",
-            )
-        if name in unknowns:
-            raise SpecError(
-                f"variable {name!r} is reserved for an ansatz unknown",
-                f"{path}.variables[{pos}]",
-            )
-        seen.add(name)
-        variables.append((name, kind))
+
     kinds = [kind for _, kind in variables]
     if sum(1 for kind in kinds if kind is VarKind.PENCIL) > 1:
         raise SpecError(
@@ -393,24 +378,8 @@ def parse_spec(payload, path: str = "spec") -> SpecFile:
                         f"{path}.{key}.coefficients[{pos}]",
                     )
 
-    if ansatz is not None:
-        constants = set()
-        for pos, extra in enumerate(ansatz.get("constants", ())):
-            where = f"{path}.sigma1.ansatz.constants[{pos}]"
-            if extra in seen or extra == reserved:
-                raise SpecError(
-                    f"ansatz constant {extra!r} shadows a variable", where
-                )
-            if extra in unknowns:
-                raise SpecError(
-                    f"ansatz constant {extra!r} is reserved for an ansatz "
-                    "unknown", where
-                )
-            if extra in constants:
-                raise SpecError(f"ansatz constant {extra!r} repeated", where)
-            constants.add(extra)
-
     return SpecFile(
+        path=path,
         name=payload["name"],
         variables=variables,
         anchor=_copy(payload["anchor"]),
@@ -480,10 +449,17 @@ def _build_family(table: VarTable, entries, seed: int, path: str):
     ]
     try:
         return build_family(table, parsed, seed)
-    except SpecError:
-        raise
     except ForgeError as exc:
         raise SpecError(str(exc), path) from exc
+
+
+def _build_partition(family, spec: SpecFile) -> list:
+    partition = [CasimirPolynomial(chain) for chain in spec.partition]
+    try:
+        check_partition(family, partition)
+    except SpecError as exc:
+        raise SpecError(str(exc), f"{spec.path}.partition") from exc
+    return partition
 
 
 def build_table(spec: SpecFile, extra_constants=()) -> VarTable:
@@ -497,19 +473,20 @@ def build_anchor(spec: SpecFile, table: VarTable):
     carries its symplectization in ``lifted``, and the sigma forms are
     parsed over ``anchor.lifted.table`` for either parity."""
     data = spec.anchor
+    at = f"{spec.path}.anchor"
     if data["type"] == "cosymplectic":
         vartheta = _records_form(table, 1, data["vartheta"],
-                                 "anchor.vartheta")
-        theta = _records_form(table, 2, data["theta"], "anchor.theta")
+                                 f"{at}.vartheta")
+        theta = _records_form(table, 2, data["theta"], f"{at}.theta")
         return build_cosymplectic(vartheta, theta)
     if data["type"] == "canonical":
         records = [
             {"indices": list(pair), "coeff": "1"} for pair in data["pairs"]
         ]
-        path = "anchor.pairs"
+        path = f"{at}.pairs"
     else:
         records = data["bivector"]
-        path = "anchor.bivector"
+        path = f"{at}.bivector"
     lambda_bi = _records_form(table, 2, records, path, kind=MultiVector)
     return build_symplectic(lambda_bi)
 
@@ -544,12 +521,7 @@ def resolve_sigma(block, table: VarTable, path: str):
                 "explicit components disagree with the basis expansion",
                 path,
             )
-    form = explicit if explicit is not None else combined
-    if form is None:
-        raise SpecError(
-            "no components and no basis given; only an ansatz", path
-        )
-    return form
+    return explicit if explicit is not None else combined
 
 
 @dataclass
@@ -566,24 +538,35 @@ class Elaborated:
     sigma1: Form  # None when sigma1 is given only as an ansatz
 
 
-def elaborate(spec: SpecFile, seed: int = 0,
-              need_sigma1: bool = True) -> Elaborated:
+def elaborate(spec: SpecFile, seed: int = 0) -> Elaborated:
     table = build_table(spec)
     anchor = build_anchor(spec, table)
     stable = anchor.lifted.table
-    family = _build_family(table, spec.family, seed, "family")
-    partition = [CasimirPolynomial(tuple(chain)) for chain in spec.partition]
-    sigma0 = resolve_sigma(spec.sigma0, stable, "sigma0")
+    family = _build_family(table, spec.family, seed, f"{spec.path}.family")
+    partition = _build_partition(family, spec)
+    sigma0 = resolve_sigma(spec.sigma0, stable, f"{spec.path}.sigma0")
     sigma1 = None
     if "components" in spec.sigma1 or "basis" in spec.sigma1:
-        sigma1 = resolve_sigma(spec.sigma1, stable, "sigma1")
-    elif need_sigma1:
-        raise SpecError(
-            "no components and no basis given; only an ansatz", "sigma1"
-        )
+        sigma1 = resolve_sigma(spec.sigma1, stable, f"{spec.path}.sigma1")
     return Elaborated(
         spec, table, anchor, stable, family, partition, sigma0, sigma1
     )
+
+
+def assemble(spec: SpecFile, seed: int = 0) -> tuple:
+    """Elaborate a spec and assemble its pencil; returns (elaborated,
+    pencil).  A sigma1 given only as an ansatz is a spec error here."""
+    parts = elaborate(spec, seed)
+    if parts.sigma1 is None:
+        raise SpecError(
+            "no components and no basis given; only an ansatz",
+            f"{spec.path}.sigma1",
+        )
+    pencil = assemble_pencil(
+        parts.anchor, SigmaPair(parts.sigma0, parts.sigma1),
+        parts.family, parts.partition, seed,
+    )
+    return parts, pencil
 
 
 @dataclass
@@ -600,8 +583,11 @@ class AnsatzProblem:
 
 
 def elaborate_ansatz(spec: SpecFile, seed: int = 0) -> AnsatzProblem:
+    at = f"{spec.path}.sigma1"
     block = spec.sigma1.get("ansatz")
     if block is None:
+        # the command does not apply to this spec; like a --pair error,
+        # the line names no spec file
         raise SpecError("sigma1 declares no ansatz", "sigma1")
     table = build_table(spec, block.get("constants", ()))
     anchor = build_anchor(spec, table)
@@ -610,10 +596,10 @@ def elaborate_ansatz(spec: SpecFile, seed: int = 0) -> AnsatzProblem:
         (item["name"], item["expression"])
         for item in block.get("family", ())
     ] or spec.family
-    family = _build_family(table, entries, seed, "sigma1.ansatz.family")
-    partition = [CasimirPolynomial(tuple(chain)) for chain in spec.partition]
-    sigma0 = resolve_sigma(spec.sigma0, stable, "sigma0")
-    basis = resolve_basis(block, stable, "sigma1.ansatz")
+    family = _build_family(table, entries, seed, f"{at}.ansatz.family")
+    partition = _build_partition(family, spec)
+    sigma0 = resolve_sigma(spec.sigma0, stable, f"{spec.path}.sigma0")
+    basis = resolve_basis(block, stable, f"{at}.ansatz")
     return AnsatzProblem(
         table, anchor, family, partition, sigma0, basis,
         dict(block.get("specialize", {})),
@@ -623,11 +609,11 @@ def elaborate_ansatz(spec: SpecFile, seed: int = 0) -> AnsatzProblem:
 # --- commands -------------------------------------------------------------------
 
 
-def _matrix_lines(label: str, rows, indent: str = "  ") -> list:
-    lines = [f"{indent}{label}:"]
+def _matrix_lines(label: str, rows) -> list:
+    lines = [f"  {label}:"]
     for pos, row in enumerate(rows, start=1):
         entries = ", ".join(value.render() for value in row)
-        lines.append(f"{indent}  row[{pos}] = ({entries})")
+        lines.append(f"    row[{pos}] = ({entries})")
     return lines
 
 
@@ -639,7 +625,7 @@ def _header(title: str, spec: SpecFile, seed) -> list:
 
 
 def _cmd_check(spec: SpecFile, seed: int) -> tuple:
-    elaborated = elaborate(spec, seed, need_sigma1=False)
+    elaborated = elaborate(spec, seed)
     has_ansatz = "ansatz" in spec.sigma1
     if has_ansatz:
         elaborate_ansatz(spec, seed)
@@ -661,11 +647,7 @@ def _cmd_check(spec: SpecFile, seed: int) -> tuple:
 
 
 def _cmd_pencil(spec: SpecFile, seed: int) -> tuple:
-    parts = elaborate(spec, seed)
-    pencil = assemble_pencil(
-        parts.anchor, SigmaPair(parts.sigma0, parts.sigma1),
-        parts.family, parts.partition, seed,
-    )
+    _, pencil = assemble(spec, seed)
     lines = _header("pencil", spec, seed)
     lines.append(f"  r = {pencil.r}")
     lines.append(f"  k = {pencil.k}")
@@ -690,13 +672,13 @@ def _cmd_bracket(spec: SpecFile, seed: int, pair) -> tuple:
         raise SpecError(
             f"--pair must name two family entries, got {pair!r}", "pair"
         )
-    parts = elaborate(spec, seed)
-    f = parts.family.entry(names[0])
-    h = parts.family.entry(names[1])
-    pencil = assemble_pencil(
-        parts.anchor, SigmaPair(parts.sigma0, parts.sigma1),
-        parts.family, parts.partition, seed,
-    )
+    declared = dict(spec.family)
+    for name in names:
+        if name not in declared:
+            raise SpecError(f"no family entry named {name!r}")
+    _, pencil = assemble(spec, seed)
+    f = pencil.family.entry(names[0])
+    h = pencil.family.entry(names[1])
     closed = bracket_closed_form(pencil, f, h)
     contracted = poisson_bracket(pencil.pi_lambda(), f, h)
     agree = closed == contracted
@@ -710,18 +692,20 @@ def _cmd_bracket(spec: SpecFile, seed: int, pair) -> tuple:
     return (0 if agree else 1), "\n".join(lines)
 
 
-def _specialization(solution, mapping: dict) -> dict:
-    """The specialize block parsed over the solution's table; a bad name
-    or value is a spec error at its own path."""
+def _specialization(solution, mapping: dict, path: str) -> tuple:
+    """The specialize block applied: (values_at, specialized sigma1).  A
+    bad name or value is a spec error at its own path, a free unknown left
+    unassigned one at the block."""
     values = {}
     for name, text in mapping.items():
         try:
             values.update(solution.substitution({name: text}))
         except ForgeError as exc:
-            raise SpecError(
-                str(exc), f"sigma1.ansatz.specialize.{name}"
-            ) from exc
-    return values
+            raise SpecError(str(exc), f"{path}.{name}") from exc
+    try:
+        return solution.values_at(values), solution.specialize(values)
+    except SpecError as exc:
+        raise SpecError(str(exc), path) from exc
 
 
 def _cmd_solve_ansatz(spec: SpecFile, seed: int) -> tuple:
@@ -737,52 +721,38 @@ def _cmd_solve_ansatz(spec: SpecFile, seed: int) -> tuple:
     for line in solution.render().splitlines():
         lines.append(f"    {line}")
     if problem.specialize:
-        values = _specialization(solution, problem.specialize)
+        values, special = _specialization(
+            solution, problem.specialize,
+            f"{spec.path}.sigma1.ansatz.specialize",
+        )
         assignment = ", ".join(
             f"{name} = {text}" for name, text in
             sorted(problem.specialize.items())
         )
         lines.append(f"  specialized at {assignment}:")
-        for name, value in solution.values_at(values).items():
+        for name, value in values.items():
             lines.append(f"    {name} = {value.render()}")
-        special = solution.specialize(values)
         lines.append(f"  sigma1[specialized] = {special.render()}")
     return 0, "\n".join(lines)
 
 
 def _cmd_report(spec: SpecFile, seed: int, fmt: str) -> tuple:
-    parts = elaborate(spec, seed)
-    pencil = assemble_pencil(
-        parts.anchor, SigmaPair(parts.sigma0, parts.sigma1),
-        parts.family, parts.partition, seed,
-    )
-    certificate = certify(pencil, parts.family, parts.partition, seed)
-    verdicts = certificate.verdicts
-    if spec.checks:
-        prefixes = tuple(
-            prefix
-            for group in spec.checks
-            for prefix in CHECK_GROUPS[group]
-        )
-        verdicts = [
-            v for v in verdicts if v.label.startswith(prefixes)
-        ]
-    status = "PASS" if all(v.passed for v in verdicts) else "FAIL"
+    _, pencil = assemble(spec, seed)
+    certificate = certify(pencil, seed)
     lines = _header("report", spec, seed)
     if spec.checks:
         lines.append(f"  checks = {', '.join(spec.checks)}")
+        prefixes = tuple(CHECK_GROUPS[group] for group in spec.checks)
+        certificate = replace(certificate, verdicts=[
+            v for v in certificate.verdicts if v.label.startswith(prefixes)
+        ])
+    status = "PASS" if certificate.passed else "FAIL"
     if fmt == "summary":
-        for v in verdicts:
+        for v in certificate.verdicts:
             lines.append(f"  {'PASS' if v.passed else 'FAIL'}  {v.label}")
         lines.append(f"  status = {status}")
-        return (0 if status == "PASS" else 1), "\n".join(lines)
-    if spec.checks:
-        lines.append(f"  status = {status}")
-        lines.append("  verdicts:")
-        for v in verdicts:
-            lines.append(f"    {v.render()}")
-        return (0 if status == "PASS" else 1), "\n".join(lines)
-    lines.append(certificate.render())
+    else:
+        lines.append(certificate.render())
     return (0 if certificate.passed else 1), "\n".join(lines)
 
 

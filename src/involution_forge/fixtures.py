@@ -13,9 +13,8 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .cli import SpecFile, elaborate, parse_spec
+from .cli import SpecFile, assemble, parse_spec
 from .errors import UnknownFixture
-from .pencil import SigmaPair, assemble_pencil
 
 FIXTURE_NAMES = ("lagrange_top", "toda_first", "toda_second")
 
@@ -53,9 +52,4 @@ def load_fixture(name: str) -> FixtureSpec:
 
 def assemble_fixture(fixture: FixtureSpec, seed: int = 0):
     """Elaborate and assemble a fixture; returns (elaborated, pencil)."""
-    parts = elaborate(fixture.spec, seed)
-    pencil = assemble_pencil(
-        parts.anchor, SigmaPair(parts.sigma0, parts.sigma1),
-        parts.family, parts.partition, seed,
-    )
-    return parts, pencil
+    return assemble(fixture.spec, seed)

@@ -54,7 +54,7 @@ from .exterior import (
     wedge_power,
 )
 from .linalg import rref, nullspace, sampled_rank, solve_linear
-from .report import Report
+from .report import Verdict
 from .symexpr import (
     RationalFunction,
     VarKind,
@@ -279,19 +279,19 @@ class SigmaPair:
 
 
 def sigma_pair_invariants(anchor, family: FunctionFamily, partition,
-                          pair: SigmaPair, seed: int = 0) -> Report:
+                          pair: SigmaPair, seed: int = 0) -> list:
     """sigma_j annihilates D_j; both forms have rank 2r at a sample."""
-    report = Report("sigma pair invariants")
+    verdicts = []
     sigmas = (pair.sigma0, pair.sigma1)
     for j in (0, 1):
         D = distribution(anchor, family, partition, j)
         for g, X in enumerate(D.generators):
             residual = interior(X, sigmas[j])
-            report.add(
+            verdicts.append(Verdict(
                 f"sigma{j} annihilates generator {g} of D{j}",
                 residual.is_zero(),
                 residual,
-            )
+            ))
     table = pair.sigma0.table
     rng = Random(seed)
     for j in (0, 1):
@@ -299,15 +299,15 @@ def sigma_pair_invariants(anchor, family: FunctionFamily, partition,
         best, _ = sampled_rank(
             full_matrix(sigmas[j]), table, guards, rng, 2 * family.r
         )
-        report.add(
+        verdicts.append(Verdict(
             f"sigma{j} has rank {2 * family.r} at a sampled point",
             best == 2 * family.r,
             f"best sampled rank {best}",
-        )
-    return report
+        ))
+    return verdicts
 
 
-def check_sigma_conditions(anchor, pair: SigmaPair) -> Report:
+def check_sigma_conditions(anchor, pair: SigmaPair) -> list:
     """The three codifferential identities; delta' on the lifted anchor in
     the odd case.  Failures are data, never exceptions."""
     s0, s1 = pair.sigma0, pair.sigma1
@@ -315,40 +315,40 @@ def check_sigma_conditions(anchor, pair: SigmaPair) -> Report:
     def delta(a):
         return codifferential(anchor.lifted, a)
 
-    report = Report("sigma conditions")
+    verdicts = []
     residual = delta(wedge(s0, s0)) - wedge(s0, delta(s0)) * 2
-    report.add("delta(sigma0^sigma0) = 2 sigma0^delta(sigma0)",
-               residual.is_zero(), residual)
+    verdicts.append(Verdict("delta(sigma0^sigma0) = 2 sigma0^delta(sigma0)",
+                            residual.is_zero(), residual))
     residual = delta(wedge(s1, s1)) - wedge(s1, delta(s1)) * 2
-    report.add("delta(sigma1^sigma1) = 2 sigma1^delta(sigma1)",
-               residual.is_zero(), residual)
+    verdicts.append(Verdict("delta(sigma1^sigma1) = 2 sigma1^delta(sigma1)",
+                            residual.is_zero(), residual))
     residual = (
         delta(wedge(s0, s1))
         - wedge(delta(s0), s1)
         - wedge(s0, delta(s1))
     )
-    report.add(
+    verdicts.append(Verdict(
         "delta(sigma0^sigma1) = delta(sigma0)^sigma1 + sigma0^delta(sigma1)",
-        residual.is_zero(), residual)
-    return report
+        residual.is_zero(), residual))
+    return verdicts
 
 
 def check_recursion(anchor, pair: SigmaPair, family: FunctionFamily,
-                    partition) -> Report:
+                    partition) -> list:
     """sigma0(X_{f^i_j}, .) = sigma1(X_{f^i_{j-1}}, .) for 1 <= j <= r_i."""
-    report = Report("recursion relations")
+    verdicts = []
     for cp in partition:
         fields = _hamiltonian_fields(anchor, family, cp.names)
         for j in range(1, cp.degree + 1):
             residual = interior(fields[j], pair.sigma0) - interior(
                 fields[j - 1], pair.sigma1
             )
-            report.add(
+            verdicts.append(Verdict(
                 f"sigma0(X_{cp.names[j]}, .) = sigma1(X_{cp.names[j - 1]}, .)",
                 residual.is_zero(),
                 residual,
-            )
-    return report
+            ))
+    return verdicts
 
 
 # --- the ansatz solver --------------------------------------------------------
@@ -377,7 +377,8 @@ class AnsatzSolution:
 
     def substitution(self, mapping) -> dict:
         """Values for free unknowns or constants, expression strings parsed
-        over ``table``; raises SpecError on any other name."""
+        over ``base_table`` (so no value names a free unknown); raises
+        SpecError on any other name."""
         values = {}
         for name, value in mapping.items():
             if name not in self.free_names and (
@@ -388,15 +389,27 @@ class AnsatzSolution:
                     f"{name!r} is neither a free unknown nor a constant"
                 )
             if isinstance(value, str):
-                value = parse_ratfun(value, self.table)
+                value = migrate_ratfun(
+                    parse_ratfun(value, self.base_table), self.table
+                )
             values[name] = value
         return values
 
+    def _assignment(self, mapping) -> dict:
+        """``substitution`` of a mapping that assigns every free unknown."""
+        values = self.substitution(mapping)
+        missing = [name for name in self.free_names if name not in values]
+        if missing:
+            raise SpecError(
+                f"free unknowns left unassigned: {', '.join(missing)}"
+            )
+        return values
+
     def specialize(self, mapping) -> Form:
-        """Substitute values for the free unknowns (and, if desired, for
+        """Substitute values for all free unknowns (and, if desired, for
         constants of the table) and push the resulting 2-form back to the
         original table."""
-        values = self.substitution(mapping)
+        values = self._assignment(mapping)
         comps = {}
         for idx, c in self.sigma1.comps.items():
             comps[idx] = migrate_ratfun(
@@ -407,7 +420,7 @@ class AnsatzSolution:
     def values_at(self, mapping) -> dict:
         """The coefficient of each basis pair after the same substitution,
         pushed back to the original table; keys are the unknown names."""
-        values = self.substitution(mapping)
+        values = self._assignment(mapping)
         out = {}
         for a, b in self.pairs:
             name = unknown_name(a, b)
@@ -481,18 +494,21 @@ def solve_recursion_ansatz(anchor, sigma0: Form, basis, family: FunctionFamily,
 
 
 class Pencil:
-    """The assembled pair of bivectors with its lambda-data."""
+    """The assembled pair of bivectors with its lambda-data, together with
+    the anchor, family and partition it was assembled for."""
 
     __slots__ = (
-        "table", "anchor", "Pi0", "Pi1", "sigma_lambda", "g_lambda",
-        "F_lambda", "F_functions", "r", "k", "Pi0_prime", "Pi1_prime",
+        "anchor", "family", "partition", "Pi0", "Pi1", "sigma_lambda",
+        "g_lambda", "F_lambda", "F_functions", "r", "Pi0_prime", "Pi1_prime",
         "_phi",
     )
 
-    def __init__(self, table, anchor, Pi0, Pi1, sigma_lambda, g_lambda,
-                 F_lambda, F_functions, r, k, Pi0_prime=None, Pi1_prime=None):
-        self.table = table
+    def __init__(self, anchor, family, partition, Pi0, Pi1, sigma_lambda,
+                 g_lambda, F_lambda, F_functions, r, Pi0_prime=None,
+                 Pi1_prime=None):
         self.anchor = anchor
+        self.family = family
+        self.partition = list(partition)
         self.Pi0 = Pi0
         self.Pi1 = Pi1
         self.sigma_lambda = sigma_lambda
@@ -500,10 +516,17 @@ class Pencil:
         self.F_lambda = F_lambda
         self.F_functions = list(F_functions)
         self.r = r
-        self.k = k
         self.Pi0_prime = Pi0_prime
         self.Pi1_prime = Pi1_prime
         self._phi = None
+
+    @property
+    def table(self) -> VarTable:
+        return self.anchor.table
+
+    @property
+    def k(self) -> int:
+        return self.family.k
 
     @property
     def pencil_name(self) -> str:
@@ -567,21 +590,23 @@ def compute_F_lambda(anchor, functions, r: int) -> RationalFunction:
     return value
 
 
+def _require(title: str, verdicts) -> None:
+    """Raise ConditionFailed on the first failed verdict of a group."""
+    failed = next((v for v in verdicts if not v.passed), None)
+    if failed is not None:
+        raise ConditionFailed(f"{title}: {failed.label} does not hold")
+
+
 def assemble_pencil(anchor, pair: SigmaPair, family: FunctionFamily,
                     partition, seed: int = 0) -> Pencil:
     """Build (Pi0, Pi1, sigma_lambda, g_lambda, F_lambda) after verifying
     every precondition; the first failed condition aborts assembly."""
     check_partition(family, partition)
-    for report in (
-        sigma_pair_invariants(anchor, family, partition, pair, seed),
-        check_sigma_conditions(anchor, pair),
-        check_recursion(anchor, pair, family, partition),
-    ):
-        if not report.passed:
-            failed = next(v for v in report.verdicts if not v.passed)
-            raise ConditionFailed(
-                f"{report.title}: {failed.label} does not hold"
-            )
+    _require("sigma pair invariants",
+             sigma_pair_invariants(anchor, family, partition, pair, seed))
+    _require("sigma conditions", check_sigma_conditions(anchor, pair))
+    _require("recursion relations",
+             check_recursion(anchor, pair, family, partition))
 
     lifted = anchor.lifted
     table = anchor.table
@@ -605,8 +630,8 @@ def assemble_pencil(anchor, pair: SigmaPair, family: FunctionFamily,
     F_functions = [casimir_function(family, cp) for cp in partition]
     F_lambda = compute_F_lambda(anchor, F_functions, family.r)
     return Pencil(
-        table, anchor, Pi0, Pi1, sigma_lambda, g_lambda, F_lambda,
-        F_functions, family.r, family.k, Pi0_prime, Pi1_prime,
+        anchor, family, partition, Pi0, Pi1, sigma_lambda, g_lambda,
+        F_lambda, F_functions, family.r, Pi0_prime, Pi1_prime,
     )
 
 

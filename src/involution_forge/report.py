@@ -4,7 +4,7 @@ residual object that refutes the claim."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def _render_witness(witness) -> str:
@@ -29,22 +29,3 @@ class Verdict:
             line += f"  [residual: {_render_witness(self.witness)}]"
         return line
 
-
-@dataclass
-class Report:
-    title: str
-    verdicts: list = field(default_factory=list)
-
-    def add(self, label: str, passed: bool, witness=None) -> Verdict:
-        v = Verdict(label, passed, witness)
-        self.verdicts.append(v)
-        return v
-
-    @property
-    def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
-
-    def render(self) -> str:
-        lines = [f"== {self.title} =="]
-        lines.extend(v.render() for v in self.verdicts)
-        return "\n".join(lines)

@@ -806,14 +806,13 @@ SAMPLE_BOUND = 10**6
 SAMPLE_RETRIES = 50
 
 
-def sample_point(table: VarTable, avoid, rng: Random,
-                 retries: int = SAMPLE_RETRIES) -> RationalPoint:
+def sample_point(table: VarTable, avoid, rng: Random) -> RationalPoint:
     """Uniform integer point avoiding the vanishing loci of ``avoid``.
 
     ``avoid`` holds Polynomials or RationalFunctions that must be defined
     and nonzero at the sampled point.  Deterministic for a given rng state."""
     guards = list(avoid)
-    for _ in range(retries):
+    for _ in range(SAMPLE_RETRIES):
         point = RationalPoint(
             table,
             tuple(
@@ -827,7 +826,7 @@ def sample_point(table: VarTable, avoid, rng: Random,
         except PoleAtPoint:
             continue
     raise SamplingExhausted(
-        f"no admissible point in {retries} draws "
+        f"no admissible point in {SAMPLE_RETRIES} draws "
         f"({len(guards)} guard polynomials)"
     )
 

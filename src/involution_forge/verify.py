@@ -118,8 +118,8 @@ def rank_at_point(Pi, pt: RationalPoint) -> int:
     return matrix_rank_at_point(full_matrix(Pi), pt)
 
 
-def rank_at_sample(Pi, rng: Random, avoid=(), draws: int = RANK_DRAWS):
-    """Best (rank, point) over a few generic rational draws."""
+def rank_at_sample(Pi, rng: Random, avoid=()):
+    """Best (rank, point) over RANK_DRAWS generic rational draws."""
     rows = full_matrix(Pi)
     guards = [
         entry.den
@@ -130,7 +130,7 @@ def rank_at_sample(Pi, rng: Random, avoid=(), draws: int = RANK_DRAWS):
     guards.extend(avoid)
     best = -1
     best_pt = None
-    for _ in range(draws):
+    for _ in range(RANK_DRAWS):
         pt = sample_point(Pi.table, guards, rng)
         r = matrix_rank_at_point(rows, pt)
         if r > best:
@@ -147,33 +147,12 @@ class PencilCertificate:
     inferred from k independent Casimirs (corank at least k wherever their
     differentials stay independent)."""
 
-    jacobi0: Verdict
-    jacobi1: Verdict
-    jacobi_pencil: Verdict
-    casimir_verdicts: list
-    involution: Verdict
-    involution_entries: list
-    compatibility: Verdict
-    lenard_magri: list
+    verdicts: list
     rank0: int
     rank1: int
     rank_pencil_at_sample: int
     rank_expected: int
-    rank_facts: list
-    det_identity: Verdict
-    closed_form: object
     sample: RationalPoint
-
-    @property
-    def verdicts(self) -> list:
-        out = [
-            self.jacobi0, self.jacobi1, self.jacobi_pencil,
-            *self.casimir_verdicts, self.involution, self.compatibility,
-            *self.lenard_magri, *self.rank_facts, self.det_identity,
-        ]
-        if self.closed_form is not None:
-            out.append(self.closed_form)
-        return out
 
     @property
     def passed(self) -> bool:
@@ -199,36 +178,37 @@ class PencilCertificate:
         return "\n".join(lines)
 
 
-def certify(pencil: Pencil, family: FunctionFamily, partition,
-            seed: int = 0) -> PencilCertificate:
-    """Run every check on an assembled pencil; deterministic given seed."""
+def certify(pencil: Pencil, seed: int = 0) -> PencilCertificate:
+    """Run every check on an assembled pencil against the family and
+    partition it was assembled for; deterministic given seed."""
     table = pencil.table
+    family = pencil.family
     Pi0, Pi1 = pencil.Pi0, pencil.Pi1
     pi_lam = pencil.pi_lambda()
 
-    jacobi0 = jacobi_check(Pi0, "jacobi[Pi0]")
-    jacobi1 = jacobi_check(Pi1, "jacobi[Pi1]")
-    jacobi_pencil = jacobi_check(pi_lam, "jacobi[pencil]")
-    compatibility = compatibility_check(Pi0, Pi1, "compatibility[Pi0,Pi1]")
-
+    verdicts = [
+        jacobi_check(Pi0, "jacobi[Pi0]"),
+        jacobi_check(Pi1, "jacobi[Pi1]"),
+        jacobi_check(pi_lam, "jacobi[pencil]"),
+    ]
     F_list = pencil.F_functions
-    casimir_verdicts = [
+    verdicts.extend(
         casimir_check(pi_lam, F_i, f"casimir[F^{pos}]")
         for pos, F_i in enumerate(F_list, start=1)
-    ]
-
-    entries = involution_table(pi_lam, family)
-    involution = _involution_verdict(
-        entries, family.names, "involution[family]"
+    )
+    verdicts.append(_involution_verdict(
+        involution_table(pi_lam, family), family.names, "involution[family]"
+    ))
+    verdicts.append(
+        compatibility_check(Pi0, Pi1, "compatibility[Pi0,Pi1]")
     )
 
-    lenard_magri = []
-    for ci, cp in enumerate(partition, start=1):
+    for ci, cp in enumerate(pencil.partition, start=1):
         if len(cp.names) < 2:
             continue
         chain = [family.entry(name) for name in cp.names]
         for v in lenard_magri_check(Pi0, Pi1, chain):
-            lenard_magri.append(
+            verdicts.append(
                 Verdict(f"chain[{ci}].{v.label}", v.passed, v.witness)
             )
 
@@ -239,31 +219,25 @@ def certify(pencil: Pencil, family: FunctionFamily, partition,
         pi_lam, rng, avoid=[pencil.F_lambda]
     )
     expected = 2 * family.r
-    fact_sample = Verdict(
+    verdicts.append(Verdict(
         "rank[sampled]=2r",
         rank0 == expected and rank1 == expected and rank_pencil == expected,
         f"(rank0, rank1, rank_pencil) = ({rank0}, {rank1}, {rank_pencil}),"
         f" expected {expected}",
-    )
+    ))
     geo = table.geometric_indices
     jac = [[F.derivative(i) for i in geo] for F in F_list]
-    fact_bound = Verdict(
+    verdicts.append(Verdict(
         "rank[bound]<=2r",
         matrix_rank_at_point(jac, sample) == family.k,
         f"Casimir Jacobian rank below {family.k} at the sampled point",
-    )
-    rank_facts = [fact_sample, fact_bound]
-
-    det_identity = _det_identity(pencil, F_list)
-
-    closed_form = None
+    ))
+    verdicts.append(_det_identity(pencil, F_list))
     if pencil.r >= 2:
-        closed_form = _closed_form_equivalence(pencil, pi_lam)
+        verdicts.append(_closed_form_equivalence(pencil, pi_lam))
 
     return PencilCertificate(
-        jacobi0, jacobi1, jacobi_pencil, casimir_verdicts, involution,
-        entries, compatibility, lenard_magri, rank0, rank1, rank_pencil,
-        expected, rank_facts, det_identity, closed_form, sample,
+        verdicts, rank0, rank1, rank_pencil, expected, sample
     )
 
 

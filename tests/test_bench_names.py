@@ -1,0 +1,36 @@
+"""The benchmark reaches into the package by name; pin those names.
+
+``benchmarks/op.py`` wraps the functions its ``LAYERS`` table lists, and
+``benchmarks/make_specs.py`` regenerates the committed benchmark specs
+through the public API.  A rename in the package would otherwise surface
+only at the next benchmark run.  Both files are only read."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_layer_is_a_callable():
+    op = _load("op")
+    missing = []
+    for short, names in op.LAYERS.items():
+        module = importlib.import_module(f"{op.PACKAGE}.{short}")
+        missing.extend(f"{short}.{name}" for name in names
+                       if not callable(getattr(module, name, None)))
+    assert missing == []
+
+
+def test_committed_benchmark_specs_regenerate():
+    assert _load("make_specs").main(["--check"]) == 0

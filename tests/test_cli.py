@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import involution_forge
-from involution_forge.cli import main, run
+from involution_forge.cli import COMMANDS, main, run
 from involution_forge.fixtures import fixture_file, load_fixture
 
 
@@ -189,18 +189,20 @@ def test_ansatz_unknown_names_are_reserved(spec_on_disk):
 def test_unknown_specialize_name_exits_two(spec_on_disk):
     payload = json.loads(fixture_file("lagrange_top").read_text())
     payload["sigma1"]["ansatz"]["specialize"]["zz"] = "1"
-    code, text = run("solve-ansatz", spec_on_disk(payload))
+    path = spec_on_disk(payload)
+    code, text = run("solve-ansatz", path)
     assert code == 2
-    assert text.startswith("error: sigma1.ansatz.specialize.zz: ")
+    assert text.startswith(f"error: {path}.sigma1.ansatz.specialize.zz: ")
     assert "neither a free unknown nor a constant" in text
 
 
 def test_bad_specialize_value_exits_two(spec_on_disk):
     payload = json.loads(fixture_file("lagrange_top").read_text())
     payload["sigma1"]["ansatz"]["specialize"]["k34"] = "1/0"
-    code, text = run("solve-ansatz", spec_on_disk(payload))
+    path = spec_on_disk(payload)
+    code, text = run("solve-ansatz", path)
     assert code == 2
-    assert text.startswith("error: sigma1.ansatz.specialize.k34: ")
+    assert text.startswith(f"error: {path}.sigma1.ansatz.specialize.k34: ")
     assert "division by zero" in text
 
 
@@ -257,3 +259,58 @@ def test_python_dash_m_runs_the_cli(lagrange_path):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "schema = ok" in proc.stdout
+
+
+def test_unknown_specialize_name_fails_every_command(spec_on_disk):
+    # parse_spec knows which names a specialize block may set, so check
+    # rejects the spec without solving the ansatz
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["sigma1"]["ansatz"]["specialize"]["zz"] = "1"
+    path = spec_on_disk(payload)
+    for command in COMMANDS:
+        code, text = run(command, path, pair="f1,f3")
+        assert code == 2
+        assert text.startswith(f"error: {path}.sigma1.ansatz.specialize.zz: ")
+
+
+def test_unassigned_free_unknown_exits_two(spec_on_disk):
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["sigma1"]["ansatz"]["specialize"] = {"l3": "1", "m3": "2"}
+    path = spec_on_disk(payload)
+    code, text = run("solve-ansatz", path)
+    assert (code, text) == (
+        2, f"error: {path}.sigma1.ansatz.specialize: "
+        "free unknowns left unassigned: k34")
+
+
+def test_bad_family_expression_line_names_the_spec(spec_on_disk):
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["family"][1]["expression"] = "x1 +"
+    path = spec_on_disk(payload)
+    code, text = run("check", path)
+    assert code == 2
+    assert text.startswith(f"error: {path}.family[1].expression: ")
+
+
+def test_partition_degree_error_is_reported_by_check(spec_on_disk):
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["family"].append({"name": "f5", "expression": "x1"})
+    payload["partition"][0].append("f5")
+    path = spec_on_disk(payload)
+    for command in ("check", "pencil"):
+        code, text = run(command, path)
+        assert (code, text) == (
+            2, f"error: {path}.partition: "
+            "partition degrees sum to 3, expected r = 1")
+
+
+def test_family_size_error_names_the_family(spec_on_disk):
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    for pos in range(1, 4):
+        payload["family"].append({"name": f"g{pos}", "expression": f"x{pos}"})
+        payload["partition"][0].append(f"g{pos}")
+    path = spec_on_disk(payload)
+    code, text = run("check", path)
+    assert (code, text) == (
+        2, f"error: {path}.family: "
+        "7 functions on a 6-dimensional table fit no 2r+k split")

@@ -16,6 +16,7 @@ from involution_forge import (
     RankTooSmall,
     RationalFunction,
     SpecError,
+    UnknownVariable,
     VarKind,
     VarTable,
     assemble_pencil,
@@ -153,12 +154,12 @@ def test_casimir_function_singleton_chain(toda):
 def test_sigma_conditions_pass_on_fixtures(lagrange, toda):
     for _, elab, _ in (lagrange, toda):
         pair = SigmaPair(elab.sigma0, elab.sigma1)
-        report = check_sigma_conditions(elab.anchor, pair)
-        assert report.passed
-        assert len(report.verdicts) == 3
+        verdicts = check_sigma_conditions(elab.anchor, pair)
+        assert all(v.passed for v in verdicts)
+        assert len(verdicts) == 3
         recursion = check_recursion(elab.anchor, pair, elab.family,
                                     elab.partition)
-        assert recursion.passed
+        assert all(v.passed for v in recursion)
 
 
 def test_sigma_conditions_fail_with_witness(lagrange):
@@ -166,10 +167,9 @@ def test_sigma_conditions_fail_with_witness(lagrange):
     table = elab.sigma_table
     x1 = parse_ratfun("x1", table)
     broken = elab.sigma1 + Form(table, 2, {(0, 1): x1})
-    report = check_sigma_conditions(elab.anchor,
-                                    SigmaPair(elab.sigma0, broken))
-    assert not report.passed
-    failing = [v for v in report.verdicts if not v.passed]
+    verdicts = check_sigma_conditions(elab.anchor,
+                                      SigmaPair(elab.sigma0, broken))
+    failing = [v for v in verdicts if not v.passed]
     assert failing
     assert all(v.witness is not None for v in failing)
 
@@ -231,9 +231,10 @@ def test_free_unknown_scope(lagrange):
         migrated = from_records(elab.sigma_table, 2,
                                 special.to_records())
         pair = SigmaPair(elab.sigma0, migrated)
-        assert check_recursion(elab.anchor, pair, elab.family,
-                               elab.partition).passed
-        outcomes[value] = check_sigma_conditions(elab.anchor, pair).passed
+        assert all(v.passed for v in check_recursion(
+            elab.anchor, pair, elab.family, elab.partition))
+        outcomes[value] = all(
+            v.passed for v in check_sigma_conditions(elab.anchor, pair))
     assert outcomes["y3/2"] is True
     assert outcomes["0"] is False
 
@@ -254,9 +255,9 @@ def test_ansatz_rejects_unknown_assignment(lagrange):
 
 def test_closed_form_needs_rank_at_least_two(lagrange):
     _, elab, pencil = lagrange
-    stub = Pencil(pencil.table, pencil.anchor, pencil.Pi0, pencil.Pi1,
-                  pencil.sigma_lambda, pencil.g_lambda, pencil.F_lambda,
-                  pencil.F_functions, r=1, k=pencil.k)
+    stub = Pencil(pencil.anchor, pencil.family, pencil.partition,
+                  pencil.Pi0, pencil.Pi1, pencil.sigma_lambda,
+                  pencil.g_lambda, pencil.F_lambda, pencil.F_functions, r=1)
     with pytest.raises(RankTooSmall):
         closed_form_interior(stub)
     with pytest.raises(RankTooSmall):
@@ -306,3 +307,17 @@ def test_jacobian_bracket_base_case():
     prefactor = parse_ratfun("1 + x1^2", table)
     assert jacobian_bracket([], prefactor, volume, g, h) == prefactor
     assert jacobian_bracket([], prefactor, volume, h, g) == -prefactor
+
+
+def test_specialize_needs_every_free_unknown(lagrange):
+    fixture, _, _ = lagrange
+    problem = elaborate_ansatz(fixture.spec, seed=0)
+    solution = solve_recursion_ansatz(problem.anchor, problem.sigma0,
+                                      problem.basis, problem.family,
+                                      problem.partition)
+    for method in (solution.specialize, solution.values_at):
+        with pytest.raises(SpecError, match="unassigned: k34"):
+            method({"l3": "1", "m3": "2"})
+        # values are read over the base table, so none names an unknown
+        with pytest.raises(UnknownVariable):
+            method({"l3": "1", "m3": "2", "k34": "k34 + 1"})

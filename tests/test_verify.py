@@ -12,9 +12,11 @@ from involution_forge import (
     Form,
     MultiVector,
     RationalFunction,
+    SigmaPair,
     SpecError,
     VarKind,
     VarTable,
+    assemble_pencil,
     build_family,
     casimir_check,
     certify,
@@ -152,7 +154,7 @@ def test_rank_at_sample_and_degenerate_cases(lagrange):
 
 def test_certificate_passes_and_renders(lagrange):
     fixture, elab, pencil = lagrange
-    cert = certify(pencil, elab.family, elab.partition, seed=0)
+    cert = certify(pencil, seed=0)
     assert cert.passed
     text = cert.render()
     assert "PASS" in text and "FAIL" not in text
@@ -164,11 +166,11 @@ def test_certificate_passes_and_renders(lagrange):
 
 def test_certificate_is_deterministic(lagrange):
     fixture, elab, pencil = lagrange
-    a = certify(pencil, elab.family, elab.partition, seed=0).render()
-    b = certify(pencil, elab.family, elab.partition, seed=0).render()
+    a = certify(pencil, seed=0).render()
+    b = certify(pencil, seed=0).render()
     assert a == b
     # a different seed moves the sample point but not the verdicts
-    c = certify(pencil, elab.family, elab.partition, seed=7)
+    c = certify(pencil, seed=7)
     assert c.passed
 
 
@@ -177,16 +179,18 @@ def test_certificate_is_partition_order_independent(toda_pair):
     # single-chain fixtures cannot exercise this, so permute the
     # two-chain case
     fixture = load_fixture("lagrange_top")
-    elab, pencil = assemble_fixture(fixture)
+    elab, _ = assemble_fixture(fixture)
     swapped = list(reversed(elab.partition))
-    cert = certify(pencil, elab.family, swapped, seed=0)
+    pencil = assemble_pencil(elab.anchor, SigmaPair(elab.sigma0, elab.sigma1),
+                             elab.family, swapped)
+    cert = certify(pencil, seed=0)
     assert cert.passed
     assert cert.rank_expected == 4
 
 
 def test_certificate_rank_facts(lagrange):
     _, elab, pencil = lagrange
-    cert = certify(pencil, elab.family, elab.partition, seed=0)
+    cert = certify(pencil, seed=0)
     assert cert.rank0 == 4
     assert cert.rank1 == 4
     assert cert.rank_pencil_at_sample == 4

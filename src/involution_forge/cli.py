@@ -19,7 +19,8 @@ import argparse
 import json
 from dataclasses import dataclass, replace
 
-import jsonschema
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from .anchor import (
     APPENDED_NAME,
@@ -259,6 +260,9 @@ SPEC_SCHEMA = {
     "additionalProperties": False,
 }
 
+# built once: jsonschema.validate would re-check the schema on every call
+_SPEC_VALIDATOR = Draft202012Validator(SPEC_SCHEMA)
+
 
 # --- parsing -------------------------------------------------------------------
 
@@ -287,13 +291,10 @@ def _copy(value):
 def parse_spec(payload, path: str = "spec") -> SpecFile:
     """Validate a payload against the schema plus the semantic rules the
     schema cannot express; raises SpecError pointing into the document."""
-    try:
-        jsonschema.validate(payload, SPEC_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = ".".join(str(step) for step in exc.absolute_path)
-        raise SpecError(
-            exc.message, f"{path}.{where}" if where else path
-        ) from exc
+    error = best_match(_SPEC_VALIDATOR.iter_errors(payload))
+    if error is not None:
+        where = ".".join(str(step) for step in error.absolute_path)
+        raise SpecError(error.message, f"{path}.{where}" if where else path)
 
     variables = [
         (entry, VarKind.MANIFOLD) if isinstance(entry, str)
@@ -338,9 +339,9 @@ def parse_spec(payload, path: str = "spec") -> SpecFile:
             )
 
     kinds = [kind for _, kind in variables]
-    if sum(1 for kind in kinds if kind is VarKind.PENCIL) > 1:
+    if sum(1 for kind in kinds if kind is VarKind.PENCIL) != 1:
         raise SpecError(
-            "at most one pencil parameter is allowed", f"{path}.variables"
+            "exactly one pencil parameter is required", f"{path}.variables"
         )
     if not any(kind is VarKind.MANIFOLD for kind in kinds):
         raise SpecError(

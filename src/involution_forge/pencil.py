@@ -601,6 +601,9 @@ def assemble_pencil(anchor, pair: SigmaPair, family: FunctionFamily,
                     partition, seed: int = 0) -> Pencil:
     """Build (Pi0, Pi1, sigma_lambda, g_lambda, F_lambda) after verifying
     every precondition; the first failed condition aborts assembly."""
+    table = anchor.table
+    if table.pencil_index is None:
+        raise SpecError("the table declares no pencil parameter")
     check_partition(family, partition)
     _require("sigma pair invariants",
              sigma_pair_invariants(anchor, family, partition, pair, seed))
@@ -609,9 +612,6 @@ def assemble_pencil(anchor, pair: SigmaPair, family: FunctionFamily,
              check_recursion(anchor, pair, family, partition))
 
     lifted = anchor.lifted
-    table = anchor.table
-    if table.pencil_index is None:
-        raise SpecError("the table declares no pencil parameter")
     lam = RationalFunction.variable(
         lifted.table, table.names[table.pencil_index]
     )

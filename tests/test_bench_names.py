@@ -34,3 +34,19 @@ def test_every_traced_layer_is_a_callable():
 
 def test_committed_benchmark_specs_regenerate():
     assert _load("make_specs").main(["--check"]) == 0
+
+
+def test_traced_kernel_hooks_see_a_reducing_gcd(monkeypatch):
+    # op.py counts gcds by replacing symexpr.poly_gcd and wraps
+    # RationalFunction.__init__; a kernel rename would zero both counters
+    op = _load("op")
+    symexpr = importlib.import_module(f"{op.PACKAGE}.symexpr")
+    tracer = op.Tracer()
+    monkeypatch.setattr(symexpr, "poly_gcd", tracer.poly_gcd(symexpr.poly_gcd))
+    rf = symexpr.RationalFunction
+    monkeypatch.setattr(rf, "__init__", tracer.rf_init(rf.__init__))
+    table = symexpr.VarTable.build(["x1", "x2"])
+    value = symexpr.parse_ratfun("(x1^2 - x2^2)/(x1 - x2)", table)
+    assert value.render() == "x1 + x2"
+    assert tracer.gcd_calls >= 1 and tracer.gcd_useful >= 1
+    assert tracer.rf_constructions >= 1

@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import involution_forge
-from involution_forge.cli import COMMANDS, main, run
+from involution_forge.cli import COMMANDS, SPEC_SCHEMA, main, parse_spec, run
+from involution_forge.errors import SpecError
 from involution_forge.fixtures import fixture_file, load_fixture
 
 
@@ -314,3 +316,53 @@ def test_family_size_error_names_the_family(spec_on_disk):
     assert (code, text) == (
         2, f"error: {path}.family: "
         "7 functions on a 6-dimensional table fit no 2r+k split")
+
+
+def test_missing_pencil_parameter_fails_every_command(spec_on_disk):
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["variables"] = payload["variables"][:-1]
+    path = spec_on_disk(payload)
+    for command in COMMANDS:
+        code, text = run(command, path, pair="f1,f3")
+        assert (code, text) == (
+            2, f"error: {path}.variables: "
+            "exactly one pencil parameter is required")
+
+
+def test_exponent_above_the_bound_exits_two(spec_on_disk):
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["family"][1]["expression"] = "x1^101"
+    path = spec_on_disk(payload)
+    code, text = run("check", path)
+    assert (code, text) == (
+        2, f"error: {path}.family[1].expression: "
+        "exponent 101 exceeds 100 (at position 3)")
+
+
+def test_spec_schema_is_a_valid_draft_2020_12_schema():
+    # parse_spec validates with a validator built once, so the metaschema
+    # check that jsonschema.validate runs on every call lives here
+    jsonschema.Draft202012Validator.check_schema(SPEC_SCHEMA)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda p: p.pop("variables"),
+    lambda p: p.update(extra=1),
+    lambda p: p.update(name="1abc"),
+    lambda p: p["variables"].append({"name": "z", "kind": "bogus"}),
+    lambda p: p["anchor"].update(type="unknown"),
+    lambda p: p["family"][0].pop("expression"),
+    lambda p: p["sigma1"]["ansatz"]["basis"][0][0].update(indices=[0]),
+    lambda p: p["sigma0"]["coefficients"][0].append("x1"),
+    lambda p: p.update(partition=[[]]),
+])
+def test_schema_errors_match_jsonschema_validate(damage):
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    damage(payload)
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(payload, SPEC_SCHEMA)
+    where = ".".join(str(step) for step in expected.value.absolute_path)
+    with pytest.raises(SpecError) as raised:
+        parse_spec(payload, "spec")
+    assert raised.value.path == (f"spec.{where}" if where else "spec")
+    assert str(raised.value) == f"{raised.value.path}: {expected.value.message}"

@@ -1,6 +1,7 @@
 """Pencil assembly: families, partitions, sigma conditions, ansatz,
 closed-form brackets, determinant brackets."""
 
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -137,6 +138,23 @@ def test_assembly_builds_each_casimir_polynomial_once(lagrange,
                     elab.family, elab.partition)
     assert calls == [cp.names for cp in elab.partition]
     assert len(calls) == 2
+
+
+def test_assembly_without_pencil_parameter_fails_before_the_checks(
+        lagrange, monkeypatch):
+    fixture, _, _ = lagrange
+    spec = replace(fixture.spec, variables=[
+        (name, kind) for name, kind in fixture.spec.variables
+        if kind is not VarKind.PENCIL
+    ])
+    elab = elaborate(spec)
+    calls = []
+    monkeypatch.setattr(pencil_module, "sigma_pair_invariants",
+                        lambda *args: calls.append(args) or [])
+    with pytest.raises(SpecError, match="declares no pencil parameter"):
+        assemble_pencil(elab.anchor, SigmaPair(elab.sigma0, elab.sigma1),
+                        elab.family, elab.partition)
+    assert calls == []
 
 
 def test_casimir_function_singleton_chain(toda):

@@ -18,7 +18,15 @@ from involution_forge import (
     parse_ratfun,
     sample_point,
 )
-from involution_forge.symexpr import MAX_NESTING, as_ratfun
+from involution_forge.symexpr import (
+    MAX_EXPONENT,
+    MAX_NESTING,
+    _content_prs_gcd,
+    _heuristic_gcd,
+    as_ratfun,
+    poly_exact_div,
+    poly_gcd,
+)
 from helpers import (
     random_polynomial,
     random_rational,
@@ -147,6 +155,11 @@ def test_parse_error_paths(table):
     assert parse_ratfun(nested, table) == parse_ratfun("x1", table)
     with pytest.raises(ParseError, match="nested deeper"):
         parse_ratfun(f"({nested})", table)
+    assert parse_ratfun(f"x1^{MAX_EXPONENT}", table) == parse_ratfun(
+        "x1", table) ** MAX_EXPONENT
+    with pytest.raises(ParseError, match="exceeds") as raised:
+        parse_ratfun(f"x1 + x2^{MAX_EXPONENT + 1}", table)
+    assert raised.value.position == 8
 
 
 def test_table_kinds_and_lookup():
@@ -181,3 +194,104 @@ def test_as_ratfun_coerces_each_accepted_type(table):
         as_ratfun(table, Polynomial.variable(other, "x1"))
     with pytest.raises(TableMismatch):
         as_ratfun(table, RationalFunction.variable(other, "x1"))
+
+
+# --- gcd: the heuristic against the content/PRS fallback and SymPy ----------
+
+
+def _gcd_case(rng: Random, size: int):
+    """(a, b, c) with a = p*c*m and b = q*c*m over ``size`` variables:
+    Fraction coefficients, a shared monomial m, and a last variable that
+    only a involves."""
+    table = VarTable.build([f"x{i}" for i in range(1, size + 1)])
+
+    def poly(terms, degree, in_last):
+        while True:
+            out = {}
+            for _ in range(terms):
+                e = [rng.randint(0, degree) for _ in range(size)]
+                e[-1] = e[-1] if in_last else 0
+                out[tuple(e)] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            p = Polynomial(table, out)
+            if not p.is_constant() and (p.involves(size - 1) or not in_last):
+                return p
+
+    c = poly(3, 2, in_last=False)
+    shared = [rng.randint(0, 2) for _ in range(size - 1)] + [0]
+    m = Polynomial.monomial(table, shared, Fraction(rng.randint(1, 5), 3))
+    return poly(3, 2, True) * c * m, poly(3, 2, False) * c * m, c
+
+
+def test_gcd_matches_the_prs_fallback():
+    # the fallback runs only when the heuristic gives up, so call it directly
+    rng = Random(23)
+    for size in (2, 3, 4, 5, 6) * 4:
+        a, b, c = _gcd_case(rng, size)
+        g = poly_gcd(a, b)
+        assert g == _content_prs_gcd(a, b)
+        assert g.leading()[1] == 1
+        poly_exact_div(g, c)
+        poly_exact_div(a, g)
+        poly_exact_div(b, g)
+
+
+def test_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = Random(29)
+    for size in (2, 3, 4, 5, 6) * 4:
+        a, b, _ = _gcd_case(rng, size)
+        gens = sympy.symbols(a.table.names)
+
+        def to_sympy(p):
+            return sympy.Poly.from_dict(
+                {e: sympy.Rational(c.numerator, c.denominator)
+                 for e, c in p.terms.items()}, *gens, domain="QQ")
+
+        expected = sympy.gcd(to_sympy(a), to_sympy(b)).monic()
+        assert poly_gcd(a, b).terms == {
+            e: Fraction(int(c.p), int(c.q))
+            for e, c in expected.as_dict().items()
+        }
+
+
+def test_gcd_property_common_factor_divides():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    table = VarTable.build(["x1", "x2", "x3"])
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    poly = st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * 3), coeff, min_size=1, max_size=4,
+    ).map(lambda terms: Polynomial(table, terms))
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=80)
+    @hypothesis.given(poly, poly, poly)
+    def check(a, b, c):
+        hypothesis.assume(not (a.is_zero() or b.is_zero() or c.is_zero()))
+        ac, bc = a * c, b * c
+        hypothesis.assume(not (ac.is_constant() or bc.is_constant()))
+        g = poly_gcd(ac, bc)
+        poly_exact_div(g, c)
+        assert g == _content_prs_gcd(ac, bc)
+
+    check()
+
+
+def test_gcd_of_the_largest_reject_sigma_pair():
+    # shaped like the costliest pair in the reject-sigma benchmark:
+    # 78 terms against 6, six variables, total degrees 13 and 10
+    table = VarTable.build(["x1", "x2", "x3", "y1", "y2", "y3",
+                            ("lambda", VarKind.PENCIL)])
+
+    def poly(text):
+        return parse_ratfun(text, table).num
+
+    w = poly("x1*y2 - x2*y1")
+    a = poly("2*x1^2*x3 - x1^2*y2^2 + 2*x1*x2*y1*y2 - x1*x3*y1*y3"
+             " + 2*x2^2*x3 - x2^2*y1^2 - x2*x3*y2*y3 + x3^2*y1^2"
+             " + x3^2*y2^2") * poly(
+        "2*x1^2*y2*y3 + 2*x1*x3*y1*y2 - x1*y1*y2*y3^2 - 2*x2*x3*y1^2"
+        " + x3*y1^2*y2*y3") * w ** 2 * Fraction(-1, 4)
+    b = w ** 5
+    assert (len(a.terms), len(b.terms)) == (78, 6)
+    assert _heuristic_gcd(a, b) == w ** 2
+    assert poly_gcd(a, b) == w ** 2 == _content_prs_gcd(a, b)

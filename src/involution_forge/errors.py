@@ -122,7 +122,7 @@ class UnknownFixture(ForgeError):
 
 
 class SpecError(ForgeError):
-    """Spec file fails schema or semantic validation; carries a path."""
+    """Spec file fails validation; carries a path."""
 
     def __init__(self, message, path=None):
         if path:

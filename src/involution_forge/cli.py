@@ -550,9 +550,12 @@ def elaborate_ansatz(spec: SpecFile, seed: int = 0) -> AnsatzProblem:
     partition = _build_partition(family, spec)
     sigma0 = resolve_sigma(spec.sigma0, stable, f"{spec.path}.sigma0")
     basis = resolve_basis(block, stable, f"{at}.ansatz")
+    specialize = dict(block.get("specialize", {}))
+    for name, text in specialize.items():
+        # over the sigma table, as AnsatzSolution.substitution parses them
+        _parse_coeff(stable, text, f"{at}.ansatz.specialize.{name}")
     return AnsatzProblem(
-        table, anchor, family, partition, sigma0, basis,
-        dict(block.get("specialize", {})),
+        table, anchor, family, partition, sigma0, basis, specialize,
     )
 
 

@@ -1,15 +1,17 @@
 """Exact linear algebra over the rational-function field.
 
 Matrices are plain lists of lists of RationalFunction sharing one variable
-table.  Elimination uses deterministic pivoting: scan columns left to right
-and take the first row whose entry is not identically zero.  A pivot chosen
+table.  All of the module reads off one Gauss-Jordan elimination, which
+works over any exact field, so the rank at a point runs it on Fraction
+entries.  It pivots deterministically: scan columns left to right and take
+the first row whose entry is not identically zero.  A pivot chosen
 this way may still vanish on a subvariety; results are generic in that sense,
 which is the intended reading everywhere this module is used.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import prod
 
 from .errors import Degenerate, DimensionMismatch, Inconsistent
 from .symexpr import (
@@ -53,46 +55,54 @@ def mat_vec(a: list, v: list) -> list:
     return [row_col for [row_col] in mat_mul(a, [[x] for x in v])]
 
 
-def rref(rows: list):
-    """Reduced row echelon form.  Returns (reduced, pivot_columns)."""
-    if not rows:
-        return [], []
+def _eliminate(rows: list):
+    """Gauss-Jordan elimination, the module's one elimination loop, over
+    any exact field whose elements are falsy exactly at zero and support
+    ``1 / v``, ``v * w``, ``v - w``, ``v * 0`` and ``v ** 0``.
+
+    Returns (reduced, pivot_columns, pivot_values, sign), where the pivot
+    values are the entries divided out, in order, and sign is the parity
+    of the row swaps."""
     work = [list(row) for row in rows]
-    m, n = len(work), len(work[0])
-    pivots = []
+    m, n = len(work), len(work[0]) if work else 0
+    pivots, values, sign = [], [], 1
     r = 0
     for col in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if not work[i][col].is_zero():
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, m) if work[i][col]), None)
         if pivot_row is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][col].inverse()
-        work[r] = [v * inv for v in work[r]]
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            sign = -sign
+        # rows are zero left of col from r down, so only columns col on
+        # change; zero entries are never multiplied out
+        pivot, rest = work[r][col], work[r][col + 1:]
+        inv = 1 / pivot
+        rest = [v * inv if v else v for v in rest]
+        work[r][col:] = [pivot ** 0] + rest
         for i in range(m):
-            if i == r:
-                continue
             factor = work[i][col]
-            if factor.is_zero():
+            if i == r or not factor:
                 continue
-            work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+            work[i][col:] = [factor * 0] + [
+                a - factor * b if b else a
+                for a, b in zip(work[i][col + 1:], rest)
+            ]
         pivots.append(col)
+        values.append(pivot)
         r += 1
-        if r == m:
-            break
-    return work, pivots
+    return work, pivots, values, sign
 
 
-def nullspace(rows: list, table: VarTable, width: int = None) -> list:
-    """Basis of the right kernel, one vector per free column."""
-    if width is None:
-        if not rows:
-            raise DimensionMismatch("cannot infer width of an empty matrix")
-        width = len(rows[0])
-    reduced, pivots = rref(rows)
+def rref(rows: list):
+    """Reduced row echelon form.  Returns (reduced, pivot_columns)."""
+    reduced, pivots, _, _ = _eliminate(rows)
+    return reduced, pivots
+
+
+def _kernel(reduced: list, pivots: list, width: int, table: VarTable):
+    """Basis of the right kernel read off a reduced matrix, one vector per
+    free column among the first ``width``; returns (basis, free)."""
     pivot_set = set(pivots)
     free = [j for j in range(width) if j not in pivot_set]
     zero = RationalFunction.zero(table)
@@ -104,7 +114,17 @@ def nullspace(rows: list, table: VarTable, width: int = None) -> list:
         for r, col in enumerate(pivots):
             vec[col] = -reduced[r][f]
         basis.append(vec)
-    return basis
+    return basis, free
+
+
+def nullspace(rows: list, table: VarTable, width: int = None) -> list:
+    """Basis of the right kernel, one vector per free column."""
+    if width is None:
+        if not rows:
+            raise DimensionMismatch("cannot infer width of an empty matrix")
+        width = len(rows[0])
+    reduced, pivots = rref(rows)
+    return _kernel(reduced, pivots, width, table)[0]
 
 
 def solve_linear(rows: list, rhs: list, table: VarTable):
@@ -126,13 +146,10 @@ def solve_linear(rows: list, rhs: list, table: VarTable):
     reduced, pivots = rref(augmented)
     if width in pivots:
         raise Inconsistent("no solution: pivot in the right-hand column")
-    zero = RationalFunction.zero(table)
-    particular = [zero] * width
+    particular = [RationalFunction.zero(table)] * width
     for r, col in enumerate(pivots):
         particular[col] = reduced[r][width]
-    pivot_set = set(pivots)
-    free = [j for j in range(width) if j not in pivot_set]
-    kernel = nullspace([row[:width] for row in reduced], table, width)
+    kernel, free = _kernel(reduced, pivots, width, table)
     return particular, kernel, free
 
 
@@ -150,66 +167,20 @@ def invert(rows: list, table: VarTable) -> list:
 
 
 def det(rows: list, table: VarTable) -> RationalFunction:
-    """Determinant by fraction-field Gaussian elimination."""
+    """Determinant: the signed product of the elimination's pivots."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DimensionMismatch("determinant needs a square matrix")
-    if n == 0:
-        return RationalFunction.one(table)
-    work = [list(row) for row in rows]
-    sign = 1
-    result = RationalFunction.one(table)
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if not work[i][col].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return RationalFunction.zero(table)
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            sign = -sign
-        pivot = work[col][col]
-        result = result * pivot
-        inv = pivot.inverse()
-        for i in range(col + 1, n):
-            factor = work[i][col]
-            if factor.is_zero():
-                continue
-            work[i] = [a - factor * inv * b
-                       for a, b in zip(work[i], work[col])]
+    _, pivots, values, sign = _eliminate(rows)
+    if len(pivots) < n:
+        return RationalFunction.zero(table)
+    result = prod(values, start=RationalFunction.one(table))
     return result if sign > 0 else -result
 
 
 def rank_at_point(rows: list, point: RationalPoint) -> int:
     """Rank of the matrix evaluated at a rational point."""
-    values = [[v.evaluate(point) for v in row] for row in rows]
-    m = len(values)
-    if m == 0:
-        return 0
-    n = len(values[0])
-    rank = 0
-    for col in range(n):
-        pivot_row = None
-        for i in range(rank, m):
-            if values[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        values[rank], values[pivot_row] = values[pivot_row], values[rank]
-        pivot = values[rank][col]
-        for i in range(rank + 1, m):
-            factor = values[i][col]
-            if factor:
-                ratio = Fraction(factor, pivot)
-                values[i] = [a - ratio * b
-                             for a, b in zip(values[i], values[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    return len(rref([[v.evaluate(point) for v in row] for row in rows])[1])
 
 
 def sampled_rank(rows: list, table: VarTable, guards, rng, target: int):

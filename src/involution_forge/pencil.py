@@ -53,7 +53,7 @@ from .exterior import (
     wedge,
     wedge_power,
 )
-from .linalg import rref, nullspace, sampled_rank, solve_linear
+from .linalg import nullspace, sampled_rank, solve_linear
 from .report import Verdict
 from .symexpr import (
     RationalFunction,
@@ -239,7 +239,7 @@ def distribution(anchor, family: FunctionFamily, partition, which: int
     return Distribution(generators)
 
 
-def annihilator_basis(anchor, D: Distribution):
+def annihilator_basis(D: Distribution):
     """Basis of the 1-forms annihilating every generator, by one exact
     nullspace computation with deterministic pivoting."""
     table = D.table
@@ -248,13 +248,14 @@ def annihilator_basis(anchor, D: Distribution):
     rows = [
         [X.comps.get((i,), zero) for i in geo] for X in D.generators
     ]
-    _, pivots = rref(rows)
-    if len(pivots) != len(D.generators):
+    kernel = nullspace(rows, table, len(geo))
+    rank = len(geo) - len(kernel)
+    if rank != len(D.generators):
         raise RankDrop(
-            f"{len(D.generators)} generators span only rank {len(pivots)}"
+            f"{len(D.generators)} generators span only rank {rank}"
         )
     basis = []
-    for vec in nullspace(rows, table, len(geo)):
+    for vec in kernel:
         comps = {
             (geo[pos],): v for pos, v in enumerate(vec) if not v.is_zero()
         }
@@ -315,18 +316,15 @@ def check_sigma_conditions(anchor, pair: SigmaPair) -> list:
     def delta(a):
         return codifferential(anchor.lifted, a)
 
+    d0, d1 = delta(s0), delta(s1)
     verdicts = []
-    residual = delta(wedge(s0, s0)) - wedge(s0, delta(s0)) * 2
+    residual = delta(wedge(s0, s0)) - wedge(s0, d0) * 2
     verdicts.append(Verdict("delta(sigma0^sigma0) = 2 sigma0^delta(sigma0)",
                             residual.is_zero(), residual))
-    residual = delta(wedge(s1, s1)) - wedge(s1, delta(s1)) * 2
+    residual = delta(wedge(s1, s1)) - wedge(s1, d1) * 2
     verdicts.append(Verdict("delta(sigma1^sigma1) = 2 sigma1^delta(sigma1)",
                             residual.is_zero(), residual))
-    residual = (
-        delta(wedge(s0, s1))
-        - wedge(delta(s0), s1)
-        - wedge(s0, delta(s1))
-    )
+    residual = delta(wedge(s0, s1)) - wedge(d0, s1) - wedge(s0, d1)
     verdicts.append(Verdict(
         "delta(sigma0^sigma1) = delta(sigma0)^sigma1 + sigma0^delta(sigma1)",
         residual.is_zero(), residual))
@@ -371,9 +369,6 @@ class AnsatzSolution:
     expressions: dict
     free_names: list
     sigma1: Form
-
-    def expression(self, a: int, b: int) -> RationalFunction:
-        return self.expressions[unknown_name(a, b)]
 
     def substitution(self, mapping) -> dict:
         """Values for free unknowns or constants, expression strings parsed

@@ -714,6 +714,10 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self) -> bool:
+        """False exactly for zero, as for ``Fraction``."""
+        return not self.num.is_zero()
+
     def is_polynomial(self) -> bool:
         return self.den == Polynomial.one(self.table)
 
@@ -781,11 +785,6 @@ class RationalFunction:
         if other is None:
             return NotImplemented
         return other / self
-
-    def inverse(self) -> "RationalFunction":
-        if self.is_zero():
-            raise DivisionByZero("inverse of the zero rational function")
-        return RationalFunction(self.den, self.num)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

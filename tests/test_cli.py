@@ -277,6 +277,18 @@ def test_unknown_specialize_name_fails_every_command(spec_on_disk):
         assert text.startswith(f"error: {path}.sigma1.ansatz.specialize.zz: ")
 
 
+def test_check_parses_specialize_values_like_solve_ansatz(spec_on_disk):
+    # the values are expressions over the sigma table, which has no s for
+    # an even anchor; check must reject them without solving the ansatz
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["sigma1"]["ansatz"]["specialize"]["k34"] = "s"
+    path = spec_on_disk(payload)
+    expected = (2, f"error: {path}.sigma1.ansatz.specialize.k34: "
+                   "unknown variable 's'")
+    assert run("check", path) == expected
+    assert run("solve-ansatz", path) == expected
+
+
 def test_unassigned_free_unknown_exits_two(spec_on_disk):
     payload = json.loads(fixture_file("lagrange_top").read_text())
     payload["sigma1"]["ansatz"]["specialize"] = {"l3": "1", "m3": "2"}

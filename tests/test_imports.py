@@ -1,9 +1,12 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+module-level private function or class is used somewhere in the package.
 
 No linter ships with the toolchain, so this walks the syntax trees with
-``ast``.  ``__init__.py`` is exempt: its imports are re-exports."""
+``ast``.  ``__init__.py`` is exempt from the import check: its imports are
+re-exports."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import involution_forge
@@ -43,3 +46,56 @@ def test_modules_use_every_import():
 def test_unused_import_is_reported():
     source = "from fractions import Fraction\nimport json\njson.dumps(1)\n"
     assert _unused_imports(source) == [(1, "Fraction")]
+
+
+def _names(tree) -> Counter:
+    """Every name a tree mentions: loads, attributes and imported names."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.split(".")[-1] for alias in node.names)
+    return found
+
+
+def _unreferenced_privates(sources: dict) -> list:
+    """(module, name) of each module-level ``_name`` function or class that
+    no code outside its own body mentions."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    mentioned = Counter()
+    for tree in trees.values():
+        mentioned.update(_names(tree))
+    unreferenced = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if mentioned[name] == _names(node)[name]:
+                unreferenced.append((module, name))
+    return sorted(unreferenced)
+
+
+def test_package_references_every_private_definition():
+    sources = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert _unreferenced_privates(sources) == []
+
+
+def test_unreferenced_private_is_reported():
+    sources = {
+        "a.py": "def _used():\n    return 1\n\n"
+                "def _dead():\n    return _dead()\n\n"
+                "class _Gone:\n    pass\n",
+        "b.py": "from .a import _used\n\nprint(_used())\n",
+    }
+    assert _unreferenced_privates(sources) == [("a.py", "_Gone"),
+                                               ("a.py", "_dead")]

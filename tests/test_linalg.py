@@ -178,3 +178,47 @@ def test_rank_at_point_agrees_with_det(table):
         point = sample_point(table, [d] if not d.is_zero() else [], rng)
         full = rank_at_point(rows, point) == 3
         assert full == (not d.is_zero())
+
+
+def random_fraction_matrix(rng, m, n, rank=None):
+    """A seeded m x n Fraction matrix; with ``rank`` given, the product of
+    an m x rank and a rank x n factor, so its rank is at most ``rank``."""
+    def draw(rows, cols):
+        return [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for _ in range(cols)] for _ in range(rows)]
+    if rank is None:
+        return draw(m, n)
+    left, right = draw(m, rank), draw(rank, n)
+    return [[sum(left[i][k] * right[k][j] for k in range(rank))
+             for j in range(n)] for i in range(m)]
+
+
+def test_rref_over_fractions_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = Random(57)
+    shapes = [(n, n, None) for n in (1, 2, 3, 4, 5)]
+    shapes += [(4, 4, 2), (5, 5, 3), (3, 5, 2), (5, 3, 1), (4, 6, 3)]
+    for m, n, rank in shapes:
+        for _ in range(3):
+            rows = random_fraction_matrix(rng, m, n, rank)
+            reduced, pivots = rref(rows)
+            expected, expected_pivots = sympy.Matrix(rows).rref()
+            assert pivots == list(expected_pivots)
+            assert reduced == [
+                [Fraction(int(v.p), int(v.q)) for v in expected.row(i)]
+                for i in range(m)
+            ]
+
+
+def test_rank_at_point_matches_sympy_on_rank_deficient_matrices(table):
+    sympy = pytest.importorskip("sympy")
+    rng = Random(59)
+    for m, n, rank in ((3, 3, 1), (3, 3, 2), (4, 3, 2), (3, 4, 1), (4, 4, 3)):
+        left = random_matrix(table, rng, m, rank)
+        right = random_matrix(table, rng, rank, n)
+        rows = mat_mul(left, right)
+        point = sample_point(table, [], rng)
+        values = [[v.evaluate(point) for v in row] for row in rows]
+        expected = sympy.Matrix(values).rank()
+        assert expected <= rank
+        assert rank_at_point(rows, point) == expected

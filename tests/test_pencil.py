@@ -1,6 +1,7 @@
 """Pencil assembly: families, partitions, sigma conditions, ansatz,
 closed-form brackets, determinant brackets."""
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -140,6 +141,23 @@ def test_assembly_builds_each_casimir_polynomial_once(lagrange,
     assert len(calls) == 2
 
 
+def test_assembly_takes_each_codifferential_once(lagrange, monkeypatch):
+    # delta of sigma0, sigma1 and their three wedges: five distinct inputs
+    _, elab, _ = lagrange
+    inputs = []
+    real = pencil_module.codifferential
+
+    def counting(anchor, a):
+        inputs.append(a)
+        return real(anchor, a)
+
+    monkeypatch.setattr(pencil_module, "codifferential", counting)
+    assemble_pencil(elab.anchor, SigmaPair(elab.sigma0, elab.sigma1),
+                    elab.family, elab.partition)
+    assert len(inputs) == 5
+    assert all(a != b for a, b in itertools.combinations(inputs, 2))
+
+
 def test_assembly_without_pencil_parameter_fails_before_the_checks(
         lagrange, monkeypatch):
     fixture, _, _ = lagrange
@@ -209,7 +227,7 @@ def test_sigmas_annihilate_their_distributions(lagrange, toda):
                              which)
             for X in D.generators:
                 assert interior(X, sigma).is_zero()
-            basis = annihilator_basis(elab.anchor, D)
+            basis = annihilator_basis(D)
             for beta in basis:
                 for X in D.generators:
                     assert pairing(beta, X).is_zero()

@@ -235,6 +235,13 @@ def test_gcd_matches_the_prs_fallback():
         poly_exact_div(b, g)
 
 
+def test_truthiness_matches_fraction(table):
+    assert not RationalFunction.zero(table)
+    assert RationalFunction.one(table)
+    assert parse_ratfun("x1 - x1", table).__bool__() is False
+    assert parse_ratfun("x2/(x1 + 1)", table).__bool__() is True
+
+
 def test_gcd_matches_sympy():
     sympy = pytest.importorskip("sympy")
     rng = Random(29)

@@ -21,8 +21,19 @@ candidate is rebuilt from the symmetric xi-adic digits of that gcd.  It is
 accepted only if it divides both inputs exactly over Z.  After HEU_GCD_MAX
 evaluation points the gcd falls back to contents and a fraction-free
 subresultant remainder sequence, recursing on the most recently declared
-variable that actually occurs.  A rational function with a constant
-denominator skips the gcd altogether (Henrici 1956).
+variable that actually occurs.
+
+Arithmetic on reduced fractions takes gcds only where a factor can cancel
+(Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1).  A sum over equal denominators
+b takes gcd(a + c, b), and none when b is 1.  Otherwise, with g = gcd(b, d),
+taken only when neither denominator is 1, coprime denominators give the
+reduced (a*d + c*b)/(b*d) as it stands, and a shared factor can only cancel
+through gcd(t, g) for t = a*(d/g) + c*(b/g).  A product cancels a against d
+and c against b, skipping a pair with a constant member such as a
+denominator of 1; a quotient does the same with the divisor flipped and
+then makes its denominator monic again.  A power of a reduced fraction
+needs no gcd.  A constant factor in a polynomial product only scales the
+other factor, and a factor of 1 returns it unchanged.
 """
 
 from __future__ import annotations
@@ -196,7 +207,8 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        # the zero exponent is the only constant monomial
+        return len(self.terms) <= 1 and all(not any(e) for e in self.terms)
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
@@ -269,17 +281,26 @@ class Polynomial:
             return NotImplemented
         return other + (-self)
 
+    def _scaled(self, c) -> "Polynomial":
+        """self times the scalar c; self itself when c is 1 (polynomials
+        are never written to after construction, so sharing is safe)."""
+        if c == 1:
+            return self
+        if not c:
+            return Polynomial.zero(self.table)
+        return Polynomial(self.table, {e: k * c for e, k in self.terms.items()})
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coerce_fraction(other)
-            if not c:
-                return Polynomial.zero(self.table)
-            return Polynomial(
-                self.table, {e: k * c for e, k in self.terms.items()}
-            )
+            return self._scaled(_coerce_fraction(other))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # a constant operand only scales the other one
+        if other.is_constant():
+            return self._scaled(other.constant_value())
+        if self.is_constant():
+            return other._scaled(self.constant_value())
         terms: dict = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
@@ -656,6 +677,30 @@ def _zz_divides(h: dict, f: dict) -> bool:
 # --- rational functions --------------------------------------------------------
 
 
+def _monic_pair(num: Polynomial, den: Polynomial):
+    """num and den both divided by the leading coefficient of den."""
+    _, lead = den.leading()
+    if lead == 1:
+        return num, den
+    inv = 1 / lead
+    return num * inv, den * inv
+
+
+def _cross_cancelled(a, b, c, d):
+    """Numerator and denominator of (a/b)*(c/d) for coprime a, b and coprime
+    c, d: only a against d and c against b can share a factor (Henrici), and
+    not when either of the pair is constant."""
+    if not (a.is_constant() or d.is_constant()):
+        g = poly_gcd(a, d)
+        if not g.is_constant():
+            a, d = poly_exact_div(a, g), poly_exact_div(d, g)
+    if not (c.is_constant() or b.is_constant()):
+        g = poly_gcd(c, b)
+        if not g.is_constant():
+            c, b = poly_exact_div(c, g), poly_exact_div(b, g)
+    return a * c, b * d
+
+
 class RationalFunction:
     """Reduced fraction of polynomials with a monic denominator."""
 
@@ -675,15 +720,20 @@ class RationalFunction:
                 if not g.is_constant():
                     num = poly_exact_div(num, g)
                     den = poly_exact_div(den, g)
-            _, lead = den.leading()
-            if lead != 1:
-                inv = 1 / lead
-                num = num * inv
-                den = den * inv
+            num, den = _monic_pair(num, den)
         self.num = num
         self.den = den
 
     # --- constructors ----------------------------------------------------------
+
+    @staticmethod
+    def _reduced(num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """num/den that the caller knows to be reduced with a monic
+        denominator; only a zero numerator is normalised (to 0/1)."""
+        out = RationalFunction.__new__(RationalFunction)
+        out.num = num
+        out.den = den if num.terms else Polynomial.one(num.table)
+        return out
 
     @staticmethod
     def from_polynomial(p: Polynomial) -> "RationalFunction":
@@ -740,17 +790,27 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
+        # Henrici: with g = gcd(b, d), a/b + c/d = t/(b1*d) for b1 = b/g and
+        # t = a*(d/g) + c*b1, and only a factor of g can cancel from it
+        a, b, c, d = self.num, self.den, other.num, other.den
+        one = Polynomial.one(self.table)
+        if b == d:
+            g, b1, t = b, one, a + c
+        else:
+            g = one if b.is_constant() or d.is_constant() else poly_gcd(b, d)
+            b1 = poly_exact_div(b, g)
+            t = a * poly_exact_div(d, g) + c * b1
+        if g.is_constant():
+            return RationalFunction._reduced(t, b1 * d)
+        g2 = poly_gcd(t, g)
+        return RationalFunction._reduced(
+            poly_exact_div(t, g2), b1 * poly_exact_div(d, g2)
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return RationalFunction._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -768,7 +828,9 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return RationalFunction._reduced(
+            *_cross_cancelled(self.num, self.den, other.num, other.den)
+        )
 
     __rmul__ = __mul__
 
@@ -778,7 +840,10 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        # the divisor's numerator becomes a denominator that need not be monic
+        return RationalFunction._reduced(*_monic_pair(
+            *_cross_cancelled(self.num, self.den, other.den, other.num)
+        ))
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -789,7 +854,8 @@ class RationalFunction:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise NegativeExponent(f"exponent must be an unsigned integer, got {n}")
-        return RationalFunction(self.num**n, self.den**n)
+        # powers of coprime polynomials stay coprime, of monic ones monic
+        return RationalFunction._reduced(self.num**n, self.den**n)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Polynomial)):
@@ -898,10 +964,10 @@ def migrate_ratfun(v: RationalFunction, new_table: VarTable) -> RationalFunction
     denominator survive trailing-variable adjunction, so skip both."""
     if v.table == new_table:
         return v
-    out = RationalFunction.__new__(RationalFunction)
-    out.num = migrate_polynomial(v.num, new_table)
-    out.den = migrate_polynomial(v.den, new_table)
-    return out
+    return RationalFunction._reduced(
+        migrate_polynomial(v.num, new_table),
+        migrate_polynomial(v.den, new_table),
+    )
 
 
 def coefficients_in(value: RationalFunction, name: str) -> dict:

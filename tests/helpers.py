@@ -7,8 +7,11 @@ a failing case can be replayed by seed alone.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 from involution_forge import (
@@ -28,6 +31,19 @@ from involution_forge import (
     sharp,
     wedge,
 )
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def load_benchmark(name: str):
+    """Import ``benchmarks/<name>.py`` (only read) as ``bench_<name>``."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # run.py declares dataclasses
+    spec.loader.exec_module(module)
+    return module
+
 
 # ---------------------------------------------------------------------------
 # random generators

@@ -6,24 +6,12 @@ through the public API.  A rename in the package would otherwise surface
 only at the next benchmark run.  Both files are only read."""
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
-BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
-
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(
-        f"bench_{name}", BENCHMARKS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_benchmark
 
 
 def test_every_traced_layer_is_a_callable():
-    op = _load("op")
+    op = load_benchmark("op")
     missing = []
     for short, names in op.LAYERS.items():
         module = importlib.import_module(f"{op.PACKAGE}.{short}")
@@ -33,13 +21,13 @@ def test_every_traced_layer_is_a_callable():
 
 
 def test_committed_benchmark_specs_regenerate():
-    assert _load("make_specs").main(["--check"]) == 0
+    assert load_benchmark("make_specs").main(["--check"]) == 0
 
 
 def test_traced_kernel_hooks_see_a_reducing_gcd(monkeypatch):
     # op.py counts gcds by replacing symexpr.poly_gcd and wraps
     # RationalFunction.__init__; a kernel rename would zero both counters
-    op = _load("op")
+    op = load_benchmark("op")
     symexpr = importlib.import_module(f"{op.PACKAGE}.symexpr")
     tracer = op.Tracer()
     monkeypatch.setattr(symexpr, "poly_gcd", tracer.poly_gcd(symexpr.poly_gcd))

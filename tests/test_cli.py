@@ -15,6 +15,7 @@ import involution_forge
 from involution_forge.cli import COMMANDS, main, parse_spec, run
 from involution_forge.errors import SpecError
 from involution_forge.fixtures import FIXTURE_NAMES, fixture_file
+from helpers import BENCHMARKS, load_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +39,18 @@ def test_report_passes_on_every_fixture():
         assert code == 0, text
         assert "status = PASS" in text
         assert "FAIL" not in text
+
+
+def test_report_on_the_benchmark_specs(capsys):
+    # the only specs whose polynomials reach the size the kernel is tuned for
+    specs = BENCHMARKS / "specs"
+    assert main(["report", str(specs / "certify_scaled.json")]) == 0
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    assert "status = PASS" in lines
+    for name in ("Pi0", "Pi1", "pencil"):
+        assert f"rank[{name}] = 4" in lines
+    assert main(["report", str(specs / "reject_sigma.json")]) == 1
+    assert capsys.readouterr().out == load_benchmark("run").REJECT_STDOUT
 
 
 def test_report_is_deterministic(lagrange_path):

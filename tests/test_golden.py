@@ -5,7 +5,6 @@ test also pins that the printed output does not depend on string hashing
 (set iteration order).  golden.json is read, never rewritten.
 """
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -15,9 +14,7 @@ from pathlib import Path
 import pytest
 
 import involution_forge
-
-ROOT = Path(__file__).resolve().parents[1]
-BENCHMARKS = ROOT / "benchmarks"
+from helpers import BENCHMARKS, load_benchmark
 
 # Runs every op in-process and prints {key: stdout} as JSON.
 REPLAY = """
@@ -35,15 +32,6 @@ print(json.dumps(out))
 """
 
 
-def _bracket_pairs() -> dict:
-    spec = importlib.util.spec_from_file_location(
-        "bench_run", BENCHMARKS / "run.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # run.py declares dataclasses
-    spec.loader.exec_module(module)
-    return module.BRACKET_PAIRS
-
-
 @pytest.fixture(scope="module")
 def seed0_golden() -> dict:
     transcript = json.loads(
@@ -56,7 +44,7 @@ def seed0_golden() -> dict:
 
 @pytest.mark.parametrize("hash_seed", ["0", "1"])
 def test_seed0_ops_match_golden(seed0_golden, hash_seed):
-    pairs = _bracket_pairs()
+    pairs = load_benchmark("run").BRACKET_PAIRS
     ops = []
     for key in seed0_golden:
         command, spec, _ = key.split()

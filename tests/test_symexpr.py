@@ -1,5 +1,6 @@
 """Exact arithmetic: ring/field axioms, canonical forms, parsing."""
 
+import operator
 from fractions import Fraction
 from random import Random
 
@@ -17,6 +18,7 @@ from involution_forge import (
     VarTable,
     parse_ratfun,
     sample_point,
+    symexpr,
 )
 from involution_forge.symexpr import (
     MAX_EXPONENT,
@@ -302,3 +304,166 @@ def test_gcd_of_the_largest_reject_sigma_pair():
     assert (len(a.terms), len(b.terms)) == (78, 6)
     assert _heuristic_gcd(a, b) == w ** 2
     assert poly_gcd(a, b) == w ** 2 == _content_prs_gcd(a, b)
+
+
+# --- denominator-aware arithmetic against the generic constructor ---------------
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv}
+
+
+def _generic(op: str, x: RationalFunction, y: RationalFunction):
+    """x op y rebuilt through __init__, which reduces from scratch."""
+    a, b, c, d = x.num, x.den, y.num, y.den
+    if op == "+":
+        return RationalFunction(a * d + c * b, b * d)
+    if op == "-":
+        return RationalFunction(a * d - c * b, b * d)
+    if op == "*":
+        return RationalFunction(a * c, b * d)
+    return RationalFunction(a * d, b * c)
+
+
+def _assert_same(got: RationalFunction, want: RationalFunction):
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+def _operands(mode: str, p, q, r, s, f):
+    """Two reduced fractions whose denominators are related as ``mode``
+    says; r involves only x1 and s only x2, so they are coprime."""
+    one = Polynomial.one(p.table)
+    pairs = {
+        "unit": ((p, one), (q, one)),
+        # the sum q/s cancels r out of the common denominator
+        "equal": ((p, r * s), (q * r - p, r * s)),
+        "coprime": ((p, r), (q, s)),
+        "shared": ((p, f * r), (q, f * s)),
+        # the sum q/r cancels f out of the denominators' gcd
+        "shared-cancel": ((p, f), (f * q - p * r, f * r)),
+    }[mode]
+    return [RationalFunction(n, d) for n, d in pairs]
+
+
+def test_arithmetic_matches_the_generic_constructor():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    table = VarTable.build(["x1", "x2", "x3"])
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+    def poly(exponents):
+        return st.dictionaries(exponents, coeff, min_size=1, max_size=3).map(
+            lambda terms: Polynomial(table, terms))
+
+    degree = st.integers(0, 2)
+    anywhere = poly(st.tuples(degree, degree, degree))
+    in_x1 = poly(st.tuples(degree, st.just(0), st.just(0)))
+    in_x2 = poly(st.tuples(st.just(0), degree, st.just(0)))
+    modes = st.sampled_from(
+        ["unit", "equal", "coprime", "shared", "shared-cancel"])
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=150)
+    @hypothesis.given(modes, anywhere, anywhere, in_x1, in_x2, anywhere)
+    def check(mode, p, q, r, s, f):
+        hypothesis.assume(not (r.is_zero() or s.is_zero() or f.is_zero()))
+        x, y = _operands(mode, p, q, r, s, f)
+        for op in ("+", "-", "*"):
+            _assert_same(_OPS[op](x, y), _generic(op, x, y))
+        if y:
+            _assert_same(x / y, _generic("/", x, y))
+        for n in range(4):
+            _assert_same(x**n, RationalFunction(x.num**n, x.den**n))
+
+    check()
+
+
+def test_denominator_aware_edge_cases(table):
+    def poly(text):
+        return parse_ratfun(text, table).num
+
+    one = Polynomial.one(table)
+    x = RationalFunction(poly("x1"), poly("x1 + x2"))
+    # equal non-unit denominators that cancel to the canonical zero
+    for zero in (x + RationalFunction(poly("-x1"), poly("x1 + x2")), x - x):
+        assert zero.is_zero() and zero.den == one
+    product = x * RationalFunction(poly("x1 + x2"), poly("x1"))
+    assert (product.num, product.den) == (one, one)
+    # the flipped divisor's denominator 2*x1 + 1 is not monic
+    y = RationalFunction(poly("x3"), poly("x1 + x3"))
+    divisor = RationalFunction(poly("2*x1 + 1"), poly("x2"))
+    quotient = y / divisor
+    _assert_same(quotient, _generic("/", y, divisor))
+    assert quotient.den.leading()[1] == 1
+    assert quotient.render() == (
+        "(1/2*x2*x3)/(x1^2 + x1*x3 + 1/2*x1 + 1/2*x3)")
+    base = RationalFunction(poly("x1 + 1"), poly("3*x2 + x1"))
+    _assert_same(base**3, RationalFunction(poly("(x1 + 1)^3"),
+                                           poly("(3*x2 + x1)^3")))
+    # the denominators share x1 + x2, and the sum cancels it
+    shared = (RationalFunction(poly("x1 + x2 + x3"), poly("(x1 + x2)*x3"))
+              - RationalFunction(one, poly("x1 + x2")))
+    _assert_same(shared, RationalFunction(one, poly("x3")))
+    # multiplying by a constant 1 shares the operand instead of copying it
+    p = poly("x1 + 2*x3")
+    assert p * one is p and one * p is p and p * 1 is p
+
+
+def test_products_and_sums_hand_the_gcd_only_what_can_cancel(table,
+                                                              monkeypatch):
+    def poly(text):
+        return parse_ratfun(text, table).num
+
+    x = RationalFunction(poly("x1"), poly("x1 + x2"))
+    y = RationalFunction(poly("x1 + x2"), poly("x2"))
+    z = RationalFunction(poly("x2"), poly("x1 + x3"))
+    calls = []
+    real = symexpr.poly_gcd
+
+    def spying(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(symexpr, "poly_gcd", spying)
+    product = x * y
+    assert (product.num, product.den) == (poly("x1"), poly("x2"))
+    assert calls
+    assert max(sum(e) for a, b in calls for e in (*a.terms, *b.terms)) <= 1
+    calls.clear()
+    x + z
+    assert calls == [(x.den, z.den)]
+
+
+def test_arithmetic_matches_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    table = VarTable.build(["x1", "x2", "x3"])
+    gens = sympy.symbols(table.names)
+    rng = Random(31)
+
+    def to_sympy(p):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.prod(g**k for g, k in zip(gens, e))
+                    for e, c in p.terms.items()), sympy.Integer(0))
+
+    def poly():
+        return random_polynomial(table, rng, terms=3, degree=2, bound=4).num
+
+    for mode in ("equal", "coprime", "shared", "shared-cancel"):
+        p, q, f = poly(), poly(), poly()
+        r = Polynomial(table, {(1, 0, 0): Fraction(1),
+                               (0, 0, 0): Fraction(rng.randint(1, 5))})
+        s = Polynomial(table, {(0, 2, 0): Fraction(rng.randint(1, 3)),
+                               (0, 0, 0): Fraction(-1)})
+        if f.is_zero():
+            continue
+        x, y = _operands(mode, p, q, r, s, f)
+        for op in ("+", "-", "*", "/"):
+            if op == "/" and not y:
+                continue
+            got = _OPS[op](x, y)
+            want = sympy.cancel(_OPS[op](to_sympy(x.num) / to_sympy(x.den),
+                                         to_sympy(y.num) / to_sympy(y.den)))
+            num, den = sympy.fraction(want)
+            assert sympy.expand(to_sympy(got.num) * den
+                                - num * to_sympy(got.den)) == 0
+            reduced = sympy.Poly(to_sympy(got.num), *gens, domain="QQ").gcd(
+                sympy.Poly(to_sympy(got.den), *gens, domain="QQ"))
+            assert reduced.is_one or got.is_zero()

@@ -430,6 +430,12 @@ def test_products_and_sums_hand_the_gcd_only_what_can_cancel(table,
     calls.clear()
     x + z
     assert calls == [(x.den, z.den)]
+    # over one shared denominator only the sum's numerator meets it
+    w = RationalFunction(poly("x2"), poly("x1 + x2"))
+    calls.clear()
+    total = x + w
+    assert total == RationalFunction.one(table)
+    assert calls == [(poly("x1 + x2"), x.den)]
 
 
 def test_arithmetic_matches_sympy_cancel():

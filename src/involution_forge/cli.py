@@ -550,12 +550,9 @@ def elaborate_ansatz(spec: SpecFile, seed: int = 0) -> AnsatzProblem:
     partition = _build_partition(family, spec)
     sigma0 = resolve_sigma(spec.sigma0, stable, f"{spec.path}.sigma0")
     basis = resolve_basis(block, stable, f"{at}.ansatz")
-    specialize = dict(block.get("specialize", {}))
-    for name, text in specialize.items():
-        # over the sigma table, as AnsatzSolution.substitution parses them
-        _parse_coeff(stable, text, f"{at}.ansatz.specialize.{name}")
     return AnsatzProblem(
-        table, anchor, family, partition, sigma0, basis, specialize,
+        table, anchor, family, partition, sigma0, basis,
+        dict(block.get("specialize", {})),
     )
 
 
@@ -581,7 +578,10 @@ def _cmd_check(spec: SpecFile, seed: int) -> tuple:
     elaborated = elaborate(spec, seed)
     has_ansatz = "ansatz" in spec.sigma1
     if has_ansatz:
-        elaborate_ansatz(spec, seed)
+        problem = elaborate_ansatz(spec, seed)
+        # only the solver knows which unknowns a specialize block may set
+        if problem.specialize:
+            _solve_ansatz(spec, problem)
     lines = _header("check", spec, None)
     lines.append(f"  variables = {len(elaborated.table.names)}")
     lines.append(f"  family = {', '.join(name for name, _ in spec.family)}")
@@ -645,28 +645,34 @@ def _cmd_bracket(spec: SpecFile, seed: int, pair) -> tuple:
     return (0 if agree else 1), "\n".join(lines)
 
 
-def _specialization(solution, mapping: dict, path: str) -> tuple:
-    """The specialize block applied: (values_at, specialized sigma1).  A
+def _solve_ansatz(spec: SpecFile, problem: AnsatzProblem) -> tuple:
+    """The ansatz solved and its specialize block applied: (solution,
+    values_at, specialized sigma1), the last two None without a block.  A
     bad name or value is a spec error at its own path, a free unknown left
     unassigned one at the block."""
+    solution = solve_recursion_ansatz(
+        problem.anchor, problem.sigma0, problem.basis,
+        problem.family, problem.partition,
+    )
+    if not problem.specialize:
+        return solution, None, None
+    path = f"{spec.path}.sigma1.ansatz.specialize"
     values = {}
-    for name, text in mapping.items():
+    for name, text in problem.specialize.items():
         try:
             values.update(solution.substitution({name: text}))
         except ForgeError as exc:
             raise SpecError(str(exc), f"{path}.{name}") from exc
     try:
-        return solution.values_at(values), solution.specialize(values)
+        return (solution, solution.values_at(values),
+                solution.specialize(values))
     except SpecError as exc:
         raise SpecError(str(exc), path) from exc
 
 
 def _cmd_solve_ansatz(spec: SpecFile, seed: int) -> tuple:
     problem = elaborate_ansatz(spec, seed)
-    solution = solve_recursion_ansatz(
-        problem.anchor, problem.sigma0, problem.basis,
-        problem.family, problem.partition,
-    )
+    solution, values, special = _solve_ansatz(spec, problem)
     lines = _header("solve-ansatz", spec, seed)
     free = ", ".join(solution.free_names) if solution.free_names else "none"
     lines.append(f"  free = {free}")
@@ -674,10 +680,6 @@ def _cmd_solve_ansatz(spec: SpecFile, seed: int) -> tuple:
     for line in solution.render().splitlines():
         lines.append(f"    {line}")
     if problem.specialize:
-        values, special = _specialization(
-            solution, problem.specialize,
-            f"{spec.path}.sigma1.ansatz.specialize",
-        )
         assignment = ", ".join(
             f"{name} = {text}" for name, text in
             sorted(problem.specialize.items())

@@ -56,7 +56,8 @@ class DegreeError(ForgeError):
 
 
 class UnsupportedDegrees(ForgeError):
-    """Schouten bracket requested for an unimplemented degree pair."""
+    """Schouten bracket requested for a degree pair other than (1, q) and
+    (2, 2), or for an argument that is not a multivector."""
 
 
 # --- anchors ---------------------------------------------------------------

@@ -14,8 +14,6 @@ Sign conventions (fixed once, everything downstream is calibrated to them):
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .errors import DegreeError, ForbiddenVariable, UnsupportedDegrees
 from .symexpr import RationalFunction, VarTable, as_ratfun
 
@@ -311,94 +309,52 @@ def pairing(a: Form, P: MultiVector) -> RationalFunction:
 # --- Schouten bracket ------------------------------------------------------
 
 
-def _full_bivector(P: MultiVector) -> dict:
-    """Antisymmetric component dictionary {(i, j): coeff} for i != j."""
-    full: dict = {}
-    for (i, j), c in P.comps.items():
-        full[(i, j)] = c
-        full[(j, i)] = -c
-    return full
-
-
 def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
-    """Schouten bracket for degrees (1, q) and (2, 2).
+    """Schouten bracket for degrees (1, q) and (2, 2), by the coordinate
+    formula in the odd generators D_l (Vaisman 1994, Lectures on the
+    Geometry of Poisson Manifolds), l over the geometric variables:
 
-    (1, q) is the Lie derivative of Q along the vector field P; (2, 2) is
-    the coordinate formula whose vanishing on a bivector pair is exactly
-    the compatibility (mixed Jacobi) condition."""
+        [P, Q] = eps * sum_l (P <d/dD_l) ^ dQ/dx_l - dP/dx_l ^ (d>/dD_l Q)
+
+    The right derivative <d/dD_l drops l from an index tuple with sign
+    (-1)^(number of indices after l), the left one d>/dD_l with sign
+    (-1)^(position of l); for q = 0 the second term is dropped.  eps = +1
+    for p = 1 makes [X, Q] the Lie derivative L_X Q, so [X, f] = X(f);
+    eps = -1 for (2, 2) makes dx_i^dx_j^dx_k pair with [P, P] to -2 times
+    the cyclic Jacobiator of P."""
     if not isinstance(P, MultiVector) or not isinstance(Q, MultiVector):
         raise UnsupportedDegrees("schouten acts on multivectors")
     P.table.require_same(Q.table)
-    if P.degree == 1:
-        return _lie_derivative(P, Q)
-    if P.degree == 2 and Q.degree == 2:
-        return _schouten_22(P, Q)
-    raise UnsupportedDegrees(
-        f"degrees ({P.degree}, {Q.degree}) not supported"
+    if P.degree != 1 and (P.degree, Q.degree) != (2, 2):
+        raise UnsupportedDegrees(
+            f"degrees ({P.degree}, {Q.degree}) not supported"
+        )
+    total = MultiVector.zero(P.table, P.degree + Q.degree - 1)
+    for l in P.table.geometric_indices:
+        right = _odd_derivative(P, l, from_left=False)
+        if right.comps:
+            total = total + wedge(right, _derivative(Q, l))
+        if Q.degree == 0:
+            continue
+        left = _odd_derivative(Q, l, from_left=True)
+        if left.comps:
+            total = total - wedge(_derivative(P, l), left)
+    return total if P.degree == 1 else -total  # eps = -1 for (2, 2)
+
+
+def _odd_derivative(P: MultiVector, l: int, from_left: bool) -> MultiVector:
+    """P differentiated in D_l from the left or from the right."""
+    comps = {}
+    for idx, c in P.comps.items():
+        if l in idx:
+            m = idx.index(l)
+            flips = m if from_left else len(idx) - 1 - m
+            comps[idx[:m] + idx[m + 1 :]] = -c if flips & 1 else c
+    return P._like(P.degree - 1, comps)
+
+
+def _derivative(P: MultiVector, l: int) -> MultiVector:
+    """P with each component differentiated along x_l."""
+    return P._like(
+        P.degree, {idx: c.derivative(l) for idx, c in P.comps.items()}
     )
-
-
-def _lie_derivative(X: MultiVector, Q: MultiVector) -> MultiVector:
-    table = X.table
-    comps: dict = {}
-    for J, c in Q.comps.items():
-        # transport of the coefficient along X
-        for (xi,), xc in X.comps.items():
-            accumulate(comps, J, xc * c.derivative(xi))
-        # frame correction: [X, D_j] = -sum_b (d_j X^b) D_b in each slot
-        for m, jm in enumerate(J):
-            rest = J[:m] + J[m + 1 :]
-            rest_set = set(rest)
-            for (b,), xc in X.comps.items():
-                if b in rest_set:
-                    continue
-                dx = xc.derivative(jm)
-                if dx.is_zero():
-                    continue
-                if b == jm:
-                    accumulate(comps, J, -(c * dx))
-                    continue
-                placed = J[:m] + (b,) + J[m + 1 :]
-                sorted_idx = tuple(sorted(placed))
-                sign = _permutation_sign(placed, sorted_idx)
-                value = c * dx
-                accumulate(comps, sorted_idx, -(value * sign))
-    return MultiVector(table, Q.degree, comps)
-
-
-def _permutation_sign(src: tuple, dst: tuple) -> int:
-    """Sign of the permutation carrying src (distinct entries) onto dst."""
-    src = list(src)
-    sign = 1
-    for i, want in enumerate(dst):
-        j = src.index(want, i)
-        if j != i:
-            src[i], src[j] = src[j], src[i]
-            sign = -sign
-    return sign
-
-
-def _schouten_22(P: MultiVector, Q: MultiVector) -> MultiVector:
-    table = P.table
-    geo = table.geometric_indices
-    Pm = _full_bivector(P)
-    Qm = _full_bivector(Q)
-    zero = RationalFunction.zero(table)
-    comps: dict = {}
-    for h, i, j in combinations(geo, 3):
-        acc = zero
-        for l in geo:
-            for A, B in ((Pm, Qm), (Qm, Pm)):
-                for x, y, z in ((h, i, j), (i, j, h), (j, h, i)):
-                    a = A.get((l, x))
-                    if a is None:
-                        continue
-                    b = B.get((y, z))
-                    if b is None:
-                        continue
-                    db = b.derivative(l)
-                    if not db.is_zero():
-                        acc = acc + a * db
-        if not acc.is_zero():
-            comps[(h, i, j)] = acc
-    return MultiVector(table, 3, comps)

@@ -31,12 +31,15 @@ from involution_forge import (
     wedge_power,
 )
 from involution_forge import anchor as anchor_module
+from involution_forge.cli import elaborate
+from involution_forge.fixtures import FIXTURE_NAMES, load_fixture
 from involution_forge.pencil import decompose_prime
 from helpers import (
     random_form,
     random_multivector,
     random_polynomial,
     sigma_equivalence_suite,
+    sign_of,
 )
 
 
@@ -143,6 +146,22 @@ def test_codifferential_squares_to_zero(canonical):
             assert codifferential(canonical, da).is_zero()
     f = Form.scalar(table, random_polynomial(table, Random(5)))
     assert codifferential(canonical, f).is_zero()
+
+
+def test_codifferential_is_the_koszul_bracket():
+    # delta(a) = (-1)^p (i_Lambda da - d i_Lambda a) on the lifted anchor
+    # of every fixture; for p = 1 the second term vanishes
+    rng = Random(97)
+    for name in FIXTURE_NAMES:
+        lifted = elaborate(load_fixture(name).spec).anchor.lifted
+        lam = lifted.lambda_bi
+        for p in (1, 2, 3, 4):
+            for _ in range(3):
+                a = random_form(lifted.table, p, rng)
+                koszul = interior(lam, exterior_derivative(a))
+                if p > 1:
+                    koszul = koszul - exterior_derivative(interior(lam, a))
+                assert codifferential(lifted, a) == koszul * sign_of(p)
 
 
 def test_jacobi_iff_codifferential_identity():

@@ -292,7 +292,7 @@ def test_unknown_specialize_name_fails_every_command(spec_on_disk):
 
 def test_check_parses_specialize_values_like_solve_ansatz(spec_on_disk):
     # the values are expressions over the sigma table, which has no s for
-    # an even anchor; check must reject them without solving the ansatz
+    # an even anchor
     payload = json.loads(fixture_file("lagrange_top").read_text())
     payload["sigma1"]["ansatz"]["specialize"]["k34"] = "s"
     path = spec_on_disk(payload)
@@ -300,6 +300,22 @@ def test_check_parses_specialize_values_like_solve_ansatz(spec_on_disk):
                    "unknown variable 's'")
     assert run("check", path) == expected
     assert run("solve-ansatz", path) == expected
+
+
+def test_check_applies_specialize_like_solve_ansatz(spec_on_disk):
+    # only the solver knows that k12 is not free and that k34 is, so
+    # check must solve the ansatz to reject these blocks
+    cases = (
+        ({"k12": "1"}, ".k12: 'k12' is neither a free unknown nor a constant"),
+        ({"l3": "1", "m3": "2"}, ": free unknowns left unassigned: k34"),
+    )
+    for block, tail in cases:
+        payload = json.loads(fixture_file("lagrange_top").read_text())
+        payload["sigma1"]["ansatz"]["specialize"] = block
+        path = spec_on_disk(payload)
+        expected = (2, f"error: {path}.sigma1.ansatz.specialize{tail}")
+        assert run("solve-ansatz", path) == expected
+        assert run("check", path) == expected
 
 
 def test_unassigned_free_unknown_exits_two(spec_on_disk):

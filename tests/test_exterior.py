@@ -140,6 +140,44 @@ def test_schouten_vector_fields_is_the_commutator(table):
         assert schouten(X, Y) == MultiVector(table, 1, comps)
 
 
+def _full_component(Q, idx):
+    """Q^idx for any tuple of indices, alternating in its slots."""
+    if len(set(idx)) < len(idx):
+        return RationalFunction.zero(Q.table)
+    inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+    value = Q.coefficient(tuple(sorted(idx)))
+    return -value if inversions & 1 else value
+
+
+def test_schouten_with_a_vector_field_is_the_lie_derivative():
+    # (L_X Q)^J = X^k d_k Q^J - sum_m Q^(J with k in slot m) d_k X^(J_m),
+    # over geometric indices interleaved with a constant and the pencil
+    # parameter, which must stay inert
+    table = VarTable.build(["x1", ("c", "constant"), "x2",
+                            ("lam", "pencil_parameter"), "y1", "y2"])
+    geo = table.geometric_indices
+    inert = parse_ratfun("c + lam*x1", table)
+    scale = parse_ratfun("1/(y1 - c)", table)
+    rng = Random(89)
+    for q in (0, 2, 3):
+        for _ in range(5):
+            X = random_multivector(table, 1, rng) * inert
+            Q = random_multivector(table, q, rng) * scale
+            comps = {}
+            for J in itertools.combinations(geo, q):
+                entry = RationalFunction.zero(table)
+                for k in geo:
+                    entry = entry + (X.coefficient((k,))
+                                     * Q.coefficient(J).derivative(k))
+                    for m, j in enumerate(J):
+                        moved = J[:m] + (k,) + J[m + 1:]
+                        entry = entry - (_full_component(Q, moved)
+                                         * X.coefficient((j,)).derivative(k))
+                if not entry.is_zero():
+                    comps[J] = entry
+            assert schouten(X, Q) == MultiVector(table, q, comps)
+
+
 def test_schouten_known_squares(table):
     one = RationalFunction.one(table)
     x1 = parse_ratfun("x1", table)

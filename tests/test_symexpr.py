@@ -267,7 +267,11 @@ def test_gcd_property_common_factor_divides():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     table = VarTable.build(["x1", "x2", "x3"])
-    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    # rationals in [-6, 6] with denominators 1-4, drawn as integers:
+    # st.fractions spends more time drawing than the gcd takes
+    coeff = st.integers(1, 4).flatmap(
+        lambda d: st.integers(-6 * d, 6 * d).map(lambda n: Fraction(n, d))
+    )
     poly = st.dictionaries(
         st.tuples(*[st.integers(0, 2)] * 3), coeff, min_size=1, max_size=4,
     ).map(lambda terms: Polynomial(table, terms))

@@ -8,6 +8,12 @@ follows the conventions fixed in the exterior module; the remaining global
 sign (omega = -(inverse of the Lambda component matrix)) is pinned by the
 volume form of the rigid body fixture, Omega = -dx1^dx2^dx3^dy1^dy2^dy3 for
 the canonical bivector on R^6.
+
+The codifferential delta = *d* is computed as the Koszul bracket
+[i_Lambda, d]: delta(a) = (-1)^p (i_Lambda da - d i_Lambda a) on a p-form,
+with that sign under these conventions.  It needs no wedge, so the Hodge
+star, which wedges the sharp images of every leg, stays off the hot path;
+``star`` remains public and serves the tests as an independent oracle.
 """
 
 from __future__ import annotations
@@ -287,10 +293,17 @@ def star(anchor: SymplecticAnchor, a: Form) -> Form:
 
 
 def codifferential(anchor: SymplecticAnchor, a: Form) -> Form:
-    """delta = *d*, degree p-1 (zero on functions)."""
+    """delta = *d*, degree p-1 (zero on functions), as the Koszul bracket
+    delta(a) = (-1)^p (i_Lambda da - d i_Lambda a) (Koszul 1985; Brylinski
+    1988, J. Diff. Geom. 28): no star and no wedge.  For p = 1 the second
+    term vanishes, since i_Lambda of a 1-form is zero."""
     if a.degree == 0:
         return Form.zero(a.table, 0)
-    return star(anchor, exterior_derivative(star(anchor, a)))
+    lam = anchor.lambda_bi
+    out = interior(lam, exterior_derivative(a))
+    if a.degree > 1:
+        out = out - exterior_derivative(interior(lam, a))
+    return -out if a.degree % 2 else out
 
 
 # --- odd/even traffic --------------------------------------------------------

@@ -81,7 +81,13 @@ class _Alternating:
         return self.comps.get(tuple(idx), RationalFunction.zero(self.table))
 
     def _like(self, degree: int, comps: dict):
-        return type(self)(self.table, degree, comps)
+        """Same kind and table, from components an operation built out of
+        valid ones: zero components are dropped, nothing is re-checked."""
+        out = object.__new__(type(self))
+        out.table = self.table
+        out.degree = degree
+        out.comps = {idx: c for idx, c in comps.items() if c}
+        return out
 
     def _check_mate(self, other):
         if type(other) is not type(self):
@@ -260,7 +266,7 @@ def exterior_derivative(a: Form) -> Form:
             sign = _merge_sign((v,), idx)
             key = tuple(sorted((v,) + idx))
             accumulate(comps, key, dc if sign > 0 else -dc)
-    return Form(a.table, a.degree + 1, comps)
+    return a._like(a.degree + 1, comps)
 
 
 def differential(f, table: VarTable = None) -> Form:
@@ -288,7 +294,7 @@ def interior(P: MultiVector, a: Form) -> Form:
             K = tuple(i for i in I if i not in jset)
             sign = _merge_sign(J, K)
             accumulate(comps, K, w * c if sign > 0 else -(w * c))
-    return Form(a.table, a.degree - P.degree, comps)
+    return a._like(a.degree - P.degree, comps)
 
 
 def pairing(a: Form, P: MultiVector) -> RationalFunction:

@@ -33,7 +33,10 @@ and c against b, skipping a pair with a constant member such as a
 denominator of 1; a quotient does the same with the divisor flipped and
 then makes its denominator monic again.  A power of a reduced fraction
 needs no gcd.  A constant factor in a polynomial product only scales the
-other factor, and a factor of 1 returns it unchanged.
+other factor, and a factor of 1 returns it unchanged.  The quotient rule
+builds (n/d)' as t/((d/g)*d) for g = gcd(d, d') and t = n'*(d/g) -
+n*(d'/g), and cancels only gcd(t, g): a factor of d/g involves the
+variable and cannot divide t.
 """
 
 from __future__ import annotations
@@ -877,9 +880,17 @@ class RationalFunction:
         dd = self.den.derivative(index)
         if dd.is_zero():
             return RationalFunction(dn, self.den)
-        return RationalFunction(
-            dn * self.den - self.num * dd, self.den * self.den
-        )
+        # n/d differentiates to t/(d1*d) for g = gcd(d, d'), d1 = d/g and
+        # t = n'*d1 - n*(d'/g); a factor of d1 involves x_l and cannot
+        # divide t, so only a factor of g can cancel
+        n, d = self.num, self.den
+        g = poly_gcd(d, dd)
+        d1 = poly_exact_div(d, g)
+        t = dn * d1 - n * poly_exact_div(dd, g)
+        if not g.is_constant():
+            g2 = poly_gcd(t, g)
+            t, d = poly_exact_div(t, g2), poly_exact_div(d, g2)
+        return RationalFunction._reduced(t, d1 * d)
 
     def evaluate(self, point: "RationalPoint") -> Fraction:
         bottom = self.den.evaluate(point)

@@ -6,11 +6,14 @@ from random import Random
 
 import pytest
 
+from involution_forge import exterior
 from involution_forge import (
     DegreeError,
+    ForbiddenVariable,
     Form,
     MultiVector,
     RationalFunction,
+    VarKind,
     VarTable,
     differential,
     exterior_derivative,
@@ -201,3 +204,56 @@ def test_records_round_trip(table):
         P = random_multivector(table, degree, rng)
         assert from_records(table, degree, P.to_records(),
                             kind=MultiVector) == P
+
+
+def test_operation_results_hold_no_zero_component(table):
+    # results are built without the constructor's checks, so they must
+    # still drop every component that cancels
+    def clean(obj):
+        assert all(c for c in obj.comps.values())
+        assert obj == type(obj)(obj.table, obj.degree, obj.comps)
+        return obj
+
+    rng = Random(89)
+    f = random_polynomial(table, rng)
+    df = clean(differential(f, table))
+    assert clean(exterior_derivative(df)).is_zero()
+    assert clean(wedge(df, df)).is_zero()
+    assert clean(df + (-df)).is_zero()
+    for p in (1, 2, 3):
+        a = random_form(table, p, rng)
+        b = random_form(table, 4 - p, rng)
+        P = random_multivector(table, p, rng)
+        clean(exterior_derivative(a))
+        clean(wedge(a, b))
+        clean(wedge(a, a))
+        clean(interior(P, a))
+        clean(a + a * Fraction(-1, 2) + a * Fraction(-1, 2))
+        clean(a + random_form(table, p, rng))
+    # the two contributions to i_X a cancel: X = Dx1 + Dx2 into
+    # a = dx1^dy1 - dx2^dy1 gives dy1 - dy1
+    one = RationalFunction.one(table)
+    X = MultiVector(table, 1, {(0,): one, (1,): one})
+    a = Form(table, 2, {(0, 2): one, (1, 2): -one})
+    assert clean(interior(X, a)).is_zero()
+    # differentiating componentwise hands zeros to the result builder
+    P = MultiVector(table, 2, {(0, 1): parse_ratfun("x1", table), (0, 2): one})
+    assert clean(exterior._derivative(P, 1)).is_zero()
+    clean(schouten(P, random_multivector(table, 2, rng)))
+
+
+def test_public_constructors_keep_their_checks(table):
+    one = RationalFunction.one(table)
+    with pytest.raises(DegreeError):
+        Form(table, 2, {(0,): one})
+    with pytest.raises(DegreeError):
+        MultiVector(table, 2, {(1, 0): one})
+    with pytest.raises(DegreeError):
+        Form(table, -1, {})
+    with pytest.raises(DegreeError):
+        from_records(table, 2, [{"indices": [2, 1], "coeff": "1"}])
+    pencil = VarTable.build(["x1", "x2", ("lambda", VarKind.PENCIL)])
+    with pytest.raises(ForbiddenVariable):
+        Form(pencil, 1, {(2,): RationalFunction.one(pencil)})
+    with pytest.raises(ForbiddenVariable):
+        MultiVector(pencil, 2, {(0, 2): 1})

@@ -1,8 +1,12 @@
-"""Byte-for-byte replay of the seed-0 CLI transcript in benchmarks/golden.json.
+"""Byte-for-byte replay of recorded CLI transcripts.
 
-Each replay runs in a fresh interpreter with a fixed PYTHONHASHSEED, so the
-test also pins that the printed output does not depend on string hashing
-(set iteration order).  golden.json is read, never rewritten.
+The seed-0 ops of the bundled specs are replayed against
+benchmarks/golden.json, and ``report`` on the two benchmark specs against
+golden_benchmark_specs.json next to this file, stdout and exit code.  Each
+replay runs in a fresh interpreter with a fixed PYTHONHASHSEED, so the
+tests also pin that the printed output does not depend on string hashing
+(set iteration order).  The transcripts and the specs are read, never
+rewritten.
 """
 
 import json
@@ -14,22 +18,33 @@ from pathlib import Path
 import pytest
 
 import involution_forge
+from involution_forge.fixtures import fixture_file
 from helpers import BENCHMARKS, load_benchmark
 
-# Runs every op in-process and prints {key: stdout} as JSON.
+# Runs every op in-process and prints {key: [stdout, exit code]} as JSON.
 REPLAY = """
 import contextlib, io, json, sys
 from involution_forge.cli import main
-from involution_forge.fixtures import fixture_file
 out = {}
-for key, extra in json.loads(sys.argv[1]):
-    command, spec, seed = key.split()
+for key, argv in json.loads(sys.argv[1]):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        main([command, str(fixture_file(spec)), "--seed", seed, *extra])
-    out[key] = buf.getvalue()
+        code = main(argv)
+    out[key] = [buf.getvalue(), code]
 print(json.dumps(out))
 """
+
+
+def replay(ops, hash_seed: str) -> dict:
+    """Run ``[(key, argv), ...]`` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(involution_forge.__file__).parents[1])
+    env["PYTHONHASHSEED"] = hash_seed
+    proc = subprocess.run(
+        [sys.executable, "-c", REPLAY, json.dumps(ops)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
 
 
 @pytest.fixture(scope="module")
@@ -47,16 +62,26 @@ def test_seed0_ops_match_golden(seed0_golden, hash_seed):
     pairs = load_benchmark("run").BRACKET_PAIRS
     ops = []
     for key in seed0_golden:
-        command, spec, _ = key.split()
-        ops.append((key, ["--pair", pairs[spec]] if command == "bracket"
-                    else []))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(involution_forge.__file__).parents[1])
-    env["PYTHONHASHSEED"] = hash_seed
-    proc = subprocess.run(
-        [sys.executable, "-c", REPLAY, json.dumps(ops)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    replayed = json.loads(proc.stdout)
+        command, spec, seed = key.split()
+        extra = ["--pair", pairs[spec]] if command == "bracket" else []
+        ops.append((key, [command, str(fixture_file(spec)), "--seed", seed,
+                          *extra]))
+    replayed = replay(ops, hash_seed)
     for key, want in seed0_golden.items():
-        assert replayed[key] == want, key
+        assert replayed[key][0] == want, key
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_benchmark_spec_reports_match_golden(hash_seed):
+    golden = json.loads(
+        (Path(__file__).parent / "golden_benchmark_specs.json")
+        .read_text("utf-8"))["ops"]
+    assert len(golden) == 4
+    ops = []
+    for key in golden:
+        command, spec, seed = key.split()
+        path = BENCHMARKS / "specs" / f"{spec}.json"
+        ops.append((key, [command, str(path), "--seed", seed]))
+    replayed = replay(ops, hash_seed)
+    for key, want in golden.items():
+        assert replayed[key] == [want["stdout"], want["exit"]], key

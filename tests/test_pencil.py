@@ -35,6 +35,7 @@ from involution_forge import (
     poisson_bracket,
     wedge,
 )
+from involution_forge import anchor as anchor_module
 from involution_forge import pencil as pencil_module
 from involution_forge.cli import elaborate, elaborate_ansatz
 from involution_forge.fixtures import assemble_fixture, load_fixture
@@ -156,6 +157,27 @@ def test_assembly_takes_each_codifferential_once(lagrange, monkeypatch):
                     elab.family, elab.partition)
     assert len(inputs) == 5
     assert all(a != b for a, b in itertools.combinations(inputs, 2))
+
+
+def test_sigma_conditions_take_no_hodge_star(lagrange, monkeypatch):
+    # the codifferential is the Koszul bracket: no star, no sharp images
+    _, elab, _ = lagrange
+    calls = []
+
+    def counting(name):
+        real = getattr(anchor_module, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapped
+
+    for name in ("star", "_sharp_extend"):
+        monkeypatch.setattr(anchor_module, name, counting(name))
+    verdicts = check_sigma_conditions(
+        elab.anchor, SigmaPair(elab.sigma0, elab.sigma1))
+    assert len(verdicts) == 3 and all(v.passed for v in verdicts)
+    assert calls == []
 
 
 def test_assembly_without_pencil_parameter_fails_before_the_checks(

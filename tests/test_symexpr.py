@@ -124,6 +124,38 @@ def test_quotient_rule(table):
         assert lhs == rhs
 
 
+def test_derivative_comes_out_reduced(table):
+    # denominators with squared factors and factors free of the variable
+    # differentiated along; the result must equal (n'd - nd')/d^2 reduced
+    # from scratch, term for term
+    def poly(text):
+        return parse_ratfun(text, table).num
+
+    def check(f, i):
+        n, d = f.num, f.den
+        got = f.derivative(i)
+        want = RationalFunction(n.derivative(i) * d - n * d.derivative(i),
+                                d * d)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert poly_gcd(got.num, got.den) == Polynomial.one(table)
+
+    rng = Random(23)
+    factors = [poly(text) for text in (
+        "x1 + 1", "x1*x2 + x3", "x2 + 2*x3", "x2^2 + 1", "x3 - 1", "x1 - x3")]
+    for _ in range(40):
+        den = Polynomial.one(table)
+        for factor in rng.sample(factors, rng.randint(1, 3)):
+            den = den * factor ** rng.randint(1, 3)
+        f = RationalFunction(random_polynomial(table, rng).num, den)
+        for i in range(3):
+            check(f, i)
+    # t = -(x2 + 1) cancels against g = gcd(d, d') = x2 + 1
+    f = RationalFunction(poly("x1*(x2 + 1) + 2"),
+                         poly("(x2 + 1)*(x1*(x2 + 1) + 1)"))
+    check(f, 0)
+    assert f.derivative(0) == parse_ratfun("-1/(x1*(x2 + 1) + 1)^2", table)
+
+
 def test_substitute_matches_composition(table):
     f = parse_ratfun("x1^2 + x2", table)
     g = parse_ratfun("x3 + 1", table)

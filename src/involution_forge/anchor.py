@@ -210,7 +210,7 @@ def build_symplectic(given) -> SymplecticAnchor:
 
 def build_cosymplectic(vartheta: Form, theta: Form) -> CosymplecticAnchor:
     """Anchor from (vartheta, Theta); (Lambda, E) by inverting the
-    symplectization omega' once, checked against Lambda' = Lambda + Ds^E."""
+    symplectization omega' once and splitting Lambda' = Lambda + Ds^E."""
     if vartheta.degree != 1 or theta.degree != 2:
         raise DegreeError("a cosymplectic anchor needs a 1-form and a 2-form")
     vartheta.table.require_same(theta.table)
@@ -227,8 +227,7 @@ def build_cosymplectic(vartheta: Form, theta: Form) -> CosymplecticAnchor:
         raise DegenerateVolume("vartheta^Theta^n vanishes identically")
 
     ext = table.extend(APPENDED_NAME, VarKind.APPENDED)
-    s_idx = ext.appended_index
-    ds = Form(ext, 1, {(s_idx,): 1})
+    ds = Form(ext, 1, {(ext.appended_index,): 1})
     omega_prime = migrate_alternating(theta, ext) + wedge(
         ds, migrate_alternating(vartheta, ext)
     )
@@ -237,16 +236,10 @@ def build_cosymplectic(vartheta: Form, theta: Form) -> CosymplecticAnchor:
     except Degenerate as exc:
         raise DegenerateVolume(str(exc)) from exc
 
-    lambda_comps = {}
-    reeb_comps = {}
-    for (i, j), c in lifted.lambda_bi.comps.items():
-        if j == s_idx:
-            # Lambda' = Lambda + Ds^E puts -E^i on the (i, s) slot
-            reeb_comps[(i,)] = migrate_ratfun(-c, table)
-        else:
-            lambda_comps[(i, j)] = migrate_ratfun(c, table)
-    lambda_bi = MultiVector(table, 2, lambda_comps)
-    reeb = MultiVector(table, 1, reeb_comps)
+    # Lambda' = Lambda + Ds^E = Lambda - E^Ds
+    rest, tail = decompose_prime(lifted.lambda_bi)
+    lambda_bi = migrate_alternating(rest, table)
+    reeb = -migrate_alternating(tail, table)
 
     one = RationalFunction.one(table)
     if interior(reeb, vartheta).coefficient(()) != one:
@@ -255,11 +248,6 @@ def build_cosymplectic(vartheta: Form, theta: Form) -> CosymplecticAnchor:
         raise Degenerate("recovered E fails i_E Theta = 0")
     if not bivector_sharp(lambda_bi, vartheta).is_zero():
         raise Degenerate("recovered Lambda fails Lambda#(vartheta) = 0")
-    expected = migrate_alternating(lambda_bi, ext) + wedge(
-        MultiVector.basis_vector(ext, s_idx), migrate_alternating(reeb, ext)
-    )
-    if lifted.lambda_bi != expected:
-        raise Degenerate("lifted bivector is not Lambda + Ds^E")
     return CosymplecticAnchor(
         table, vartheta, theta, lambda_bi, reeb, volume, lifted
     )
@@ -309,46 +297,40 @@ def codifferential(anchor: SymplecticAnchor, a: Form) -> Form:
 # --- odd/even traffic --------------------------------------------------------
 
 
-def decompose_prime(a: Form):
-    """Split a 2-form on a lifted table as sigma + tau^ds."""
-    if a.degree != 2:
-        raise DegreeError("decompose_prime splits 2-forms")
-    s_idx = a.table.appended_index
+def decompose_prime(a):
+    """Split a form or multivector on a lifted table as a = rest + tail^ds
+    (tail^Ds for a multivector).  The appended coordinate s is the last
+    variable, so it closes every component index it enters and the split
+    takes no sign."""
+    table = a.table
+    s_idx = table.appended_index
     if s_idx is None:
         raise NotReducible("the table carries no appended coordinate")
-    sigma_comps = {}
-    tau_comps = {}
-    for idx, c in a.comps.items():
-        if s_idx in idx:
-            rest = tuple(i for i in idx if i != s_idx)
-            tau_comps[rest] = c
-        else:
-            sigma_comps[idx] = c
-    return Form(a.table, 2, sigma_comps), Form(a.table, 1, tau_comps)
-
-
-def reduce_bivector(Pi_prime: MultiVector) -> MultiVector:
-    """Forget s: requires s-independent components and no Ds legs."""
-    ext = Pi_prime.table
-    s_idx = ext.appended_index
-    if s_idx is None:
-        raise NotReducible("the table carries no appended coordinate")
-    if s_idx != ext.size - 1:
+    if s_idx != table.size - 1:
         raise NotReducible(
             "the appended coordinate must be the most recently declared "
             "variable"
         )
-    base = VarTable.build(list(zip(ext.names[:s_idx], ext.kinds[:s_idx])))
-    comps = {}
-    for idx, c in Pi_prime.comps.items():
+    rest = {}
+    tail = {}
+    for idx, c in a.comps.items():
         if s_idx in idx:
-            raise NotReducible(
-                f"component {idx} carries a Ds leg with coefficient "
-                f"{c.render()}"
-            )
+            tail[idx[:-1]] = c
+        else:
+            rest[idx] = c
+    kind = type(a)
+    return kind(table, a.degree, rest), kind(table, a.degree - 1, tail)
+
+
+def reduce_bivector(Pi_prime: MultiVector) -> MultiVector:
+    """Forget s: requires no Ds legs and s-independent components."""
+    rest, tail = decompose_prime(Pi_prime)
+    ext = Pi_prime.table
+    s_idx = ext.appended_index
+    if not tail.is_zero():
+        raise NotReducible(f"Ds legs remain: ({tail.render()})^Ds")
+    for idx, c in rest.comps.items():
         if c.involves(s_idx):
-            raise NotReducible(
-                f"component {idx} depends on s: {c.render()}"
-            )
-        comps[idx] = migrate_ratfun(c, base)
-    return MultiVector(base, 2, comps)
+            raise NotReducible(f"component {idx} depends on s: {c.render()}")
+    base = VarTable.build(list(zip(ext.names[:s_idx], ext.kinds[:s_idx])))
+    return migrate_alternating(rest, base)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .anchor import (
     APPENDED_NAME,
@@ -479,7 +479,10 @@ def resolve_sigma(block, table: VarTable, path: str):
 
 @dataclass
 class Elaborated:
-    """Everything a command needs, parsed and typed but not yet assembled."""
+    """Everything a command needs, parsed and typed but not yet assembled.
+    ``elaborate`` fills ``sigma1`` unless sigma1 is given only as an
+    ansatz; ``elaborate_ansatz`` restates the ansatz with symbolic
+    constants in ``basis`` and ``specialize``."""
 
     spec: SpecFile
     table: VarTable
@@ -488,22 +491,45 @@ class Elaborated:
     family: object
     partition: list
     sigma0: Form
-    sigma1: Form  # None when sigma1 is given only as an ansatz
+    sigma1: Form = None
+    basis: list = None
+    specialize: dict = field(default_factory=dict)
+
+
+def _elaborate(spec: SpecFile, seed: int, constants, family,
+               path: str) -> Elaborated:
+    """Table (with the extra constants), anchor, family (its entries
+    reported at ``path``), partition and sigma0, in that order."""
+    table = build_table(spec, constants)
+    anchor = build_anchor(spec, table)
+    stable = anchor.lifted.table
+    family = _build_family(table, family, seed, path)
+    partition = _build_partition(family, spec)
+    sigma0 = resolve_sigma(spec.sigma0, stable, f"{spec.path}.sigma0")
+    return Elaborated(spec, table, anchor, stable, family, partition, sigma0)
 
 
 def elaborate(spec: SpecFile, seed: int = 0) -> Elaborated:
-    table = build_table(spec)
-    anchor = build_anchor(spec, table)
-    stable = anchor.lifted.table
-    family = _build_family(table, spec.family, seed, f"{spec.path}.family")
-    partition = _build_partition(family, spec)
-    sigma0 = resolve_sigma(spec.sigma0, stable, f"{spec.path}.sigma0")
-    sigma1 = None
+    parts = _elaborate(spec, seed, (), spec.family, f"{spec.path}.family")
     if "components" in spec.sigma1 or "basis" in spec.sigma1:
-        sigma1 = resolve_sigma(spec.sigma1, stable, f"{spec.path}.sigma1")
-    return Elaborated(
-        spec, table, anchor, stable, family, partition, sigma0, sigma1
-    )
+        parts.sigma1 = resolve_sigma(spec.sigma1, parts.sigma_table,
+                                     f"{spec.path}.sigma1")
+    return parts
+
+
+def elaborate_ansatz(spec: SpecFile, seed: int = 0) -> Elaborated:
+    """The general (symbolic-constant) restatement of a spec's ansatz."""
+    block = spec.sigma1.get("ansatz")
+    if block is None:
+        # the command does not apply to this spec; like a --pair error,
+        # the line names no spec file
+        raise SpecError("sigma1 declares no ansatz", "sigma1")
+    at = f"{spec.path}.sigma1.ansatz"
+    parts = _elaborate(spec, seed, block.get("constants", ()),
+                       block.get("family", spec.family), f"{at}.family")
+    parts.basis = resolve_basis(block, parts.sigma_table, at)
+    parts.specialize = dict(block.get("specialize", {}))
+    return parts
 
 
 def assemble(spec: SpecFile, seed: int = 0) -> tuple:
@@ -520,40 +546,6 @@ def assemble(spec: SpecFile, seed: int = 0) -> tuple:
         parts.family, parts.partition, seed,
     )
     return parts, pencil
-
-
-@dataclass
-class AnsatzProblem:
-    """The general (symbolic-constant) restatement of a spec's ansatz."""
-
-    table: VarTable
-    anchor: object
-    family: object
-    partition: list
-    sigma0: Form
-    basis: list
-    specialize: dict
-
-
-def elaborate_ansatz(spec: SpecFile, seed: int = 0) -> AnsatzProblem:
-    at = f"{spec.path}.sigma1"
-    block = spec.sigma1.get("ansatz")
-    if block is None:
-        # the command does not apply to this spec; like a --pair error,
-        # the line names no spec file
-        raise SpecError("sigma1 declares no ansatz", "sigma1")
-    table = build_table(spec, block.get("constants", ()))
-    anchor = build_anchor(spec, table)
-    stable = anchor.lifted.table
-    family = _build_family(table, block.get("family", spec.family), seed,
-                           f"{at}.ansatz.family")
-    partition = _build_partition(family, spec)
-    sigma0 = resolve_sigma(spec.sigma0, stable, f"{spec.path}.sigma0")
-    basis = resolve_basis(block, stable, f"{at}.ansatz")
-    return AnsatzProblem(
-        table, anchor, family, partition, sigma0, basis,
-        dict(block.get("specialize", {})),
-    )
 
 
 # --- commands -------------------------------------------------------------------
@@ -645,7 +637,7 @@ def _cmd_bracket(spec: SpecFile, seed: int, pair) -> tuple:
     return (0 if agree else 1), "\n".join(lines)
 
 
-def _solve_ansatz(spec: SpecFile, problem: AnsatzProblem) -> tuple:
+def _solve_ansatz(spec: SpecFile, problem: Elaborated) -> tuple:
     """The ansatz solved and its specialize block applied: (solution,
     values_at, specialized sigma1), the last two None without a block.  A
     bad name or value is a spec error at its own path, a free unknown left

@@ -201,17 +201,6 @@ def casimir_function(family: FunctionFamily, cp: CasimirPolynomial
 # --- distributions and annihilators ------------------------------------------
 
 
-@dataclass
-class Distribution:
-    """Finitely many generating vector fields."""
-
-    generators: list
-
-    @property
-    def table(self):
-        return self.generators[0].table
-
-
 def _hamiltonian_fields(anchor, family: FunctionFamily, names) -> list:
     """Hamiltonian fields of family entries on the symplectic anchor the
     sigma pair lives on (the lifted one in odd dimension)."""
@@ -225,9 +214,9 @@ def _hamiltonian_fields(anchor, family: FunctionFamily, names) -> list:
 
 
 def distribution(anchor, family: FunctionFamily, partition, which: int
-                 ) -> Distribution:
-    """D_0 (which = 0, leading coefficients) or D_1 (trailing); the odd
-    case appends the Hamiltonian field of s."""
+                 ) -> list:
+    """Generators of D_0 (which = 0, leading coefficients) or D_1
+    (trailing); the odd case appends the Hamiltonian field of s."""
     pick = 0 if which == 0 else -1
     generators = _hamiltonian_fields(
         anchor, family, [cp.names[pick] for cp in partition]
@@ -236,24 +225,22 @@ def distribution(anchor, family: FunctionFamily, partition, which: int
         lifted = anchor.lifted
         ds = Form(lifted.table, 1, {(lifted.table.appended_index,): 1})
         generators.append(bivector_sharp(lifted.lambda_bi, ds))
-    return Distribution(generators)
+    return generators
 
 
-def annihilator_basis(D: Distribution):
+def annihilator_basis(generators: list):
     """Basis of the 1-forms annihilating every generator, by one exact
     nullspace computation with deterministic pivoting."""
-    table = D.table
+    table = generators[0].table
     geo = table.geometric_indices
     zero = RationalFunction.zero(table)
     rows = [
-        [X.comps.get((i,), zero) for i in geo] for X in D.generators
+        [X.comps.get((i,), zero) for i in geo] for X in generators
     ]
     kernel = nullspace(rows, table, len(geo))
     rank = len(geo) - len(kernel)
-    if rank != len(D.generators):
-        raise RankDrop(
-            f"{len(D.generators)} generators span only rank {rank}"
-        )
+    if rank != len(generators):
+        raise RankDrop(f"{len(generators)} generators span only rank {rank}")
     basis = []
     for vec in kernel:
         comps = {
@@ -285,8 +272,8 @@ def sigma_pair_invariants(anchor, family: FunctionFamily, partition,
     verdicts = []
     sigmas = (pair.sigma0, pair.sigma1)
     for j in (0, 1):
-        D = distribution(anchor, family, partition, j)
-        for g, X in enumerate(D.generators):
+        generators = distribution(anchor, family, partition, j)
+        for g, X in enumerate(generators):
             residual = interior(X, sigmas[j])
             verdicts.append(Verdict(
                 f"sigma{j} annihilates generator {g} of D{j}",
@@ -539,7 +526,8 @@ def compute_F_lambda(anchor, functions, r: int) -> RationalFunction:
     """F(lambda) = <dF^1^...^dF^k, Lambda^l/l!> (even anchor) or
     <..., E^Lambda^l/l!> (odd) for the Casimir polynomials F^i; degree
     exactly r in lambda with nonzero leading and trailing coefficients,
-    certified at a sampled point."""
+    certified at a sampled point.  The table declares a pencil parameter,
+    as assemble_pencil has checked."""
     k = len(functions)
     odd = isinstance(anchor, CosymplecticAnchor)
     if k % 2 != odd:
@@ -559,14 +547,9 @@ def compute_F_lambda(anchor, functions, r: int) -> RationalFunction:
         covector = wedge(covector, differential(f, table))
     value = pairing(covector, against)
 
-    if table.pencil_index is None:
-        coeffs = {0: value} if not value.is_zero() else {}
-    else:
-        if value.den.involves(table.pencil_index):
-            raise NonExactDivision(
-                "F(lambda) has a lambda-dependent denominator"
-            )
-        coeffs = coefficients_in(value, table.names[table.pencil_index])
+    if value.den.involves(table.pencil_index):
+        raise NonExactDivision("F(lambda) has a lambda-dependent denominator")
+    coeffs = coefficients_in(value, table.names[table.pencil_index])
     leading = coeffs.get(r)
     if leading is None:
         raise DegenerateLeading(

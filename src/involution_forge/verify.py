@@ -34,19 +34,21 @@ from .symexpr import (
 RANK_DRAWS = 4
 
 
-def _single(obj):
-    """The first nonzero component of an alternating object, kept as an
-    object of the same class so the witness renders in basis notation."""
-    idx = min(obj.comps)
-    return obj.__class__(obj.table, obj.degree, {idx: obj.comps[idx]})
+def _vanishes(label: str, residual) -> Verdict:
+    """PASS when an alternating residual is zero, else FAIL with its first
+    nonzero component as witness, kept as an object of the same class so
+    it renders in basis notation."""
+    if residual.is_zero():
+        return Verdict(label, True)
+    idx = min(residual.comps)
+    return Verdict(label, False, type(residual)(
+        residual.table, residual.degree, {idx: residual.comps[idx]}
+    ))
 
 
 def jacobi_check(Pi, label: str = "jacobi") -> Verdict:
     """[Pi, Pi] = 0, the Jacobi identity in Schouten form."""
-    bracket = schouten(Pi, Pi)
-    if not bracket.comps:
-        return Verdict(label, True)
-    return Verdict(label, False, _single(bracket))
+    return _vanishes(label, schouten(Pi, Pi))
 
 
 def casimir_check(Pi_lambda, F_i, label: str = "casimir") -> Verdict:
@@ -55,10 +57,9 @@ def casimir_check(Pi_lambda, F_i, label: str = "casimir") -> Verdict:
     The pencil parameter is an inert symbol of the coefficient field, so
     exact vanishing of the sharp image IS the coefficient-wise statement
     for every value of the parameter at once."""
-    X = bivector_sharp(Pi_lambda, differential(F_i, Pi_lambda.table))
-    if not X.comps:
-        return Verdict(label, True)
-    return Verdict(label, False, _single(X))
+    return _vanishes(label, bivector_sharp(
+        Pi_lambda, differential(F_i, Pi_lambda.table)
+    ))
 
 
 def involution_table(Pi_lambda, family: FunctionFamily) -> list:
@@ -106,10 +107,7 @@ def compatibility_check(PiA, PiB, label: str = "compatibility") -> Verdict:
     """[PiA, PiB] = 0, so every linear combination is again Poisson."""
     if PiA.degree != 2 or PiB.degree != 2:
         raise DegreeError("compatibility is a statement about bivectors")
-    bracket = schouten(PiA, PiB)
-    if not bracket.comps:
-        return Verdict(label, True)
-    return Verdict(label, False, _single(bracket))
+    return _vanishes(label, schouten(PiA, PiB))
 
 
 def rank_at_point(Pi, pt: RationalPoint) -> int:

@@ -236,18 +236,36 @@ def test_reduce_rejects_appended_dependence(toda_anchor):
     legged = MultiVector(ltab, 2, {(geo[0], ltab.appended_index): one})
     with pytest.raises(NotReducible):
         reduce_bivector(legged)
+    # s no longer the last variable: the base table cannot be a prefix
+    later = ltab.extend("c", VarKind.CONSTANT)
+    with pytest.raises(NotReducible):
+        reduce_bivector(MultiVector(later, 2, {(geo[0], geo[1]): 1}))
 
 
 def test_decompose_prime_round_trip(toda_anchor):
     ltab = toda_anchor.lifted.table
+    app = ltab.appended_index
     rng = Random(107)
-    one = RationalFunction.one(ltab)
-    ds = Form(ltab, 1, {(ltab.appended_index,): one})
-    for _ in range(6):
-        a = random_form(ltab, 2, rng)
-        part, tau = decompose_prime(a)
-        assert a == part + wedge(tau, ds)
-        # neither factor involves ds any more
-        app = ltab.appended_index
-        assert all(app not in idx for idx in part.comps)
-        assert all(app not in idx for idx in tau.comps)
+    ds = Form(ltab, 1, {(app,): 1})
+    Ds = MultiVector.basis_vector(ltab, app)
+    for degree in (1, 2, 3):
+        for _ in range(3):
+            a = random_form(ltab, degree, rng)
+            rest, tail = decompose_prime(a)
+            assert a == rest + wedge(tail, ds)
+            P = random_multivector(ltab, degree, rng)
+            rest_P, tail_P = decompose_prime(P)
+            assert P == rest_P + wedge(tail_P, Ds)
+            # neither part involves s any more
+            for part in (rest, tail, rest_P, tail_P):
+                assert all(app not in idx for idx in part.comps)
+
+
+def test_lifted_bivector_is_lambda_plus_Ds_wedge_E(toda_anchor):
+    lifted = toda_anchor.lifted
+    ltab = lifted.table
+    Ds = MultiVector.basis_vector(ltab, ltab.appended_index)
+    migrate = anchor_module.migrate_alternating
+    assert lifted.lambda_bi == migrate(toda_anchor.lambda_bi, ltab) + wedge(
+        Ds, migrate(toda_anchor.reeb, ltab)
+    )

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-module-level private function or class is used somewhere in the package.
+"""Every name a package module imports is used in that module, every
+module-level private function or class is used somewhere in the package,
+and ``__all__`` lists exactly the public names the package root binds.
 
 No linter ships with the toolchain, so this walks the syntax trees with
 ``ast``.  ``__init__.py`` is exempt from the import check: its imports are
@@ -8,6 +9,7 @@ re-exports."""
 import ast
 from collections import Counter
 from pathlib import Path
+from types import ModuleType
 
 import involution_forge
 
@@ -99,3 +101,15 @@ def test_unreferenced_private_is_reported():
     }
     assert _unreferenced_privates(sources) == [("a.py", "_Gone"),
                                                ("a.py", "_dead")]
+
+
+def test_package_root_exports_every_public_name():
+    bound = {
+        name for name, value in vars(involution_forge).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    exported = {
+        name for name in involution_forge.__all__
+        if not isinstance(getattr(involution_forge, name), ModuleType)
+    }
+    assert bound == exported

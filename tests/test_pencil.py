@@ -245,13 +245,13 @@ def test_assemble_rejects_broken_sigma(lagrange):
 def test_sigmas_annihilate_their_distributions(lagrange, toda):
     for _, elab, _ in (lagrange, toda):
         for which, sigma in ((0, elab.sigma0), (1, elab.sigma1)):
-            D = distribution(elab.anchor, elab.family, elab.partition,
-                             which)
-            for X in D.generators:
+            generators = distribution(elab.anchor, elab.family,
+                                      elab.partition, which)
+            for X in generators:
                 assert interior(X, sigma).is_zero()
-            basis = annihilator_basis(D)
+            basis = annihilator_basis(generators)
             for beta in basis:
-                for X in D.generators:
+                for X in generators:
                     assert pairing(beta, X).is_zero()
 
 

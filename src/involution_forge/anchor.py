@@ -3,7 +3,7 @@
 Even geometric dimension 2n carries a symplectic pair (omega, Lambda); odd
 dimension 2n+1 carries a cosymplectic structure (vartheta, Theta) whose
 contravariant side (Lambda, E) is recovered by one exact matrix inversion on
-the table extended by the coordinate s.  The sharp/star/codifferential chain
+the table extended by the coordinate s.  The sharp/codifferential chain
 follows the conventions fixed in the exterior module; the remaining global
 sign (omega = -(inverse of the Lambda component matrix)) is pinned by the
 volume form of the rigid body fixture, Omega = -dx1^dx2^dx3^dy1^dy2^dy3 for
@@ -11,9 +11,8 @@ the canonical bivector on R^6.
 
 The codifferential delta = *d* is computed as the Koszul bracket
 [i_Lambda, d]: delta(a) = (-1)^p (i_Lambda da - d i_Lambda a) on a p-form,
-with that sign under these conventions.  It needs no wedge, so the Hodge
-star, which wedges the sharp images of every leg, stays off the hot path;
-``star`` remains public and serves the tests as an independent oracle.
+with that sign under these conventions.  It needs no wedge and no Hodge
+star; the tests keep the star as an independent oracle for it.
 """
 
 from __future__ import annotations
@@ -273,11 +272,6 @@ def flat(anchor: SymplecticAnchor, X: MultiVector) -> Form:
     if X.degree != 1:
         raise DegreeError("flat acts on vector fields")
     return -interior(X, anchor.omega)
-
-
-def star(anchor: SymplecticAnchor, a: Form) -> Form:
-    """*a = interior(sharp(a), Omega)."""
-    return interior(_sharp_extend(anchor.lambda_bi, a), anchor.volume)
 
 
 def codifferential(anchor: SymplecticAnchor, a: Form) -> Form:

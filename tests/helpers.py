@@ -23,6 +23,7 @@ from involution_forge import (
     codifferential,
     differential,
     exterior_derivative,
+    interior,
     jacobian_bracket,
     pairing,
     parse_ratfun,
@@ -115,6 +116,13 @@ def coordinate_jacobiator(Pi: MultiVector, i: int, j: int, k: int
         inner = poisson_bracket(Pi, coords[b], coords[c])
         total = total + poisson_bracket(Pi, coords[a], inner)
     return total
+
+
+def star(anchor, a: Form) -> Form:
+    """Hodge star *a = interior(sharp(a), Omega) on a symplectic anchor;
+    the engine computes the codifferential *d* without it, so it serves
+    here as an independent oracle."""
+    return interior(sharp(anchor, a), anchor.volume)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from involution_forge import (
     reduce_bivector,
     schouten,
     sharp,
-    star,
     wedge,
     wedge_power,
 )
@@ -39,6 +38,7 @@ from helpers import (
     random_multivector,
     random_polynomial,
     sigma_equivalence_suite,
+    star,
 )
 
 

@@ -1,6 +1,7 @@
 """Certification layer: every verdict label, witnesses on failure,
 determinism of the certificate."""
 
+import copy
 import itertools
 from fractions import Fraction
 from random import Random
@@ -29,7 +30,12 @@ from involution_forge import (
     rank_at_sample,
     schouten,
 )
-from involution_forge.fixtures import assemble_fixture, load_fixture
+from involution_forge import verify as verify_module
+from involution_forge.fixtures import (
+    FIXTURE_NAMES,
+    assemble_fixture,
+    load_fixture,
+)
 from involution_forge.verify import bivector_sharp, rank_at_point, sample_point
 from helpers import coordinate_jacobiator, random_multivector
 
@@ -195,3 +201,88 @@ def test_certificate_rank_facts(lagrange):
     assert cert.rank1 == 4
     assert cert.rank_pencil_at_sample == 4
     assert cert.rank_expected == 2 * pencil.r
+
+
+def _pencil_jacobi_by_bilinearity(Pi0, Pi1, lam):
+    """[Pi1, Pi1] - 2 lambda [Pi0, Pi1] + lambda^2 [Pi0, Pi0]."""
+    return (schouten(Pi1, Pi1) - schouten(Pi0, Pi1) * (2 * lam)
+            + schouten(Pi0, Pi0) * lam**2)
+
+
+def test_pencil_jacobi_is_bilinear_in_the_three_brackets(lagrange,
+                                                         toda_pair):
+    # the pencil parameter is inert under schouten, so [Pi_l, Pi_l] is the
+    # bilinear combination component for component: same comps, same
+    # first component, same witness
+    pencils = [lagrange[2], toda_pair[0][1], toda_pair[1][1]]
+    for pencil in pencils:
+        lam = RationalFunction.variable(pencil.table, pencil.pencil_name)
+        pi_lam = pencil.pi_lambda()
+        assert (schouten(pi_lam, pi_lam).comps
+                == _pencil_jacobi_by_bilinearity(
+                    pencil.Pi0, pencil.Pi1, lam).comps)
+    rng = Random(139)
+    table = VarTable.build(["x1", "x2", "x3", "x4",
+                            ("lambda", VarKind.PENCIL)])
+    lam = RationalFunction.variable(table, "lambda")
+    nonzero = 0
+    for _ in range(20):
+        Pi0 = random_multivector(table, 2, rng)
+        Pi1 = random_multivector(table, 2, rng)
+        pi_lam = Pi1 - Pi0 * lam
+        direct = schouten(pi_lam, pi_lam)
+        assert direct.comps == _pencil_jacobi_by_bilinearity(
+            Pi0, Pi1, lam).comps
+        nonzero += not direct.is_zero()
+    assert nonzero >= 10
+
+
+@pytest.mark.parametrize("which", ["Pi1", "Pi0"])
+def test_certify_failure_witnesses_match_the_direct_checks(lagrange, which):
+    # jacobi[pencil] comes from the three brackets by bilinearity; on a
+    # broken Pi1 (or Pi0) its witness is the one the direct bracket gives.
+    # The bump y1*Dx1^Dx3 makes that witness mix the lambda-free and the
+    # lambda terms, so a wrong sign or a dropped bracket shows.
+    _, _, pencil = lagrange
+    table = pencil.table
+    broken = copy.copy(pencil)
+    setattr(broken, which, getattr(pencil, which) + MultiVector(
+        table, 2, {(0, 2): parse_ratfun("y1", table)}))
+    verdicts = {v.label: v for v in certify(broken, seed=0).verdicts}
+    direct = [
+        jacobi_check(broken.pi_lambda(), "jacobi[pencil]"),
+        compatibility_check(broken.Pi0, broken.Pi1,
+                            "compatibility[Pi0,Pi1]"),
+    ]
+    assert "lambda" in direct[0].witness.render()
+    for verdict in direct:
+        assert not verdict.passed
+        assert verdicts[verdict.label].render() == verdict.render()
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_certify_takes_each_bracket_once(name, monkeypatch):
+    # three Schouten brackets, the upper triangle of each bracket matrix,
+    # and no Poisson bracket in the closed-form check
+    _, pencil = assemble_fixture(load_fixture(name))
+    calls = {"schouten": 0, "poisson_bracket": 0}
+
+    def counting(attr):
+        real = getattr(verify_module, attr)
+
+        def wrapped(*args):
+            calls[attr] += 1
+            return real(*args)
+        return wrapped
+
+    for attr in calls:
+        monkeypatch.setattr(verify_module, attr, counting(attr))
+    certify(pencil, seed=0)
+    k = len(pencil.family.functions())
+    m = len(pencil.F_functions)
+    if pencil.anchor.lifted.table.appended_index is not None:
+        m += 1
+    assert calls == {
+        "schouten": 3,
+        "poisson_bracket": k * (k - 1) // 2 + m * (m - 1) // 2,
+    }

@@ -485,15 +485,22 @@ class Elaborated:
     constants in ``basis`` and ``specialize``."""
 
     spec: SpecFile
-    table: VarTable
     anchor: object
-    sigma_table: VarTable
     family: object
     partition: list
     sigma0: Form
     sigma1: Form = None
     basis: list = None
     specialize: dict = field(default_factory=dict)
+
+    @property
+    def table(self) -> VarTable:
+        return self.anchor.table
+
+    @property
+    def sigma_table(self) -> VarTable:
+        """The table the sigma forms live on: the lifted one when odd."""
+        return self.anchor.lifted.table
 
 
 def _elaborate(spec: SpecFile, seed: int, constants, family,
@@ -502,11 +509,11 @@ def _elaborate(spec: SpecFile, seed: int, constants, family,
     reported at ``path``), partition and sigma0, in that order."""
     table = build_table(spec, constants)
     anchor = build_anchor(spec, table)
-    stable = anchor.lifted.table
     family = _build_family(table, family, seed, path)
     partition = _build_partition(family, spec)
-    sigma0 = resolve_sigma(spec.sigma0, stable, f"{spec.path}.sigma0")
-    return Elaborated(spec, table, anchor, stable, family, partition, sigma0)
+    sigma0 = resolve_sigma(spec.sigma0, anchor.lifted.table,
+                           f"{spec.path}.sigma0")
+    return Elaborated(spec, anchor, family, partition, sigma0)
 
 
 def elaborate(spec: SpecFile, seed: int = 0) -> Elaborated:

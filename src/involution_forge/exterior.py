@@ -10,9 +10,16 @@ Sign conventions (fixed once, everything downstream is calibrated to them):
   determinant: pairing(a1^...^ap, X1^...^Xp) = det pairing(ai, Xj);
 * interior is the left contraction filling the first slots of the form:
   interior(X1^...^Xq, a) = a(X1, ..., Xq, . , ..., .).
+
+Powers are divided: ``divided_power(a, n)`` is a^n/n!, the one
+normalization of every volume form and contraction downstream
+(omega^n/n!, Theta^n/n!, Lambda^l/l!, omega^(r-2)/(r-2)!).
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import factorial
 
 from .errors import DegreeError, ForbiddenVariable, UnsupportedDegrees
 from .symexpr import RationalFunction, VarTable, as_ratfun
@@ -71,6 +78,14 @@ class _Alternating:
         self.table = table
         self.degree = degree
         self.comps = clean
+
+    @classmethod
+    def zero(cls, table: VarTable, degree: int):
+        return cls(table, degree, {})
+
+    @classmethod
+    def scalar(cls, table: VarTable, value):
+        return cls(table, 0, {(): value})
 
     # --- structure ------------------------------------------------------
 
@@ -178,32 +193,12 @@ class Form(_Alternating):
     def _basis_symbol(self, i: int) -> str:
         return f"d{self.table.names[i]}"
 
-    @staticmethod
-    def zero(table: VarTable, degree: int) -> "Form":
-        return Form(table, degree, {})
-
-    @staticmethod
-    def scalar(table: VarTable, value) -> "Form":
-        return Form(table, 0, {(): value})
-
 
 class MultiVector(_Alternating):
     """Alternating multivector field of fixed degree."""
 
     def _basis_symbol(self, i: int) -> str:
         return f"D{self.table.names[i]}"
-
-    @staticmethod
-    def zero(table: VarTable, degree: int) -> "MultiVector":
-        return MultiVector(table, degree, {})
-
-    @staticmethod
-    def scalar(table: VarTable, value) -> "MultiVector":
-        return MultiVector(table, 0, {(): value})
-
-    @staticmethod
-    def basis_vector(table: VarTable, i: int) -> "MultiVector":
-        return MultiVector(table, 1, {(i,): 1})
 
 
 def from_records(table: VarTable, degree: int, records, kind=Form):
@@ -240,14 +235,12 @@ def wedge(a, b):
     return a._like(a.degree + b.degree, comps)
 
 
-def wedge_power(a, n: int, scale=None):
-    """a^n, optionally times a scalar (used for volume normalizations)."""
+def divided_power(a, n: int):
+    """a^n/n!, the normalization of every volume and contraction."""
     out = type(a).scalar(a.table, 1)
     for _ in range(n):
         out = wedge(out, a)
-    if scale is not None:
-        out = out * scale
-    return out
+    return out * Fraction(1, factorial(n))
 
 
 def exterior_derivative(a: Form) -> Form:

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .cli import SpecFile, assemble, parse_spec
+from .cli import SpecFile, parse_spec
 from .errors import UnknownFixture
 
 FIXTURE_NAMES = ("lagrange_top", "toda_first", "toda_second")
@@ -48,8 +48,3 @@ def load_fixture(name: str) -> FixtureSpec:
     payload = json.loads(text)
     spec = parse_spec(payload, path=name)
     return FixtureSpec(name, payload, spec, spec.expected)
-
-
-def assemble_fixture(fixture: FixtureSpec, seed: int = 0):
-    """Elaborate and assemble a fixture; returns (elaborated, pencil)."""
-    return assemble(fixture.spec, seed)

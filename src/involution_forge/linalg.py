@@ -30,31 +30,6 @@ def identity(table: VarTable, n: int) -> list:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    if len(a[0]) != len(b):
-        raise DimensionMismatch(
-            f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}"
-        )
-    zero = a[0][0] - a[0][0]
-    out = []
-    for row in a:
-        new = []
-        for j in range(len(b[0])):
-            acc = zero
-            for k, v in enumerate(row):
-                if not v.is_zero():
-                    acc = acc + v * b[k][j]
-            new.append(acc)
-        out.append(new)
-    return out
-
-
-def mat_vec(a: list, v: list) -> list:
-    return [row_col for [row_col] in mat_mul(a, [[x] for x in v])]
-
-
 def _eliminate(rows: list):
     """Gauss-Jordan elimination, the module's one elimination loop, over
     any exact field whose elements are falsy exactly at zero and support

@@ -10,15 +10,16 @@ Pi_lambda = Pi1 - lambda Pi0 by the anchor's sharp; in odd dimension all of
 this happens on the lifted table and is pushed back down at the end.
 
 Identities in lambda are decided coefficient-wise, never by sampling
-lambda; genericity statements (independence, maximal rank, nonvanishing
-leading and trailing coefficients) are certified at sampled rational
-points."""
+lambda.  The leading and trailing coefficients of F(lambda) are nonzero
+exactly when they survive in its exact coefficient list; the remaining
+genericity statements (independence, maximal rank) are certified at
+sampled rational points.  Every power is divided (``divided_power``):
+Lambda^l/l! in F(lambda), w^(r-2)/(r-2)! in Phi_lambda."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from random import Random
 
 from .anchor import (
@@ -48,10 +49,10 @@ from .exterior import (
     Form,
     MultiVector,
     differential,
+    divided_power,
     interior,
     pairing,
     wedge,
-    wedge_power,
 )
 from .linalg import nullspace, sampled_rank, solve_linear
 from .report import Verdict
@@ -63,7 +64,6 @@ from .symexpr import (
     coefficients_in,
     migrate_ratfun,
     parse_ratfun,
-    sample_point,
 )
 
 
@@ -518,16 +518,13 @@ class Pencil:
         lam = RationalFunction.variable(self.table, self.pencil_name)
         return self.Pi1 - self.Pi0 * lam
 
-    def F_coefficients(self) -> dict:
-        return coefficients_in(self.F_lambda, self.pencil_name)
-
 
 def compute_F_lambda(anchor, functions, r: int) -> RationalFunction:
     """F(lambda) = <dF^1^...^dF^k, Lambda^l/l!> (even anchor) or
     <..., E^Lambda^l/l!> (odd) for the Casimir polynomials F^i; degree
     exactly r in lambda with nonzero leading and trailing coefficients,
-    certified at a sampled point.  The table declares a pencil parameter,
-    as assemble_pencil has checked."""
+    read off its exact coefficients.  The table declares a pencil
+    parameter, as assemble_pencil has checked."""
     k = len(functions)
     odd = isinstance(anchor, CosymplecticAnchor)
     if k % 2 != odd:
@@ -537,7 +534,7 @@ def compute_F_lambda(anchor, functions, r: int) -> RationalFunction:
             f"polynomials, got {k}"
         )
     l = k // 2
-    against = wedge_power(anchor.lambda_bi, l, Fraction(1, factorial(l)))
+    against = divided_power(anchor.lambda_bi, l)
     if odd:
         against = wedge(anchor.reeb, against)
 
@@ -550,13 +547,11 @@ def compute_F_lambda(anchor, functions, r: int) -> RationalFunction:
     if value.den.involves(table.pencil_index):
         raise NonExactDivision("F(lambda) has a lambda-dependent denominator")
     coeffs = coefficients_in(value, table.names[table.pencil_index])
-    leading = coeffs.get(r)
-    if leading is None:
+    if r not in coeffs:
         raise DegenerateLeading(
             f"the lambda^{r} coefficient of F(lambda) vanishes identically"
         )
-    trailing = coeffs.get(0)
-    if trailing is None:
+    if 0 not in coeffs:
         raise DegenerateTrailing(
             "the constant coefficient of F(lambda) vanishes identically"
         )
@@ -564,7 +559,6 @@ def compute_F_lambda(anchor, functions, r: int) -> RationalFunction:
         raise DegenerateLeading(
             f"F(lambda) has degree {max(coeffs)} > r = {r}"
         )
-    sample_point(table, [leading, trailing], Random(0))
     return value
 
 
@@ -633,9 +627,7 @@ def closed_form_interior(pencil: Pencil) -> Form:
     core = pencil.sigma_lambda + reference * (
         pencil.g_lambda * Fraction(1, r - 1)
     )
-    phi = wedge(
-        core, wedge_power(reference, r - 2, Fraction(1, factorial(r - 2)))
-    )
+    phi = wedge(core, divided_power(reference, r - 2))
     for f in pencil.F_functions:
         phi = wedge(phi, differential(f, table))
     phi = phi * (RationalFunction.constant(table, -1) / pencil.F_lambda)

@@ -25,7 +25,7 @@ from .anchor import (
 )
 from .errors import DegreeError, SpecError
 from .exterior import differential, schouten
-from .linalg import det, rank_at_point as matrix_rank_at_point
+from .linalg import det, rank_at_point
 from .pencil import FunctionFamily, Pencil, bracket_closed_form
 from .report import Verdict
 from .symexpr import (
@@ -119,12 +119,6 @@ def compatibility_check(PiA, PiB, label: str = "compatibility") -> Verdict:
     return _vanishes(label, schouten(PiA, PiB))
 
 
-def rank_at_point(Pi, pt: RationalPoint) -> int:
-    """Exact rank of the component matrix at a rational point; even by
-    antisymmetry."""
-    return matrix_rank_at_point(full_matrix(Pi), pt)
-
-
 def rank_at_sample(Pi, rng: Random, avoid=()):
     """Best (rank, point) over RANK_DRAWS generic rational draws."""
     rows = full_matrix(Pi)
@@ -139,7 +133,7 @@ def rank_at_sample(Pi, rng: Random, avoid=()):
     best_pt = None
     for _ in range(RANK_DRAWS):
         pt = sample_point(Pi.table, guards, rng)
-        r = matrix_rank_at_point(rows, pt)
+        r = rank_at_point(rows, pt)
         if r > best:
             best, best_pt = r, pt
     return best, best_pt
@@ -239,7 +233,7 @@ def certify(pencil: Pencil, seed: int = 0) -> PencilCertificate:
     jac = [[F.derivative(i) for i in geo] for F in F_list]
     verdicts.append(Verdict(
         "rank[bound]<=2r",
-        matrix_rank_at_point(jac, sample) == family.k,
+        rank_at_point(jac, sample) == family.k,
         f"Casimir Jacobian rank below {family.k} at the sampled point",
     ))
     verdicts.append(_det_identity(pencil, F_list))

@@ -125,6 +125,22 @@ def star(anchor, a: Form) -> Form:
     return interior(sharp(anchor, a), anchor.volume)
 
 
+def mat_mul(a: list, b: list) -> list:
+    """Matrix product by the schoolbook sum; the oracle for ``det``,
+    ``invert`` and ``solve_linear``, which never multiply matrices."""
+    assert len(a[0]) == len(b), "inner dimensions differ"
+    zero = a[0][0] - a[0][0]
+    return [
+        [sum((v * b[k][j] for k, v in enumerate(row) if v), zero)
+         for j in range(len(b[0]))]
+        for row in a
+    ]
+
+
+def mat_vec(a: list, v: list) -> list:
+    return [entry for [entry] in mat_mul(a, [[x] for x in v])]
+
+
 # ---------------------------------------------------------------------------
 # reusable property suites (shared by the unit modules and the acceptance
 # gate, which re-runs them under a wall-clock budget)

@@ -17,6 +17,7 @@ from involution_forge import (
     build_symplectic,
     codifferential,
     differential,
+    divided_power,
     exterior_derivative,
     flat,
     interior,
@@ -27,13 +28,13 @@ from involution_forge import (
     schouten,
     sharp,
     wedge,
-    wedge_power,
 )
 from involution_forge import anchor as anchor_module
-from involution_forge.cli import elaborate
+from involution_forge.cli import elaborate, load_payload, parse_spec
 from involution_forge.fixtures import FIXTURE_NAMES, load_fixture
 from involution_forge.pencil import decompose_prime
 from helpers import (
+    BENCHMARKS,
     random_form,
     random_multivector,
     random_polynomial,
@@ -114,7 +115,7 @@ def test_omega_inverts_the_bivector(canonical):
 def test_volume_is_top_omega_power(canonical):
     table = canonical.table
     n = 2
-    expected = wedge_power(canonical.omega, n, Fraction(1, 2))
+    expected = divided_power(canonical.omega, n)
     assert canonical.volume == expected
     assert not canonical.volume.is_zero()
 
@@ -165,14 +166,27 @@ def test_jacobi_iff_codifferential_identity():
     sigma_equivalence_suite(n=30)
 
 
-def test_cosymplectic_identities(toda_anchor):
-    anchor = toda_anchor
-    table = anchor.table
-    one = RationalFunction.one(table)
-    # the Reeb direction pairs to one with vartheta and kills theta
+def _spec_anchor(name):
+    """The anchor of a bundled fixture or of a benchmark spec, elaborated
+    the way the command line does it."""
+    if name in FIXTURE_NAMES:
+        return elaborate(load_fixture(name).spec).anchor
+    path = str(BENCHMARKS / "specs" / f"{name}.json")
+    return elaborate(parse_spec(load_payload(path), path=path)).anchor
+
+
+@pytest.mark.parametrize("name",
+                         ["toda_first", "toda_second", "certify_scaled"])
+def test_cosymplectic_identities(name):
+    # build_cosymplectic reads (Lambda, E) off -W^-1 without re-checking
+    # these; they are entries of L W = -I, so they pin the split of
+    # Lambda' = Lambda + Ds^E and its signs
+    anchor = _spec_anchor(name)
+    one = RationalFunction.one(anchor.table)
+    # i_E vartheta = 1 and i_E Theta = 0
     assert pairing(anchor.vartheta, anchor.reeb) == one
     assert interior(anchor.reeb, anchor.theta).is_zero()
-    # vartheta spans the kernel of the bivector
+    # Lambda#(vartheta) = 0: vartheta spans the kernel of the bivector
     assert sharp(anchor, anchor.vartheta).is_zero()
     assert schouten(anchor.lambda_bi, anchor.lambda_bi).is_zero()
 
@@ -247,7 +261,7 @@ def test_decompose_prime_round_trip(toda_anchor):
     app = ltab.appended_index
     rng = Random(107)
     ds = Form(ltab, 1, {(app,): 1})
-    Ds = MultiVector.basis_vector(ltab, app)
+    Ds = MultiVector(ltab, 1, {(app,): 1})
     for degree in (1, 2, 3):
         for _ in range(3):
             a = random_form(ltab, degree, rng)
@@ -264,7 +278,7 @@ def test_decompose_prime_round_trip(toda_anchor):
 def test_lifted_bivector_is_lambda_plus_Ds_wedge_E(toda_anchor):
     lifted = toda_anchor.lifted
     ltab = lifted.table
-    Ds = MultiVector.basis_vector(ltab, ltab.appended_index)
+    Ds = MultiVector(ltab, 1, {(ltab.appended_index,): 1})
     migrate = anchor_module.migrate_alternating
     assert lifted.lambda_bi == migrate(toda_anchor.lambda_bi, ltab) + wedge(
         Ds, migrate(toda_anchor.reeb, ltab)

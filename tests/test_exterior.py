@@ -16,6 +16,7 @@ from involution_forge import (
     VarKind,
     VarTable,
     differential,
+    divided_power,
     exterior_derivative,
     from_records,
     interior,
@@ -23,7 +24,6 @@ from involution_forge import (
     parse_ratfun,
     schouten,
     wedge,
-    wedge_power,
 )
 from helpers import (
     exterior_laws_suite,
@@ -102,10 +102,11 @@ def test_interior_is_adjoint_to_wedging(table):
 def test_wedge_power_matches_iterated_wedge(table):
     rng = Random(71)
     a = random_form(table, 2, rng)
-    assert wedge_power(a, 0, Fraction(1)) == Form.scalar(
+    assert divided_power(a, 0) == Form.scalar(
         table, RationalFunction.one(table))
-    assert wedge_power(a, 1, Fraction(1)) == a
-    assert wedge_power(a, 2, Fraction(1, 2)) == wedge(a, a) * Fraction(1, 2)
+    assert divided_power(a, 1) == a
+    assert divided_power(a, 2) == wedge(a, a) * Fraction(1, 2)
+    assert divided_power(a, 3) == wedge(a, wedge(a, a)) * Fraction(1, 6)
 
 
 def test_schouten_gradings(table):

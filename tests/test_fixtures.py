@@ -10,8 +10,8 @@ from involution_forge import (
     UnknownFixture,
     load_fixture,
 )
-from involution_forge.cli import parse_spec, resolve_sigma
-from involution_forge.fixtures import assemble_fixture, fixture_file
+from involution_forge.cli import assemble, parse_spec, resolve_sigma
+from involution_forge.fixtures import fixture_file
 
 
 def test_fixture_inventory():
@@ -36,7 +36,7 @@ def test_fixture_parses_through_the_spec_schema(name):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_assembles(name):
     fixture = load_fixture(name)
-    elab, pencil = assemble_fixture(fixture)
+    elab, pencil = assemble(fixture.spec)
     assert pencil.r == 2
     assert not pencil.F_lambda.is_zero()
     assert elab.sigma0.degree == 2
@@ -49,7 +49,7 @@ def test_sigma_basis_expansion_matches_components():
     fixture = load_fixture("lagrange_top")
     block = fixture.payload["sigma1"]
     assert "components" in block and "basis" in block
-    elab, _ = assemble_fixture(fixture)
+    elab, _ = assemble(fixture.spec)
     table = elab.sigma_table
 
     spec = fixture.spec

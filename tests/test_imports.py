@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
-and ``__all__`` lists exactly the public names the package root binds.
+every public one is used there or exported at the root, and ``__all__``
+lists exactly the public names the package root binds.
 
 No linter ships with the toolchain, so this walks the syntax trees with
 ``ast``.  ``__init__.py`` is exempt from the import check: its imports are
@@ -63,9 +64,10 @@ def _names(tree) -> Counter:
     return found
 
 
-def _unreferenced_privates(sources: dict) -> list:
-    """(module, name) of each module-level ``_name`` function or class that
-    no code outside its own body mentions."""
+def _unreferenced(sources: dict) -> list:
+    """(module, name) of each module-level function or class that no code
+    outside its own body mentions.  The root ``__init__`` imports every
+    name it exports, so an exported name is never reported."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     mentioned = Counter()
     for tree in trees.values():
@@ -76,20 +78,31 @@ def _unreferenced_privates(sources: dict) -> list:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)):
                 continue
-            name = node.name
-            if not name.startswith("_") or name.startswith("__"):
-                continue
-            if mentioned[name] == _names(node)[name]:
-                unreferenced.append((module, name))
+            if mentioned[node.name] == _names(node)[node.name]:
+                unreferenced.append((module, node.name))
     return sorted(unreferenced)
 
 
-def test_package_references_every_private_definition():
-    sources = {
+def _unreferenced_privates(sources: dict) -> list:
+    return [(module, name) for module, name in _unreferenced(sources)
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def _unreferenced_publics(sources: dict) -> list:
+    """Public definitions that only tests could be calling."""
+    return [(module, name) for module, name in _unreferenced(sources)
+            if not name.startswith("_")]
+
+
+def _package_sources() -> dict:
+    return {
         path.name: path.read_text(encoding="utf-8")
         for path in sorted(PACKAGE.glob("*.py"))
     }
-    assert _unreferenced_privates(sources) == []
+
+
+def test_package_references_every_private_definition():
+    assert _unreferenced_privates(_package_sources()) == []
 
 
 def test_unreferenced_private_is_reported():
@@ -101,6 +114,25 @@ def test_unreferenced_private_is_reported():
     }
     assert _unreferenced_privates(sources) == [("a.py", "_Gone"),
                                                ("a.py", "_dead")]
+
+
+def test_package_uses_or_exports_every_public_definition():
+    # a public function or class that no package code calls and the root
+    # does not export is only a wrapper for tests; they call what it wraps
+    assert _unreferenced_publics(_package_sources()) == []
+
+
+def test_unreferenced_public_is_reported():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": "def exported():\n    return helper()\n\n"
+                "def helper():\n    return 1\n\n"
+                "def wrapper():\n    return wrapper\n\n"
+                "class Orphan:\n    pass\n\n"
+                "def _private():\n    pass\n",
+    }
+    assert _unreferenced_publics(sources) == [("a.py", "Orphan"),
+                                              ("a.py", "wrapper")]
 
 
 def test_package_root_exports_every_public_name():

@@ -18,14 +18,12 @@ from involution_forge.linalg import (
     det,
     identity,
     invert,
-    mat_mul,
-    mat_vec,
     nullspace,
     rank_at_point,
     rref,
     solve_linear,
 )
-from helpers import random_polynomial
+from helpers import mat_mul, mat_vec, random_polynomial
 
 
 @pytest.fixture(scope="module")

@@ -37,8 +37,8 @@ from involution_forge import (
 )
 from involution_forge import anchor as anchor_module
 from involution_forge import pencil as pencil_module
-from involution_forge.cli import elaborate, elaborate_ansatz
-from involution_forge.fixtures import assemble_fixture, load_fixture
+from involution_forge.cli import assemble, elaborate, elaborate_ansatz
+from involution_forge.fixtures import load_fixture
 from involution_forge.pencil import (
     SigmaPair,
     annihilator_basis,
@@ -54,14 +54,14 @@ from helpers import jacobian_bracket_suite, random_polynomial
 @pytest.fixture(scope="module")
 def lagrange():
     fixture = load_fixture("lagrange_top")
-    elab, pencil = assemble_fixture(fixture)
+    elab, pencil = assemble(fixture.spec)
     return fixture, elab, pencil
 
 
 @pytest.fixture(scope="module")
 def toda():
     fixture = load_fixture("toda_first")
-    elab, pencil = assemble_fixture(fixture)
+    elab, pencil = assemble(fixture.spec)
     return fixture, elab, pencil
 
 

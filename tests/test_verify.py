@@ -31,26 +31,23 @@ from involution_forge import (
     schouten,
 )
 from involution_forge import verify as verify_module
-from involution_forge.fixtures import (
-    FIXTURE_NAMES,
-    assemble_fixture,
-    load_fixture,
-)
-from involution_forge.verify import bivector_sharp, rank_at_point, sample_point
+from involution_forge.cli import assemble
+from involution_forge.fixtures import FIXTURE_NAMES, load_fixture
+from involution_forge.verify import bivector_sharp, sample_point
 from helpers import coordinate_jacobiator, random_multivector
 
 
 @pytest.fixture(scope="module")
 def lagrange():
     fixture = load_fixture("lagrange_top")
-    elab, pencil = assemble_fixture(fixture)
+    elab, pencil = assemble(fixture.spec)
     return fixture, elab, pencil
 
 
 @pytest.fixture(scope="module")
 def toda_pair():
-    first = assemble_fixture(load_fixture("toda_first"))
-    second = assemble_fixture(load_fixture("toda_second"))
+    first = assemble(load_fixture("toda_first").spec)
+    second = assemble(load_fixture("toda_second").spec)
     return first, second
 
 
@@ -185,7 +182,7 @@ def test_certificate_is_partition_order_independent(toda_pair):
     # single-chain fixtures cannot exercise this, so permute the
     # two-chain case
     fixture = load_fixture("lagrange_top")
-    elab, _ = assemble_fixture(fixture)
+    elab, _ = assemble(fixture.spec)
     swapped = list(reversed(elab.partition))
     pencil = assemble_pencil(elab.anchor, SigmaPair(elab.sigma0, elab.sigma1),
                              elab.family, swapped)
@@ -264,7 +261,7 @@ def test_certify_failure_witnesses_match_the_direct_checks(lagrange, which):
 def test_certify_takes_each_bracket_once(name, monkeypatch):
     # three Schouten brackets, the upper triangle of each bracket matrix,
     # and no Poisson bracket in the closed-form check
-    _, pencil = assemble_fixture(load_fixture(name))
+    _, pencil = assemble(load_fixture(name).spec)
     calls = {"schouten": 0, "poisson_bracket": 0}
 
     def counting(attr):

@@ -37,6 +37,10 @@ class DivisionByZero(ForgeError):
     """Zero denominator in exact arithmetic."""
 
 
+class ExponentOverflow(ForgeError):
+    """An exponent reached the guard bit of its field in a packed monomial."""
+
+
 class PoleAtPoint(ForgeError):
     """Evaluation point lies on the vanishing locus of a denominator."""
 

@@ -5,9 +5,23 @@ two arithmetic classes here.  Design points that the rest of the package
 relies on:
 
 * a ``VarTable`` fixes the variable order once; monomials are compared
-  lexicographically in declared order (earlier variables weigh more) which is
-  exactly Python tuple comparison on exponent vectors;
-* ``Polynomial`` stores ``{exponent tuple: Fraction}`` with no zero entries;
+  lexicographically in declared order (earlier variables weigh more);
+* ``Polynomial`` packs each monomial into one ``int`` (Monagan & Pearce,
+  ISSAC 2009): the exponent of the i-th of n variables fills the
+  FIELD_BITS-bit field at bit FIELD_BITS*(n-1-i).  The first declared
+  variable has the highest field, so comparing the ints compares the
+  monomials lexicographically, and a monomial product is one integer
+  addition;
+* the top bit of every field is a guard.  Exponents stay below
+  2^(FIELD_BITS-1) = 32768, so the sum of two fields never carries into
+  the next one, and a product whose exponent would reach the guard raises
+  ExponentOverflow instead.  The parser admits expressions of total degree
+  at most MAX_DEGREE = 200, which leaves a factor of 163 for the degree
+  growth of derived results (products in wedges, brackets, determinants
+  and remainder sequences) before the guard can trip;
+* the coefficients are nonzero ``int`` numerators over one positive ``int``
+  denominator that shares no factor with their content (1 for the zero
+  polynomial), so structural equality is equality in Q[x];
 * ``RationalFunction`` is always reduced (gcd of numerator and denominator is
   a unit) with a monic denominator under the monomial order, so structural
   equality coincides with equality in the fraction field;
@@ -15,13 +29,14 @@ relies on:
   are fenced off from every differential operator.
 
 Polynomial gcds run the heuristic GCDHEU first (Char, Geddes & Gonnet
-1989): both inputs are cleared into Z[x], the most significant variable is
+1989): the numerators are in Z[x] already, the most significant variable is
 evaluated at a large integer xi, recursively down to an integer gcd, and the
 candidate is rebuilt from the symmetric xi-adic digits of that gcd.  It is
 accepted only if it divides both inputs exactly over Z.  After HEU_GCD_MAX
 evaluation points the gcd falls back to contents and a fraction-free
 subresultant remainder sequence, recursing on the most recently declared
-variable that actually occurs.
+variable that actually occurs.  Exact division divides by the primitive part
+of the divisor over Z, where Gauss's lemma keeps every quotient integral.
 
 Arithmetic on reduced fractions takes gcds only where a factor can cancel
 (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1).  A sum over equal denominators
@@ -43,13 +58,16 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from functools import reduce
+from math import gcd, isqrt
+from operator import or_
 from random import Random
 
 from .errors import (
     DivisionByZero,
+    ExponentOverflow,
     ForbiddenVariable,
     NegativeExponent,
     ParseError,
@@ -60,6 +78,11 @@ from .errors import (
 )
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+# Bits per exponent field of a packed monomial, guard bit included.
+FIELD_BITS = 16
+_FIELD = (1 << FIELD_BITS) - 1
+_GUARD = 1 << (FIELD_BITS - 1)
 
 
 class VarKind(enum.Enum):
@@ -82,6 +105,10 @@ class VarTable:
 
     names: tuple[str, ...]
     kinds: tuple[VarKind, ...]
+    # bit offset of each variable's field in a packed monomial, and the
+    # mask of all guard bits
+    shifts: tuple = field(init=False, repr=False, compare=False)
+    guard: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.names) != len(self.kinds):
@@ -96,6 +123,10 @@ class VarTable:
         for kind in (VarKind.PENCIL, VarKind.APPENDED):
             if sum(1 for k in self.kinds if k is kind) > 1:
                 raise TableMismatch(f"more than one {kind.value} variable")
+        n = len(self.names)
+        shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+        object.__setattr__(self, "shifts", shifts)
+        object.__setattr__(self, "guard", sum(_GUARD << s for s in shifts))
 
     @staticmethod
     def build(entries) -> "VarTable":
@@ -153,28 +184,64 @@ class VarTable:
         return VarTable(self.names + (name,), self.kinds + (kind,))
 
     def require_same(self, other: "VarTable"):
-        if self != other:
+        if self is not other and self != other:
             raise TableMismatch(
                 f"variable tables differ: {self.names} vs {other.names}"
             )
 
 
-def _coerce_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _scalar(value):
+    """value itself if it is an exact scalar (int or Fraction)."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
 
 
+def _pack(table: VarTable, exponents) -> int:
+    """The packed monomial of an exponent tuple in table order."""
+    exponents = tuple(exponents)
+    if len(exponents) != table.size:
+        raise TableMismatch(
+            f"{len(exponents)} exponents for {table.size} variables")
+    m = 0
+    for p in exponents:
+        if p < 0:
+            raise NegativeExponent(f"negative exponent {p} in a monomial")
+        if p >= _GUARD:
+            raise ExponentOverflow(f"exponent {p} reaches 2^{FIELD_BITS - 1}")
+        m = m << FIELD_BITS | p
+    return m
+
+
+def _unpack(table: VarTable, m: int) -> tuple:
+    """The exponent tuple of a packed monomial."""
+    return tuple(m >> s & _FIELD for s in table.shifts)
+
+
+def _normal(table: VarTable, terms: dict, den: int) -> "Polynomial":
+    """terms/den (nonzero numerators, den > 0) with their common factor
+    cancelled."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {m: c // g for m, c in terms.items()}
+    return Polynomial(table, terms, den)
+
+
 class Polynomial:
-    """Sparse polynomial: mapping from exponent tuples to Fractions."""
+    """Sparse polynomial: {packed monomial: int numerator} over ``den``.
 
-    __slots__ = ("table", "terms")
+    The constructor takes the layout as it stands: nonzero numerators and a
+    positive ``den`` coprime to their content.  Polynomials are never
+    written to after construction, so results may share their terms."""
 
-    def __init__(self, table: VarTable, terms: dict):
+    __slots__ = ("table", "terms", "den")
+
+    def __init__(self, table: VarTable, terms: dict, den: int = 1):
         self.table = table
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.terms = terms
+        self.den = den
 
     # --- constructors -----------------------------------------------------
 
@@ -184,25 +251,26 @@ class Polynomial:
 
     @staticmethod
     def constant(table: VarTable, value) -> "Polynomial":
-        value = _coerce_fraction(value)
+        value = _scalar(value)
         if not value:
-            return Polynomial.zero(table)
-        return Polynomial(table, {(0,) * table.size: value})
+            return Polynomial(table, {})
+        return Polynomial(table, {0: value.numerator}, value.denominator)
 
     @staticmethod
     def one(table: VarTable) -> "Polynomial":
-        return Polynomial.constant(table, 1)
+        return Polynomial(table, {0: 1})
 
     @staticmethod
     def variable(table: VarTable, name: str) -> "Polynomial":
-        i = table.index(name)
-        exp = [0] * table.size
-        exp[i] = 1
-        return Polynomial(table, {tuple(exp): Fraction(1)})
+        return Polynomial(table, {1 << table.shifts[table.index(name)]: 1})
 
     @staticmethod
     def monomial(table: VarTable, exponents, coeff=1) -> "Polynomial":
-        return Polynomial(table, {tuple(exponents): _coerce_fraction(coeff)})
+        coeff = _scalar(coeff)
+        if not coeff:
+            return Polynomial(table, {})
+        return Polynomial(table, {_pack(table, exponents): coeff.numerator},
+                          coeff.denominator)
 
     # --- structure --------------------------------------------------------
 
@@ -210,39 +278,29 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        # the zero exponent is the only constant monomial
-        return len(self.terms) <= 1 and all(not any(e) for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        # the zero monomial is the only constant one
+        terms = self.terms
+        return not terms or (0 in terms and len(terms) == 1)
 
     def leading(self):
         """(exponent tuple, coefficient) of the lex-largest monomial."""
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms)
-        return e, self.terms[e]
+        m = max(self.terms)
+        return _unpack(self.table, m), Fraction(self.terms[m], self.den)
 
     def degree_in(self, index: int) -> int:
         """Largest exponent of the variable at ``index`` (-1 for zero)."""
-        if self.is_zero():
-            return -1
-        return max(e[index] for e in self.terms)
+        s = self.table.shifts[index]
+        return max((m >> s & _FIELD for m in self.terms), default=-1)
 
     def variables_present(self):
-        present = set()
-        for e in self.terms:
-            for i, p in enumerate(e):
-                if p:
-                    present.add(i)
-        return present
+        bits = reduce(or_, self.terms, 0)
+        return {i for i, s in enumerate(self.table.shifts) if bits >> s & _FIELD}
 
     def involves(self, index: int) -> bool:
-        return any(e[index] for e in self.terms)
+        s = self.table.shifts[index]
+        return any(m >> s & _FIELD for m in self.terms)
 
     # --- arithmetic ---------------------------------------------------------
 
@@ -254,87 +312,119 @@ class Polynomial:
             return Polynomial.constant(self.table, other)
         return None
 
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign*other for sign = 1 or -1."""
+        a, b = self.terms, other.terms
+        if not b:
+            return self
+        if not a:
+            return other if sign == 1 else -other
+        da, db = self.den, other.den
+        if da == db:
+            terms, den = dict(a), da
+        else:
+            g = gcd(da, db)
+            scale, den = db // g, da // g * db
+            sign *= da // g
+            terms = {m: c * scale for m, c in a.items()}
+        for m, c in b.items():
+            acc = terms.get(m, 0) + c * sign
+            if acc:
+                terms[m] = acc
+            else:
+                del terms[m]
+        return _normal(self.table, terms, den)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = terms.get(e, 0) + c
-            if acc:
-                terms[e] = acc
-            else:
-                terms.pop(e, None)
-        return Polynomial(self.table, terms)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.table, {e: -c for e, c in self.terms.items()})
+        return Polynomial(
+            self.table, {m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._plus(self, -1)
 
-    def _scaled(self, c) -> "Polynomial":
-        """self times the scalar c; self itself when c is 1 (polynomials
-        are never written to after construction, so sharing is safe)."""
-        if c == 1:
+    def _times(self, n: int, d: int) -> "Polynomial":
+        """self times the rational n/d for d != 0; self itself when n/d is 1
+        (polynomials are never written to, so sharing is safe)."""
+        if d < 0:
+            n, d = -n, -d
+        if n == d:
             return self
-        if not c:
-            return Polynomial.zero(self.table)
-        return Polynomial(self.table, {e: k * c for e, k in self.terms.items()})
+        if not n:
+            return Polynomial(self.table, {})
+        terms = self.terms
+        if n != 1:
+            terms = {m: c * n for m, c in terms.items()}
+        return _normal(self.table, terms, self.den * d)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(_coerce_fraction(other))
-        other = self._coerce(other)
-        if other is None:
+        # Polynomial first: the Fraction check goes through its ABC
+        if not isinstance(other, Polynomial):
+            if isinstance(other, (int, Fraction)):
+                return self._times(other.numerator, other.denominator)
             return NotImplemented
+        self.table.require_same(other.table)
+        a, b = self.terms, other.terms
         # a constant operand only scales the other one
         if other.is_constant():
-            return self._scaled(other.constant_value())
+            return self._times(b.get(0, 0), other.den)
         if self.is_constant():
-            return other._scaled(self.constant_value())
-        terms: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                acc = terms.get(e, 0) + ca * cb
-                if acc:
-                    terms[e] = acc
-                else:
-                    terms.pop(e, None)
-        return Polynomial(self.table, terms)
+            return other._times(a.get(0, 0), self.den)
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # a monomial factor: no two products meet
+            [(eb, cb)] = b.items()
+            terms = {ea + eb: ca * cb for ea, ca in a.items()}
+        else:
+            terms = {}
+            get = terms.get
+            for ea, ca in a.items():
+                for eb, cb in b.items():
+                    e = ea + eb
+                    terms[e] = get(e, 0) + ca * cb
+            if len(terms) < len(a) * len(b):
+                terms = {e: c for e, c in terms.items() if c}
+        if reduce(or_, terms, 0) & self.table.guard:
+            raise ExponentOverflow(
+                f"an exponent reaches 2^{FIELD_BITS - 1} in a product")
+        return _normal(self.table, terms, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise NegativeExponent(f"exponent must be an unsigned integer, got {n}")
+        # one factor at a time: for a dense base, squaring would spend most
+        # of its work on the last product of two large powers
         result = Polynomial.one(self.table)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.table, other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Polynomial.constant(self.table, other)
+        return (self.den == other.den and self.terms == other.terms
+                and (self.table is other.table or self.table == other.table))
 
     def __repr__(self):
         return f"Polynomial({self.render()!r})"
@@ -349,26 +439,28 @@ class Polynomial:
                 f"cannot differentiate along {self.table.names[index]!r} "
                 f"({kind.value})"
             )
-        terms: dict = {}
-        for e, c in self.terms.items():
-            p = e[index]
-            if not p:
-                continue
-            new = list(e)
-            new[index] = p - 1
-            terms[tuple(new)] = c * p
-        return Polynomial(self.table, terms)
+        s = self.table.shifts[index]
+        unit = 1 << s
+        terms = {}
+        for m, c in self.terms.items():
+            p = m >> s & _FIELD
+            if p:
+                terms[m - unit] = c * p
+        return _normal(self.table, terms, self.den)
 
     def evaluate(self, point: "RationalPoint") -> Fraction:
         self.table.require_same(point.table)
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            value = c
-            for i, p in enumerate(e):
+        # integer coordinates keep the sum in int arithmetic
+        values = [v.numerator if v.denominator == 1 else v
+                  for v in point.values]
+        total = 0
+        for m, c in self.terms.items():
+            for i, s in enumerate(self.table.shifts):
+                p = m >> s & _FIELD
                 if p:
-                    value *= point.values[i] ** p
-            total += value
-        return total
+                    c *= values[i] ** p
+            total += c
+        return Fraction(total) / self.den
 
     # --- display --------------------------------------------------------------
 
@@ -376,35 +468,32 @@ class Polynomial:
         """Canonical text, re-parseable by ``parse_ratfun``."""
         if self.is_zero():
             return "0"
+        names = self.table.names
         pieces = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+        for m in sorted(self.terms, reverse=True):
+            c = self.terms[m]
             factors = []
-            for i, p in enumerate(e):
+            for name, p in zip(names, _unpack(self.table, m)):
                 if p == 1:
-                    factors.append(self.table.names[i])
+                    factors.append(name)
                 elif p:
-                    factors.append(f"{self.table.names[i]}^{p}")
+                    factors.append(f"{name}^{p}")
             mono = "*".join(factors)
-            mag = abs(c)
+            g = gcd(c, self.den)
+            num, den = abs(c) // g, self.den // g
+            mag = str(num) if den == 1 else f"{num}/{den}"
             if not mono:
-                body = _render_fraction(mag)
-            elif mag == 1:
+                body = mag
+            elif num == den == 1:
                 body = mono
             else:
-                body = f"{_render_fraction(mag)}*{mono}"
+                body = f"{mag}*{mono}"
             pieces.append(("-" if c < 0 else "+", body))
         sign, body = pieces[0]
         out = ("-" if sign == "-" else "") + body
         for sign, body in pieces[1:]:
             out += f" {sign} {body}"
         return out
-
-
-def _render_fraction(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 # --- gcd machinery -----------------------------------------------------------
@@ -416,58 +505,40 @@ def poly_exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
     if q.is_zero():
         raise DivisionByZero("division by the zero polynomial")
     if q.is_constant():
-        return p * (1 / q.constant_value())
-    quot = Polynomial.zero(p.table)
-    rem = p
-    eq, cq = q.leading()
-    while not rem.is_zero():
-        er, cr = rem.leading()
-        diff = tuple(a - b for a, b in zip(er, eq))
-        if any(d < 0 for d in diff):
-            raise DivisionByZero("polynomial division is not exact")
-        t = Polynomial.monomial(p.table, diff, cr / cq)
-        quot = quot + t
-        rem = rem - t * q
-    return quot
+        return p._times(q.den, q.terms[0])
+    # over Z by the primitive part of q (Gauss: the quotient stays integral)
+    content = gcd(*q.terms.values())
+    divisor = q.terms
+    if content != 1:
+        divisor = {m: c // content for m, c in divisor.items()}
+    quot = _zz_quotient(p.terms, divisor, p.table)
+    if quot is None:
+        raise DivisionByZero("polynomial division is not exact")
+    return Polynomial(p.table, quot)._times(q.den, p.den * content)
 
 
 def _monic(p: Polynomial) -> Polynomial:
     if p.is_zero():
         return p
-    _, c = p.leading()
-    return p * (1 / c)
+    return Polynomial(p.table, p.terms)._times(1, p.terms[max(p.terms)])
 
 
-def _monomial_content(p: Polynomial):
-    """Componentwise min of all exponent vectors."""
-    it = iter(p.terms)
-    acc = list(next(it))
-    for e in it:
-        for i, x in enumerate(e):
-            if x < acc[i]:
-                acc[i] = x
-    return tuple(acc)
-
-
-def _shift_down(p: Polynomial, mono) -> Polynomial:
-    if not any(mono):
-        return p
-    return Polynomial(
-        p.table,
-        {tuple(a - b for a, b in zip(e, mono)): c for e, c in p.terms.items()},
-    )
+def _monomial_gcd(table: VarTable, monomials) -> int:
+    """Fieldwise minimum of packed monomials (a non-empty collection)."""
+    low = 0
+    for s in table.shifts:
+        low |= min(m >> s & _FIELD for m in monomials) << s
+    return low
 
 
 def _univariate_view(p: Polynomial, v: int):
     """Coefficients of powers of variable ``v``: {power: Polynomial}."""
+    s = p.table.shifts[v]
     coeffs: dict = {}
-    for e, c in p.terms.items():
-        d = e[v]
-        stripped = list(e)
-        stripped[v] = 0
-        bucket = coeffs.setdefault(d, {})
-        bucket[tuple(stripped)] = bucket.get(tuple(stripped), 0) + c
-    return {d: Polynomial(p.table, t) for d, t in coeffs.items()}
+    for m, c in p.terms.items():
+        d = m >> s & _FIELD
+        coeffs.setdefault(d, {})[m - (d << s)] = c
+    return {d: _normal(p.table, t, p.den) for d, t in coeffs.items()}
 
 
 def _lc_in(p: Polynomial, v: int) -> Polynomial:
@@ -505,10 +576,11 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return _monic(b)
     if b.is_zero():
         return _monic(a)
-    ma, mb = _monomial_content(a), _monomial_content(b)
-    shared = tuple(min(x, y) for x, y in zip(ma, mb))
-    a0, b0 = _shift_down(a, ma), _shift_down(b, mb)
-    common = Polynomial.monomial(a.table, shared)
+    table = a.table
+    ma, mb = _monomial_gcd(table, a.terms), _monomial_gcd(table, b.terms)
+    a0 = Polynomial(table, {m - ma: c for m, c in a.terms.items()}, a.den)
+    b0 = Polynomial(table, {m - mb: c for m, c in b.terms.items()}, b.den)
+    common = Polynomial(table, {_monomial_gcd(table, (ma, mb)): 1})
     if a0.is_constant() or b0.is_constant():
         return common
     g = _heuristic_gcd(a0, b0)
@@ -554,38 +626,24 @@ def _prs_gcd(a: Polynomial, b: Polynomial, v: int) -> Polynomial:
 
 # --- heuristic gcd over Z ------------------------------------------------------
 #
-# Polynomials over Z are dicts {exponent tuple: int} without zero entries,
-# over the variables present in either input, in table order; the first
-# coordinate is the most significant variable and is evaluated first.
+# Polynomials over Z are dicts {packed monomial: int} without zero entries.
+# ``shifts`` lists the fields of the variables still to evaluate, most
+# significant first; the fields of evaluated variables are zero.
 
 HEU_GCD_MAX = 6
 
 
 def _heuristic_gcd(a: Polynomial, b: Polynomial):
     """Monic gcd of non-constant inputs by GCDHEU, or None if it gives up."""
+    table = a.table
     present = sorted(a.variables_present() | b.variables_present())
-    h = _heu_gcd(_zz_terms(a, present), _zz_terms(b, present))
+    h = _heu_gcd(a.terms, b.terms, [table.shifts[i] for i in present], table)
     if h is None:
         return None
-    terms = {}
-    for e, c in h.items():
-        full = [0] * a.table.size
-        for i, p in zip(present, e):
-            full[i] = p
-        terms[tuple(full)] = Fraction(c)
-    return _monic(Polynomial(a.table, terms))
+    return _monic(Polynomial(table, h))
 
 
-def _zz_terms(p: Polynomial, present) -> dict:
-    """p times the lcm of its denominators, on the ``present`` coordinates."""
-    scale = lcm(*(c.denominator for c in p.terms.values()))
-    return {
-        tuple(e[i] for i in present): c.numerator * (scale // c.denominator)
-        for e, c in p.terms.items()
-    }
-
-
-def _heu_gcd(f: dict, g: dict):
+def _heu_gcd(f: dict, g: dict, shifts: list, table: VarTable):
     """gcd of nonzero f, g in Z[x] (integer content included, leading
     coefficient positive), or None after HEU_GCD_MAX evaluation points."""
     cont = gcd(gcd(*f.values()), gcd(*g.values()))
@@ -598,50 +656,57 @@ def _heu_gcd(f: dict, g: dict):
     x = max(min(bound, 99 * isqrt(bound)),
             2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4)
     for _ in range(HEU_GCD_MAX):
-        ff, gg = _zz_evaluate(f, x), _zz_evaluate(g, x)
+        ff = _zz_evaluate(f, x, shifts[0])
+        gg = _zz_evaluate(g, x, shifts[0])
         if ff and gg:
-            if () in ff:  # f and g were univariate: ff, gg are integers
-                image = {(): gcd(ff[()], gg[()])}
+            if len(shifts) == 1:  # no variable left: ff, gg are integers
+                image = {0: gcd(ff[0], gg[0])}
             else:
-                image = _heu_gcd(ff, gg)
+                image = _heu_gcd(ff, gg, shifts[1:], table)
                 if image is None:
                     return None
-            h = _zz_interpolate(image, x)
+            h = _zz_interpolate(image, x, shifts[0])
             content = gcd(*h.values())
             h = {e: c // content for e, c in h.items()}
-            if _zz_divides(h, f) and _zz_divides(h, g):
+            if (_zz_quotient(f, h, table) is not None
+                    and _zz_quotient(g, h, table) is not None):
                 return {e: c * cont for e, c in h.items()}
         # the next point, about 2.73 x^(5/4) as in SymPy's heugcd
         x = 73794 * x * isqrt(isqrt(x)) // 27011
     return None
 
 
-def _zz_evaluate(f: dict, x: int) -> dict:
-    """f with its first variable replaced by the integer x."""
+def _zz_evaluate(f: dict, x: int, s: int) -> dict:
+    """f with the variable in the field at bit s replaced by the integer x."""
     powers = [1]
-    for _ in range(max(e[0] for e in f)):
+    for _ in range(max(m >> s & _FIELD for m in f)):
         powers.append(powers[-1] * x)
     out: dict = {}
-    for e, c in f.items():
-        rest = e[1:]
-        out[rest] = out.get(rest, 0) + c * powers[e[0]]
+    for m, c in f.items():
+        p = m >> s & _FIELD
+        rest = m - (p << s)
+        out[rest] = out.get(rest, 0) + c * powers[p]
     return {e: c for e, c in out.items() if c}
 
 
-def _zz_interpolate(h: dict, x: int) -> dict:
-    """The polynomial with symmetric base-x digits (|digit| <= x/2) whose
-    value at first variable = x is h; leading coefficient positive."""
+def _zz_interpolate(h: dict, x: int, s: int) -> dict:
+    """The polynomial with symmetric base-x digits (|digit| <= x/2) in the
+    variable at bit s whose value there at x is h; leading coefficient
+    positive."""
     half = x // 2
     out = {}
     power = 0
     while h:
+        if power == _GUARD:
+            raise ExponentOverflow(
+                f"gcd image needs a digit at x^{power}")
         rest = {}
         for e, c in h.items():
             digit = c % x
             if digit > half:
                 digit -= x
             if digit:
-                out[(power,) + e] = digit
+                out[(power << s) + e] = digit
             c = (c - digit) // x
             if c:
                 rest[e] = c
@@ -652,29 +717,49 @@ def _zz_interpolate(h: dict, x: int) -> dict:
     return out
 
 
-def _zz_divides(h: dict, f: dict) -> bool:
-    """Whether h divides f exactly over Z (leading-term division)."""
+def _zz_quotient(f: dict, h: dict, table: VarTable):
+    """f/h over Z by leading terms, or None if h does not divide f."""
+    if not f:
+        return {}
     lead = max(h)
     lc = h[lead]
-    # exact division keeps every quotient exponent within these degrees
-    room = [a - b for a, b in zip(map(max, zip(*f)), map(max, zip(*h)))]
-    if min(room) < 0:
-        return False
+    guard = table.guard
+    # exact division keeps every quotient exponent within deg f - deg h;
+    # a variable h lacks gets the whole field below the guard
+    used = reduce(or_, h)
+    room = 0
+    for s in table.shifts:
+        if used >> s & _FIELD:
+            d = (max(m >> s & _FIELD for m in f)
+                 - max(m >> s & _FIELD for m in h))
+            if d < 0:
+                return None
+        else:
+            d = _GUARD - 1
+        room |= d << s
+    room |= guard
     rem = dict(f)
+    quot = {}
     while rem:
         top = max(rem)
         q, r = divmod(rem[top], lc)
-        shift = tuple(a - b for a, b in zip(top, lead))
-        if r or any(s < 0 or s > d for s, d in zip(shift, room)):
-            return False
+        # a borrow out of a field clears its guard bit: lead does not
+        # divide top there, or the quotient leaves the room
+        shift = (top | guard) - lead
+        if r or shift & guard != guard:
+            return None
+        shift ^= guard
+        if (room - shift) & guard != guard:
+            return None
+        quot[shift] = q
         for e, c in h.items():
-            m = tuple(a + b for a, b in zip(shift, e))
+            m = shift + e
             v = rem.get(m, 0) - q * c
             if v:
                 rem[m] = v
             else:
                 del rem[m]
-    return True
+    return quot
 
 
 # --- rational functions --------------------------------------------------------
@@ -682,13 +767,10 @@ def _zz_divides(h: dict, f: dict) -> bool:
 
 def _monic_pair(num: Polynomial, den: Polynomial):
     """num and den both divided by the leading coefficient of den."""
-    _, lead = den.leading()
-    if lead == 1:
+    lead = den.terms[max(den.terms)]
+    if lead == den.den:
         return num, den
-    inv = 1 / lead
-    return num * inv, den * inv
-
-
+    return num._times(den.den, lead), den._times(den.den, lead)
 def _cross_cancelled(a, b, c, d):
     """Numerator and denominator of (a/b)*(c/d) for coprime a, b and coprime
     c, d: only a against d and c against b can share a factor (Henrici), and
@@ -772,7 +854,8 @@ class RationalFunction:
         return not self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den == Polynomial.one(self.table)
+        # the denominator is monic, so a constant one is 1
+        return self.den.is_constant()
 
     def involves(self, index: int) -> bool:
         return self.num.involves(index) or self.den.involves(index)
@@ -861,13 +944,10 @@ class RationalFunction:
         return RationalFunction._reduced(self.num**n, self.den**n)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            coerced = self._coerce(other)
-            if coerced is None:
-                return NotImplemented
-            other = coerced
         if not isinstance(other, RationalFunction):
-            return NotImplemented
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __repr__(self):
@@ -910,20 +990,19 @@ class RationalFunction:
             elif isinstance(value, Polynomial):
                 value = RationalFunction.from_polynomial(value)
             values[i] = value
+        # substitute in table order, whatever the order of the mapping
+        values = sorted(values.items())
 
         def sub_poly(p: Polynomial) -> RationalFunction:
             total = RationalFunction.zero(table)
-            for e, c in p.terms.items():
-                kept = [0] * table.size
-                piece = RationalFunction.constant(table, c)
-                for i, power in enumerate(e):
-                    if not power:
-                        continue
-                    if i in values:
-                        piece = piece * values[i] ** power
-                    else:
-                        kept[i] = power
-                piece = piece * Polynomial.monomial(table, kept)
+            for m, c in p.terms.items():
+                piece = RationalFunction.constant(table, Fraction(c, p.den))
+                for i, value in values:
+                    power = m >> table.shifts[i] & _FIELD
+                    if power:
+                        piece = piece * value**power
+                        m -= power << table.shifts[i]
+                piece = piece * Polynomial(table, {m: 1})
                 total = total + piece
             return total
 
@@ -953,21 +1032,22 @@ def migrate_polynomial(p: Polynomial, new_table: VarTable) -> Polynomial:
         raise TableMismatch(
             "tables differ beyond trailing variables; cannot migrate"
         )
-    n = new_table.size
-    terms = {}
-    for e, c in p.terms.items():
-        if len(e) > n:
-            if any(e[n:]):
-                extra = ", ".join(
-                    old_table.names[i] for i in range(n, len(e)) if e[i]
-                )
-                raise ForbiddenVariable(
-                    f"term involves {extra}; cannot restrict to the base table"
-                )
-            terms[e[:n]] = c
-        else:
-            terms[e + (0,) * (n - len(e))] = c
-    return Polynomial(new_table, terms)
+    # the trailing variables have the lowest fields
+    bits = FIELD_BITS * abs(new_table.size - old_table.size)
+    if new_table is large:
+        return Polynomial(
+            new_table, {m << bits: c for m, c in p.terms.items()}, p.den)
+    for m in p.terms:
+        if m & ((1 << bits) - 1):
+            extra = ", ".join(
+                name for name, e in zip(old_table.names, _unpack(old_table, m))
+                if e and name not in new_table.names
+            )
+            raise ForbiddenVariable(
+                f"term involves {extra}; cannot restrict to the base table"
+            )
+    return Polynomial(
+        new_table, {m >> bits: c for m, c in p.terms.items()}, p.den)
 
 
 def migrate_ratfun(v: RationalFunction, new_table: VarTable) -> RationalFunction:
@@ -1015,7 +1095,7 @@ class RationalPoint:
         if len(self.values) != self.table.size:
             raise TableMismatch("point has the wrong number of values")
         object.__setattr__(
-            self, "values", tuple(_coerce_fraction(v) for v in self.values)
+            self, "values", tuple(Fraction(_scalar(v)) for v in self.values)
         )
 
 
@@ -1058,6 +1138,10 @@ MAX_NESTING = 100
 # The largest exponent '^' accepts.  Bundled and benchmark specs use at most
 # ^3; an unbounded power would hand the gcd integers of unbounded size.
 MAX_EXPONENT = 100
+# The largest total degree that '^', '*' and '/' may produce, checked on the
+# true degrees of their operands before computing; it keeps exponents far
+# below the guard of a packed field (see the module docstring).
+MAX_DEGREE = 200
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
@@ -1097,8 +1181,9 @@ class _Parser:
     base   := uint | ident | '(' expr ')'
 
     '/' divides, left associative.  No implicit multiplication; whitespace
-    is insignificant.  Parentheses nest at most MAX_NESTING deep, and an
-    exponent is at most MAX_EXPONENT."""
+    is insignificant.  Parentheses nest at most MAX_NESTING deep, an
+    exponent is at most MAX_EXPONENT, and no power, product or quotient
+    has a total degree above MAX_DEGREE."""
 
     def __init__(self, text: str, table: VarTable):
         self.tokens = _tokenize(text)
@@ -1151,19 +1236,22 @@ class _Parser:
             kind, value, pos = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                acc = acc * self.factor()
+                rhs = self.factor()
+                _check_degree(_degree(acc) + _degree(rhs), pos)
+                acc = acc * rhs
             elif kind == "op" and value == "/":
                 self.advance()
                 rhs = self.factor()
                 if rhs.is_zero():
                     raise DivisionByZero(f"division by zero at position {pos}")
+                _check_degree(_degree(acc) + _degree(rhs), pos)
                 acc = acc / rhs
             else:
                 return acc
 
     def factor(self):
         base = self.base()
-        kind, value, _ = self.peek()
+        kind, value, caret = self.peek()
         if kind == "op" and value == "^":
             self.advance()
             kind, value, pos = self.peek()
@@ -1176,6 +1264,7 @@ class _Parser:
                     f"exponent {value} exceeds {MAX_EXPONENT}", pos
                 )
             self.advance()
+            _check_degree(value * _degree(base), caret)
             base = base**value
         return base
 
@@ -1199,6 +1288,19 @@ class _Parser:
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input", pos)
+
+
+def _degree(value: RationalFunction) -> int:
+    """Total degree of a fraction: that of its numerator or denominator,
+    whichever is larger."""
+    shifts = value.table.shifts
+    return max(sum(m >> s & _FIELD for s in shifts)
+               for p in (value.num, value.den) for m in p.terms)
+
+
+def _check_degree(degree: int, pos: int):
+    if degree > MAX_DEGREE:
+        raise ParseError(f"degree {degree} exceeds {MAX_DEGREE}", pos)
 
 
 def parse_ratfun(text: str, table: VarTable) -> RationalFunction:

@@ -15,8 +15,12 @@ from pathlib import Path
 from random import Random
 
 from involution_forge import (
+    DivisionByZero,
+    ForbiddenVariable,
     Form,
     MultiVector,
+    NegativeExponent,
+    Polynomial,
     RationalFunction,
     VarTable,
     build_symplectic,
@@ -32,6 +36,7 @@ from involution_forge import (
     sharp,
     wedge,
 )
+from involution_forge.symexpr import FIELD_BITS
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -139,6 +144,164 @@ def mat_mul(a: list, b: list) -> list:
 
 def mat_vec(a: list, v: list) -> list:
     return [entry for [entry] in mat_mul(a, [[x] for x in v])]
+
+
+# ---------------------------------------------------------------------------
+# the kernel polynomial as exponent tuples, and the tuple/Fraction oracle
+
+
+def poly_from_terms(table: VarTable, terms: dict) -> Polynomial:
+    """The kernel polynomial with the given {exponent tuple: coefficient}."""
+    total = Polynomial.zero(table)
+    for e, c in terms.items():
+        total = total + Polynomial.monomial(table, e, c)
+    return total
+
+
+def exponent_terms(p: Polynomial) -> dict:
+    """{exponent tuple: Fraction} of a kernel polynomial, decoded from the
+    documented layout: the i-th of n exponents fills the FIELD_BITS-bit
+    field at bit FIELD_BITS*(n-1-i), over the common denominator ``den``."""
+    n = p.table.size
+    mask = (1 << FIELD_BITS) - 1
+    return {
+        tuple(m >> FIELD_BITS * (n - 1 - i) & mask for i in range(n)):
+            Fraction(c, p.den)
+        for m, c in p.terms.items()
+    }
+
+
+class TuplePolynomial:
+    """Sparse polynomial as {exponent tuple: Fraction}: the layout the
+    kernel used before packed monomials, kept as the differential oracle."""
+
+    __slots__ = ("table", "terms")
+
+    def __init__(self, table: VarTable, terms: dict):
+        self.table = table
+        self.terms = {tuple(e): Fraction(c) for e, c in terms.items() if c}
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def leading(self):
+        e = max(self.terms)
+        return e, self.terms[e]
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return TuplePolynomial(self.table, terms)
+
+    def __neg__(self):
+        return TuplePolynomial(
+            self.table, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return TuplePolynomial(
+                self.table, {e: c * other for e, c in self.terms.items()})
+        terms: dict = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                terms[e] = terms.get(e, 0) + ca * cb
+        return TuplePolynomial(self.table, terms)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise NegativeExponent(f"negative exponent {n}")
+        result = TuplePolynomial(self.table, {(0,) * self.table.size: 1})
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __eq__(self, other):
+        return self.table == other.table and self.terms == other.terms
+
+    def derivative(self, index: int) -> "TuplePolynomial":
+        kind = self.table.kinds[index]
+        if not kind.geometric:
+            raise ForbiddenVariable(f"cannot differentiate along {kind.value}")
+        terms = {}
+        for e, c in self.terms.items():
+            if e[index]:
+                new = list(e)
+                new[index] -= 1
+                terms[tuple(new)] = c * e[index]
+        return TuplePolynomial(self.table, terms)
+
+    def evaluate(self, point) -> Fraction:
+        total = Fraction(0)
+        for e, c in self.terms.items():
+            for value, p in zip(point.values, e):
+                c *= value**p
+            total += c
+        return total
+
+    def render(self) -> str:
+        if self.is_zero():
+            return "0"
+        pieces = []
+        for e in sorted(self.terms, reverse=True):
+            c = self.terms[e]
+            mono = "*".join(
+                name if p == 1 else f"{name}^{p}"
+                for name, p in zip(self.table.names, e) if p)
+            mag = abs(c)
+            text = str(mag.numerator) if mag.denominator == 1 else str(mag)
+            body = text if not mono else mono if mag == 1 else f"{text}*{mono}"
+            pieces.append(("-" if c < 0 else "+", body))
+        out = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
+        return out + "".join(f" {sign} {body}" for sign, body in pieces[1:])
+
+
+def tuple_exact_div(p: TuplePolynomial, q: TuplePolynomial) -> TuplePolynomial:
+    """Exact quotient by leading terms over Q."""
+    quot = TuplePolynomial(p.table, {})
+    rem = p
+    eq, cq = q.leading()
+    while not rem.is_zero():
+        er, cr = rem.leading()
+        diff = tuple(a - b for a, b in zip(er, eq))
+        if min(diff) < 0:
+            raise DivisionByZero("polynomial division is not exact")
+        t = TuplePolynomial(p.table, {diff: cr / cq})
+        quot, rem = quot + t, rem - t * q
+    return quot
+
+
+def tuple_migrate(p: TuplePolynomial, table: VarTable) -> TuplePolynomial:
+    """Pad or cut the exponent tuples to a table that extends p's or that
+    p's extends by trailing variables."""
+    n = table.size
+    if any(any(e[n:]) for e in p.terms):
+        raise ForbiddenVariable("a term involves a dropped variable")
+    return TuplePolynomial(table, {
+        (e + (0,) * n)[:n]: c for e, c in p.terms.items()})
+
+
+def sympy_gcd_terms(a: Polynomial, b: Polynomial) -> dict:
+    """{exponent tuple: Fraction} of SymPy's monic gcd of a and b, under
+    the same lex order (the first variable weighs most)."""
+    import sympy
+
+    gens = sympy.symbols(a.table.names)
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator)
+             for e, c in exponent_terms(p).items()}, *gens, domain="QQ")
+
+    g = sympy.gcd(to_sympy(a), to_sympy(b))
+    if not g.is_zero:
+        g = g.monic()
+    return {e: Fraction(int(c.p), int(c.q)) for e, c in g.as_dict().items()
+            if c}
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,31 @@ def test_exponent_above_the_bound_exits_two(spec_on_disk):
         "exponent 101 exceeds 100 (at position 3)")
 
 
+@pytest.mark.parametrize("expression, position", [
+    # the inner power is within the budget and is computed, the outer
+    # one is refused before it multiplies anything
+    ("((x3+x1+1)^100)^100", 15),
+    ("((x1^100)^100)^100", 9),
+])
+def test_degree_above_the_budget_exits_two(spec_on_disk, expression,
+                                           position):
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["family"][1]["expression"] = expression
+    path = spec_on_disk(payload)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(involution_forge.__file__).parents[1])
+    # a separate process, so that a budget that stops working fails the
+    # test at the timeout instead of stalling the suite
+    proc = subprocess.run(
+        [sys.executable, "-m", "involution_forge", "check", path],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == (
+        f"error: {path}.family[1].expression: "
+        f"degree 10000 exceeds 200 (at position {position})\n")
+
+
 # each damage to the Lagrange top spec, with the JSON path and the message
 # of the SpecError it must raise
 SHAPE_ERRORS = {
@@ -485,7 +510,10 @@ def _node_paths(value, path=()):
 @given(data=st.data())
 def test_mutated_spec_never_ends_in_a_traceback(tmp_path_factory, data):
     name = data.draw(st.sampled_from(FIXTURE_NAMES))
+    command = data.draw(st.sampled_from(COMMANDS))
     payload = json.loads(fixture_file(name).read_text())
+    # the first two family members of the unmutated spec
+    pair = ",".join(entry["name"] for entry in payload["family"][:2])
     for _ in range(data.draw(st.integers(1, 2))):
         paths = list(_node_paths(payload))
         _set(payload, data.draw(st.sampled_from(paths)),
@@ -496,7 +524,7 @@ def test_mutated_spec_never_ends_in_a_traceback(tmp_path_factory, data):
         pass
     path = tmp_path_factory.mktemp("mutated") / "spec.json"
     path.write_text(json.dumps(payload))
-    code, text = run("check", str(path))
+    code, text = run(command, str(path), pair=pair)
     assert code in (0, 1, 2), text
 
 

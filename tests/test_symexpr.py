@@ -8,10 +8,13 @@ import pytest
 
 from involution_forge import (
     DivisionByZero,
+    ExponentOverflow,
+    ForbiddenVariable,
     NegativeExponent,
     ParseError,
     Polynomial,
     RationalFunction,
+    RationalPoint,
     TableMismatch,
     UnknownVariable,
     VarKind,
@@ -21,19 +24,28 @@ from involution_forge import (
     symexpr,
 )
 from involution_forge.symexpr import (
+    FIELD_BITS,
+    MAX_DEGREE,
     MAX_EXPONENT,
     MAX_NESTING,
     _content_prs_gcd,
     _heuristic_gcd,
     as_ratfun,
+    migrate_polynomial,
     poly_exact_div,
     poly_gcd,
 )
 from helpers import (
+    TuplePolynomial,
+    exponent_terms,
+    poly_from_terms,
     random_polynomial,
     random_rational,
     ring_field_suite,
     schwartz_zippel_suite,
+    sympy_gcd_terms,
+    tuple_exact_div,
+    tuple_migrate,
 )
 
 
@@ -196,6 +208,22 @@ def test_parse_error_paths(table):
     assert raised.value.position == 8
 
 
+def test_degree_budget_is_checked_before_computing(table):
+    # the true degrees of the operands count, not the exponents written
+    assert parse_ratfun("(x1^100*x2^99)/x3", table) == parse_ratfun(
+        "x1^100*x2^99/x3", table)
+    assert parse_ratfun("((x1 - x1 + x2)^100)^2", table) == parse_ratfun(
+        "x2^100", table) ** 2
+    for text, degree, position in (("x1^100*x2^100*x3", 201, 13),
+                                   ("x1^100*x2^50/(x3^51)", 201, 12),
+                                   ("((x1^100)^100)^100", 10000, 9),
+                                   ("((x1 + 1)^67)^3", 201, 13)):
+        with pytest.raises(ParseError) as raised:
+            parse_ratfun(text, table)
+        assert str(raised.value) == (
+            f"degree {degree} exceeds {MAX_DEGREE} (at position {position})")
+
+
 def test_table_kinds_and_lookup():
     table = VarTable.build([
         "a1", "a2",
@@ -246,7 +274,7 @@ def _gcd_case(rng: Random, size: int):
                 e = [rng.randint(0, degree) for _ in range(size)]
                 e[-1] = e[-1] if in_last else 0
                 out[tuple(e)] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            p = Polynomial(table, out)
+            p = poly_from_terms(table, out)
             if not p.is_constant() and (p.involves(size - 1) or not in_last):
                 return p
 
@@ -277,36 +305,29 @@ def test_truthiness_matches_fraction(table):
 
 
 def test_gcd_matches_sympy():
-    sympy = pytest.importorskip("sympy")
+    pytest.importorskip("sympy")
     rng = Random(29)
     for size in (2, 3, 4, 5, 6) * 4:
         a, b, _ = _gcd_case(rng, size)
-        gens = sympy.symbols(a.table.names)
+        assert exponent_terms(poly_gcd(a, b)) == sympy_gcd_terms(a, b)
 
-        def to_sympy(p):
-            return sympy.Poly.from_dict(
-                {e: sympy.Rational(c.numerator, c.denominator)
-                 for e, c in p.terms.items()}, *gens, domain="QQ")
 
-        expected = sympy.gcd(to_sympy(a), to_sympy(b)).monic()
-        assert poly_gcd(a, b).terms == {
-            e: Fraction(int(c.p), int(c.q))
-            for e, c in expected.as_dict().items()
-        }
+# rationals in [-6, 6] with denominators 1-4, drawn as integers:
+# st.fractions spends more time drawing than the gcd takes
+def _coefficients(st):
+    return st.integers(1, 4).flatmap(
+        lambda d: st.integers(-6 * d, 6 * d).map(lambda n: Fraction(n, d)))
 
 
 def test_gcd_property_common_factor_divides():
     hypothesis = pytest.importorskip("hypothesis")
+    pytest.importorskip("sympy")
     st = hypothesis.strategies
     table = VarTable.build(["x1", "x2", "x3"])
-    # rationals in [-6, 6] with denominators 1-4, drawn as integers:
-    # st.fractions spends more time drawing than the gcd takes
-    coeff = st.integers(1, 4).flatmap(
-        lambda d: st.integers(-6 * d, 6 * d).map(lambda n: Fraction(n, d))
-    )
     poly = st.dictionaries(
-        st.tuples(*[st.integers(0, 2)] * 3), coeff, min_size=1, max_size=4,
-    ).map(lambda terms: Polynomial(table, terms))
+        st.tuples(*[st.integers(0, 2)] * 3), _coefficients(st),
+        min_size=1, max_size=4,
+    ).map(lambda terms: poly_from_terms(table, terms))
 
     @hypothesis.settings(derandomize=True, deadline=None, max_examples=80)
     @hypothesis.given(poly, poly, poly)
@@ -316,9 +337,18 @@ def test_gcd_property_common_factor_divides():
         hypothesis.assume(not (ac.is_constant() or bc.is_constant()))
         g = poly_gcd(ac, bc)
         poly_exact_div(g, c)
-        assert g == _content_prs_gcd(ac, bc)
+        assert exponent_terms(g) == sympy_gcd_terms(ac, bc)
 
     check()
+    # the content/PRS fallback costs up to 0.15 s on some inputs of this
+    # shape, so it runs on a fixed set only, not on the drawn examples
+    def poly(text):
+        return parse_ratfun(text, table).num
+
+    for a, b in (("(x1*x2 - 3)*(x2 + x3)^2", "(x1*x2 - 3)*(x1 - x3)"),
+                 ("(x1^2 + x3/2)*x2", "(x1^2 + x3/2)*(x2^2 + 1)*x3"),
+                 ("(2*x1 + x2*x3)*(x1 - 1)", "(x2 - x3)*(x1 + 1)")):
+        assert poly_gcd(poly(a), poly(b)) == _content_prs_gcd(poly(a), poly(b))
 
 
 def test_gcd_of_the_largest_reject_sigma_pair():
@@ -388,7 +418,7 @@ def test_arithmetic_matches_the_generic_constructor():
 
     def poly(exponents):
         return st.dictionaries(exponents, coeff, min_size=1, max_size=3).map(
-            lambda terms: Polynomial(table, terms))
+            lambda terms: poly_from_terms(table, terms))
 
     degree = st.integers(0, 2)
     anywhere = poly(st.tuples(degree, degree, degree))
@@ -462,7 +492,8 @@ def test_products_and_sums_hand_the_gcd_only_what_can_cancel(table,
     product = x * y
     assert (product.num, product.den) == (poly("x1"), poly("x2"))
     assert calls
-    assert max(sum(e) for a, b in calls for e in (*a.terms, *b.terms)) <= 1
+    assert max(sum(e) for a, b in calls
+               for e in (*exponent_terms(a), *exponent_terms(b))) <= 1
     calls.clear()
     x + z
     assert calls == [(x.den, z.den)]
@@ -483,17 +514,17 @@ def test_arithmetic_matches_sympy_cancel():
     def to_sympy(p):
         return sum((sympy.Rational(c.numerator, c.denominator)
                     * sympy.prod(g**k for g, k in zip(gens, e))
-                    for e, c in p.terms.items()), sympy.Integer(0))
+                    for e, c in exponent_terms(p).items()), sympy.Integer(0))
 
     def poly():
         return random_polynomial(table, rng, terms=3, degree=2, bound=4).num
 
     for mode in ("equal", "coprime", "shared", "shared-cancel"):
         p, q, f = poly(), poly(), poly()
-        r = Polynomial(table, {(1, 0, 0): Fraction(1),
-                               (0, 0, 0): Fraction(rng.randint(1, 5))})
-        s = Polynomial(table, {(0, 2, 0): Fraction(rng.randint(1, 3)),
-                               (0, 0, 0): Fraction(-1)})
+        r = poly_from_terms(table, {(1, 0, 0): 1,
+                                    (0, 0, 0): rng.randint(1, 5)})
+        s = poly_from_terms(table, {(0, 2, 0): rng.randint(1, 3),
+                                    (0, 0, 0): -1})
         if f.is_zero():
             continue
         x, y = _operands(mode, p, q, r, s, f)
@@ -509,3 +540,76 @@ def test_arithmetic_matches_sympy_cancel():
             reduced = sympy.Poly(to_sympy(got.num), *gens, domain="QQ").gcd(
                 sympy.Poly(to_sympy(got.den), *gens, domain="QQ"))
             assert reduced.is_one or got.is_zero()
+
+
+# --- packed monomials: the guard bit and the tuple/Fraction oracle -------------
+
+_TOP = 2 ** (FIELD_BITS - 1) - 1  # the largest exponent below the guard bit
+
+
+def test_exponent_below_the_guard_is_kept(table):
+    x2 = Polynomial.variable(table, "x2")
+    high = Polynomial.monomial(table, (0, _TOP - 1, 0), 3)
+    # the neighbours of the x2 field stay untouched: nothing carries
+    product = (high * x2) * parse_ratfun("x1 + x3", table).num
+    assert exponent_terms(product) == {(1, _TOP, 0): 3, (0, _TOP, 1): 3}
+    assert product.degree_in(1) == _TOP
+
+
+def test_exponent_at_the_guard_raises(table):
+    x2 = Polynomial.variable(table, "x2")
+    high = Polynomial.monomial(table, (0, _TOP, 0))
+    with pytest.raises(ExponentOverflow):
+        high * x2
+    with pytest.raises(ExponentOverflow):
+        x2 * parse_ratfun("x1 + 1", table).num * high
+    half = Polynomial.monomial(table, (0, _TOP // 2 + 1, 0))
+    with pytest.raises(ExponentOverflow):
+        half**2
+    with pytest.raises(ExponentOverflow):
+        Polynomial.monomial(table, (0, _TOP + 1, 0))
+
+
+def test_kernel_matches_the_tuple_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    table = VarTable.build([f"x{i}" for i in range(1, 8)]
+                           + [("lambda", VarKind.PENCIL)])
+    wide = table.extend("s", VarKind.APPENDED)
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * table.size),
+                            _coefficients(st), max_size=3)
+    values = st.tuples(*[st.builds(Fraction, st.integers(-9, 9),
+                                   st.integers(1, 3))] * table.size)
+
+    def same(p: Polynomial, oracle: TuplePolynomial):
+        assert exponent_terms(p) == oracle.terms
+        assert p.render() == oracle.render()
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=100)
+    @hypothesis.given(terms, terms, terms, st.integers(0, 3),
+                      st.integers(0, table.size - 1), values)
+    def check(ta, tb, tc, n, index, point):
+        a, b, c = (poly_from_terms(table, t) for t in (ta, tb, tc))
+        oa, ob, oc = (TuplePolynomial(table, t) for t in (ta, tb, tc))
+        same(a, oa)
+        same(a + b, oa + ob)
+        same(a - b, oa - ob)
+        same(a * b, oa * ob)
+        same(a**n, oa**n)
+        if table.kinds[index].geometric:
+            same(a.derivative(index), oa.derivative(index))
+        else:
+            with pytest.raises(ForbiddenVariable):
+                a.derivative(index)
+        at = RationalPoint(table, point)
+        assert a.evaluate(at) == oa.evaluate(at)
+        if not b.is_zero():
+            same(poly_exact_div(a * b, b), tuple_exact_div(oa * ob, ob))
+        if not c.is_zero():
+            assert exponent_terms(poly_gcd(a * c, b * c)) == sympy_gcd_terms(
+                a * c, b * c)
+        same(migrate_polynomial(a, wide), tuple_migrate(oa, wide))
+        same(migrate_polynomial(migrate_polynomial(a, wide), table), oa)
+
+    check()

@@ -130,10 +130,6 @@ def poisson_bracket(Pi: MultiVector, f, g) -> RationalFunction:
 def _sharp_extend(Pi: MultiVector, a: Form) -> MultiVector:
     """Degree-p extension of Pi#, multiplicative over the wedge."""
     table = a.table
-    if a.degree == 0:
-        return MultiVector(table, 0, dict(a.comps))
-    if a.degree == 1:
-        return bivector_sharp(Pi, a)
     images: dict = {}
     out = MultiVector.zero(table, a.degree)
     for idx, c in a.comps.items():

@@ -363,7 +363,7 @@ def load_payload(spec_path: str) -> dict:
 def _records_form(table: VarTable, degree: int, records, path: str,
                   kind=Form):
     width = table.dim
-    total = kind.zero(table, degree)
+    parsed = []
     for pos, rec in enumerate(records):
         idx = rec["indices"]
         where = f"{path}[{pos}]"
@@ -380,12 +380,11 @@ def _records_form(table: VarTable, degree: int, records, path: str,
             raise SpecError(
                 "indices must be strictly increasing", f"{where}.indices"
             )
-        try:
-            piece = from_records(table, degree, [rec], kind=kind)
-        except ForgeError as exc:
-            raise SpecError(str(exc), f"{where}.coeff") from exc
-        total = total + piece
-    return total
+        parsed.append({
+            "indices": idx,
+            "coeff": _parse_coeff(table, rec["coeff"], f"{where}.coeff"),
+        })
+    return from_records(table, degree, parsed, kind=kind)
 
 
 def _parse_coeff(table: VarTable, text: str, path: str):

@@ -21,7 +21,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .errors import DegreeError, ForbiddenVariable, UnsupportedDegrees
+from .errors import (
+    DegreeError,
+    DimensionMismatch,
+    ForbiddenVariable,
+    UnsupportedDegrees,
+)
 from .symexpr import RationalFunction, VarTable, as_ratfun
 
 
@@ -202,16 +207,17 @@ class MultiVector(_Alternating):
 
 
 def from_records(table: VarTable, degree: int, records, kind=Form):
-    """Inverse of ``to_records`` (1-based geometric indices)."""
-    from .symexpr import parse_ratfun
-
+    """Inverse of ``to_records`` (1-based geometric indices); a coefficient
+    is anything ``as_ratfun`` takes."""
     geo = table.geometric_indices
     comps: dict = {}
     for rec in records:
-        idx = tuple(geo[i - 1] for i in rec["indices"])
-        coeff = rec["coeff"]
-        if isinstance(coeff, str):
-            coeff = parse_ratfun(coeff, table)
+        indices = rec["indices"]
+        if any(not 1 <= i <= len(geo) for i in indices):
+            raise DimensionMismatch(
+                f"indices {indices} must lie in 1..{len(geo)}")
+        idx = tuple(geo[i - 1] for i in indices)
+        coeff = as_ratfun(table, rec["coeff"])
         prev = comps.get(idx)
         comps[idx] = coeff if prev is None else prev + coeff
     return kind(table, degree, comps)

@@ -7,6 +7,10 @@ entries.  It pivots deterministically: scan columns left to right and take
 the first row whose entry is not identically zero.  A pivot chosen
 this way may still vanish on a subvariety; results are generic in that sense,
 which is the intended reading everywhere this module is used.
+
+``sampled_rank`` is the package's one sampled-rank loop.  A draw is uniform
+on [-B, B]^n for B = symexpr.SAMPLE_BOUND, so by Schwartz-Zippel a nonzero
+minor of degree D vanishes there with probability at most D/(2B + 1).
 """
 
 from __future__ import annotations
@@ -15,13 +19,17 @@ from math import prod
 
 from .errors import Degenerate, DimensionMismatch, Inconsistent
 from .symexpr import (
-    SAMPLE_RETRIES,
     RationalFunction,
     RationalPoint,
     VarTable,
     as_ratfun,
     sample_point,
 )
+
+
+# points drawn per sampled rank; rank is lower semicontinuous, so the best
+# rank over a few generic draws is attained at the returned point
+RANK_DRAWS = 4
 
 
 def identity(table: VarTable, n: int) -> list:
@@ -92,12 +100,9 @@ def _kernel(reduced: list, pivots: list, width: int, table: VarTable):
     return basis, free
 
 
-def nullspace(rows: list, table: VarTable, width: int = None) -> list:
-    """Basis of the right kernel, one vector per free column."""
-    if width is None:
-        if not rows:
-            raise DimensionMismatch("cannot infer width of an empty matrix")
-        width = len(rows[0])
+def nullspace(rows: list, table: VarTable, width: int) -> list:
+    """Basis of the right kernel of a matrix with ``width`` columns, one
+    vector per free column."""
     reduced, pivots = rref(rows)
     return _kernel(reduced, pivots, width, table)[0]
 
@@ -158,12 +163,13 @@ def rank_at_point(rows: list, point: RationalPoint) -> int:
     return len(rref([[v.evaluate(point) for v in row] for row in rows])[1])
 
 
-def sampled_rank(rows: list, table: VarTable, guards, rng, target: int):
-    """Best rank of the matrix over up to SAMPLE_RETRIES sampled points,
-    stopping at the first draw that reaches ``target``; returns
-    (best rank, the point where it was first attained)."""
+def sampled_rank(rows: list, table: VarTable, guards, rng, target=None):
+    """Best rank of the matrix over RANK_DRAWS points sampled off the zeros
+    of ``guards``, stopping early only at the first draw that reaches a
+    given ``target``; returns (best rank, the point where it was first
+    attained)."""
     best, best_point = -1, None
-    for _ in range(SAMPLE_RETRIES):
+    for _ in range(RANK_DRAWS):
         point = sample_point(table, guards, rng)
         rank = rank_at_point(rows, point)
         if rank > best:

@@ -39,19 +39,19 @@ variable that actually occurs.  Exact division divides by the primitive part
 of the divisor over Z, where Gauss's lemma keeps every quotient integral.
 
 Arithmetic on reduced fractions takes gcds only where a factor can cancel
-(Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1).  A sum over equal denominators
-b takes gcd(a + c, b), and none when b is 1.  Otherwise, with g = gcd(b, d),
-taken only when neither denominator is 1, coprime denominators give the
-reduced (a*d + c*b)/(b*d) as it stands, and a shared factor can only cancel
-through gcd(t, g) for t = a*(d/g) + c*(b/g).  A product cancels a against d
-and c against b, skipping a pair with a constant member such as a
-denominator of 1; a quotient does the same with the divisor flipped and
-then makes its denominator monic again.  A power of a reduced fraction
-needs no gcd.  A constant factor in a polynomial product only scales the
-other factor, and a factor of 1 returns it unchanged.  The quotient rule
-builds (n/d)' as t/((d/g)*d) for g = gcd(d, d') and t = n'*(d/g) -
-n*(d'/g), and cancels only gcd(t, g): a factor of d/g involves the
-variable and cannot divide t.
+(Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1), and every cancellation goes
+through ``_cancel(p, q) -> (g, p/g, q/g)``, which takes no gcd when p or q
+is constant and divides nothing when g is 1.  A sum a/b + c/d cancels
+g = gcd(b, d) (g = b when b = d), so t = a*(d/g) + c*(b/g) over
+(b/g)*(d/g)*g is reduced except for a factor of g, and a second cancel of
+t against g removes it.  A product cancels a against d and c against b; a
+quotient does the same with the divisor flipped and then makes its
+denominator monic again.  A power of a reduced fraction needs no gcd.  A
+constant factor in a polynomial product only scales the other factor, and
+a factor of 1 returns it unchanged.  The quotient rule builds (n/d)' as
+t/((d/g)*(d/g)*g) for g = gcd(d, d') and t = n'*(d/g) - n*(d'/g), and
+cancels t only against g: a factor of d/g involves the variable and cannot
+divide t.
 """
 
 from __future__ import annotations
@@ -105,10 +105,12 @@ class VarTable:
 
     names: tuple[str, ...]
     kinds: tuple[VarKind, ...]
-    # bit offset of each variable's field in a packed monomial, and the
-    # mask of all guard bits
+    # bit offset of each variable's field in a packed monomial, the mask of
+    # all guard bits, and the polynomial 1, which every caller can share
+    # because polynomials are never written to
     shifts: tuple = field(init=False, repr=False, compare=False)
     guard: int = field(init=False, repr=False, compare=False)
+    one: "Polynomial" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.names) != len(self.kinds):
@@ -127,6 +129,7 @@ class VarTable:
         shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "guard", sum(_GUARD << s for s in shifts))
+        object.__setattr__(self, "one", Polynomial(self, {0: 1}))
 
     @staticmethod
     def build(entries) -> "VarTable":
@@ -258,7 +261,7 @@ class Polynomial:
 
     @staticmethod
     def one(table: VarTable) -> "Polynomial":
-        return Polynomial(table, {0: 1})
+        return table.one
 
     @staticmethod
     def variable(table: VarTable, name: str) -> "Polynomial":
@@ -771,18 +774,24 @@ def _monic_pair(num: Polynomial, den: Polynomial):
     if lead == den.den:
         return num, den
     return num._times(den.den, lead), den._times(den.den, lead)
+
+
+def _cancel(p: Polynomial, q: Polynomial):
+    """(g, p/g, q/g) for g = gcd(p, q), the one place where fractions
+    cancel: no gcd when p or q is constant, and no division when g is 1."""
+    if p.is_constant() or q.is_constant():
+        return Polynomial.one(p.table), p, q
+    g = poly_gcd(p, q)
+    if g.is_constant():
+        return g, p, q
+    return g, poly_exact_div(p, g), poly_exact_div(q, g)
+
+
 def _cross_cancelled(a, b, c, d):
     """Numerator and denominator of (a/b)*(c/d) for coprime a, b and coprime
-    c, d: only a against d and c against b can share a factor (Henrici), and
-    not when either of the pair is constant."""
-    if not (a.is_constant() or d.is_constant()):
-        g = poly_gcd(a, d)
-        if not g.is_constant():
-            a, d = poly_exact_div(a, g), poly_exact_div(d, g)
-    if not (c.is_constant() or b.is_constant()):
-        g = poly_gcd(c, b)
-        if not g.is_constant():
-            c, b = poly_exact_div(c, g), poly_exact_div(b, g)
+    c, d: only a against d and c against b can share a factor (Henrici)."""
+    _, a, d = _cancel(a, d)
+    _, c, b = _cancel(c, b)
     return a * c, b * d
 
 
@@ -799,12 +808,7 @@ class RationalFunction:
             num = Polynomial.zero(num.table)
             den = Polynomial.one(num.table)
         else:
-            # a constant denominator shares no factor with anything
-            if not den.is_constant():
-                g = poly_gcd(num, den)
-                if not g.is_constant():
-                    num = poly_exact_div(num, g)
-                    den = poly_exact_div(den, g)
+            _, num, den = _cancel(num, den)
             num, den = _monic_pair(num, den)
         self.num = num
         self.den = den
@@ -876,22 +880,16 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # Henrici: with g = gcd(b, d), a/b + c/d = t/(b1*d) for b1 = b/g and
-        # t = a*(d/g) + c*b1, and only a factor of g can cancel from it
+        # Henrici: with g = gcd(b, d), b1 = b/g and d1 = d/g, a/b + c/d is
+        # t/(b1*d1*g) for t = a*d1 + c*b1, and only a factor of g can cancel;
+        # over equal denominators g = b and b1 = d1 = 1
         a, b, c, d = self.num, self.den, other.num, other.den
-        one = Polynomial.one(self.table)
         if b == d:
-            g, b1, t = b, one, a + c
-        else:
-            g = one if b.is_constant() or d.is_constant() else poly_gcd(b, d)
-            b1 = poly_exact_div(b, g)
-            t = a * poly_exact_div(d, g) + c * b1
-        if g.is_constant():
-            return RationalFunction._reduced(t, b1 * d)
-        g2 = poly_gcd(t, g)
-        return RationalFunction._reduced(
-            poly_exact_div(t, g2), b1 * poly_exact_div(d, g2)
-        )
+            _, t, den = _cancel(a + c, b)
+            return RationalFunction._reduced(t, den)
+        g, b1, d1 = _cancel(b, d)
+        _, t, g = _cancel(a * d1 + c * b1, g)
+        return RationalFunction._reduced(t, b1 * d1 * g)
 
     __radd__ = __add__
 
@@ -960,17 +958,13 @@ class RationalFunction:
         dd = self.den.derivative(index)
         if dd.is_zero():
             return RationalFunction(dn, self.den)
-        # n/d differentiates to t/(d1*d) for g = gcd(d, d'), d1 = d/g and
+        # n/d differentiates to t/(d1*d1*g) for g = gcd(d, d'), d1 = d/g and
         # t = n'*d1 - n*(d'/g); a factor of d1 involves x_l and cannot
         # divide t, so only a factor of g can cancel
-        n, d = self.num, self.den
-        g = poly_gcd(d, dd)
-        d1 = poly_exact_div(d, g)
-        t = dn * d1 - n * poly_exact_div(dd, g)
-        if not g.is_constant():
-            g2 = poly_gcd(t, g)
-            t, d = poly_exact_div(t, g2), poly_exact_div(d, g2)
-        return RationalFunction._reduced(t, d1 * d)
+        g, d1, dd1 = _cancel(self.den, dd)
+        t = dn * d1 - self.num * dd1
+        _, t, g = _cancel(t, g)
+        return RationalFunction._reduced(t, d1 * d1 * g)
 
     def evaluate(self, point: "RationalPoint") -> Fraction:
         bottom = self.den.evaluate(point)
@@ -1139,8 +1133,9 @@ MAX_NESTING = 100
 # ^3; an unbounded power would hand the gcd integers of unbounded size.
 MAX_EXPONENT = 100
 # The largest total degree that '^', '*' and '/' may produce, checked on the
-# true degrees of their operands before computing; it keeps exponents far
-# below the guard of a packed field (see the module docstring).
+# true degrees of their operands before computing, and that a sum of
+# fractions may reach, checked on its result; it keeps exponents far below
+# the guard of a packed field (see the module docstring).
 MAX_DEGREE = 200
 
 _TOKEN_RE = re.compile(
@@ -1182,8 +1177,8 @@ class _Parser:
 
     '/' divides, left associative.  No implicit multiplication; whitespace
     is insignificant.  Parentheses nest at most MAX_NESTING deep, an
-    exponent is at most MAX_EXPONENT, and no power, product or quotient
-    has a total degree above MAX_DEGREE."""
+    exponent is at most MAX_EXPONENT, and no power, product, quotient or
+    sum of fractions has a total degree above MAX_DEGREE."""
 
     def __init__(self, text: str, table: VarTable):
         self.tokens = _tokenize(text)
@@ -1222,11 +1217,14 @@ class _Parser:
         if negate:
             acc = -acc
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
                 rhs = self.term()
                 acc = acc + rhs if value == "+" else acc - rhs
+                # a sum of fractions multiplies their denominators
+                if not acc.is_polynomial():
+                    _check_degree(_degree(acc), pos)
             else:
                 return acc
 

@@ -8,7 +8,9 @@ that produced it.  Verdicts always carry a symbolic witness on failure.
 ``certify`` computes each quantity once: Jacobi for the pencil is the
 combination [Pi1, Pi1] - 2 lambda [Pi0, Pi1] + lambda^2 [Pi0, Pi0] of the
 three brackets it takes anyway (Kosmann-Schwarzbach & Magri 1990, Ann. IHP
-53), and a bracket matrix takes only its upper triangle.
+53), and a bracket matrix takes only its upper triangle.  Its rank
+claims take RANK_DRAWS points per bivector (``linalg.sampled_rank`` with no
+target), so the printed sample point depends only on the seed and pencil.
 """
 
 from __future__ import annotations
@@ -25,19 +27,14 @@ from .anchor import (
 )
 from .errors import DegreeError, SpecError
 from .exterior import differential, schouten
-from .linalg import det, rank_at_point
+from .linalg import det, rank_at_point, sampled_rank
 from .pencil import FunctionFamily, Pencil, bracket_closed_form
 from .report import Verdict
 from .symexpr import (
     RationalFunction,
     RationalPoint,
     migrate_ratfun,
-    sample_point,
 )
-
-# samples drawn per rank certificate; rank is lower semicontinuous, so the
-# best rank over a few generic draws is attained at the returned point
-RANK_DRAWS = 4
 
 
 def _vanishes(label: str, residual) -> Verdict:
@@ -120,7 +117,9 @@ def compatibility_check(PiA, PiB, label: str = "compatibility") -> Verdict:
 
 
 def rank_at_sample(Pi, rng: Random, avoid=()):
-    """Best (rank, point) over RANK_DRAWS generic rational draws."""
+    """Best (rank, point) over all RANK_DRAWS generic rational draws: with
+    no target there is no early stop, so the rng advances the same way
+    whatever the rank."""
     rows = full_matrix(Pi)
     guards = [
         entry.den
@@ -129,14 +128,7 @@ def rank_at_sample(Pi, rng: Random, avoid=()):
         if not entry.den.is_constant()
     ]
     guards.extend(avoid)
-    best = -1
-    best_pt = None
-    for _ in range(RANK_DRAWS):
-        pt = sample_point(Pi.table, guards, rng)
-        r = rank_at_point(rows, pt)
-        if r > best:
-            best, best_pt = r, pt
-    return best, best_pt
+    return sampled_rank(rows, Pi.table, guards, rng)
 
 
 @dataclass

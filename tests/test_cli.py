@@ -407,6 +407,18 @@ def test_degree_above_the_budget_exits_two(spec_on_disk, expression,
         f"degree 10000 exceeds 200 (at position {position})\n")
 
 
+def test_sum_of_fractions_above_the_budget_exits_two(spec_on_disk):
+    # no '^', '*' or '/' is over the budget, but each '+' multiplies in a
+    # new denominator
+    expression = " + ".join(f"1/(x1+{i})" for i in range(1, 202))
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["family"][1]["expression"] = expression
+    path = spec_on_disk(payload)
+    assert run("check", path) == (
+        2, f"error: {path}.family[1].expression: degree 201 exceeds 200 "
+        f"(at position {expression.rindex(' + ') + 1})")
+
+
 # each damage to the Lagrange top spec, with the JSON path and the message
 # of the SpecError it must raise
 SHAPE_ERRORS = {

@@ -9,6 +9,7 @@ import pytest
 from involution_forge import exterior
 from involution_forge import (
     DegreeError,
+    DimensionMismatch,
     ForbiddenVariable,
     Form,
     MultiVector,
@@ -205,6 +206,16 @@ def test_records_round_trip(table):
         P = random_multivector(table, degree, rng)
         assert from_records(table, degree, P.to_records(),
                             kind=MultiVector) == P
+
+
+def test_records_outside_the_dimension_raise():
+    # 1-based indices: 0 must not wrap around to the last variable, y1
+    table = VarTable.build(["x1", "x2", "x3", "y1"])
+    last = from_records(table, 1, [{"indices": [4], "coeff": "1"}])
+    assert last == Form(table, 1, {(3,): 1})
+    for index in (0, 5, -1):
+        with pytest.raises(DimensionMismatch, match=r"1\.\.4"):
+            from_records(table, 1, [{"indices": [index], "coeff": "1"}])
 
 
 def test_operation_results_hold_no_zero_component(table):

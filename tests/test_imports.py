@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
-every public one is used there or exported at the root, and ``__all__``
-lists exactly the public names the package root binds.
+every public one is used there or exported at the root, ``__all__``
+lists exactly the public names the package root binds, and no
+``RationalFunction`` method calls the gcd or the exact division itself.
 
 No linter ships with the toolchain, so this walks the syntax trees with
 ``ast``.  ``__init__.py`` is exempt from the import check: its imports are
@@ -145,3 +146,29 @@ def test_package_root_exports_every_public_name():
         if not isinstance(getattr(involution_forge, name), ModuleType)
     }
     assert bound == exported
+
+
+def _method_calls(source: str, cls: str, names) -> list:
+    """(method, callee) for each call by bare name to one of ``names``
+    inside a method of the class ``cls``."""
+    found = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.ClassDef) and node.name == cls):
+            continue
+        for method in node.body:
+            if not isinstance(method, ast.FunctionDef):
+                continue
+            found.extend(
+                (method.name, call.func.id) for call in ast.walk(method)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name) and call.func.id in names
+            )
+    return sorted(found)
+
+
+def test_rational_functions_cancel_only_through_one_helper():
+    # the cancellation policy (when to take a gcd, when to divide) lives
+    # in symexpr._cancel alone
+    source = (PACKAGE / "symexpr.py").read_text(encoding="utf-8")
+    assert _method_calls(source, "RationalFunction",
+                         {"poly_gcd", "poly_exact_div"}) == []

@@ -11,16 +11,21 @@ from involution_forge import (
     DimensionMismatch,
     Inconsistent,
     RationalFunction,
+    RationalPoint,
     VarTable,
+    linalg,
+    parse_ratfun,
     sample_point,
 )
 from involution_forge.linalg import (
+    RANK_DRAWS,
     det,
     identity,
     invert,
     nullspace,
     rank_at_point,
     rref,
+    sampled_rank,
     solve_linear,
 )
 from helpers import mat_mul, mat_vec, random_polynomial
@@ -220,3 +225,42 @@ def test_rank_at_point_matches_sympy_on_rank_deficient_matrices(table):
         expected = sympy.Matrix(values).rank()
         assert expected <= rank
         assert rank_at_point(rows, point) == expected
+
+
+def _scripted_draws(monkeypatch, table, values):
+    """Make sampled_rank draw x1 = each of ``values`` in turn (x2 = x3 =
+    1); returns the list of points drawn so far."""
+    drawn = []
+
+    def draw(tab, guards, rng):
+        drawn.append(RationalPoint(tab, (values[len(drawn)], 1, 1)))
+        return drawn[-1]
+
+    monkeypatch.setattr(linalg, "sample_point", draw)
+    return drawn
+
+
+def test_sampled_rank_without_a_target_takes_every_draw(table, monkeypatch):
+    # generic rank 2, dropping to 1 on x1 = 0: the best rank is the one
+    # first attained, and all RANK_DRAWS points are drawn
+    rows = [[parse_ratfun("x1", table), parse_ratfun("x2", table)],
+            [parse_ratfun("0", table), parse_ratfun("x1*x3", table)]]
+    values = [0, 0, 7, 9]
+    assert len(values) == RANK_DRAWS
+    drawn = _scripted_draws(monkeypatch, table, values)
+    rank, point = sampled_rank(rows, table, [], Random(0))
+    assert (rank, point) == (2, drawn[2])
+    assert len(drawn) == RANK_DRAWS
+
+
+def test_sampled_rank_stops_at_the_first_draw_reaching_the_target(
+        table, monkeypatch):
+    rows = [[parse_ratfun("x1", table), parse_ratfun("x2", table)],
+            [parse_ratfun("0", table), parse_ratfun("x1*x3", table)]]
+    drawn = _scripted_draws(monkeypatch, table, [0, 0, 7, 9])
+    assert sampled_rank(rows, table, [], Random(0), target=2) == (2, drawn[2])
+    assert len(drawn) == 3
+    # a target beyond reach draws RANK_DRAWS points and reports the best
+    drawn.clear()
+    assert sampled_rank(rows, table, [], Random(0), target=3)[0] == 2
+    assert len(drawn) == RANK_DRAWS

@@ -28,6 +28,7 @@ from involution_forge.symexpr import (
     MAX_DEGREE,
     MAX_EXPONENT,
     MAX_NESTING,
+    _cancel,
     _content_prs_gcd,
     _heuristic_gcd,
     as_ratfun,
@@ -224,6 +225,22 @@ def test_degree_budget_is_checked_before_computing(table):
             f"degree {degree} exceeds {MAX_DEGREE} (at position {position})")
 
 
+def test_sums_of_fractions_are_inside_the_degree_budget(table):
+    # each '+' multiplies in a new denominator, so the sum's degree grows
+    # by one per fraction; polynomial sums are not measured at all
+    def fractions(n):
+        return " + ".join(f"1/(x1+{i})" for i in range(1, n + 1))
+
+    assert parse_ratfun(fractions(200), table).den.degree_in(0) == 200
+    text = fractions(201)
+    with pytest.raises(ParseError) as raised:
+        parse_ratfun(text, table)
+    assert str(raised.value) == (
+        f"degree 201 exceeds {MAX_DEGREE} "
+        f"(at position {text.rindex(' + ') + 1})")
+    assert parse_ratfun("x1^100*x2^50 + x2^100*x3^50", table).is_polynomial()
+
+
 def test_table_kinds_and_lookup():
     table = VarTable.build([
         "a1", "a2",
@@ -319,15 +336,19 @@ def _coefficients(st):
         lambda d: st.integers(-6 * d, 6 * d).map(lambda n: Fraction(n, d)))
 
 
+def _polynomials(st, table):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * 3), _coefficients(st),
+        min_size=1, max_size=4,
+    ).map(lambda terms: poly_from_terms(table, terms))
+
+
 def test_gcd_property_common_factor_divides():
     hypothesis = pytest.importorskip("hypothesis")
     pytest.importorskip("sympy")
     st = hypothesis.strategies
     table = VarTable.build(["x1", "x2", "x3"])
-    poly = st.dictionaries(
-        st.tuples(*[st.integers(0, 2)] * 3), _coefficients(st),
-        min_size=1, max_size=4,
-    ).map(lambda terms: poly_from_terms(table, terms))
+    poly = _polynomials(st, table)
 
     @hypothesis.settings(derandomize=True, deadline=None, max_examples=80)
     @hypothesis.given(poly, poly, poly)
@@ -349,6 +370,36 @@ def test_gcd_property_common_factor_divides():
                  ("(x1^2 + x3/2)*x2", "(x1^2 + x3/2)*(x2^2 + 1)*x3"),
                  ("(2*x1 + x2*x3)*(x1 - 1)", "(x2 - x3)*(x1 + 1)")):
         assert poly_gcd(poly(a), poly(b)) == _content_prs_gcd(poly(a), poly(b))
+
+
+def test_cancel_leaves_coprime_cofactors():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    table = VarTable.build(["x1", "x2", "x3"])
+    poly = _polynomials(st, table)
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=60)
+    @hypothesis.given(poly, poly, poly)
+    def check(a, b, c):
+        hypothesis.assume(not (a.is_zero() or b.is_zero() or c.is_zero()))
+        p, q = a * c, b * c
+        g, p1, q1 = _cancel(p, q)
+        assert g * p1 == p and g * q1 == q
+        assert poly_gcd(p1, q1).is_constant()
+
+    check()
+
+
+def test_constant_numerator_takes_no_gcd(table, monkeypatch):
+    # a constant shares no factor with anything
+    calls = []
+    real = symexpr.poly_gcd
+    monkeypatch.setattr(symexpr, "poly_gcd",
+                        lambda a, b: calls.append((a, b)) or real(a, b))
+    value = RationalFunction(Polynomial.constant(table, 3),
+                             parse_ratfun("x1 + 1", table).num)
+    assert value.render() == "(3)/(x1 + 1)"
+    assert calls == []
 
 
 def test_gcd_of_the_largest_reject_sigma_pair():

@@ -28,12 +28,13 @@ from involution_forge import (
     lenard_magri_check,
     parse_ratfun,
     rank_at_sample,
+    sample_point,
     schouten,
 )
 from involution_forge import verify as verify_module
 from involution_forge.cli import assemble
 from involution_forge.fixtures import FIXTURE_NAMES, load_fixture
-from involution_forge.verify import bivector_sharp, sample_point
+from involution_forge.verify import bivector_sharp
 from helpers import coordinate_jacobiator, random_multivector
 
 

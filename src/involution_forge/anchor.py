@@ -25,7 +25,6 @@ star; the tests keep the star as an independent oracle for it.
 from __future__ import annotations
 
 from .errors import (
-    Degenerate,
     DegenerateVolume,
     DegreeError,
     NotReducible,
@@ -195,6 +194,7 @@ def build_symplectic(given) -> SymplecticAnchor:
         raise OddDimension(
             f"geometric dimension {table.dim} is odd; no symplectic anchor"
         )
+    table.require_pencil_free(given.comps.values(), "the anchor")
     given_bivector = isinstance(given, MultiVector)
     inverse = invert(full_matrix(given), table)
     other = from_matrix(
@@ -228,10 +228,9 @@ def build_cosymplectic(vartheta: Form, theta: Form) -> CosymplecticAnchor:
     omega_prime = migrate_alternating(theta, ext) + wedge(
         ds, migrate_alternating(vartheta, ext)
     )
-    try:
-        lifted = build_symplectic(omega_prime)
-    except Degenerate as exc:
-        raise DegenerateVolume(str(exc)) from exc
+    # omega'^(n+1)/(n+1)! = Theta^n/n! ^ ds ^ vartheta, nonzero with the
+    # volume, so this inversion cannot fail
+    lifted = build_symplectic(omega_prime)
 
     # Lambda' = Lambda + Ds^E = Lambda - E^Ds
     rest, tail = decompose_prime(lifted.lambda_bi)

@@ -389,9 +389,11 @@ def _records_form(table: VarTable, degree: int, records, path: str,
 
 def _parse_coeff(table: VarTable, text: str, path: str):
     try:
-        return parse_ratfun(text, table)
+        value = parse_ratfun(text, table)
+        table.require_pencil_free([value], "expression")
     except ForgeError as exc:
         raise SpecError(str(exc), path) from exc
+    return value
 
 
 def _build_family(table: VarTable, entries, seed: int, path: str):

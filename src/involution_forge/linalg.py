@@ -163,11 +163,13 @@ def rank_at_point(rows: list, point: RationalPoint) -> int:
     return len(rref([[v.evaluate(point) for v in row] for row in rows])[1])
 
 
-def sampled_rank(rows: list, table: VarTable, guards, rng, target=None):
-    """Best rank of the matrix over RANK_DRAWS points sampled off the zeros
-    of ``guards``, stopping early only at the first draw that reaches a
-    given ``target``; returns (best rank, the point where it was first
-    attained)."""
+def sampled_rank(rows: list, table: VarTable, rng, target=None, avoid=()):
+    """Best rank of the matrix over RANK_DRAWS points sampled off the poles
+    of its entries and the zeros of ``avoid``, stopping early only at the
+    first draw that reaches a given ``target``; returns (best rank, the
+    point where it was first attained)."""
+    guards = [v.den for row in rows for v in row if not v.den.is_constant()]
+    guards.extend(avoid)
     best, best_point = -1, None
     for _ in range(RANK_DRAWS):
         point = sample_point(table, guards, rng)

@@ -55,7 +55,7 @@ from .exterior import (
     wedge,
 )
 from .linalg import nullspace, sampled_rank, solve_linear
-from .report import Verdict
+from .report import Verdict, vanishes
 from .symexpr import (
     RationalFunction,
     VarKind,
@@ -117,12 +117,11 @@ class FunctionFamily:
     def independence_point(self, rng: Random):
         """A rational point where the family Jacobian has full rank r+k."""
         geo = self.table.geometric_indices
-        guards = [f.den for f in self.entries.values()]
         rows = [
             [f.derivative(i) for i in geo] for f in self.functions()
         ]
         want = self.r + self.k
-        rank, point = sampled_rank(rows, self.table, guards, rng, want)
+        rank, point = sampled_rank(rows, self.table, rng, want)
         if rank != want:
             raise RankDrop(
                 f"family Jacobian never reached rank {want} at sampled points"
@@ -262,6 +261,8 @@ class SigmaPair:
         sigma0.table.require_same(sigma1.table)
         if sigma0.degree != 2 or sigma1.degree != 2:
             raise DegreeError("a sigma pair holds 2-forms")
+        for name, form in (("sigma0", sigma0), ("sigma1", sigma1)):
+            form.table.require_pencil_free(form.comps.values(), name)
         self.sigma0 = sigma0
         self.sigma1 = sigma1
 
@@ -274,19 +275,15 @@ def sigma_pair_invariants(anchor, family: FunctionFamily, partition,
     for j in (0, 1):
         generators = distribution(anchor, family, partition, j)
         for g, X in enumerate(generators):
-            residual = interior(X, sigmas[j])
-            verdicts.append(Verdict(
+            verdicts.append(vanishes(
                 f"sigma{j} annihilates generator {g} of D{j}",
-                residual.is_zero(),
-                residual,
+                interior(X, sigmas[j]),
             ))
     table = pair.sigma0.table
     rng = Random(seed)
     for j in (0, 1):
-        guards = [c.den for c in sigmas[j].comps.values()]
-        best, _ = sampled_rank(
-            full_matrix(sigmas[j]), table, guards, rng, 2 * family.r
-        )
+        best, _ = sampled_rank(full_matrix(sigmas[j]), table, rng,
+                               2 * family.r)
         verdicts.append(Verdict(
             f"sigma{j} has rank {2 * family.r} at a sampled point",
             best == 2 * family.r,
@@ -304,18 +301,15 @@ def check_sigma_conditions(anchor, pair: SigmaPair) -> list:
         return codifferential(anchor.lifted, a)
 
     d0, d1 = delta(s0), delta(s1)
-    verdicts = []
-    residual = delta(wedge(s0, s0)) - wedge(s0, d0) * 2
-    verdicts.append(Verdict("delta(sigma0^sigma0) = 2 sigma0^delta(sigma0)",
-                            residual.is_zero(), residual))
-    residual = delta(wedge(s1, s1)) - wedge(s1, d1) * 2
-    verdicts.append(Verdict("delta(sigma1^sigma1) = 2 sigma1^delta(sigma1)",
-                            residual.is_zero(), residual))
-    residual = delta(wedge(s0, s1)) - wedge(d0, s1) - wedge(s0, d1)
-    verdicts.append(Verdict(
-        "delta(sigma0^sigma1) = delta(sigma0)^sigma1 + sigma0^delta(sigma1)",
-        residual.is_zero(), residual))
-    return verdicts
+    return [
+        vanishes("delta(sigma0^sigma0) = 2 sigma0^delta(sigma0)",
+                 delta(wedge(s0, s0)) - wedge(s0, d0) * 2),
+        vanishes("delta(sigma1^sigma1) = 2 sigma1^delta(sigma1)",
+                 delta(wedge(s1, s1)) - wedge(s1, d1) * 2),
+        vanishes("delta(sigma0^sigma1) = delta(sigma0)^sigma1"
+                 " + sigma0^delta(sigma1)",
+                 delta(wedge(s0, s1)) - wedge(d0, s1) - wedge(s0, d1)),
+    ]
 
 
 def check_recursion(anchor, pair: SigmaPair, family: FunctionFamily,
@@ -325,13 +319,10 @@ def check_recursion(anchor, pair: SigmaPair, family: FunctionFamily,
     for cp in partition:
         fields = _hamiltonian_fields(anchor, family, cp.names)
         for j in range(1, cp.degree + 1):
-            residual = interior(fields[j], pair.sigma0) - interior(
-                fields[j - 1], pair.sigma1
-            )
-            verdicts.append(Verdict(
+            verdicts.append(vanishes(
                 f"sigma0(X_{cp.names[j]}, .) = sigma1(X_{cp.names[j - 1]}, .)",
-                residual.is_zero(),
-                residual,
+                interior(fields[j], pair.sigma0)
+                - interior(fields[j - 1], pair.sigma1),
             ))
     return verdicts
 
@@ -360,7 +351,8 @@ class AnsatzSolution:
     def substitution(self, mapping) -> dict:
         """Values for free unknowns or constants, expression strings parsed
         over ``base_table`` (so no value names a free unknown); raises
-        SpecError on any other name."""
+        SpecError on any other name, and on a string that involves the
+        pencil parameter."""
         values = {}
         for name, value in mapping.items():
             if name not in self.free_names and (
@@ -374,6 +366,7 @@ class AnsatzSolution:
                 value = migrate_ratfun(
                     parse_ratfun(value, self.base_table), self.table
                 )
+                self.table.require_pencil_free([value], "expression")
             values[name] = value
         return values
 
@@ -429,6 +422,10 @@ def solve_recursion_ansatz(anchor, sigma0: Form, basis, family: FunctionFamily,
     particular + kernel with free unknowns left symbolic (adjoined to the
     table as inert constants, named k12, k13, ... in basis order)."""
     table = sigma0.table
+    table.require_pencil_free(sigma0.comps.values(), "sigma0")
+    for pos, covector in enumerate(basis, start=1):
+        table.require_pencil_free(covector.comps.values(),
+                                  f"basis covector {pos}")
     m = len(basis)
     pairs = [(a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1)]
     wedges = [wedge(basis[a - 1], basis[b - 1]) for a, b in pairs]
@@ -544,8 +541,8 @@ def compute_F_lambda(anchor, functions, r: int) -> RationalFunction:
         covector = wedge(covector, differential(f, table))
     value = pairing(covector, against)
 
-    if value.den.involves(table.pencil_index):
-        raise NonExactDivision("F(lambda) has a lambda-dependent denominator")
+    # the coefficients of the F^i are free of lambda, and so is Lambda^l:
+    # F(lambda) is a polynomial of degree at most r in lambda
     coeffs = coefficients_in(value, table.names[table.pencil_index])
     if r not in coeffs:
         raise DegenerateLeading(
@@ -554,10 +551,6 @@ def compute_F_lambda(anchor, functions, r: int) -> RationalFunction:
     if 0 not in coeffs:
         raise DegenerateTrailing(
             "the constant coefficient of F(lambda) vanishes identically"
-        )
-    if max(coeffs) > r:
-        raise DegenerateLeading(
-            f"F(lambda) has degree {max(coeffs)} > r = {r}"
         )
     return value
 
@@ -660,8 +653,7 @@ def bracket_closed_form(pencil: Pencil, f, h) -> RationalFunction:
         differential(f, table), wedge(differential(h, table), phi)
     )
     value = _top_quotient(numerator, pencil.anchor.volume)
-    pencil_index = table.pencil_index
-    if pencil_index is not None and value.den.involves(pencil_index):
+    if value.den.involves(table.pencil_index):
         raise NonExactDivision(
             f"{{{f.render()}, {h.render()}}} is not polynomial in the "
             f"pencil parameter: denominator {value.den.render()}"

@@ -1,6 +1,8 @@
 """Verdicts with symbolic witnesses, shared by the pencil checks and the
 certificate layer.  A verdict is never a bare boolean: failures carry the
-residual object that refutes the claim."""
+residual object that refutes the claim.  ``vanishes`` is the one rule for
+an identity that must hold exactly, and ``Verdict.render`` prints an
+alternating witness as its least-index component, in basis notation."""
 
 from __future__ import annotations
 
@@ -8,8 +10,12 @@ from dataclasses import dataclass
 
 
 def _render_witness(witness) -> str:
-    if witness is None:
-        return ""
+    comps = getattr(witness, "comps", None)
+    if comps:
+        idx = min(comps)
+        witness = type(witness)(
+            witness.table, witness.degree, {idx: comps[idx]}
+        )
     render = getattr(witness, "render", None)
     if callable(render):
         return render()
@@ -29,3 +35,9 @@ class Verdict:
             line += f"  [residual: {_render_witness(self.witness)}]"
         return line
 
+
+def vanishes(label: str, residual) -> Verdict:
+    """PASS with no witness on a zero residual, else FAIL carrying it."""
+    if residual.is_zero():
+        return Verdict(label, True)
+    return Verdict(label, False, residual)

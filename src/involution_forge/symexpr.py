@@ -73,6 +73,7 @@ from .errors import (
     ParseError,
     PoleAtPoint,
     SamplingExhausted,
+    SpecError,
     TableMismatch,
     UnknownVariable,
 )
@@ -190,6 +191,15 @@ class VarTable:
         if self is not other and self != other:
             raise TableMismatch(
                 f"variable tables differ: {self.names} vs {other.names}"
+            )
+
+    def require_pencil_free(self, values, what: str):
+        """Raise SpecError when one of ``values`` involves the pencil
+        parameter, which enters only through the Casimir polynomials."""
+        i = self.pencil_index
+        if i is not None and any(v.involves(i) for v in values):
+            raise SpecError(
+                f"{what} involves the pencil parameter {self.names[i]!r}"
             )
 
 

@@ -21,15 +21,15 @@ from random import Random
 
 from .anchor import (
     APPENDED_NAME,
-    bivector_sharp,
     full_matrix,
+    hamiltonian_vf,
     poisson_bracket,
 )
 from .errors import DegreeError, SpecError
-from .exterior import differential, schouten
+from .exterior import schouten
 from .linalg import det, rank_at_point, sampled_rank
 from .pencil import FunctionFamily, Pencil, bracket_closed_form
-from .report import Verdict
+from .report import Verdict, vanishes
 from .symexpr import (
     RationalFunction,
     RationalPoint,
@@ -37,21 +37,9 @@ from .symexpr import (
 )
 
 
-def _vanishes(label: str, residual) -> Verdict:
-    """PASS when an alternating residual is zero, else FAIL with its first
-    nonzero component as witness, kept as an object of the same class so
-    it renders in basis notation."""
-    if residual.is_zero():
-        return Verdict(label, True)
-    idx = min(residual.comps)
-    return Verdict(label, False, type(residual)(
-        residual.table, residual.degree, {idx: residual.comps[idx]}
-    ))
-
-
 def jacobi_check(Pi, label: str = "jacobi") -> Verdict:
     """[Pi, Pi] = 0, the Jacobi identity in Schouten form."""
-    return _vanishes(label, schouten(Pi, Pi))
+    return vanishes(label, schouten(Pi, Pi))
 
 
 def casimir_check(Pi_lambda, F_i, label: str = "casimir") -> Verdict:
@@ -60,9 +48,7 @@ def casimir_check(Pi_lambda, F_i, label: str = "casimir") -> Verdict:
     The pencil parameter is an inert symbol of the coefficient field, so
     exact vanishing of the sharp image IS the coefficient-wise statement
     for every value of the parameter at once."""
-    return _vanishes(label, bivector_sharp(
-        Pi_lambda, differential(F_i, Pi_lambda.table)
-    ))
+    return vanishes(label, hamiltonian_vf(Pi_lambda, F_i))
 
 
 def _bracket_matrix(Pi, funcs) -> list:
@@ -99,9 +85,8 @@ def lenard_magri_check(Pi0, Pi1, chain) -> list:
         raise SpecError("a Lenard-Magri chain needs at least two functions")
     verdicts = []
     for j in range(1, len(chain)):
-        lhs = bivector_sharp(Pi0, differential(chain[j], Pi0.table))
-        rhs = bivector_sharp(Pi1, differential(chain[j - 1], Pi1.table))
-        residual = lhs - rhs
+        lhs = hamiltonian_vf(Pi0, chain[j])
+        residual = lhs - hamiltonian_vf(Pi1, chain[j - 1])
         if residual.comps:
             verdicts.append(Verdict(f"link[{j}]", False, residual))
         else:
@@ -113,22 +98,14 @@ def compatibility_check(PiA, PiB, label: str = "compatibility") -> Verdict:
     """[PiA, PiB] = 0, so every linear combination is again Poisson."""
     if PiA.degree != 2 or PiB.degree != 2:
         raise DegreeError("compatibility is a statement about bivectors")
-    return _vanishes(label, schouten(PiA, PiB))
+    return vanishes(label, schouten(PiA, PiB))
 
 
 def rank_at_sample(Pi, rng: Random, avoid=()):
     """Best (rank, point) over all RANK_DRAWS generic rational draws: with
     no target there is no early stop, so the rng advances the same way
     whatever the rank."""
-    rows = full_matrix(Pi)
-    guards = [
-        entry.den
-        for row in rows
-        for entry in row
-        if not entry.den.is_constant()
-    ]
-    guards.extend(avoid)
-    return sampled_rank(rows, Pi.table, guards, rng)
+    return sampled_rank(full_matrix(Pi), Pi.table, rng, avoid=avoid)
 
 
 @dataclass
@@ -185,9 +162,9 @@ def certify(pencil: Pencil, seed: int = 0) -> PencilCertificate:
     s01 = schouten(Pi0, Pi1)
 
     verdicts = [
-        _vanishes("jacobi[Pi0]", s00),
-        _vanishes("jacobi[Pi1]", s11),
-        _vanishes("jacobi[pencil]", s11 - s01 * (2 * lam) + s00 * lam**2),
+        vanishes("jacobi[Pi0]", s00),
+        vanishes("jacobi[Pi1]", s11),
+        vanishes("jacobi[pencil]", s11 - s01 * (2 * lam) + s00 * lam**2),
     ]
     F_list = pencil.F_functions
     verdicts.extend(
@@ -197,7 +174,7 @@ def certify(pencil: Pencil, seed: int = 0) -> PencilCertificate:
     verdicts.append(_involution_verdict(
         involution_table(pi_lam, family), family.names, "involution[family]"
     ))
-    verdicts.append(_vanishes("compatibility[Pi0,Pi1]", s01))
+    verdicts.append(vanishes("compatibility[Pi0,Pi1]", s01))
 
     for ci, cp in enumerate(pencil.partition, start=1):
         if len(cp.names) < 2:

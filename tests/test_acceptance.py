@@ -15,6 +15,7 @@ import pytest
 from involution_forge import (
     MultiVector,
     RationalFunction,
+    bivector_sharp,
     casimir_check,
     differential,
     from_records,
@@ -33,7 +34,7 @@ from involution_forge.pencil import (
     solve_recursion_ansatz,
 )
 from involution_forge.symexpr import coefficients_in, migrate_ratfun
-from involution_forge.verify import bivector_sharp, full_matrix, rank_at_sample
+from involution_forge.verify import full_matrix, rank_at_sample
 from helpers import (
     exterior_laws_suite,
     jacobian_bracket_suite,

@@ -10,6 +10,7 @@ from involution_forge import (
     Form,
     MultiVector,
     NotReducible,
+    NotSemiBasic,
     RationalFunction,
     VarKind,
     VarTable,
@@ -254,6 +255,16 @@ def test_reduce_rejects_appended_dependence(toda_anchor):
     later = ltab.extend("c", VarKind.CONSTANT)
     with pytest.raises(NotReducible):
         reduce_bivector(MultiVector(later, 2, {(geo[0], geo[1]): 1}))
+
+
+def test_sharp_of_a_form_with_a_reeb_leg_is_not_semi_basic(toda_anchor):
+    # E = Db3 on toda_first's anchor, so i_E(da1^db3) = -da1
+    table = toda_anchor.table
+    one = RationalFunction.one(table)
+    with pytest.raises(NotSemiBasic, match=r"i_E leaves \(-1\)\*da1"):
+        sharp(toda_anchor, Form(table, 2, {(0, 4): one}))
+    # without the db3 leg the degree-2 sharp is defined
+    assert not sharp(toda_anchor, Form(table, 2, {(0, 2): one})).is_zero()
 
 
 def test_decompose_prime_round_trip(toda_anchor):

@@ -266,6 +266,88 @@ def test_degenerate_cosymplectic_anchor_exits_one(spec_on_disk):
     assert text.startswith("error: DegenerateVolume: ")
 
 
+def test_symplectic_anchor_on_an_odd_patch_exits_one(spec_on_disk):
+    payload = json.loads(fixture_file("toda_first").read_text())
+    payload["anchor"] = {"type": "symplectic", "bivector": [
+        {"indices": [1, 3], "coeff": "1"}, {"indices": [2, 4], "coeff": "1"},
+    ]}
+    assert run("check", spec_on_disk(payload)) == (
+        1, "error: OddDimension: geometric dimension 5 is odd; "
+        "no symplectic anchor")
+
+
+def test_sigma_coefficients_in_the_pencil_parameter_exit_two(spec_on_disk):
+    # the pencil parameter enters only through the partition; a sigma pair
+    # scaled by (1 + lambda) once assembled and certified a pencil
+    payload = json.loads(fixture_file("toda_first").read_text())
+    del payload["expected"]
+    for key in ("sigma0", "sigma1"):
+        payload[key]["coefficients"] = [
+            [a, b, f"({text})*(1+lambda)"]
+            for a, b, text in payload[key]["coefficients"]
+        ]
+    path = spec_on_disk(payload)
+    for command in ("check", "pencil", "bracket", "report"):
+        assert run(command, path, pair="f1,f2") == (
+            2, f"error: {path}.sigma0.coefficients[0]: "
+            "expression involves the pencil parameter 'lambda'")
+
+
+def test_symplectic_anchor_in_the_pencil_parameter_exits_two(spec_on_disk):
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["anchor"] = {"type": "symplectic", "bivector": [
+        {"indices": list(pair), "coeff": coeff} for pair, coeff in
+        zip(payload["anchor"]["pairs"], ("1", "1 + lambda", "1"))
+    ]}
+    path = spec_on_disk(payload)
+    assert run("check", path) == (
+        2, f"error: {path}.anchor.bivector[1].coeff: "
+        "expression involves the pencil parameter 'lambda'")
+
+
+def test_specialize_value_in_the_pencil_parameter_exits_two(spec_on_disk):
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["sigma1"]["ansatz"]["specialize"]["l3"] = "lambda"
+    path = spec_on_disk(payload)
+    for command in ("check", "solve-ansatz"):
+        assert run(command, path) == (
+            2, f"error: {path}.sigma1.ansatz.specialize.l3: "
+            "expression involves the pencil parameter 'lambda'")
+
+
+def _split_chain_spec(f0: str, f1: str, sigma0, sigma1) -> dict:
+    """On R^4 with the canonical anchor, the chain (f0, f1) and the single
+    Casimir p2, so F(lambda) = lambda {f0, p2} + {f1, p2}; each sigma is
+    one constant component, so every sigma condition holds."""
+    def form(indices):
+        return {"components": [{"indices": indices, "coeff": "1"}]}
+    return {
+        "name": "split_chain",
+        "variables": ["q1", "p1", "q2", "p2",
+                      {"name": "lambda", "kind": "pencil_parameter"}],
+        "anchor": {"type": "canonical", "pairs": [[1, 2], [3, 4]]},
+        "family": [{"name": "f0", "expression": f0},
+                   {"name": "f1", "expression": f1},
+                   {"name": "g", "expression": "p2"}],
+        "partition": [["f0", "f1"], ["g"]],
+        "sigma0": form(sigma0),
+        "sigma1": form(sigma1),
+    }
+
+
+@pytest.mark.parametrize("f0, f1, sigma0, sigma1, line", [
+    # {p1, p2} = 0 is the lambda^1 coefficient, then the lambda^0 one
+    ("p1", "q2", [2, 4], [1, 2], "DegenerateLeading: the lambda^1 "
+     "coefficient of F(lambda) vanishes identically"),
+    ("q2", "p1", [1, 2], [2, 4], "DegenerateTrailing: the constant "
+     "coefficient of F(lambda) vanishes identically"),
+])
+def test_a_vanishing_end_of_F_lambda_exits_one(spec_on_disk, f0, f1, sigma0,
+                                               sigma1, line):
+    path = spec_on_disk(_split_chain_spec(f0, f1, sigma0, sigma1))
+    assert run("pencil", path) == (1, f"error: {line}")
+
+
 def test_python_dash_m_runs_the_cli(lagrange_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(involution_forge.__file__).parents[1])

@@ -15,6 +15,7 @@ from involution_forge import (
     MultiVector,
     RationalFunction,
     VarKind,
+    UnsupportedDegrees,
     VarTable,
     differential,
     divided_power,
@@ -125,6 +126,14 @@ def test_schouten_gradings(table):
         c = Fraction(3)
         assert schouten(P * c, Q) == schouten(P, Q) * c
         assert schouten(P + Q, Q) == schouten(P, Q) + schouten(Q, Q)
+
+
+def test_schouten_of_a_bivector_and_a_3_vector_is_unsupported(table):
+    rng = Random(79)
+    P = random_multivector(table, 2, rng)
+    R = random_multivector(table, 3, rng)
+    with pytest.raises(UnsupportedDegrees, match=r"degrees \(2, 3\)"):
+        schouten(P, R)
 
 
 def test_schouten_vector_fields_is_the_commutator(table):

@@ -1,8 +1,10 @@
 """Every name a package module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
 every public one is used there or exported at the root, ``__all__``
-lists exactly the public names the package root binds, and no
-``RationalFunction`` method calls the gcd or the exact division itself.
+lists exactly the public names the package root binds, no
+``RationalFunction`` method calls the gcd or the exact division itself,
+no verdict outside ``report`` decides an exact residual by hand, and no
+code outside ``anchor`` writes a Hamiltonian field out.
 
 No linter ships with the toolchain, so this walks the syntax trees with
 ``ast``.  ``__init__.py`` is exempt from the import check: its imports are
@@ -172,3 +174,75 @@ def test_rational_functions_cancel_only_through_one_helper():
     source = (PACKAGE / "symexpr.py").read_text(encoding="utf-8")
     assert _method_calls(source, "RationalFunction",
                          {"poly_gcd", "poly_exact_div"}) == []
+
+
+def _callee(call: ast.Call) -> str:
+    """The called name, bare or as an attribute."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else ""
+
+
+def _calls(source: str, name: str) -> list:
+    return [node for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and _callee(node) == name]
+
+
+def _verdicts_on_is_zero(source: str) -> list:
+    """Line of each Verdict(...) call whose ``passed`` argument is an
+    ``.is_zero()`` call."""
+    found = []
+    for call in _calls(source, "Verdict"):
+        passed = call.args[1:2] + [
+            kw.value for kw in call.keywords if kw.arg == "passed"
+        ]
+        if any(isinstance(arg, ast.Call) and _callee(arg) == "is_zero"
+               for arg in passed):
+            found.append(call.lineno)
+    return sorted(found)
+
+
+def _inline_hamiltonian_fields(source: str) -> list:
+    """Line of each bivector_sharp(P, differential(...)) call."""
+    return sorted(
+        call.lineno for call in _calls(source, "bivector_sharp")
+        if len(call.args) > 1 and isinstance(call.args[1], ast.Call)
+        and _callee(call.args[1]) == "differential"
+    )
+
+
+def _found_outside(home: str, finder) -> dict:
+    found = {
+        module: finder(source)
+        for module, source in _package_sources().items() if module != home
+    }
+    return {module: lines for module, lines in found.items() if lines}
+
+
+def test_exact_residuals_are_judged_only_by_vanishes():
+    # report.vanishes is the one rule for an identity that must vanish:
+    # PASS with no witness, FAIL with the whole residual
+    assert _found_outside("report.py", _verdicts_on_is_zero) == {}
+
+
+def test_verdict_on_is_zero_is_reported():
+    source = ("Verdict('a', r.is_zero(), r)\n"
+              "Verdict('b', passed=r.is_zero())\n"
+              "Verdict('c', r == 0, r)\n"
+              "report.Verdict('d', r.is_zero())\n"
+              "Verdict('e', True, r.is_zero())\n")
+    assert _verdicts_on_is_zero(source) == [1, 2, 4]
+
+
+def test_hamiltonian_fields_are_taken_only_through_hamiltonian_vf():
+    # X_f = Pi#(df) is anchor.hamiltonian_vf
+    assert _found_outside("anchor.py", _inline_hamiltonian_fields) == {}
+
+
+def test_inline_hamiltonian_field_is_reported():
+    source = ("bivector_sharp(P, differential(f, P.table))\n"
+              "bivector_sharp(P, ds)\n"
+              "anchor.bivector_sharp(\n    P, exterior.differential(f))\n"
+              "hamiltonian_vf(P, f)\n")
+    assert _inline_hamiltonian_fields(source) == [1, 3]

@@ -10,6 +10,7 @@ from involution_forge import (
     Degenerate,
     DimensionMismatch,
     Inconsistent,
+    PoleAtPoint,
     RationalFunction,
     RationalPoint,
     VarTable,
@@ -229,12 +230,22 @@ def test_rank_at_point_matches_sympy_on_rank_deficient_matrices(table):
 
 def _scripted_draws(monkeypatch, table, values):
     """Make sampled_rank draw x1 = each of ``values`` in turn (x2 = x3 =
-    1); returns the list of points drawn so far."""
+    1), passing over a point where a guard vanishes or has a pole as
+    sample_point does; returns the list of points drawn so far, passed
+    over or not."""
     drawn = []
 
+    def admissible(point, guards):
+        try:
+            return all(g.evaluate(point) != 0 for g in guards)
+        except PoleAtPoint:
+            return False
+
     def draw(tab, guards, rng):
-        drawn.append(RationalPoint(tab, (values[len(drawn)], 1, 1)))
-        return drawn[-1]
+        while True:
+            drawn.append(RationalPoint(tab, (values[len(drawn)], 1, 1)))
+            if admissible(drawn[-1], guards):
+                return drawn[-1]
 
     monkeypatch.setattr(linalg, "sample_point", draw)
     return drawn
@@ -248,7 +259,7 @@ def test_sampled_rank_without_a_target_takes_every_draw(table, monkeypatch):
     values = [0, 0, 7, 9]
     assert len(values) == RANK_DRAWS
     drawn = _scripted_draws(monkeypatch, table, values)
-    rank, point = sampled_rank(rows, table, [], Random(0))
+    rank, point = sampled_rank(rows, table, Random(0))
     assert (rank, point) == (2, drawn[2])
     assert len(drawn) == RANK_DRAWS
 
@@ -258,9 +269,26 @@ def test_sampled_rank_stops_at_the_first_draw_reaching_the_target(
     rows = [[parse_ratfun("x1", table), parse_ratfun("x2", table)],
             [parse_ratfun("0", table), parse_ratfun("x1*x3", table)]]
     drawn = _scripted_draws(monkeypatch, table, [0, 0, 7, 9])
-    assert sampled_rank(rows, table, [], Random(0), target=2) == (2, drawn[2])
+    assert sampled_rank(rows, table, Random(0), target=2) == (2, drawn[2])
     assert len(drawn) == 3
     # a target beyond reach draws RANK_DRAWS points and reports the best
     drawn.clear()
-    assert sampled_rank(rows, table, [], Random(0), target=3)[0] == 2
+    assert sampled_rank(rows, table, Random(0), target=3)[0] == 2
     assert len(drawn) == RANK_DRAWS
+
+
+def test_sampled_rank_draws_off_its_poles_and_the_avoided_zeros(
+        table, monkeypatch):
+    # x1 = 2 is a pole of an entry and x1 = 5 a zero of ``avoid``: both
+    # draws are passed over without a guard from the caller
+    rows = [[parse_ratfun("1/(x1 - 2)", table), parse_ratfun("x2", table)],
+            [parse_ratfun("0", table), parse_ratfun("x3", table)]]
+    avoid = [parse_ratfun("x1 - 5", table)]
+    drawn = _scripted_draws(monkeypatch, table, [2, 5, 7])
+    assert sampled_rank(rows, table, Random(0), target=2, avoid=avoid) == (
+        2, drawn[2])
+    assert [point.values[0] for point in drawn] == [2, 5, 7]
+    # without ``avoid`` only the pole is passed over
+    drawn.clear()
+    assert sampled_rank(rows, table, Random(0), target=2) == (2, drawn[1])
+    assert [point.values[0] for point in drawn] == [2, 5]

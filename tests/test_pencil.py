@@ -23,6 +23,7 @@ from involution_forge import (
     VarTable,
     assemble_pencil,
     bracket_closed_form,
+    build_cosymplectic,
     build_family,
     build_symplectic,
     casimir_function,
@@ -215,6 +216,8 @@ def test_sigma_conditions_pass_on_fixtures(lagrange, toda):
         recursion = check_recursion(elab.anchor, pair, elab.family,
                                     elab.partition)
         assert all(v.passed for v in recursion)
+        # an identity that vanishes has nothing to witness
+        assert all(v.witness is None for v in verdicts + recursion)
 
 
 def test_sigma_conditions_fail_with_witness(lagrange):
@@ -227,6 +230,30 @@ def test_sigma_conditions_fail_with_witness(lagrange):
     failing = [v for v in verdicts if not v.passed]
     assert failing
     assert all(v.witness is not None for v in failing)
+
+
+def test_engine_keeps_the_pencil_parameter_out_of_its_inputs(lagrange,
+                                                            toda):
+    # lambda enters only through the partition: a lambda-dependent anchor,
+    # sigma form or ansatz covector is refused like a lambda-dependent
+    # family entry
+    fixture, elab, _ = lagrange
+    scale = 1 + parse_ratfun("lambda", elab.table)
+    with pytest.raises(SpecError, match="the anchor involves the pencil "
+                       "parameter 'lambda'"):
+        build_symplectic(elab.anchor.lambda_bi * scale)
+    odd = toda[1].anchor
+    with pytest.raises(SpecError, match="the anchor involves"):
+        build_cosymplectic(odd.vartheta * (1 + parse_ratfun(
+            "lambda", odd.table)), odd.theta)
+    with pytest.raises(SpecError, match="sigma1 involves"):
+        SigmaPair(elab.sigma0, elab.sigma1 * scale)
+    problem = elaborate_ansatz(fixture.spec, seed=0)
+    basis = list(problem.basis)
+    basis[1] = basis[1] * (1 + parse_ratfun("lambda", basis[1].table))
+    with pytest.raises(SpecError, match="basis covector 2 involves"):
+        solve_recursion_ansatz(problem.anchor, problem.sigma0, basis,
+                               problem.family, problem.partition)
 
 
 def test_assemble_rejects_broken_sigma(lagrange):

@@ -12,9 +12,11 @@ from involution_forge import (
     ForbiddenVariable,
     NegativeExponent,
     ParseError,
+    PoleAtPoint,
     Polynomial,
     RationalFunction,
     RationalPoint,
+    SamplingExhausted,
     TableMismatch,
     UnknownVariable,
     VarKind,
@@ -99,6 +101,18 @@ def test_evaluation_is_a_homomorphism(table):
         assert (f + g).evaluate(point) == f.evaluate(point) + g.evaluate(point)
         assert (f * g).evaluate(point) == f.evaluate(point) * g.evaluate(point)
         assert isinstance(f.evaluate(point), Fraction)
+
+
+def test_evaluation_at_a_pole_raises(table):
+    f = parse_ratfun("x1/(x2 - 1)", table)
+    point = RationalPoint(table, tuple(Fraction(1) for _ in table.names))
+    with pytest.raises(PoleAtPoint, match=r"denominator x2 - 1 vanishes"):
+        f.evaluate(point)
+
+
+def test_sampling_off_a_zero_guard_is_exhausted(table):
+    with pytest.raises(SamplingExhausted, match="no admissible point"):
+        sample_point(table, [Polynomial.zero(table)], Random(0))
 
 
 def test_parse_render_round_trip(table):

@@ -18,11 +18,13 @@ from involution_forge import (
     VarKind,
     VarTable,
     assemble_pencil,
+    bivector_sharp,
     build_family,
     casimir_check,
     certify,
     compatibility_check,
     differential,
+    hamiltonian_vf,
     involution_table,
     jacobi_check,
     lenard_magri_check,
@@ -34,7 +36,6 @@ from involution_forge import (
 from involution_forge import verify as verify_module
 from involution_forge.cli import assemble
 from involution_forge.fixtures import FIXTURE_NAMES, load_fixture
-from involution_forge.verify import bivector_sharp
 from helpers import coordinate_jacobiator, random_multivector
 
 
@@ -141,6 +142,23 @@ def test_lenard_magri_check_links(toda_pair):
     assert any(not v.passed for v in broken)
     with pytest.raises(SpecError):
         lenard_magri_check(pencil.Pi0, pencil.Pi1, chain[:1])
+
+
+def test_failing_link_renders_its_first_component(toda_pair):
+    # the witness is the whole residual field; its text is the component
+    # of least index, in basis notation
+    (elab, pencil), _ = toda_pair
+    chain = [elab.family.entry(n) for n in ("f2", "f1", "f0")]
+    link = lenard_magri_check(pencil.Pi0, pencil.Pi1, chain)[0]
+    residual = (hamiltonian_vf(pencil.Pi0, chain[1])
+                - hamiltonian_vf(pencil.Pi1, chain[0]))
+    assert len(residual.comps) >= 2
+    assert not link.passed
+    assert link.witness == residual
+    first = min(residual.comps)
+    shown = MultiVector(residual.table, 1, {first: residual.comps[first]})
+    assert link.render() == (
+        f"FAIL  link[1]  [residual: {shown.render()}]")
 
 
 def test_rank_at_sample_and_degenerate_cases(lagrange):

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import dataclass, field, replace
+import os
+import sys
 
 from .anchor import (
     APPENDED_NAME,
@@ -39,7 +40,7 @@ from .pencil import (
     unknown_name,
 )
 from .symexpr import _IDENT_RE, VarKind, VarTable, parse_ratfun
-from .verify import certify
+from .verify import PencilCertificate, certify
 
 COMMANDS = ("check", "pencil", "bracket", "solve-ansatz", "report")
 
@@ -65,21 +66,23 @@ _ANCHOR_FIELDS = {
 # --- parsing -------------------------------------------------------------------
 
 
-@dataclass
 class SpecFile:
     """A validated spec payload; ``path`` names the document, and every
     error about its content is reported at ``<path>.<JSON path>``."""
 
-    path: str
-    name: str
-    variables: list
-    anchor: dict
-    family: list
-    partition: list
-    sigma0: dict
-    sigma1: dict
-    checks: tuple
-    expected: dict
+    def __init__(self, path: str, name: str, variables: list, anchor: dict,
+                 family: list, partition: list, sigma0: dict, sigma1: dict,
+                 checks: tuple, expected: dict):
+        self.path = path
+        self.name = name
+        self.variables = variables
+        self.anchor = anchor
+        self.family = family
+        self.partition = partition
+        self.sigma0 = sigma0
+        self.sigma1 = sigma1
+        self.checks = checks
+        self.expected = expected
 
 
 # The walkers below check one node of the payload each, raise SpecError at
@@ -478,21 +481,22 @@ def resolve_sigma(block, table: VarTable, path: str):
     return explicit if explicit is not None else combined
 
 
-@dataclass
 class Elaborated:
     """Everything a command needs, parsed and typed but not yet assembled.
     ``elaborate`` fills ``sigma1`` unless sigma1 is given only as an
     ansatz; ``elaborate_ansatz`` restates the ansatz with symbolic
     constants in ``basis`` and ``specialize``."""
 
-    spec: SpecFile
-    anchor: object
-    family: object
-    partition: list
-    sigma0: Form
-    sigma1: Form = None
-    basis: list = None
-    specialize: dict = field(default_factory=dict)
+    def __init__(self, spec: SpecFile, anchor: object, family: object,
+                 partition: list, sigma0: Form):
+        self.spec = spec
+        self.anchor = anchor
+        self.family = family
+        self.partition = partition
+        self.sigma0 = sigma0
+        self.sigma1: Form = None
+        self.basis: list = None
+        self.specialize: dict = {}
 
     @property
     def table(self) -> VarTable:
@@ -698,9 +702,13 @@ def _cmd_report(spec: SpecFile, seed: int, fmt: str) -> tuple:
     if spec.checks:
         lines.append(f"  checks = {', '.join(spec.checks)}")
         prefixes = tuple(CHECK_GROUPS[group] for group in spec.checks)
-        certificate = replace(certificate, verdicts=[
-            v for v in certificate.verdicts if v.label.startswith(prefixes)
-        ])
+        certificate = PencilCertificate(
+            [v for v in certificate.verdicts
+             if v.label.startswith(prefixes)],
+            certificate.rank0, certificate.rank1,
+            certificate.rank_pencil_at_sample, certificate.rank_expected,
+            certificate.sample,
+        )
     status = "PASS" if certificate.passed else "FAIL"
     if fmt == "summary":
         for v in certificate.verdicts:
@@ -760,7 +768,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     code, text = run(args.command, args.spec, seed=args.seed,
                      format=args.fmt, pair=args.pair)
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; with stdout on devnull the flush at
+        # shutdown writes nowhere instead of printing a second error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout closed before the output was written",
+              file=sys.stderr)
+        return 1
     return code
 
 

@@ -10,7 +10,6 @@ engine's output against these frozen values entry for entry.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
 from .cli import SpecFile, parse_spec
@@ -19,15 +18,16 @@ from .errors import UnknownFixture
 FIXTURE_NAMES = ("lagrange_top", "toda_first", "toda_second")
 
 
-@dataclass
 class FixtureSpec:
     """One bundled fixture: the raw payload, its parsed spec, and the
     frozen expected artifacts."""
 
-    name: str
-    payload: dict
-    spec: SpecFile
-    expected: dict
+    def __init__(self, name: str, payload: dict, spec: SpecFile,
+                 expected: dict):
+        self.name = name
+        self.payload = payload
+        self.spec = spec
+        self.expected = expected
 
 
 def fixture_file(name: str):

@@ -18,7 +18,6 @@ Lambda^l/l! in F(lambda), w^(r-2)/(r-2)! in Phi_lambda."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
@@ -57,6 +56,7 @@ from .exterior import (
 from .linalg import nullspace, sampled_rank, solve_linear
 from .report import Verdict, vanishes
 from .symexpr import (
+    Frozen,
     RationalFunction,
     VarKind,
     VarTable,
@@ -136,11 +136,11 @@ def build_family(table: VarTable, entries, seed: int = 0) -> FunctionFamily:
     return family
 
 
-@dataclass(frozen=True)
-class CasimirPolynomial:
+class CasimirPolynomial(Frozen):
     """Ordered entry names, leading coefficient of lambda^{r_i} first."""
 
-    names: tuple
+    __slots__ = ("names",)
+    _fields = __slots__
 
     def __init__(self, names):
         object.__setattr__(self, "names", tuple(names))
@@ -336,22 +336,23 @@ def unknown_name(a: int, b: int) -> str:
     return f"k{a}_{b}"
 
 
-@dataclass
 class AnsatzSolution:
     """General solution sigma1 = sum k_ab basis_a ^ basis_b, expressed over
     the table extended by one symbolic constant per free unknown."""
 
-    base_table: VarTable
-    table: VarTable
-    pairs: list
-    expressions: dict
-    free_names: list
-    sigma1: Form
+    def __init__(self, base_table: VarTable, table: VarTable, pairs: list,
+                 expressions: dict, free_names: list, sigma1: Form):
+        self.base_table = base_table
+        self.table = table
+        self.pairs = pairs
+        self.expressions = expressions
+        self.free_names = free_names
+        self.sigma1 = sigma1
 
     def substitution(self, mapping) -> dict:
         """Values for free unknowns or constants, expression strings parsed
         over ``base_table`` (so no value names a free unknown); raises
-        SpecError on any other name, and on a string that involves the
+        SpecError on any other name, and on a value that involves the
         pencil parameter."""
         values = {}
         for name, value in mapping.items():
@@ -366,6 +367,7 @@ class AnsatzSolution:
                 value = migrate_ratfun(
                     parse_ratfun(value, self.base_table), self.table
                 )
+            if not isinstance(value, (int, Fraction)):
                 self.table.require_pencil_free([value], "expression")
             values[name] = value
         return values

@@ -6,7 +6,7 @@ alternating witness as its least-index component, in basis notation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .symexpr import Frozen
 
 
 def _render_witness(witness) -> str:
@@ -22,11 +22,14 @@ def _render_witness(witness) -> str:
     return str(witness)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    label: str
-    passed: bool
-    witness: object = None
+class Verdict(Frozen):
+    __slots__ = ("label", "passed", "witness")
+    _fields = __slots__
+
+    def __init__(self, label: str, passed: bool, witness: object = None):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
 
     def render(self) -> str:
         mark = "PASS" if self.passed else "FAIL"

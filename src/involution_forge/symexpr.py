@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import gcd, isqrt
@@ -100,34 +99,68 @@ class VarKind(enum.Enum):
         return self in (VarKind.MANIFOLD, VarKind.APPENDED)
 
 
-@dataclass(frozen=True)
-class VarTable:
+class Frozen:
+    """Base of the immutable value types.  ``__init__`` sets each slot once
+    through ``object.__setattr__``; equality, hash and repr go by the
+    ``_fields`` a subclass names, and assignment raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as the fields are its
+        # arguments in order
+        return type(self), self._key()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class VarTable(Frozen):
     """Ordered list of variable names with their roles."""
 
-    names: tuple[str, ...]
-    kinds: tuple[VarKind, ...]
-    # bit offset of each variable's field in a packed monomial, the mask of
-    # all guard bits, and the polynomial 1, which every caller can share
-    # because polynomials are never written to
-    shifts: tuple = field(init=False, repr=False, compare=False)
-    guard: int = field(init=False, repr=False, compare=False)
-    one: "Polynomial" = field(init=False, repr=False, compare=False)
+    # besides names and kinds: the bit offset of each variable's field in a
+    # packed monomial, the mask of all guard bits, and the polynomial 1,
+    # which every caller can share because polynomials are never written to
+    __slots__ = ("names", "kinds", "shifts", "guard", "one")
+    _fields = ("names", "kinds")
 
-    def __post_init__(self):
-        if len(self.names) != len(self.kinds):
+    def __init__(self, names: tuple[str, ...], kinds: tuple[VarKind, ...]):
+        if len(names) != len(kinds):
             raise TableMismatch("names and kinds have different lengths")
         seen = set()
-        for name in self.names:
+        for name in names:
             if not _IDENT_RE.fullmatch(name):
                 raise ParseError(f"invalid variable name {name!r}")
             if name in seen:
                 raise TableMismatch(f"duplicate variable {name!r}")
             seen.add(name)
         for kind in (VarKind.PENCIL, VarKind.APPENDED):
-            if sum(1 for k in self.kinds if k is kind) > 1:
+            if sum(1 for k in kinds if k is kind) > 1:
                 raise TableMismatch(f"more than one {kind.value} variable")
-        n = len(self.names)
+        n = len(names)
         shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "kinds", kinds)
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "guard", sum(_GUARD << s for s in shifts))
         object.__setattr__(self, "one", Polynomial(self, {0: 1}))
@@ -1088,18 +1121,18 @@ def coefficients_in(value: RationalFunction, name: str) -> dict:
 # --- rational points -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalPoint:
+class RationalPoint(Frozen):
     """Exact values for every variable of a table."""
 
-    table: VarTable
-    values: tuple
+    __slots__ = ("table", "values")
+    _fields = __slots__
 
-    def __post_init__(self):
-        if len(self.values) != self.table.size:
+    def __init__(self, table: VarTable, values: tuple):
+        if len(values) != table.size:
             raise TableMismatch("point has the wrong number of values")
+        object.__setattr__(self, "table", table)
         object.__setattr__(
-            self, "values", tuple(Fraction(_scalar(v)) for v in self.values)
+            self, "values", tuple(Fraction(_scalar(v)) for v in values)
         )
 
 

@@ -15,7 +15,6 @@ target), so the printed sample point depends only on the seed and pencil.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from random import Random
 
@@ -108,7 +107,6 @@ def rank_at_sample(Pi, rng: Random, avoid=()):
     return sampled_rank(full_matrix(Pi), Pi.table, rng, avoid=avoid)
 
 
-@dataclass
 class PencilCertificate:
     """Outcome of every check on one assembled pencil.
 
@@ -117,12 +115,15 @@ class PencilCertificate:
     inferred from k independent Casimirs (corank at least k wherever their
     differentials stay independent)."""
 
-    verdicts: list
-    rank0: int
-    rank1: int
-    rank_pencil_at_sample: int
-    rank_expected: int
-    sample: RationalPoint
+    def __init__(self, verdicts: list, rank0: int, rank1: int,
+                 rank_pencil_at_sample: int, rank_expected: int,
+                 sample: RationalPoint):
+        self.verdicts = verdicts
+        self.rank0 = rank0
+        self.rank1 = rank1
+        self.rank_pencil_at_sample = rank_pencil_at_sample
+        self.rank_expected = rank_expected
+        self.sample = sample
 
     @property
     def passed(self) -> bool:

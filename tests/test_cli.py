@@ -360,6 +360,24 @@ def test_python_dash_m_runs_the_cli(lagrange_path):
     assert "schema = ok" in proc.stdout
 
 
+def test_stdout_closed_by_the_reader_ends_in_one_error_line(lagrange_path):
+    # like `involution-forge report ... | true`: the reader is gone before
+    # the report is written
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(involution_forge.__file__).parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "involution_forge", "report", lagrange_path],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith("error: ")
+
+
 def test_unknown_specialize_name_fails_every_command(spec_on_disk):
     # parse_spec knows which names a specialize block may set, so check
     # rejects the spec without solving the ansatz
@@ -636,6 +654,24 @@ def test_cli_imports_only_the_standard_library():
     outside = set(proc.stdout.split()) - {"__main__"}
     assert all(name.partition(".")[0] == "involution_forge"
                for name in outside), sorted(outside)
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # a CLI op is one cold process: dataclasses alone would add inspect,
+    # ast, dis and tokenize to every op.  Compared with a bare interpreter,
+    # so that a site which loads some of them itself does not count.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(involution_forge.__file__).parents[1])
+
+    def loaded(imports):
+        probe = f"import sys{imports}\nprint('\\n'.join(sys.modules))\n"
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        return set(proc.stdout.split())
+
+    added = loaded(", involution_forge.cli") - loaded("")
+    assert not added & {"dataclasses", "inspect", "ast", "dis",
+                        "tokenize"}, sorted(added)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

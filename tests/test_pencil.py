@@ -1,8 +1,8 @@
 """Pencil assembly: families, partitions, sigma conditions, ansatz,
 closed-form brackets, determinant brackets."""
 
+import copy
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -181,10 +181,11 @@ def test_sigma_conditions_take_no_hodge_star(lagrange, monkeypatch):
 def test_assembly_without_pencil_parameter_fails_before_the_checks(
         lagrange, monkeypatch):
     fixture, _, _ = lagrange
-    spec = replace(fixture.spec, variables=[
+    spec = copy.copy(fixture.spec)
+    spec.variables = [
         (name, kind) for name, kind in fixture.spec.variables
         if kind is not VarKind.PENCIL
-    ])
+    ]
     elab = elaborate(spec)
     calls = []
     monkeypatch.setattr(pencil_module, "sigma_pair_invariants",
@@ -319,6 +320,19 @@ def test_free_unknown_scope(lagrange):
             v.passed for v in check_sigma_conditions(elab.anchor, pair))
     assert outcomes["y3/2"] is True
     assert outcomes["0"] is False
+
+
+def test_ansatz_value_that_involves_the_pencil_parameter_is_refused(
+        lagrange):
+    # not only strings: a parsed value for a free unknown is fenced too
+    fixture, _, _ = lagrange
+    problem = elaborate_ansatz(fixture.spec, seed=0)
+    solution = solve_recursion_ansatz(problem.anchor, problem.sigma0,
+                                      problem.basis, problem.family,
+                                      problem.partition)
+    lam = parse_ratfun("lambda", solution.table)
+    with pytest.raises(SpecError, match="involves the pencil parameter"):
+        solution.specialize({"k34": lam, "l3": "1", "m3": "2"})
 
 
 def test_ansatz_rejects_unknown_assignment(lagrange):

@@ -1,12 +1,15 @@
 """Exact arithmetic: ring/field axioms, canonical forms, parsing."""
 
+import copy
 import operator
+import pickle
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from involution_forge import (
+    CasimirPolynomial,
     DivisionByZero,
     ExponentOverflow,
     ForbiddenVariable,
@@ -21,6 +24,7 @@ from involution_forge import (
     UnknownVariable,
     VarKind,
     VarTable,
+    Verdict,
     parse_ratfun,
     sample_point,
     symexpr,
@@ -270,6 +274,29 @@ def test_table_kinds_and_lookup():
     assert table.appended_index == 3
     assert table.kind_of("lambda") is VarKind.PENCIL
     assert table.kind_of("k1") is VarKind.CONSTANT
+
+
+def test_value_types_are_immutable_values():
+    # tables and their shared polynomial 1 are never written to, and a
+    # value compares, hashes and copies by its fields
+    table = VarTable.build(["x1", ("lambda", VarKind.PENCIL)])
+    values = [
+        table,
+        RationalPoint(table, (1, Fraction(1, 2))),
+        CasimirPolynomial(["f0", "f1"]),
+        Verdict("jacobi[Pi0]", passed=True),
+    ]
+    for value in values:
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value)
+        with pytest.raises(AttributeError):
+            value.names = ("x2",)
+    assert table == VarTable.build(["x1", ("lambda", VarKind.PENCIL)])
+    assert table != VarTable.build(["x1", "lambda"])
+    assert copy.deepcopy(table).one == Polynomial.constant(table, 1)
+    assert repr(values[3]) == (
+        "Verdict(label='jacobi[Pi0]', passed=True, witness=None)")
 
 
 def test_as_ratfun_coerces_each_accepted_type(table):

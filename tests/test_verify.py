@@ -3,6 +3,7 @@ determinism of the certificate."""
 
 import copy
 import itertools
+import json
 from fractions import Fraction
 from random import Random
 
@@ -24,6 +25,7 @@ from involution_forge import (
     certify,
     compatibility_check,
     differential,
+    from_records,
     hamiltonian_vf,
     involution_table,
     jacobi_check,
@@ -32,10 +34,11 @@ from involution_forge import (
     rank_at_sample,
     sample_point,
     schouten,
+    wedge,
 )
 from involution_forge import verify as verify_module
-from involution_forge.cli import assemble
-from involution_forge.fixtures import FIXTURE_NAMES, load_fixture
+from involution_forge.cli import assemble, build_table, elaborate, run
+from involution_forge.fixtures import FIXTURE_NAMES, fixture_file, load_fixture
 from helpers import coordinate_jacobiator, random_multivector
 
 
@@ -302,3 +305,77 @@ def test_certify_takes_each_bracket_once(name, monkeypatch):
         "schouten": 3,
         "poisson_bracket": k * (k - 1) // 2 + m * (m - 1) // 2,
     }
+
+
+# x_i -> x_i + (x_{i+1} + ... + x_5 + 1) along the Toda chain: triangular
+# with unit diagonal, so invertible with a polynomial inverse, and every
+# verdict and rank of the pulled-back pencil must stay as it was
+TRIANGULAR_CHAIN = ("a1", "a2", "b1", "b2", "b3")
+
+
+def _triangular(table) -> dict:
+    return {
+        name: parse_ratfun(
+            f"{name} + ({' + '.join(TRIANGULAR_CHAIN[i + 1:] + ('1',))})",
+            table)
+        for i, name in enumerate(TRIANGULAR_CHAIN)
+    }
+
+
+def _pullback(form: Form) -> Form:
+    """phi^*(sum c_I dx_I) = sum (c_I o phi) dphi_{i1} ^ ... ^ dphi_{ip};
+    the pencil parameter and the lifted coordinate are left alone."""
+    table = form.table
+    phi = _triangular(table)
+    images = {
+        i: differential(phi.get(table.names[i],
+                                parse_ratfun(table.names[i], table)))
+        for i in table.geometric_indices
+    }
+    total = Form.zero(table, form.degree)
+    for idx, coeff in form.comps.items():
+        term = Form.scalar(table, coeff.substitute(phi))
+        for i in idx:
+            term = wedge(term, images[i])
+        total = total + term
+    return total
+
+
+def _verdict_lines(text: str) -> list:
+    return [line.strip() for line in text.splitlines()
+            if line.strip().startswith(("PASS", "FAIL"))]
+
+
+def test_report_is_invariant_under_a_triangular_pullback(tmp_path):
+    fixture = load_fixture("toda_first")
+    parts = elaborate(fixture.spec)
+    table = build_table(fixture.spec)
+    anchor = fixture.payload["anchor"]
+    payload = {key: value for key, value in fixture.payload.items()
+               if key != "expected"}
+    payload["anchor"] = {
+        "type": "cosymplectic",
+        "vartheta": _pullback(
+            from_records(table, 1, anchor["vartheta"])).to_records(),
+        "theta": _pullback(
+            from_records(table, 2, anchor["theta"])).to_records(),
+    }
+    phi = _triangular(table)
+    payload["family"] = [
+        {"name": name,
+         "expression": parse_ratfun(text, table).substitute(phi).render()}
+        for name, text in fixture.spec.family
+    ]
+    payload["sigma0"] = {"components": _pullback(parts.sigma0).to_records()}
+    payload["sigma1"] = {"components": _pullback(parts.sigma1).to_records()}
+    path = tmp_path / "toda_first_triangular.json"
+    path.write_text(json.dumps(payload))
+
+    code, text = run("report", str(path))
+    _, reference = run("report", str(fixture_file("toda_first")))
+    assert code == 0, text
+    assert "status = PASS" in text
+    assert _verdict_lines(text) == _verdict_lines(reference)
+    assert all(line.startswith("PASS") for line in _verdict_lines(text))
+    for name in ("Pi0", "Pi1", "pencil"):
+        assert f"rank[{name}] = 4" in text

@@ -34,7 +34,6 @@ from .errors import (
 from .exterior import (
     Form,
     MultiVector,
-    accumulate,
     differential,
     divided_power,
     exterior_derivative,
@@ -43,7 +42,13 @@ from .exterior import (
     wedge,
 )
 from .linalg import invert
-from .symexpr import RationalFunction, VarKind, VarTable, migrate_ratfun
+from .symexpr import (
+    RationalFunction,
+    VarKind,
+    VarTable,
+    migrate_ratfun,
+    sum_of_products,
+)
 
 APPENDED_NAME = "s"
 
@@ -103,15 +108,18 @@ def bivector_sharp(Pi: MultiVector, alpha: Form) -> MultiVector:
     if Pi.degree != 2 or alpha.degree != 1:
         raise DegreeError("bivector_sharp pairs a bivector with a 1-form")
     Pi.table.require_same(alpha.table)
-    comps: dict = {}
+    products: dict = {}
     for (i, j), w in Pi.comps.items():
         ai = alpha.comps.get((i,))
         if ai is not None:
-            accumulate(comps, (j,), w * ai)
+            products.setdefault((j,), []).append((1, w, ai))
         aj = alpha.comps.get((j,))
         if aj is not None:
-            accumulate(comps, (i,), -(w * aj))
-    return MultiVector(Pi.table, 1, comps)
+            products.setdefault((i,), []).append((-1, w, aj))
+    return MultiVector(Pi.table, 1, {
+        idx: sum_of_products(Pi.table, terms)
+        for idx, terms in products.items()
+    })
 
 
 def hamiltonian_vf(Pi: MultiVector, f) -> MultiVector:

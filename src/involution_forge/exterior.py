@@ -27,7 +27,7 @@ from .errors import (
     ForbiddenVariable,
     UnsupportedDegrees,
 )
-from .symexpr import RationalFunction, VarTable, as_ratfun
+from .symexpr import RationalFunction, VarTable, as_ratfun, sum_of_products
 
 
 def accumulate(comps: dict, idx, value: RationalFunction) -> None:
@@ -229,16 +229,18 @@ def from_records(table: VarTable, degree: int, records, kind=Form):
 def wedge(a, b):
     """Graded-commutative exterior product of two like objects."""
     a._check_mate(b)
-    comps: dict = {}
+    products: dict = {}
     for left, cl in a.comps.items():
         lset = set(left)
         for right, cr in b.comps.items():
             if lset & set(right):
                 continue
-            sign = _merge_sign(left, right)
-            idx = tuple(sorted(left + right))
-            accumulate(comps, idx, cl * cr if sign > 0 else -(cl * cr))
-    return a._like(a.degree + b.degree, comps)
+            products.setdefault(tuple(sorted(left + right)), []).append(
+                (_merge_sign(left, right), cl, cr))
+    return a._like(a.degree + b.degree, {
+        idx: sum_of_products(a.table, terms)
+        for idx, terms in products.items()
+    })
 
 
 def divided_power(a, n: int):
@@ -284,16 +286,17 @@ def interior(P: MultiVector, a: Form) -> Form:
         raise DegreeError(
             f"cannot contract degree {P.degree} into degree {a.degree}"
         )
-    comps: dict = {}
+    products: dict = {}
     for J, w in P.comps.items():
         jset = set(J)
         for I, c in a.comps.items():
             if not jset <= set(I):
                 continue
             K = tuple(i for i in I if i not in jset)
-            sign = _merge_sign(J, K)
-            accumulate(comps, K, w * c if sign > 0 else -(w * c))
-    return a._like(a.degree - P.degree, comps)
+            products.setdefault(K, []).append((_merge_sign(J, K), w, c))
+    return a._like(a.degree - P.degree, {
+        K: sum_of_products(a.table, terms) for K, terms in products.items()
+    })
 
 
 def pairing(a: Form, P: MultiVector) -> RationalFunction:
@@ -303,12 +306,9 @@ def pairing(a: Form, P: MultiVector) -> RationalFunction:
             f"pairing needs equal degrees, got {a.degree} and {P.degree}"
         )
     a.table.require_same(P.table)
-    total = RationalFunction.zero(a.table)
-    for idx, c in a.comps.items():
-        w = P.comps.get(idx)
-        if w is not None:
-            total = total + c * w
-    return total
+    return sum_of_products(a.table, [
+        (1, c, P.comps[idx]) for idx, c in a.comps.items() if idx in P.comps
+    ])
 
 
 # --- Schouten bracket ------------------------------------------------------

@@ -293,23 +293,31 @@ def sigma_pair_invariants(anchor, family: FunctionFamily, partition,
 
 
 def check_sigma_conditions(anchor, pair: SigmaPair) -> list:
-    """The three codifferential identities; delta' on the lifted anchor in
-    the odd case.  Failures are data, never exceptions."""
+    """The three codifferential identities, up to and including the first
+    that fails (assembly reads only that one); delta' on the lifted anchor
+    in the odd case.  Failures are data, never exceptions."""
     s0, s1 = pair.sigma0, pair.sigma1
 
     def delta(a):
         return codifferential(anchor.lifted, a)
 
-    d0, d1 = delta(s0), delta(s1)
-    return [
-        vanishes("delta(sigma0^sigma0) = 2 sigma0^delta(sigma0)",
-                 delta(wedge(s0, s0)) - wedge(s0, d0) * 2),
-        vanishes("delta(sigma1^sigma1) = 2 sigma1^delta(sigma1)",
-                 delta(wedge(s1, s1)) - wedge(s1, d1) * 2),
-        vanishes("delta(sigma0^sigma1) = delta(sigma0)^sigma1"
-                 " + sigma0^delta(sigma1)",
-                 delta(wedge(s0, s1)) - wedge(d0, s1) - wedge(s0, d1)),
-    ]
+    def residuals():
+        d0 = delta(s0)
+        yield ("delta(sigma0^sigma0) = 2 sigma0^delta(sigma0)",
+               delta(wedge(s0, s0)) - wedge(s0, d0) * 2)
+        d1 = delta(s1)
+        yield ("delta(sigma1^sigma1) = 2 sigma1^delta(sigma1)",
+               delta(wedge(s1, s1)) - wedge(s1, d1) * 2)
+        yield ("delta(sigma0^sigma1) = delta(sigma0)^sigma1"
+               " + sigma0^delta(sigma1)",
+               delta(wedge(s0, s1)) - wedge(d0, s1) - wedge(s0, d1))
+
+    verdicts = []
+    for label, residual in residuals():
+        verdicts.append(vanishes(label, residual))
+        if not verdicts[-1].passed:
+            break
+    return verdicts
 
 
 def check_recursion(anchor, pair: SigmaPair, family: FunctionFamily,

@@ -51,7 +51,12 @@ constant factor in a polynomial product only scales the other factor, and
 a factor of 1 returns it unchanged.  The quotient rule builds (n/d)' as
 t/((d/g)*(d/g)*g) for g = gcd(d, d') and t = n'*(d/g) - n*(d'/g), and
 cancels t only against g: a factor of d/g involves the variable and cannot
-divide t.
+divide t.  A sum of products, sum +-(a/b)*(c/d) as in wedges, contractions
+and pairings, is reduced once per pair of denominators, not once per
+product: ``sum_of_products`` adds the numerators a*c over b*d and cancels
+each group once, then adds the groups as above.  It multiplies before it
+cancels, so a product whose factors cancel only against each other can
+reach the exponent guard where one reduced product at a time would not.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ import enum
 import re
 from fractions import Fraction
 from functools import reduce
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import or_
 from random import Random
 
@@ -1052,6 +1057,40 @@ class RationalFunction:
         if self.is_polynomial():
             return self.num.render()
         return f"({self.num.render()})/({self.den.render()})"
+
+
+def sum_of_products(table: VarTable, products) -> RationalFunction:
+    """The sum of sign*(a/b)*(c/d) over triples (sign, a/b, c/d) of reduced
+    fractions, sign 1 or -1.  The products over one pair of denominators
+    b, d share b*d: their numerators a*c are added in one integer pass and
+    the sum is cancelled once against b*d.  The groups are then added as
+    fractions (Henrici)."""
+    groups: dict = {}
+    for sign, left, right in products:
+        b, d = left.den, right.den
+        # a monic denominator is fixed by its numerators alone
+        key = frozenset((frozenset(b.terms.items()),
+                         frozenset(d.terms.items())))
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (b * d, [])
+        group[1].append((sign, left.num * right.num))
+    total = None
+    for den, numerators in groups.values():
+        scale = lcm(*(p.den for _, p in numerators))
+        terms: dict = {}
+        get = terms.get
+        for sign, p in numerators:
+            factor = sign * (scale // p.den)
+            for m, c in p.terms.items():
+                terms[m] = get(m, 0) + c * factor
+        terms = {m: c for m, c in terms.items() if c}
+        if not terms:
+            continue
+        _, num, den = _cancel(_normal(table, terms, scale), den)
+        part = RationalFunction._reduced(num, den)
+        total = part if total is None else total + part
+    return RationalFunction.zero(table) if total is None else total
 
 
 def migrate_polynomial(p: Polynomial, new_table: VarTable) -> Polynomial:

@@ -36,6 +36,7 @@ from involution_forge import (
     sharp,
     wedge,
 )
+from involution_forge.exterior import _merge_sign, accumulate
 from involution_forge.symexpr import FIELD_BITS
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -144,6 +145,56 @@ def mat_mul(a: list, b: list) -> list:
 
 def mat_vec(a: list, v: list) -> list:
     return [entry for [entry] in mat_mul(a, [[x] for x in v])]
+
+
+# ---------------------------------------------------------------------------
+# sums of products, one product at a time: each product reduced by
+# RationalFunction ``*`` and added by ``+``, the oracle for the grouped sums
+# of ``wedge``, ``interior``, ``pairing`` and ``bivector_sharp``
+
+
+def _one_at_a_time(kind, table: VarTable, degree: int, pieces):
+    """kind(table, degree, ...) from (index, sign, left, right) pieces."""
+    comps: dict = {}
+    for idx, sign, left, right in pieces:
+        value = left * right
+        accumulate(comps, idx, value if sign > 0 else -value)
+    return kind(table, degree, comps)
+
+
+def oracle_wedge(a, b):
+    pieces = [(tuple(sorted(l + r)), _merge_sign(l, r), cl, cr)
+              for l, cl in a.comps.items() for r, cr in b.comps.items()
+              if not set(l) & set(r)]
+    return _one_at_a_time(type(a), a.table, a.degree + b.degree, pieces)
+
+
+def oracle_interior(P: MultiVector, a: Form) -> Form:
+    pieces = []
+    for J, w in P.comps.items():
+        for I, c in a.comps.items():
+            if set(J) <= set(I):
+                K = tuple(i for i in I if i not in J)
+                pieces.append((K, _merge_sign(J, K), w, c))
+    return _one_at_a_time(Form, a.table, a.degree - P.degree, pieces)
+
+
+def oracle_pairing(a: Form, P: MultiVector) -> RationalFunction:
+    total = RationalFunction.zero(a.table)
+    for idx, c in a.comps.items():
+        if idx in P.comps:
+            total = total + c * P.comps[idx]
+    return total
+
+
+def oracle_bivector_sharp(Pi: MultiVector, alpha: Form) -> MultiVector:
+    pieces = []
+    for (i, j), w in Pi.comps.items():
+        if (i,) in alpha.comps:
+            pieces.append(((j,), 1, w, alpha.comps[(i,)]))
+        if (j,) in alpha.comps:
+            pieces.append(((i,), -1, w, alpha.comps[(j,)]))
+    return _one_at_a_time(MultiVector, Pi.table, 1, pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,16 @@ from involution_forge import exterior
 from involution_forge import (
     DegreeError,
     DimensionMismatch,
+    ExponentOverflow,
     ForbiddenVariable,
     Form,
     MultiVector,
+    Polynomial,
     RationalFunction,
     VarKind,
     UnsupportedDegrees,
     VarTable,
+    bivector_sharp,
     differential,
     divided_power,
     exterior_derivative,
@@ -29,6 +32,10 @@ from involution_forge import (
 )
 from helpers import (
     exterior_laws_suite,
+    oracle_bivector_sharp,
+    oracle_interior,
+    oracle_pairing,
+    oracle_wedge,
     random_form,
     random_multivector,
     random_polynomial,
@@ -278,3 +285,75 @@ def test_public_constructors_keep_their_checks(table):
         Form(pencil, 1, {(2,): RationalFunction.one(pencil)})
     with pytest.raises(ForbiddenVariable):
         MultiVector(pencil, 2, {(0, 2): 1})
+
+
+# components whose denominators coincide, nest or are absent, as in the
+# Lagrange top's sigma pair
+DENOMINATORS = ("1", "x3", "x1*y2 - x2*y1", "x3*(x1*y2 - x2*y1)")
+NUMERATORS = ("1", "-2", "x1", "y2/2", "x1*y2 - x2*y1", "x3 + y1")
+
+
+def test_sums_of_products_match_the_product_by_product_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    table = VarTable.build(["x1", "x2", "x3", "y1", "y2"])
+    values = [parse_ratfun(f"({n})/({d})", table)
+              for n in NUMERATORS for d in DENOMINATORS]
+    values += [-v for v in values]
+
+    def alternating(kind, degree):
+        slots = list(itertools.combinations(table.geometric_indices, degree))
+        return st.dictionaries(
+            st.sampled_from(slots), st.sampled_from(values), max_size=4,
+        ).map(lambda comps: kind(table, degree, comps))
+
+    def same(result, oracle):
+        assert result == oracle
+        if not isinstance(result, RationalFunction):
+            assert all(c for c in result.comps.values())
+        return result
+
+    vector = alternating(MultiVector, 1)
+    one_form = alternating(Form, 1)
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=40)
+    @hypothesis.given(vector, vector, alternating(MultiVector, 2), one_form,
+                      one_form, alternating(Form, 2), alternating(Form, 3))
+    def check(X, Y, P, a1, b1, a2, beta):
+        same(wedge(a1, b1), oracle_wedge(a1, b1))
+        same(wedge(a1, a2), oracle_wedge(a1, a2))
+        same(wedge(a2, a2), oracle_wedge(a2, a2))
+        same(wedge(X, P), oracle_wedge(X, P))
+        same(interior(X, a2), oracle_interior(X, a2))
+        same(interior(P, beta), oracle_interior(P, beta))
+        same(pairing(a2, P), oracle_pairing(a2, P))
+        same(bivector_sharp(P, a1), oracle_bivector_sharp(P, a1))
+        # products that cancel to zero: a^a for a 1-form, i_X i_X,
+        # Pi(a, a), and (X^Y)# of a covector that annihilates X and Y
+        assert same(wedge(a1, a1), oracle_wedge(a1, a1)).is_zero()
+        inner = interior(X, a2)
+        assert same(interior(X, inner), oracle_interior(X, inner)).is_zero()
+        image = bivector_sharp(P, a1)
+        assert same(pairing(a1, image), oracle_pairing(a1, image)).is_zero()
+        XY = wedge(X, Y)
+        alpha = interior(XY, beta)
+        assert same(bivector_sharp(XY, alpha),
+                    oracle_bivector_sharp(XY, alpha)).is_zero()
+
+    check()
+
+
+def test_products_are_multiplied_before_they_cancel():
+    # a sum of products multiplies numerators and denominators before its
+    # one cancellation, so a product whose factors cancel only against each
+    # other can reach the exponent guard: here the denominator
+    # (x1^20000 + 1)*x1^20000, where reducing each product on its own
+    # leaves y/(x1^20000 + 1).  Parsed specs stay far below the guard.
+    table = VarTable.build(["x1", "y"])
+    x = Polynomial.monomial(table, (20000, 0))
+    y = Polynomial.variable(table, "y")
+    a = Form(table, 1, {(0,): RationalFunction(x * y, x + 1)})
+    b = Form(table, 1, {(1,): RationalFunction(Polynomial.one(table), x)})
+    assert oracle_wedge(a, b).render() == "((y)/(x1^20000 + 1))*dx1^dy"
+    with pytest.raises(ExponentOverflow):
+        wedge(a, b)

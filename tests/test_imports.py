@@ -2,9 +2,10 @@
 module-level private function or class is used somewhere in the package,
 every public one is used there or exported at the root, ``__all__``
 lists exactly the public names the package root binds, no
-``RationalFunction`` method calls the gcd or the exact division itself,
-no verdict outside ``report`` decides an exact residual by hand, and no
-code outside ``anchor`` writes a Hamiltonian field out.
+``RationalFunction`` method, sum of products or exterior-algebra code
+calls the gcd or the exact division itself, no verdict outside
+``report`` decides an exact residual by hand, and no code outside
+``anchor`` writes a Hamiltonian field out.
 
 No linter ships with the toolchain, so this walks the syntax trees with
 ``ast``.  ``__init__.py`` is exempt from the import check: its imports are
@@ -168,12 +169,28 @@ def _method_calls(source: str, cls: str, names) -> list:
     return sorted(found)
 
 
+def _calls_to(tree, names) -> list:
+    """Callee of each call inside ``tree`` to one of ``names``."""
+    return sorted(_callee(call) for call in ast.walk(tree)
+                  if isinstance(call, ast.Call) and _callee(call) in names)
+
+
 def test_rational_functions_cancel_only_through_one_helper():
     # the cancellation policy (when to take a gcd, when to divide) lives
-    # in symexpr._cancel alone
+    # in symexpr._cancel alone: RationalFunction methods and the sum of
+    # products go through it, and the exterior algebra does not cancel
     source = (PACKAGE / "symexpr.py").read_text(encoding="utf-8")
     assert _method_calls(source, "RationalFunction",
                          {"poly_gcd", "poly_exact_div"}) == []
+    [helper] = [node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "sum_of_products"]
+    assert _calls_to(helper, {"poly_gcd", "poly_exact_div"}) == []
+    assert _calls_to(helper, {"_cancel"}) == ["_cancel"]
+    for module in ("exterior.py", "anchor.py"):
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        assert _calls_to(tree, {"poly_gcd", "poly_exact_div",
+                                "_cancel"}) == [], module
 
 
 def _callee(call: ast.Call) -> str:

@@ -322,6 +322,32 @@ def test_free_unknown_scope(lagrange):
     assert outcomes["0"] is False
 
 
+def test_sigma_check_stops_at_its_first_failure(lagrange, monkeypatch):
+    # assembly reads only the first failed identity, so at k34 = 0 the
+    # check ends at delta(sigma1^sigma1) and never builds sigma0^sigma1
+    fixture, elab, _ = lagrange
+    problem = elaborate_ansatz(fixture.spec, seed=0)
+    solution = solve_recursion_ansatz(problem.anchor, problem.sigma0,
+                                      problem.basis, problem.family,
+                                      problem.partition)
+    special = solution.specialize({"l3": "1", "m3": "2", "k34": "0"})
+    pair = SigmaPair(elab.sigma0, from_records(elab.sigma_table, 2,
+                                               special.to_records()))
+    mixed = []
+    real = pencil_module.wedge
+
+    def counting(a, b):
+        if a is pair.sigma0 and b is pair.sigma1:
+            mixed.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(pencil_module, "wedge", counting)
+    verdicts = check_sigma_conditions(elab.anchor, pair)
+    assert [v.passed for v in verdicts] == [True, False]
+    assert verdicts[1].label.startswith("delta(sigma1^sigma1)")
+    assert mixed == []
+
+
 def test_ansatz_value_that_involves_the_pencil_parameter_is_refused(
         lagrange):
     # not only strings: a parsed value for a free unknown is fenced too

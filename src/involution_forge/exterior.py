@@ -19,6 +19,7 @@ normalization of every volume form and contraction downstream
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, product
 from math import factorial
 
 from .errors import (
@@ -227,16 +228,21 @@ def from_records(table: VarTable, degree: int, records, kind=Form):
 
 
 def wedge(a, b):
-    """Graded-commutative exterior product of two like objects."""
+    """Graded-commutative exterior product of two like objects.  The square
+    of a degree-2 object takes each unordered pair of components once and
+    doubles it: degree-2 components commute, and a component wedged with
+    itself vanishes."""
     a._check_mate(b)
+    if b is a and a.degree == 2:
+        factor, pairs = 2, combinations(a.comps.items(), 2)
+    else:
+        factor, pairs = 1, product(a.comps.items(), b.comps.items())
     products: dict = {}
-    for left, cl in a.comps.items():
-        lset = set(left)
-        for right, cr in b.comps.items():
-            if lset & set(right):
-                continue
-            products.setdefault(tuple(sorted(left + right)), []).append(
-                (_merge_sign(left, right), cl, cr))
+    for (left, cl), (right, cr) in pairs:
+        if not set(left).isdisjoint(right):
+            continue
+        products.setdefault(tuple(sorted(left + right)), []).append(
+            (factor * _merge_sign(left, right), cl, cr))
     return a._like(a.degree + b.degree, {
         idx: sum_of_products(a.table, terms)
         for idx, terms in products.items()
@@ -326,7 +332,12 @@ def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
     (-1)^(position of l); for q = 0 the second term is dropped.  eps = +1
     for p = 1 makes [X, Q] the Lie derivative L_X Q, so [X, f] = X(f);
     eps = -1 for (2, 2) makes dx_i^dx_j^dx_k pair with [P, P] to -2 times
-    the cyclic Jacobiator of P."""
+    the cyclic Jacobiator of P.
+
+    The square of a bivector takes one sum: d>/dD_l P = -(P <d/dD_l), and
+    a vector commutes with a bivector, so the two sums agree and
+
+        [P, P] = -2 * sum_l (P <d/dD_l) ^ dP/dx_l."""
     if not isinstance(P, MultiVector) or not isinstance(Q, MultiVector):
         raise UnsupportedDegrees("schouten acts on multivectors")
     P.table.require_same(Q.table)
@@ -334,16 +345,19 @@ def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
         raise UnsupportedDegrees(
             f"degrees ({P.degree}, {Q.degree}) not supported"
         )
+    square = Q is P and P.degree == 2
     total = MultiVector.zero(P.table, P.degree + Q.degree - 1)
     for l in P.table.geometric_indices:
         right = _odd_derivative(P, l, from_left=False)
         if right.comps:
             total = total + wedge(right, _derivative(Q, l))
-        if Q.degree == 0:
+        if Q.degree == 0 or square:
             continue
         left = _odd_derivative(Q, l, from_left=True)
         if left.comps:
             total = total - wedge(_derivative(P, l), left)
+    if square:
+        return total * -2
     return total if P.degree == 1 else -total  # eps = -1 for (2, 2)
 
 

@@ -163,17 +163,29 @@ def rank_at_point(rows: list, point: RationalPoint) -> int:
     return len(rref([[v.evaluate(point) for v in row] for row in rows])[1])
 
 
-def sampled_rank(rows: list, table: VarTable, rng, target=None, avoid=()):
+def sampled_rank(rows: list, table: VarTable, rng, target=None, avoid=(),
+                 skew=False):
     """Best rank of the matrix over RANK_DRAWS points sampled off the poles
     of its entries and the zeros of ``avoid``, stopping early only at the
     first draw that reaches a given ``target``; returns (best rank, the
-    point where it was first attained)."""
-    guards = [v.den for row in rows for v in row if not v.den.is_constant()]
+    point where it was first attained).  A ``skew`` (antisymmetric) matrix
+    is read off its strict upper triangle: each pair gives one guard and
+    one value per draw, and the value's negative fills the mirror entry.
+    The guards it drops are copies, so the same points are accepted."""
+    cells = [(i, j) for i, row in enumerate(rows)
+             for j in range(i + 1 if skew else 0, len(row)) if row[j]]
+    guards = [rows[i][j].den for i, j in cells
+              if not rows[i][j].den.is_constant()]
     guards.extend(avoid)
     best, best_point = -1, None
     for _ in range(RANK_DRAWS):
         point = sample_point(table, guards, rng)
-        rank = rank_at_point(rows, point)
+        values = [[0] * len(row) for row in rows]
+        for i, j in cells:
+            values[i][j] = value = rows[i][j].evaluate(point)
+            if skew:
+                values[j][i] = -value
+        rank = len(rref(values)[1])
         if rank > best:
             best, best_point = rank, point
         if best == target:

@@ -64,6 +64,7 @@ from .symexpr import (
     coefficients_in,
     migrate_ratfun,
     parse_ratfun,
+    quotient_by_factor,
 )
 
 
@@ -283,7 +284,7 @@ def sigma_pair_invariants(anchor, family: FunctionFamily, partition,
     rng = Random(seed)
     for j in (0, 1):
         best, _ = sampled_rank(full_matrix(sigmas[j]), table, rng,
-                               2 * family.r)
+                               2 * family.r, skew=True)
         verdicts.append(Verdict(
             f"sigma{j} has rank {2 * family.r} at a sampled point",
             best == 2 * family.r,
@@ -633,7 +634,12 @@ def closed_form_interior(pencil: Pencil) -> Form:
     phi = wedge(core, divided_power(reference, r - 2))
     for f in pencil.F_functions:
         phi = wedge(phi, differential(f, table))
-    phi = phi * (RationalFunction.constant(table, -1) / pencil.F_lambda)
+    # F divides each component on every bundled spec: one exact division
+    # each, and the general quotient only where it does not divide
+    minus_F = -pencil.F_lambda
+    phi = Form(table, phi.degree, {
+        idx: quotient_by_factor(c, minus_F) for idx, c in phi.comps.items()
+    })
     pencil._phi = phi
     return phi
 

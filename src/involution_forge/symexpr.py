@@ -57,6 +57,12 @@ product: ``sum_of_products`` adds the numerators a*c over b*d and cancels
 each group once, then adds the groups as above.  It multiplies before it
 cancels, so a product whose factors cancel only against each other can
 reach the exponent guard where one reduced product at a time would not.
+Where a polynomial q is expected to divide the numerator a of a/b,
+``quotient_by_factor`` divides by it exactly and takes no gcd: (a/q)/b
+is reduced, since gcd(a/q, b) divides gcd(a, b) = 1.  It falls back to
+the general quotient when q does not divide a.  The trial is kept out of
+``_cancel``, where a failed trial would cost about as much as the gcd
+that follows it.
 """
 
 from __future__ import annotations
@@ -550,8 +556,8 @@ class Polynomial:
 # --- gcd machinery -----------------------------------------------------------
 
 
-def poly_exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Exact quotient p/q; raises if the division leaves a remainder."""
+def poly_quotient(p: Polynomial, q: Polynomial):
+    """Exact quotient p/q, or None if the division leaves a remainder."""
     p.table.require_same(q.table)
     if q.is_zero():
         raise DivisionByZero("division by the zero polynomial")
@@ -564,8 +570,16 @@ def poly_exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
         divisor = {m: c // content for m, c in divisor.items()}
     quot = _zz_quotient(p.terms, divisor, p.table)
     if quot is None:
-        raise DivisionByZero("polynomial division is not exact")
+        return None
     return Polynomial(p.table, quot)._times(q.den, p.den * content)
+
+
+def poly_exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Exact quotient p/q; raises if the division leaves a remainder."""
+    quot = poly_quotient(p, q)
+    if quot is None:
+        raise DivisionByZero("polynomial division is not exact")
+    return quot
 
 
 def _monic(p: Polynomial) -> Polynomial:
@@ -1061,7 +1075,8 @@ class RationalFunction:
 
 def sum_of_products(table: VarTable, products) -> RationalFunction:
     """The sum of sign*(a/b)*(c/d) over triples (sign, a/b, c/d) of reduced
-    fractions, sign 1 or -1.  The products over one pair of denominators
+    fractions, for an integer sign factor: 1 or -1, or 2 or -2 for a pair
+    counted twice.  The products over one pair of denominators
     b, d share b*d: their numerators a*c are added in one integer pass and
     the sum is cancelled once against b*d.  The groups are then added as
     fractions (Henrici)."""
@@ -1091,6 +1106,20 @@ def sum_of_products(table: VarTable, products) -> RationalFunction:
         part = RationalFunction._reduced(num, den)
         total = part if total is None else total + part
     return RationalFunction.zero(table) if total is None else total
+
+
+def quotient_by_factor(value: RationalFunction, divisor: RationalFunction
+                       ) -> RationalFunction:
+    """value/divisor where a polynomial divisor is expected to divide the
+    numerator a of value = a/b: then (a/divisor)/b is already reduced,
+    since gcd(a/divisor, b) divides gcd(a, b) = 1, and b stays monic, so
+    one exact division replaces the gcd of the general quotient.  Any
+    other divisor takes the general quotient."""
+    if divisor.is_polynomial():
+        quot = poly_quotient(value.num, divisor.num)
+        if quot is not None:
+            return RationalFunction._reduced(quot, value.den)
+    return value / divisor
 
 
 def migrate_polynomial(p: Polynomial, new_table: VarTable) -> Polynomial:

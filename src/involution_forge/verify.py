@@ -8,9 +8,11 @@ that produced it.  Verdicts always carry a symbolic witness on failure.
 ``certify`` computes each quantity once: Jacobi for the pencil is the
 combination [Pi1, Pi1] - 2 lambda [Pi0, Pi1] + lambda^2 [Pi0, Pi0] of the
 three brackets it takes anyway (Kosmann-Schwarzbach & Magri 1990, Ann. IHP
-53), and a bracket matrix takes only its upper triangle.  Its rank
-claims take RANK_DRAWS points per bivector (``linalg.sampled_rank`` with no
-target), so the printed sample point depends only on the seed and pencil.
+53), a square [Pi, Pi] takes one of the two Schouten sums, and a bracket
+matrix takes only its upper triangle.  Its rank claims take RANK_DRAWS
+points per bivector (``linalg.sampled_rank`` with no target), reading each
+pair of the skew matrix once, so the printed sample point depends only on
+the seed and pencil.
 """
 
 from __future__ import annotations
@@ -104,7 +106,8 @@ def rank_at_sample(Pi, rng: Random, avoid=()):
     """Best (rank, point) over all RANK_DRAWS generic rational draws: with
     no target there is no early stop, so the rng advances the same way
     whatever the rank."""
-    return sampled_rank(full_matrix(Pi), Pi.table, rng, avoid=avoid)
+    return sampled_rank(full_matrix(Pi), Pi.table, rng, avoid=avoid,
+                        skew=True)
 
 
 class PencilCertificate:

@@ -52,6 +52,17 @@ def load_benchmark(name: str):
     return module
 
 
+def load_spec(name: str):
+    """The parsed spec of a bundled fixture or of a committed benchmark
+    spec (``benchmarks/specs/<name>.json``, only read)."""
+    from involution_forge.cli import load_payload, parse_spec
+    from involution_forge.fixtures import FIXTURE_NAMES, load_fixture
+    if name in FIXTURE_NAMES:
+        return load_fixture(name).spec
+    path = str(BENCHMARKS / "specs" / f"{name}.json")
+    return parse_spec(load_payload(path), path=path)
+
+
 # ---------------------------------------------------------------------------
 # random generators
 

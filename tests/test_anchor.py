@@ -31,11 +31,11 @@ from involution_forge import (
     wedge,
 )
 from involution_forge import anchor as anchor_module
-from involution_forge.cli import elaborate, load_payload, parse_spec
+from involution_forge.cli import elaborate
 from involution_forge.fixtures import FIXTURE_NAMES, load_fixture
 from involution_forge.pencil import decompose_prime
 from helpers import (
-    BENCHMARKS,
+    load_spec,
     random_form,
     random_multivector,
     random_polynomial,
@@ -170,10 +170,7 @@ def test_jacobi_iff_codifferential_identity():
 def _spec_anchor(name):
     """The anchor of a bundled fixture or of a benchmark spec, elaborated
     the way the command line does it."""
-    if name in FIXTURE_NAMES:
-        return elaborate(load_fixture(name).spec).anchor
-    path = str(BENCHMARKS / "specs" / f"{name}.json")
-    return elaborate(parse_spec(load_payload(path), path=path)).anchor
+    return elaborate(load_spec(name)).anchor
 
 
 @pytest.mark.parametrize("name",

@@ -3,7 +3,8 @@ module-level private function or class is used somewhere in the package,
 every public one is used there or exported at the root, ``__all__``
 lists exactly the public names the package root binds, no
 ``RationalFunction`` method, sum of products or exterior-algebra code
-calls the gcd or the exact division itself, no verdict outside
+calls the gcd or the exact division itself, the exact division has one
+caller besides ``poly_exact_div``, no verdict outside
 ``report`` decides an exact residual by hand, and no code outside
 ``anchor`` writes a Hamiltonian field out.
 
@@ -178,19 +179,26 @@ def _calls_to(tree, names) -> list:
 def test_rational_functions_cancel_only_through_one_helper():
     # the cancellation policy (when to take a gcd, when to divide) lives
     # in symexpr._cancel alone: RationalFunction methods and the sum of
-    # products go through it, and the exterior algebra does not cancel
+    # products go through it, and the exterior algebra does not cancel.
+    # The exact division poly_quotient has one other caller,
+    # quotient_by_factor, which tries it where a factor is expected and
+    # otherwise takes the general quotient
+    dividers = {"poly_gcd", "poly_exact_div", "poly_quotient"}
     source = (PACKAGE / "symexpr.py").read_text(encoding="utf-8")
-    assert _method_calls(source, "RationalFunction",
-                         {"poly_gcd", "poly_exact_div"}) == []
-    [helper] = [node for node in ast.parse(source).body
-                if isinstance(node, ast.FunctionDef)
-                and node.name == "sum_of_products"]
-    assert _calls_to(helper, {"poly_gcd", "poly_exact_div"}) == []
+    assert _method_calls(source, "RationalFunction", dividers) == []
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+    helper = functions["sum_of_products"]
+    assert _calls_to(helper, dividers) == []
     assert _calls_to(helper, {"_cancel"}) == ["_cancel"]
-    for module in ("exterior.py", "anchor.py"):
+    assert sorted(name for name, node in functions.items()
+                  if _calls_to(node, {"poly_quotient"})) == [
+        "poly_exact_div", "quotient_by_factor"]
+    assert _calls_to(functions["quotient_by_factor"],
+                     dividers | {"_cancel"}) == ["poly_quotient"]
+    for module in ("exterior.py", "anchor.py", "pencil.py", "verify.py"):
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
-        assert _calls_to(tree, {"poly_gcd", "poly_exact_div",
-                                "_cancel"}) == [], module
+        assert _calls_to(tree, dividers | {"_cancel"}) == [], module
 
 
 def _callee(call: ast.Call) -> str:

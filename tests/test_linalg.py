@@ -292,3 +292,28 @@ def test_sampled_rank_draws_off_its_poles_and_the_avoided_zeros(
     drawn.clear()
     assert sampled_rank(rows, table, Random(0), target=2) == (2, drawn[1])
     assert [point.values[0] for point in drawn] == [2, 5]
+
+
+def test_skew_sampled_rank_reads_the_upper_triangle(table, monkeypatch):
+    # rank 2, dropping to 0 on x1 = 0; a pole at x1 = 2 and, via
+    # ``avoid``, a zero at x1 = 5.  Only the strict upper triangle is
+    # read (the ones below would make the rank 3), and the points drawn
+    # are those of the full antisymmetric matrix.
+    upper = [["1", "x1/(x1 - 2)", "x1*x2"],
+             ["1", "1", "x1*x3"],
+             ["1", "1", "1"]]
+    upper = [[parse_ratfun(v, table) for v in row] for row in upper]
+    zero = RationalFunction.zero(table)
+    full = [[upper[i][j] if i < j else -upper[j][i] if i > j else zero
+             for j in range(3)] for i in range(3)]
+    avoid = [parse_ratfun("x1 - 5", table)]
+    values = [2, 0, 5, 0, 7, 9]
+    for target, draws in ((None, 6), (2, 5)):
+        drawn = _scripted_draws(monkeypatch, table, values)
+        expected = sampled_rank(full, table, Random(0), target, avoid)
+        assert expected == (2, drawn[4]) and len(drawn) == draws
+        full_draws = list(drawn)
+        drawn.clear()
+        assert sampled_rank(upper, table, Random(0), target, avoid,
+                            skew=True) == expected
+        assert drawn == full_draws

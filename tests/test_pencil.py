@@ -14,6 +14,7 @@ from involution_forge import (
     Form,
     MultiVector,
     Pencil,
+    Polynomial,
     RankDrop,
     RankTooSmall,
     RationalFunction,
@@ -36,10 +37,12 @@ from involution_forge import (
     poisson_bracket,
     wedge,
 )
+from involution_forge.symexpr import quotient_by_factor
 from involution_forge import anchor as anchor_module
+from involution_forge import symexpr
 from involution_forge import pencil as pencil_module
 from involution_forge.cli import assemble, elaborate, elaborate_ansatz
-from involution_forge.fixtures import load_fixture
+from involution_forge.fixtures import FIXTURE_NAMES, load_fixture
 from involution_forge.pencil import (
     SigmaPair,
     annihilator_basis,
@@ -399,6 +402,61 @@ def test_closed_form_bracket_matches_contraction(lagrange):
         closed = bracket_closed_form(pencil, ff, hh)
         direct = poisson_bracket(pi_lam, ff, hh)
         assert closed == direct
+
+
+def _fresh(pencil):
+    """A copy of the pencil without its cached Phi_lambda."""
+    fresh = copy.copy(pencil)
+    fresh._phi = None
+    return fresh
+
+
+def _spy_gcd(monkeypatch) -> list:
+    calls = []
+    real = symexpr.poly_gcd
+    monkeypatch.setattr(symexpr, "poly_gcd",
+                        lambda a, b: calls.append((a, b)) or real(a, b))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["lagrange_top", "toda_first"])
+def test_closed_form_interior_takes_no_gcd(name, monkeypatch):
+    # F(lambda) divides every component of Phi' on these specs: one exact
+    # division each, and no cancellation against F
+    _, pencil = assemble(load_fixture(name).spec)
+    calls = _spy_gcd(monkeypatch)
+    phi = closed_form_interior(_fresh(pencil))
+    assert calls == []
+    assert not phi.is_zero()
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_closed_form_interior_matches_the_general_quotient(name,
+                                                          monkeypatch):
+    # the same reduced components as Phi' * (-1/F), the product the
+    # exact division replaces
+    _, pencil = assemble(load_fixture(name).spec)
+    phi = closed_form_interior(_fresh(pencil))
+    monkeypatch.setattr(pencil_module, "quotient_by_factor",
+                        lambda value, divisor: value * (1 / divisor))
+    assert closed_form_interior(_fresh(pencil)).comps == phi.comps
+
+
+def test_quotient_by_a_non_dividing_factor_falls_back(monkeypatch):
+    table = VarTable.build(["x1", "x2"])
+    value = parse_ratfun("(x1^2 + 1)/(x2 + 3)", table)
+    divisor = parse_ratfun("-x1 - 1", table)
+    assert symexpr.poly_quotient(value.num, divisor.num) is None
+    assert quotient_by_factor(value, divisor) == value * (1 / divisor)
+    # a dividing factor: (x1 + 1)^2/(x2 + 3) by -(x1 + 1) in one division
+    square = parse_ratfun("(x1 + 1)^2/(x2 + 3)", table)
+    calls = _spy_gcd(monkeypatch)
+    quot = quotient_by_factor(square, divisor)
+    assert calls == []
+    assert quot.render() == "(-x1 - 1)/(x2 + 3)"
+    assert quot == square * (1 / divisor)
+    assert symexpr.poly_quotient(square.num, Polynomial.constant(
+        table, Fraction(-1, 2))) == square.num * -2
 
 
 def test_family_brackets_vanish_identically(lagrange):

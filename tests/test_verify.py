@@ -37,6 +37,8 @@ from involution_forge import (
     wedge,
 )
 from involution_forge import verify as verify_module
+from involution_forge.anchor import full_matrix
+from involution_forge.linalg import sampled_rank
 from involution_forge.cli import assemble, build_table, elaborate, run
 from involution_forge.fixtures import FIXTURE_NAMES, fixture_file, load_fixture
 from helpers import coordinate_jacobiator, random_multivector
@@ -175,6 +177,27 @@ def test_rank_at_sample_and_degenerate_cases(lagrange):
     assert rank_at_sample(single, Random(131))[0] == 2
     canonical = MultiVector(table, 2, {(0, 2): one, (1, 3): one})
     assert rank_at_sample(canonical, Random(137))[0] == 4
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_skew_sampled_rank_matches_the_full_matrix(name):
+    # the bivectors and the pencil that certify samples, and the sigma
+    # pair (rational components on lagrange_top): each pair read once
+    # gives the full matrix's rank at the same points, and leaves the rng
+    # where the full matrix leaves it
+    elab, pencil = assemble(load_fixture(name).spec)
+    cases = [(pencil.Pi0, ()), (pencil.Pi1, ()),
+             (pencil.pi_lambda(), [pencil.F_lambda]),
+             (elab.sigma0, ()), (elab.sigma1, ())]
+    for obj, avoid in cases:
+        rows = full_matrix(obj)
+        for seed in (0, 1):
+            skew_rng, full_rng = Random(seed), Random(seed)
+            skew = sampled_rank(rows, obj.table, skew_rng, avoid=avoid,
+                                skew=True)
+            assert skew == sampled_rank(rows, obj.table, full_rng,
+                                        avoid=avoid)
+            assert skew_rng.getstate() == full_rng.getstate()
 
 
 def test_certificate_passes_and_renders(lagrange):

@@ -32,7 +32,8 @@ Polynomial gcds run the heuristic GCDHEU first (Char, Geddes & Gonnet
 1989): the numerators are in Z[x] already, the most significant variable is
 evaluated at a large integer xi, recursively down to an integer gcd, and the
 candidate is rebuilt from the symmetric xi-adic digits of that gcd.  It is
-accepted only if it divides both inputs exactly over Z.  After HEU_GCD_MAX
+accepted only if it divides both inputs exactly over Z; a candidate of 1
+needs no test.  After HEU_GCD_MAX
 evaluation points the gcd falls back to contents and a fraction-free
 subresultant remainder sequence, recursing on the most recently declared
 variable that actually occurs.  Exact division divides by the primitive part
@@ -93,7 +94,8 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # Bits per exponent field of a packed monomial, guard bit included.
 FIELD_BITS = 16
 _FIELD = (1 << FIELD_BITS) - 1
-_GUARD = 1 << (FIELD_BITS - 1)
+_GUARD_SHIFT = FIELD_BITS - 1
+_GUARD = 1 << _GUARD_SHIFT
 
 
 class VarKind(enum.Enum):
@@ -588,12 +590,34 @@ def _monic(p: Polynomial) -> Polynomial:
     return Polynomial(p.table, p.terms)._times(1, p.terms[max(p.terms)])
 
 
+# Fieldwise comparison of packed monomials, all fields at once: in
+# ((x | guard) - y) & guard the guard bit of a field survives exactly where
+# x >= y there (no borrow crosses a field), and ge - (ge >> (FIELD_BITS-1))
+# turns each surviving guard bit into a mask of its field's exponent bits.
+
+
 def _monomial_gcd(table: VarTable, monomials) -> int:
     """Fieldwise minimum of packed monomials (a non-empty collection)."""
-    low = 0
-    for s in table.shifts:
-        low |= min(m >> s & _FIELD for m in monomials) << s
+    if 0 in monomials:
+        return 0
+    guard = table.guard
+    it = iter(monomials)
+    low = next(it)
+    for m in it:
+        ge = ((low | guard) - m) & guard
+        low ^= (low ^ m) & (ge - (ge >> _GUARD_SHIFT))
     return low
+
+
+def _monomial_lcm(table: VarTable, monomials) -> int:
+    """Fieldwise maximum of packed monomials (a non-empty collection)."""
+    guard = table.guard
+    it = iter(monomials)
+    high = next(it)
+    for m in it:
+        ge = ((m | guard) - high) & guard
+        high ^= (high ^ m) & (ge - (ge >> _GUARD_SHIFT))
+    return high
 
 
 def _univariate_view(p: Polynomial, v: int):
@@ -733,6 +757,8 @@ def _heu_gcd(f: dict, g: dict, shifts: list, table: VarTable):
             h = _zz_interpolate(image, x, shifts[0])
             content = gcd(*h.values())
             h = {e: c // content for e, c in h.items()}
+            if h == {0: 1}:  # 1 divides f and g: no division test
+                return {0: cont}
             if (_zz_quotient(f, h, table) is not None
                     and _zz_quotient(g, h, table) is not None):
                 return {e: c * cont for e, c in h.items()}
@@ -789,20 +815,15 @@ def _zz_quotient(f: dict, h: dict, table: VarTable):
     lead = max(h)
     lc = h[lead]
     guard = table.guard
-    # exact division keeps every quotient exponent within deg f - deg h;
-    # a variable h lacks gets the whole field below the guard
-    used = reduce(or_, h)
-    room = 0
-    for s in table.shifts:
-        if used >> s & _FIELD:
-            d = (max(m >> s & _FIELD for m in f)
-                 - max(m >> s & _FIELD for m in h))
-            if d < 0:
-                return None
-        else:
-            d = _GUARD - 1
-        room |= d << s
-    room |= guard
+    # exact division keeps every quotient exponent within deg f - deg h,
+    # field by field; a variable h lacks gets the whole field below the
+    # guard.  A field where deg h > deg f loses its guard bit
+    top_h = _monomial_lcm(table, h)
+    room = (_monomial_lcm(table, f) | guard) - top_h
+    if room & guard != guard:
+        return None
+    lacks = guard ^ ((top_h | guard) - (guard >> _GUARD_SHIFT)) & guard
+    room |= lacks - (lacks >> _GUARD_SHIFT)
     rem = dict(f)
     quot = {}
     while rem:

@@ -142,6 +142,19 @@ def star(anchor, a: Form) -> Form:
     return interior(sharp(anchor, a), anchor.volume)
 
 
+def koszul_codifferential(anchor, a: Form) -> Form:
+    """delta(a) = (-1)^p (i_Lambda da - d i_Lambda a), the Koszul bracket
+    as two differentials and two contractions with the whole bivector:
+    the oracle for ``codifferential``, which differentiates once."""
+    if a.degree == 0:
+        return Form.zero(a.table, 0)
+    lam = anchor.lambda_bi
+    out = interior(lam, exterior_derivative(a))
+    if a.degree > 1:
+        out = out - exterior_derivative(interior(lam, a))
+    return -out if a.degree % 2 else out
+
+
 def mat_mul(a: list, b: list) -> list:
     """Matrix product by the schoolbook sum; the oracle for ``det``,
     ``invert`` and ``solve_linear``, which never multiply matrices."""

@@ -35,6 +35,7 @@ from involution_forge.cli import elaborate
 from involution_forge.fixtures import FIXTURE_NAMES, load_fixture
 from involution_forge.pencil import decompose_prime
 from helpers import (
+    koszul_codifferential,
     load_spec,
     random_form,
     random_multivector,
@@ -150,9 +151,9 @@ def test_codifferential_squares_to_zero(canonical):
 
 
 def test_codifferential_is_the_koszul_bracket():
-    # the Koszul form delta(a) = (-1)^p (i_Lambda da - d i_Lambda a) that
-    # codifferential computes equals *d* by two Hodge stars, on the lifted
-    # anchor of every fixture
+    # codifferential, the Koszul bracket [i_Lambda, d] with one
+    # differentiation per component, equals *d* by two Hodge stars, on the
+    # lifted anchor of every fixture
     rng = Random(97)
     for name in FIXTURE_NAMES:
         lifted = elaborate(load_fixture(name).spec).anchor.lifted
@@ -161,6 +162,57 @@ def test_codifferential_is_the_koszul_bracket():
                 a = random_form(lifted.table, p, rng)
                 hodge = star(lifted, exterior_derivative(star(lifted, a)))
                 assert codifferential(lifted, a) == hodge
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "reject_sigma",
+                                  "certify_scaled"])
+def test_codifferential_matches_the_koszul_oracle_on_the_sigma_pair(name):
+    # the five inputs of the sigma conditions, degrees 2 and 4, on the
+    # anchor the conditions use
+    elab = elaborate(load_spec(name))
+    anchor = elab.anchor.lifted
+    s0, s1 = elab.sigma0, elab.sigma1
+    for a in (s0, s1, wedge(s0, s0), wedge(s1, s1), wedge(s0, s1)):
+        assert codifferential(anchor, a) == koszul_codifferential(anchor, a)
+
+
+# coefficients whose denominators coincide, nest or are absent, and a
+# bivector whose components depend on the coordinates, so that the term
+# dx_k ^ i_{d_k Lambda} a of the codifferential does not vanish
+DENOMINATORS = ("1", "x1", "x1*y2 - x2*y1", "x1*(y1 + 2)")
+NUMERATORS = ("1", "-3", "x2", "y1/2", "x1*y2 - x2*y1", "x2 + y2^2")
+
+
+def test_codifferential_matches_the_koszul_oracle_on_a_varying_bivector():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    table = VarTable.build(["x1", "x2", "y1", "y2"])
+
+    def ratfun(text):
+        return parse_ratfun(text, table)
+
+    anchor = build_symplectic(MultiVector(table, 2, {
+        (0, 2): ratfun("x1/(y1 + 2)"), (1, 3): ratfun("x2 + y1^2"),
+        (0, 1): ratfun("1/(x1 + 1)"), (2, 3): ratfun("-2"),
+    }))
+    values = [ratfun(f"({n})/({d})")
+              for n in NUMERATORS for d in DENOMINATORS]
+    values += [-v for v in values]
+
+    def forms(degree):
+        slots = list(itertools.combinations(table.geometric_indices, degree))
+        return st.dictionaries(
+            st.sampled_from(slots), st.sampled_from(values), max_size=4,
+        ).map(lambda comps: Form(table, degree, comps))
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=50)
+    @hypothesis.given(st.integers(0, 4).flatmap(forms))
+    def check(a):
+        got = codifferential(anchor, a)
+        assert got.degree == max(a.degree - 1, 0)
+        assert got == koszul_codifferential(anchor, a)
+
+    check()
 
 
 def test_jacobi_iff_codifferential_identity():

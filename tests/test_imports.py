@@ -4,9 +4,10 @@ every public one is used there or exported at the root, ``__all__``
 lists exactly the public names the package root binds, no
 ``RationalFunction`` method, sum of products or exterior-algebra code
 calls the gcd or the exact division itself, the exact division has one
-caller besides ``poly_exact_div``, no verdict outside
-``report`` decides an exact residual by hand, and no code outside
-``anchor`` writes a Hamiltonian field out.
+caller besides ``poly_exact_div``, the codifferential differentiates
+neither the whole form nor its contraction with the whole bivector, no
+verdict outside ``report`` decides an exact residual by hand, and no
+code outside ``anchor`` writes a Hamiltonian field out.
 
 No linter ships with the toolchain, so this walks the syntax trees with
 ``ast``.  ``__init__.py`` is exempt from the import check: its imports are
@@ -199,6 +200,46 @@ def test_rational_functions_cancel_only_through_one_helper():
     for module in ("exterior.py", "anchor.py", "pencil.py", "verify.py"):
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
         assert _calls_to(tree, dividers | {"_cancel"}) == [], module
+
+
+def _second_differentiations(tree) -> list:
+    """Line of each call inside ``tree`` that differentiates a whole form
+    (``exterior_derivative``, ``differential``) or contracts the whole
+    bivector (``interior`` of ``lam`` or of an attribute ``lambda_bi``):
+    the two halves of the Koszul bracket i_Lambda d - d i_Lambda."""
+    found = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        callee = _callee(call)
+        if callee in ("exterior_derivative", "differential"):
+            found.append(call.lineno)
+        elif callee == "interior" and call.args:
+            first = call.args[0]
+            if (isinstance(first, ast.Name) and first.id == "lam"
+                    or isinstance(first, ast.Attribute)
+                    and first.attr == "lambda_bi"):
+                found.append(call.lineno)
+    return sorted(found)
+
+
+def test_codifferential_differentiates_each_component_once():
+    # delta = [i_Lambda, d] expanded: one partial derivative per component
+    # and partner, not d of the form and d of its contraction
+    source = (PACKAGE / "anchor.py").read_text(encoding="utf-8")
+    [node] = [node for node in ast.parse(source).body
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "codifferential"]
+    assert _second_differentiations(node) == []
+
+
+def test_second_differentiation_is_reported():
+    source = ("interior(lam, exterior_derivative(a))\n"
+              "exterior.differential(f)\n"
+              "interior(anchor.lambda_bi, a)\n"
+              "interior(MultiVector(table, 2, dlam), a)\n"
+              "c.derivative(j)\n")
+    assert _second_differentiations(ast.parse(source)) == [1, 1, 2, 3]
 
 
 def _callee(call: ast.Call) -> str:

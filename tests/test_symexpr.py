@@ -37,6 +37,9 @@ from involution_forge.symexpr import (
     _cancel,
     _content_prs_gcd,
     _heuristic_gcd,
+    _monomial_gcd,
+    _monomial_lcm,
+    _zz_quotient,
     as_ratfun,
     migrate_polynomial,
     poly_exact_div,
@@ -443,6 +446,22 @@ def test_constant_numerator_takes_no_gcd(table, monkeypatch):
     assert calls == []
 
 
+def test_coprime_inputs_take_no_division_test(table, monkeypatch):
+    # a candidate of 1 divides everything, so GCDHEU accepts it untested
+    calls = []
+    real = symexpr._zz_quotient
+    monkeypatch.setattr(symexpr, "_zz_quotient",
+                        lambda f, h, t: calls.append(h) or real(f, h, t))
+
+    def poly(text):
+        return parse_ratfun(text, table).num
+
+    for a, b in (("x1 + 1", "x2 + 2"), ("x1*x2 + 3", "x1 - x3"),
+                 ("2*x1^2 + x2", "x2*x3 + 1"), ("x1*x3 + x2", "x3^2 + x2")):
+        assert poly_gcd(poly(a), poly(b)) == Polynomial.one(table)
+    assert calls == []
+
+
 def test_gcd_of_the_largest_reject_sigma_pair():
     # shaped like the costliest pair in the reject-sigma benchmark:
     # 78 terms against 6, six variables, total degrees 13 and 10
@@ -660,6 +679,57 @@ def test_exponent_at_the_guard_raises(table):
         half**2
     with pytest.raises(ExponentOverflow):
         Polynomial.monomial(table, (0, _TOP + 1, 0))
+
+
+def _packed(table, exponents) -> int:
+    return max(Polynomial.monomial(table, exponents).terms)
+
+
+def _exponents(table, m: int) -> tuple:
+    [exponents] = exponent_terms(Polynomial(table, {m: 1}))
+    return exponents
+
+
+def test_fieldwise_min_and_max_match_the_per_field_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    table = VarTable.build(["x1", "x2", "x3", ("lambda", VarKind.PENCIL)])
+    # the extremes of a field, 0 and the largest exponent below the guard,
+    # next to anything in between
+    field = st.one_of(st.sampled_from((0, 1, _TOP - 1, _TOP)),
+                      st.integers(0, _TOP))
+    monomial = st.tuples(*[field] * table.size)
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=200)
+    @hypothesis.given(st.lists(monomial, min_size=1, max_size=5))
+    def check(exponents):
+        packed = [_packed(table, e) for e in exponents]
+        low = tuple(map(min, zip(*exponents)))
+        high = tuple(map(max, zip(*exponents)))
+        assert _exponents(table, _monomial_gcd(table, packed)) == low
+        assert _exponents(table, _monomial_lcm(table, packed)) == high
+        assert _monomial_gcd(table, set(packed)) == _packed(table, low)
+
+    check()
+
+
+def test_exact_division_room_per_field(table):
+    def terms(text):
+        return parse_ratfun(text, table).num.terms
+
+    # h has a higher degree than f in one field: no quotient
+    assert _zz_quotient(terms("x1^5*x2 + x3"), terms("x2^2 + 1"),
+                        table) is None
+    assert _zz_quotient(Polynomial.monomial(table, (_TOP, 0, 0)).terms,
+                        terms("x1*x2"), table) is None
+    # a variable h lacks takes its whole field below the guard
+    top = Polynomial.monomial(table, (0, _TOP, 0)) + Polynomial.monomial(
+        table, (0, 0, _TOP), 2)
+    h = parse_ratfun("x1 + 1", table).num
+    assert _zz_quotient((top * h).terms, h.terms, table) == top.terms
+    f = Polynomial.monomial(table, (_TOP, _TOP - 1, 0))
+    assert _zz_quotient(f.terms, terms("x2^3"), table) == {
+        _packed(table, (_TOP, _TOP - 4, 0)): 1}
 
 
 def test_kernel_matches_the_tuple_oracle():

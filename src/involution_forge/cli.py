@@ -27,7 +27,7 @@ from .anchor import (
     poisson_bracket,
 )
 from .errors import ForgeError, RankTooSmall, SpecError
-from .exterior import Form, MultiVector, from_records, wedge
+from .exterior import Form, MultiVector, exterior_derivative, from_records, wedge
 from .pencil import (
     CasimirPolynomial,
     SigmaPair,
@@ -435,6 +435,8 @@ def build_anchor(spec: SpecFile, table: VarTable):
         vartheta = _records_form(table, 1, data["vartheta"],
                                  f"{at}.vartheta")
         theta = _records_form(table, 2, data["theta"], f"{at}.theta")
+        _require_closed(vartheta, "vartheta", f"{at}.vartheta")
+        _require_closed(theta, "Theta", f"{at}.theta")
         return build_cosymplectic(vartheta, theta)
     if data["type"] == "canonical":
         records = [
@@ -445,7 +447,17 @@ def build_anchor(spec: SpecFile, table: VarTable):
         records = data["bivector"]
         path = f"{at}.bivector"
     lambda_bi = _records_form(table, 2, records, path, kind=MultiVector)
-    return build_symplectic(lambda_bi)
+    anchor = build_symplectic(lambda_bi)
+    _require_closed(anchor.omega, "omega", path)
+    return anchor
+
+
+def _require_closed(form: Form, name: str, path: str):
+    """The sigma brackets need a Poisson anchor, that is, a closed one."""
+    d = exterior_derivative(form)
+    if not d.is_zero():
+        raise SpecError(f"the anchor form is not closed: d {name} = "
+                        f"{d.render()}, not 0", path)
 
 
 def resolve_basis(block, table: VarTable, path: str) -> list:

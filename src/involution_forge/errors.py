@@ -108,10 +108,6 @@ class RankTooSmall(ForgeError):
     """Closed bracket formula needs corank-r families with r >= 2."""
 
 
-class NonExactDivision(ForgeError):
-    """Division that the theory promises to be exact failed to be."""
-
-
 class ConditionFailed(ForgeError):
     """A precondition check (sigma conditions, recursion) did not pass."""
 

@@ -329,15 +329,14 @@ def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
 
     The right derivative <d/dD_l drops l from an index tuple with sign
     (-1)^(number of indices after l), the left one d>/dD_l with sign
-    (-1)^(position of l); for q = 0 the second term is dropped.  eps = +1
-    for p = 1 makes [X, Q] the Lie derivative L_X Q, so [X, f] = X(f);
-    eps = -1 for (2, 2) makes dx_i^dx_j^dx_k pair with [P, P] to -2 times
-    the cyclic Jacobiator of P.
+    (-1)^(position of l).  eps = +1 for p = 1 makes [X, Q] the Lie
+    derivative L_X Q, so [X, f] = X(f); eps = -1 for (2, 2) makes
+    dx_i^dx_j^dx_k pair with [P, P] to -2 times the cyclic Jacobiator of P.
 
-    The square of a bivector takes one sum: d>/dD_l P = -(P <d/dD_l), and
-    a vector commutes with a bivector, so the two sums agree and
-
-        [P, P] = -2 * sum_l (P <d/dD_l) ^ dP/dx_l."""
+    As d>/dD_l Q = (-1)^(q-1) (Q <d/dD_l), the second sum is
+    -sum_l (Q <d/dD_l) ^ dP/dx_l for both degree pairs, and for the square
+    of a bivector the two sums agree: [P, P] = -2 sum_l (P <d/dD_l) ^ dP/dx_l.
+    Each component of the bracket is one sum of products over every l."""
     if not isinstance(P, MultiVector) or not isinstance(Q, MultiVector):
         raise UnsupportedDegrees("schouten acts on multivectors")
     P.table.require_same(Q.table)
@@ -345,35 +344,33 @@ def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
         raise UnsupportedDegrees(
             f"degrees ({P.degree}, {Q.degree}) not supported"
         )
-    square = Q is P and P.degree == 2
-    total = MultiVector.zero(P.table, P.degree + Q.degree - 1)
-    for l in P.table.geometric_indices:
-        right = _odd_derivative(P, l, from_left=False)
-        if right.comps:
-            total = total + wedge(right, _derivative(Q, l))
-        if Q.degree == 0 or square:
-            continue
-        left = _odd_derivative(Q, l, from_left=True)
-        if left.comps:
-            total = total - wedge(_derivative(P, l), left)
-    if square:
-        return total * -2
-    return total if P.degree == 1 else -total  # eps = -1 for (2, 2)
+    products: dict = {}
+    if Q is P and P.degree == 2:
+        _right_products(products, P, P, -2)
+    else:
+        _right_products(products, P, Q, 1 if P.degree == 1 else -1)
+        _right_products(products, Q, P, -1)
+    return P._like(P.degree + Q.degree - 1, {
+        idx: sum_of_products(P.table, terms)
+        for idx, terms in products.items()
+    })
 
 
-def _odd_derivative(P: MultiVector, l: int, from_left: bool) -> MultiVector:
-    """P differentiated in D_l from the left or from the right."""
-    comps = {}
-    for idx, c in P.comps.items():
-        if l in idx:
-            m = idx.index(l)
-            flips = m if from_left else len(idx) - 1 - m
-            comps[idx[:m] + idx[m + 1 :]] = -c if flips & 1 else c
-    return P._like(P.degree - 1, comps)
-
-
-def _derivative(P: MultiVector, l: int) -> MultiVector:
-    """P with each component differentiated along x_l."""
-    return P._like(
-        P.degree, {idx: c.derivative(l) for idx, c in P.comps.items()}
-    )
+def _right_products(products: dict, A: MultiVector, B: MultiVector,
+                    sign: int) -> None:
+    """Add the signed products of sign * sum_l (A <d/dD_l) ^ dB/dx_l to
+    ``products``, keyed by result index; each d_l of a component of B is
+    taken once."""
+    partials: dict = {}
+    for I, a in A.comps.items():
+        for m, l in enumerate(I):
+            rest = I[:m] + I[m + 1:]
+            flip = -sign if (len(I) - 1 - m) & 1 else sign
+            terms = partials.get(l)
+            if terms is None:
+                derivatives = ((J, b.derivative(l)) for J, b in B.comps.items())
+                terms = partials[l] = [(J, db) for J, db in derivatives if db]
+            for J, db in terms:
+                if set(rest).isdisjoint(J):
+                    products.setdefault(tuple(sorted(rest + J)), []).append(
+                        (flip * _merge_sign(rest, J), a, db))

@@ -72,7 +72,7 @@ import enum
 import re
 from fractions import Fraction
 from functools import reduce
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import or_
 from random import Random
 
@@ -1269,6 +1269,10 @@ MAX_EXPONENT = 100
 # fractions may reach, checked on its result; it keeps exponents far below
 # the guard of a packed field (see the module docstring).
 MAX_DEGREE = 200
+# The most terms '^', '*' and '/' may give a numerator or denominator,
+# bounded before expanding: (x1+x2+x3+y1+y2+y3+1)^100 passes both bounds
+# above but has C(106, 6), about 1.7e9; the shipped specs need at most 5.
+MAX_TERMS = 100_000
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
@@ -1309,8 +1313,9 @@ class _Parser:
 
     '/' divides, left associative.  No implicit multiplication; whitespace
     is insignificant.  Parentheses nest at most MAX_NESTING deep, an
-    exponent is at most MAX_EXPONENT, and no power, product, quotient or
-    sum of fractions has a total degree above MAX_DEGREE."""
+    exponent is at most MAX_EXPONENT, no power, product, quotient or
+    sum of fractions has a total degree above MAX_DEGREE, and no power,
+    product or quotient may expand to more than MAX_TERMS terms."""
 
     def __init__(self, text: str, table: VarTable):
         self.tokens = _tokenize(text)
@@ -1364,20 +1369,19 @@ class _Parser:
         acc = self.factor()
         while True:
             kind, value, pos = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                rhs = self.factor()
-                _check_degree(_degree(acc) + _degree(rhs), pos)
-                acc = acc * rhs
-            elif kind == "op" and value == "/":
-                self.advance()
-                rhs = self.factor()
-                if rhs.is_zero():
-                    raise DivisionByZero(f"division by zero at position {pos}")
-                _check_degree(_degree(acc) + _degree(rhs), pos)
-                acc = acc / rhs
-            else:
+            if kind != "op" or value not in "*/":
                 return acc
+            self.advance()
+            rhs = self.factor()
+            divide = value == "/"
+            if divide and rhs.is_zero():
+                raise DivisionByZero(f"division by zero at position {pos}")
+            _check_degree(_degree(acc) + _degree(rhs), pos)
+            (a, b), (c, d) = _sizes(acc), _sizes(rhs)
+            if divide:  # (a/b) / (c/d) = (a*d) / (b*c)
+                c, d = d, c
+            _check_terms(max(a * c, b * d), pos)
+            acc = acc / rhs if divide else acc * rhs
 
     def factor(self):
         base = self.base()
@@ -1395,6 +1399,8 @@ class _Parser:
                 )
             self.advance()
             _check_degree(value * _degree(base), caret)
+            _check_terms(max(comb(value + t - 1, t - 1)
+                             for t in _sizes(base) if t), caret)
             base = base**value
         return base
 
@@ -1431,6 +1437,17 @@ def _degree(value: RationalFunction) -> int:
 def _check_degree(degree: int, pos: int):
     if degree > MAX_DEGREE:
         raise ParseError(f"degree {degree} exceeds {MAX_DEGREE}", pos)
+
+
+def _sizes(value: RationalFunction) -> tuple:
+    """Term counts of a fraction's numerator and denominator."""
+    return len(value.num.terms), len(value.den.terms)
+
+
+def _check_terms(bound: int, pos: int):
+    if bound > MAX_TERMS:
+        raise ParseError(f"may expand to {bound} terms, more than {MAX_TERMS}",
+                         pos)
 
 
 def parse_ratfun(text: str, table: VarTable) -> RationalFunction:

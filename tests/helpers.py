@@ -221,6 +221,43 @@ def oracle_bivector_sharp(Pi: MultiVector, alpha: Form) -> MultiVector:
     return _one_at_a_time(MultiVector, Pi.table, 1, pieces)
 
 
+def oracle_schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
+    """[P, Q] for degrees (1, q) and (2, 2) by the coordinate formula in
+    the odd generators, one l at a time, each term a wedge of whole
+    multivectors:
+
+        [P, Q] = eps * sum_l (P <d/dD_l) ^ dQ/dx_l - dP/dx_l ^ (d>/dD_l Q)
+
+    with eps = +1 for p = 1 and -1 for (2, 2), and no second sum for
+    q = 0: the oracle for ``schouten``,
+    which sums every product of a result component at once."""
+    total = MultiVector.zero(P.table, P.degree + Q.degree - 1)
+    for l in P.table.geometric_indices:
+        total = total + wedge(_odd_derivative(P, l, from_left=False),
+                              _partial(Q, l))
+        if Q.degree:
+            total = total - wedge(_partial(P, l),
+                                  _odd_derivative(Q, l, from_left=True))
+    return total if P.degree == 1 else -total
+
+
+def _odd_derivative(P: MultiVector, l: int, from_left: bool) -> MultiVector:
+    """P differentiated in D_l from the left or from the right."""
+    comps = {}
+    for idx, c in P.comps.items():
+        if l in idx:
+            m = idx.index(l)
+            flips = m if from_left else len(idx) - 1 - m
+            comps[idx[:m] + idx[m + 1:]] = -c if flips & 1 else c
+    return MultiVector(P.table, P.degree - 1, comps)
+
+
+def _partial(P: MultiVector, l: int) -> MultiVector:
+    """P with each component differentiated along x_l."""
+    return MultiVector(P.table, P.degree,
+                       {idx: c.derivative(l) for idx, c in P.comps.items()})
+
+
 # ---------------------------------------------------------------------------
 # the kernel polynomial as exponent tuples, and the tuple/Fraction oracle
 

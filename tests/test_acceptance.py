@@ -296,7 +296,9 @@ def test_criterion_08_casimirs(lagrange, toda_first, toda_second):
         # Casimir of the lifted pencil
         ltab = elab.sigma_table
         lam_l = parse_ratfun("lambda", ltab)
-        pi_lifted = pencil.Pi1_prime - pencil.Pi0_prime * lam_l
+        lifted = elab.anchor.lifted
+        pi_lifted = (sharp(lifted, elab.sigma1)
+                     - sharp(lifted, elab.sigma0) * lam_l)
         s_func = parse_ratfun("s", ltab)
         assert casimir_check(pi_lifted, s_func).passed
 

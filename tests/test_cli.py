@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -305,6 +306,45 @@ def test_symplectic_anchor_in_the_pencil_parameter_exits_two(spec_on_disk):
         "expression involves the pencil parameter 'lambda'")
 
 
+def _bivector_anchor(payload, coeffs):
+    payload["anchor"] = {"type": "symplectic", "bivector": [
+        {"indices": list(pair), "coeff": coeff}
+        for pair, coeff in zip(payload["anchor"]["pairs"], coeffs)]}
+
+
+def _set_theta(payload, coeff):
+    payload["anchor"]["theta"][0]["coeff"] = coeff
+
+
+@pytest.mark.parametrize("name, edit, at, rendered", [
+    ("lagrange_top", lambda p: _bivector_anchor(p, ("1", "1 + x1", "1")),
+     "bivector", "omega = ((-1)/(x1^2 + 2*x1 + 1))*dx1^dx2^dy2"),
+    ("toda_first", lambda p: _set_theta(p, "1 + b2"),
+     "theta", "Theta = (1)*da1^db1^db2"),
+    ("toda_first", lambda p: p["anchor"]["vartheta"].append(
+        {"indices": [1], "coeff": "b3"}),
+     "vartheta", "vartheta = (-1)*da1^db3"),
+])
+def test_anchor_form_that_is_not_closed_exits_two(spec_on_disk, name, edit,
+                                                  at, rendered):
+    # the sigma conditions are decided as Schouten brackets of the lifted
+    # bivectors, which are the codifferential identities only when the
+    # anchor is Poisson
+    payload = json.loads(fixture_file(name).read_text())
+    edit(payload)
+    path = spec_on_disk(payload)
+    for command in ("check", "report"):
+        assert run(command, path) == (
+            2, f"error: {path}.anchor.{at}: the anchor form is not "
+            f"closed: d {rendered}, not 0")
+
+
+def test_closed_anchor_form_that_varies_is_accepted(spec_on_disk):
+    payload = json.loads(fixture_file("toda_first").read_text())
+    _set_theta(payload, "1 + a1^2")
+    assert run("check", spec_on_disk(payload))[0] == 0
+
+
 def test_specialize_value_in_the_pencil_parameter_exits_two(spec_on_disk):
     payload = json.loads(fixture_file("lagrange_top").read_text())
     payload["sigma1"]["ansatz"]["specialize"]["l3"] = "lambda"
@@ -505,6 +545,45 @@ def test_degree_above_the_budget_exits_two(spec_on_disk, expression,
     assert proc.stdout == (
         f"error: {path}.family[1].expression: "
         f"degree 10000 exceeds 200 (at position {position})\n")
+
+
+def test_powers_of_zero_pass_the_term_bound(spec_on_disk, lagrange_path):
+    # a zero numerator has no terms; adding its powers changes nothing
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["family"][1]["expression"] += " + 0^2 + (x1 - x1)^3 + 0^0 - 1"
+    path = spec_on_disk(payload)
+    assert run("check", path) == run("check", lagrange_path)
+
+
+SUM7 = "(x1+x2+x3+y1+y2+y3+1)"
+
+
+@pytest.mark.parametrize("expression, position, bound", [
+    # within the degree and exponent bounds, but C(106, 6) terms
+    (f"{SUM7}^100", 21, 1705904746),
+    # 924 terms each way: refused at the '*' or '/', before multiplying
+    (f"{SUM7}^6*{SUM7}^6", 23, 924 * 924),
+    (f"1/{SUM7}^6/{SUM7}^6", 25, 924 * 924),
+])
+def test_expansion_above_the_term_bound_exits_two(spec_on_disk, expression,
+                                                  position, bound):
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["family"][1]["expression"] = expression
+    path = spec_on_disk(payload)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(involution_forge.__file__).parents[1])
+    # a separate process with a timeout and 1 GiB of address space, so
+    # that a bound that stops working fails the test instead of expanding
+    proc = subprocess.run(
+        [sys.executable, "-m", "involution_forge", "check", path],
+        env=env, capture_output=True, text=True, timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (2**30, 2**30)),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == (
+        f"error: {path}.family[1].expression: may expand to {bound} "
+        f"terms, more than 100000 (at position {position})\n")
 
 
 def test_sum_of_fractions_above_the_budget_exits_two(spec_on_disk):

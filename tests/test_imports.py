@@ -6,8 +6,9 @@ lists exactly the public names the package root binds, no
 calls the gcd or the exact division itself, the exact division has one
 caller besides ``poly_exact_div``, the codifferential differentiates
 neither the whole form nor its contraction with the whole bivector, no
-verdict outside ``report`` decides an exact residual by hand, and no
-code outside ``anchor`` writes a Hamiltonian field out.
+verdict outside ``report`` decides an exact residual by hand, no code
+outside ``anchor`` writes a Hamiltonian field out, and no module but
+``anchor`` names the codifferential.
 
 No linter ships with the toolchain, so this walks the syntax trees with
 ``ast``.  ``__init__.py`` is exempt from the import check: its imports are
@@ -240,6 +241,32 @@ def test_second_differentiation_is_reported():
               "interior(MultiVector(table, 2, dlam), a)\n"
               "c.derivative(j)\n")
     assert _second_differentiations(ast.parse(source)) == [1, 1, 2, 3]
+
+
+def _modules_naming(sources: dict, name: str, home: str) -> list:
+    """Modules besides ``home`` and the root ``__init__`` (whose imports
+    are re-exports) whose code mentions ``name``."""
+    return sorted(module for module, source in sources.items()
+                  if module not in (home, "__init__.py")
+                  and _names(ast.parse(source))[name])
+
+
+def test_only_anchor_names_the_codifferential():
+    # the sigma conditions are Schouten brackets of the lifted bivectors;
+    # the codifferential stays in anchor as API and as the tests' oracle
+    assert _modules_naming(_package_sources(), "codifferential",
+                           "anchor.py") == []
+
+
+def test_module_naming_a_function_is_reported():
+    sources = {
+        "__init__.py": "from .a import f\n",
+        "a.py": "def f():\n    return 1\n",
+        "b.py": "from .a import f\n\nf()\n",
+        "c.py": "from . import a\n\na.f()\n",
+        "d.py": "# f is not called here\nx = 'f'\n",
+    }
+    assert _modules_naming(sources, "f", "a.py") == ["b.py", "c.py"]
 
 
 def _callee(call: ast.Call) -> str:

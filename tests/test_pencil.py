@@ -2,7 +2,6 @@
 closed-form brackets, determinant brackets."""
 
 import copy
-import itertools
 from fractions import Fraction
 from random import Random
 
@@ -29,12 +28,15 @@ from involution_forge import (
     build_symplectic,
     casimir_function,
     closed_form_interior,
+    codifferential,
     from_records,
     interior,
     jacobian_bracket,
     pairing,
     parse_ratfun,
     poisson_bracket,
+    schouten,
+    sharp,
     wedge,
 )
 from involution_forge.symexpr import quotient_by_factor
@@ -67,6 +69,12 @@ def toda():
     fixture = load_fixture("toda_first")
     elab, pencil = assemble(fixture.spec)
     return fixture, elab, pencil
+
+
+def lifted_pair(anchor, pair):
+    """Pi_i' = sharp(sigma_i) on the symplectic anchor the pair lives on."""
+    lifted = anchor.lifted
+    return sharp(lifted, pair.sigma0), sharp(lifted, pair.sigma1)
 
 
 # ---------------------------------------------------------------------------
@@ -146,39 +154,30 @@ def test_assembly_builds_each_casimir_polynomial_once(lagrange,
     assert len(calls) == 2
 
 
-def test_assembly_takes_each_codifferential_once(lagrange, monkeypatch):
-    # delta of sigma0, sigma1 and their three wedges: five distinct inputs
-    _, elab, _ = lagrange
-    inputs = []
-    real = pencil_module.codifferential
+def test_assembly_takes_each_sigma_bracket_once(lagrange, toda,
+                                                monkeypatch):
+    # the sigma conditions are [P0', P0'], [P1', P1'] and [P0', P1'] of the
+    # lifted bivectors: three distinct brackets, the squares by their one
+    # sum, and no codifferential
+    def refuse(*args):
+        raise AssertionError("assembly took a codifferential")
 
-    def counting(anchor, a):
-        inputs.append(a)
-        return real(anchor, a)
+    monkeypatch.setattr(anchor_module, "codifferential", refuse)
+    assert not hasattr(pencil_module, "codifferential")
+    real = pencil_module.schouten
+    for _, elab, _ in (lagrange, toda):
+        pair = SigmaPair(elab.sigma0, elab.sigma1)
+        brackets = []
 
-    monkeypatch.setattr(pencil_module, "codifferential", counting)
-    assemble_pencil(elab.anchor, SigmaPair(elab.sigma0, elab.sigma1),
-                    elab.family, elab.partition)
-    assert len(inputs) == 5
-    assert all(a != b for a, b in itertools.combinations(inputs, 2))
+        def counting(a, b):
+            brackets.append((a, b))
+            return real(a, b)
 
-
-def test_sigma_conditions_take_no_hodge_star(lagrange, monkeypatch):
-    # the codifferential is the Koszul bracket: no sharp images of forms,
-    # which the Hodge star would wedge
-    _, elab, _ = lagrange
-    calls = []
-    real = anchor_module._sharp_extend
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(anchor_module, "_sharp_extend", counting)
-    verdicts = check_sigma_conditions(
-        elab.anchor, SigmaPair(elab.sigma0, elab.sigma1))
-    assert len(verdicts) == 3 and all(v.passed for v in verdicts)
-    assert calls == []
+        monkeypatch.setattr(pencil_module, "schouten", counting)
+        assemble_pencil(elab.anchor, pair, elab.family, elab.partition)
+        P0, P1 = lifted_pair(elab.anchor, pair)
+        assert brackets == [(P0, P0), (P1, P1), (P0, P1)]
+        assert [a is b for a, b in brackets] == [True, True, False]
 
 
 def test_assembly_without_pencil_parameter_fails_before_the_checks(
@@ -214,7 +213,7 @@ def test_casimir_function_singleton_chain(toda):
 def test_sigma_conditions_pass_on_fixtures(lagrange, toda):
     for _, elab, _ in (lagrange, toda):
         pair = SigmaPair(elab.sigma0, elab.sigma1)
-        verdicts = check_sigma_conditions(elab.anchor, pair)
+        verdicts = check_sigma_conditions(*lifted_pair(elab.anchor, pair))
         assert all(v.passed for v in verdicts)
         assert len(verdicts) == 3
         recursion = check_recursion(elab.anchor, pair, elab.family,
@@ -229,11 +228,17 @@ def test_sigma_conditions_fail_with_witness(lagrange):
     table = elab.sigma_table
     x1 = parse_ratfun("x1", table)
     broken = elab.sigma1 + Form(table, 2, {(0, 1): x1})
-    verdicts = check_sigma_conditions(elab.anchor,
-                                      SigmaPair(elab.sigma0, broken))
+    pair = SigmaPair(elab.sigma0, broken)
+    verdicts = check_sigma_conditions(*lifted_pair(elab.anchor, pair))
     failing = [v for v in verdicts if not v.passed]
     assert failing
     assert all(v.witness is not None for v in failing)
+    # the witness is the bracket: minus sharp of the codifferential residual
+    assert [v.passed for v in verdicts] == [True, False]
+    lifted = elab.anchor.lifted
+    residual = (codifferential(lifted, wedge(broken, broken))
+                - wedge(broken, codifferential(lifted, broken)) * 2)
+    assert verdicts[1].witness == -sharp(lifted, residual)
 
 
 def test_engine_keeps_the_pencil_parameter_out_of_its_inputs(lagrange,
@@ -319,15 +324,15 @@ def test_free_unknown_scope(lagrange):
         pair = SigmaPair(elab.sigma0, migrated)
         assert all(v.passed for v in check_recursion(
             elab.anchor, pair, elab.family, elab.partition))
-        outcomes[value] = all(
-            v.passed for v in check_sigma_conditions(elab.anchor, pair))
+        outcomes[value] = all(v.passed for v in check_sigma_conditions(
+            *lifted_pair(elab.anchor, pair)))
     assert outcomes["y3/2"] is True
     assert outcomes["0"] is False
 
 
 def test_sigma_check_stops_at_its_first_failure(lagrange, monkeypatch):
     # assembly reads only the first failed identity, so at k34 = 0 the
-    # check ends at delta(sigma1^sigma1) and never builds sigma0^sigma1
+    # check ends at delta(sigma1^sigma1) and never takes [P0', P1']
     fixture, elab, _ = lagrange
     problem = elaborate_ansatz(fixture.spec, seed=0)
     solution = solve_recursion_ansatz(problem.anchor, problem.sigma0,
@@ -337,15 +342,15 @@ def test_sigma_check_stops_at_its_first_failure(lagrange, monkeypatch):
     pair = SigmaPair(elab.sigma0, from_records(elab.sigma_table, 2,
                                                special.to_records()))
     mixed = []
-    real = pencil_module.wedge
+    real = pencil_module.schouten
 
     def counting(a, b):
-        if a is pair.sigma0 and b is pair.sigma1:
+        if a is not b:
             mixed.append((a, b))
         return real(a, b)
 
-    monkeypatch.setattr(pencil_module, "wedge", counting)
-    verdicts = check_sigma_conditions(elab.anchor, pair)
+    monkeypatch.setattr(pencil_module, "schouten", counting)
+    verdicts = check_sigma_conditions(*lifted_pair(elab.anchor, pair))
     assert [v.passed for v in verdicts] == [True, False]
     assert verdicts[1].label.startswith("delta(sigma1^sigma1)")
     assert mixed == []

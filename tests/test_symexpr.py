@@ -4,6 +4,7 @@ import copy
 import operator
 import pickle
 from fractions import Fraction
+from math import comb
 from random import Random
 
 import pytest
@@ -228,6 +229,33 @@ def test_parse_error_paths(table):
     with pytest.raises(ParseError, match="exceeds") as raised:
         parse_ratfun(f"x1 + x2^{MAX_EXPONENT + 1}", table)
     assert raised.value.position == 8
+
+
+def test_term_bound_is_checked_before_expanding(table, monkeypatch):
+    # a power of a t-term base is bounded by C(n + t - 1, t - 1), a product
+    # or quotient by the products of the numerator and denominator counts
+    # it would multiply; a result at the bound is admitted
+    bound = comb(12 + 3, 3)
+    monkeypatch.setattr(symexpr, "MAX_TERMS", bound)
+    base = "(x1 + x2 + x3 + 1)"
+    assert len(parse_ratfun(f"{base}^12", table).num.terms) == bound
+    assert parse_ratfun(f"{base}^12/{base}^12", table) == parse_ratfun(
+        "1", table)
+    assert parse_ratfun(f"{base}^2*{base}^3", table) == parse_ratfun(
+        f"{base}^5", table)
+    for text, terms, position in ((f"{base}^13", comb(16, 3), 18),
+                                  (f"{base}^5*{base}^3", 56 * 20, 20),
+                                  (f"1/{base}^5/{base}^3", 56 * 20, 22)):
+        with pytest.raises(ParseError) as raised:
+            parse_ratfun(text, table)
+        assert str(raised.value) == (
+            f"may expand to {terms} terms, more than {bound} "
+            f"(at position {position})")
+    # a zero numerator has no terms: its powers still parse
+    zero, one = parse_ratfun("0", table), parse_ratfun("1", table)
+    for text, expected in (("0^2", zero), ("(x1 - x1)^3", zero),
+                           ("0^0", one), ("(x1 - x1)^0", one)):
+        assert parse_ratfun(text, table) == expected
 
 
 def test_degree_budget_is_checked_before_computing(table):

@@ -13,6 +13,7 @@ from involution_forge import (
     CasimirPolynomial,
     Form,
     MultiVector,
+    Pencil,
     RationalFunction,
     SigmaPair,
     SpecError,
@@ -302,6 +303,25 @@ def test_certify_failure_witnesses_match_the_direct_checks(lagrange, which):
         assert verdicts[verdict.label].render() == verdict.render()
 
 
+def test_lambda_left_in_a_closed_form_denominator_is_a_failed_verdict(
+        lagrange):
+    # with F(lambda) off by a factor lambda + 1, Phi_lambda keeps it in its
+    # denominators: the closed form is no polynomial in lambda, and the
+    # certificate reports that as a FAIL with both sides, not an exception
+    _, _, pencil = lagrange
+    table = pencil.table
+    lam = parse_ratfun("lambda", table)
+    stub = Pencil(pencil.anchor, pencil.family, pencil.partition,
+                  pencil.Pi0, pencil.Pi1, pencil.sigma_lambda,
+                  pencil.g_lambda, pencil.F_lambda * (lam + 1),
+                  pencil.F_functions, pencil.r)
+    verdicts = {v.label: v for v in certify(stub, seed=0).verdicts}
+    closed = verdicts["closed-form[coordinates]"]
+    assert not closed.passed
+    assert " vs contraction " in closed.witness
+    assert "(lambda + 1)" in closed.witness
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_certify_takes_each_bracket_once(name, monkeypatch):
     # three Schouten brackets, the upper triangle of each bracket matrix,
@@ -402,3 +422,81 @@ def test_report_is_invariant_under_a_triangular_pullback(tmp_path):
     assert all(line.startswith("PASS") for line in _verdict_lines(text))
     for name in ("Pi0", "Pi1", "pencil"):
         assert f"rank[{name}] = 4" in text
+
+
+# metamorphic checks: transformations that must leave every verdict label,
+# pass flag and rank of `report` as it was
+
+
+def _outcome(text: str) -> list:
+    """Each verdict's mark and label, and each rank line, of a report."""
+    lines = [line.strip() for line in text.splitlines()]
+    return ([line.split()[:2] for line in lines
+             if line.startswith(("PASS", "FAIL"))]
+            + [line for line in lines
+               if line.startswith(("rank[", "expected"))])
+
+
+def _report_outcome(payload, tmp_path, name: str):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(payload))
+    code, text = run("report", str(path))
+    assert code == 0, text
+    assert "status = PASS" in text
+    return _outcome(text)
+
+
+def _spec_payload(name: str) -> dict:
+    payload = json.loads(fixture_file(name).read_text())
+    payload.pop("expected", None)
+    return payload
+
+
+@pytest.mark.parametrize("name", ["toda_first", "toda_second"])
+def test_report_is_invariant_under_the_swap_of_the_sigma_pair(name,
+                                                              tmp_path):
+    # Pi1 - lambda Pi0 and Pi0 - mu Pi1 are one pencil (mu = 1/lambda), and
+    # each Lenard-Magri chain of the one is a chain of the other reversed
+    # (Magri 1978; Gelfand & Zakharevich 1993)
+    payload = _spec_payload(name)
+    swapped = dict(payload, sigma0=payload["sigma1"],
+                   sigma1=payload["sigma0"],
+                   partition=[chain[::-1] for chain in payload["partition"]])
+    assert (_report_outcome(swapped, tmp_path, name)
+            == _report_outcome(payload, tmp_path, f"{name}_original"))
+
+
+def _renamed(node, new: dict):
+    """``node`` with every record's 1-based geometric indices renamed by
+    ``new`` and sorted, its coefficient negated for an odd sort; indices
+    past the declared coordinates (the appended s) are kept."""
+    if isinstance(node, list):
+        return [_renamed(item, new) for item in node]
+    if not isinstance(node, dict):
+        return node
+    if "indices" in node:
+        idx = [new.get(i, i) for i in node["indices"]]
+        odd = sum(a > b for a, b in itertools.combinations(idx, 2)) % 2
+        coeff = f"-({node['coeff']})" if odd else node["coeff"]
+        return {"indices": sorted(idx), "coeff": coeff}
+    if node.get("type") == "canonical":
+        node = {"type": "symplectic", "bivector": [
+            {"indices": pair, "coeff": "1"} for pair in node["pairs"]]}
+    return {key: _renamed(value, new) for key, value in node.items()}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_report_is_invariant_under_a_permutation_of_the_coordinates(
+        name, tmp_path):
+    # reversing the declared coordinates, with the pencil parameter moved
+    # to the front, reverses the packed monomial order of every polynomial
+    payload = _spec_payload(name)
+    variables = payload["variables"]
+    coords = [v for v in variables if isinstance(v, str)]
+    others = [v for v in variables if not isinstance(v, str)]
+    n = len(coords)
+    permuted = _renamed(payload, {i: n + 1 - i for i in range(1, n + 1)})
+    permuted["variables"] = others + coords[::-1]
+    assert (_report_outcome(permuted, tmp_path, name)
+            == _report_outcome(payload, tmp_path, f"{name}_original"))
+

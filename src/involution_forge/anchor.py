@@ -24,6 +24,8 @@ form (-1)^p (i_Lambda da - d i_Lambda a) as independent oracles for it.
 
 from __future__ import annotations
 
+from itertools import combinations, product
+
 from .errors import (
     DegenerateVolume,
     DegreeError,
@@ -134,20 +136,29 @@ def poisson_bracket(Pi: MultiVector, f, g) -> RationalFunction:
 
 
 def _sharp_extend(Pi: MultiVector, a: Form) -> MultiVector:
-    """Degree-p extension of Pi#, multiplicative over the wedge."""
+    """Degree-p extension of Pi#, multiplicative over the wedge: with
+    X_i = Pi#(dx_i), component J of the image of sum c_I dx_I is one sum of
+    products c_I X_{i1}^{j1} ... X_{ip}^{jp}, (j1, ..., jp) permuting J."""
     table = a.table
-    images: dict = {}
-    out = MultiVector.zero(table, a.degree)
+    Pi.table.require_same(table)
+    geo = table.geometric_indices
+    rows = {i: [(j, w) for j, w in zip(geo, row) if w]
+            for i, row in zip(geo, full_matrix(Pi))}
+    products: dict = {}
     for idx, c in a.comps.items():
-        piece = MultiVector.scalar(table, c)
-        for i in idx:
-            img = images.get(i)
-            if img is None:
-                img = bivector_sharp(Pi, Form(table, 1, {(i,): 1}))
-                images[i] = img
-            piece = wedge(piece, img)
-        out = out + piece
-    return out
+        for legs in product(*(rows[i] for i in idx)):
+            targets = [j for j, _ in legs]
+            if len(set(targets)) < len(targets):
+                continue
+            weight = legs[0][1] if legs else RationalFunction.one(table)
+            for _, w in legs[1:]:
+                weight = weight * w
+            flips = sum(x > y for x, y in combinations(targets, 2))
+            products.setdefault(tuple(sorted(targets)), []).append(
+                (-1 if flips & 1 else 1, c, weight))
+    return MultiVector(table, a.degree, {
+        idx: sum_of_products(table, terms) for idx, terms in products.items()
+    })
 
 
 # --- anchors -----------------------------------------------------------------

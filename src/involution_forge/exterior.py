@@ -28,7 +28,13 @@ from .errors import (
     ForbiddenVariable,
     UnsupportedDegrees,
 )
-from .symexpr import RationalFunction, VarTable, as_ratfun, sum_of_products
+from .symexpr import (
+    RationalFunction,
+    VarTable,
+    as_ratfun,
+    over_common_denominator,
+    sum_of_products,
+)
 
 
 def accumulate(comps: dict, idx, value: RationalFunction) -> None:
@@ -336,7 +342,8 @@ def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
     As d>/dD_l Q = (-1)^(q-1) (Q <d/dD_l), the second sum is
     -sum_l (Q <d/dD_l) ^ dP/dx_l for both degree pairs, and for the square
     of a bivector the two sums agree: [P, P] = -2 sum_l (P <d/dD_l) ^ dP/dx_l.
-    Each component of the bracket is one sum of products over every l."""
+    Each component is one sum of products over every l, of numerators over
+    D^3 for D the lcm of the denominators: D^2 d_l(N/D) = D d_lN - N d_lD."""
     if not isinstance(P, MultiVector) or not isinstance(Q, MultiVector):
         raise UnsupportedDegrees("schouten acts on multivectors")
     P.table.require_same(Q.table)
@@ -344,31 +351,34 @@ def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
         raise UnsupportedDegrees(
             f"degrees ({P.degree}, {Q.degree}) not supported"
         )
+    (NP, NQ), D = over_common_denominator(P.comps, Q.comps)
     products: dict = {}
     if Q is P and P.degree == 2:
-        _right_products(products, P, P, -2)
+        _right_products(products, NP, NP, D, -2)
     else:
-        _right_products(products, P, Q, 1 if P.degree == 1 else -1)
-        _right_products(products, Q, P, -1)
-    return P._like(P.degree + Q.degree - 1, {
+        _right_products(products, NP, NQ, D, 1 if P.degree == 1 else -1)
+        _right_products(products, NQ, NP, D, -1)
+    bracket = P._like(P.degree + Q.degree - 1, {
         idx: sum_of_products(P.table, terms)
         for idx, terms in products.items()
     })
+    return bracket if D is None else bracket * (1 / D**3)
 
 
-def _right_products(products: dict, A: MultiVector, B: MultiVector,
-                    sign: int) -> None:
-    """Add the signed products of sign * sum_l (A <d/dD_l) ^ dB/dx_l to
-    ``products``, keyed by result index; each d_l of a component of B is
-    taken once."""
+def _right_products(products: dict, A: dict, B: dict, D, sign: int) -> None:
+    """Add the signed products of sign * sum_l (A <d/dD_l) ^ D^2 dB/dx_l to
+    ``products``, keyed by result index, for numerators A, B over D (None
+    for 1); each d_l of a component of B is taken once."""
     partials: dict = {}
-    for I, a in A.comps.items():
+    for I, a in A.items():
         for m, l in enumerate(I):
             rest = I[:m] + I[m + 1:]
             flip = -sign if (len(I) - 1 - m) & 1 else sign
             terms = partials.get(l)
             if terms is None:
-                derivatives = ((J, b.derivative(l)) for J, b in B.comps.items())
+                dD = D and D.derivative(l)
+                derivatives = ((J, b.derivative(l) * D - b * dD if D
+                                else b.derivative(l)) for J, b in B.items())
                 terms = partials[l] = [(J, db) for J, db in derivatives if db]
             for J, db in terms:
                 if set(rest).isdisjoint(J):

@@ -171,15 +171,20 @@ def sampled_rank(rows: list, table: VarTable, rng, target=None, avoid=(),
     point where it was first attained).  A ``skew`` (antisymmetric) matrix
     is read off its strict upper triangle: each pair gives one guard and
     one value per draw, and the value's negative fills the mirror entry.
-    The guards it drops are copies, so the same points are accepted."""
+    The guards it drops are copies, so the same points are accepted.  Past
+    the largest rank the shape allows, points are drawn but not evaluated."""
     cells = [(i, j) for i, row in enumerate(rows)
              for j in range(i + 1 if skew else 0, len(row)) if row[j]]
     guards = [rows[i][j].den for i, j in cells
               if not rows[i][j].den.is_constant()]
     guards.extend(avoid)
+    n = len(rows)
+    full = n - n % 2 if skew else min(n, len(rows[0]) if rows else 0)
     best, best_point = -1, None
     for _ in range(RANK_DRAWS):
         point = sample_point(table, guards, rng)
+        if best == full:
+            continue
         values = [[0] * len(row) for row in rows]
         for i, j in cells:
             values[i][j] = value = rows[i][j].evaluate(point)

@@ -1129,6 +1129,21 @@ def sum_of_products(table: VarTable, products) -> RationalFunction:
     return RationalFunction.zero(table) if total is None else total
 
 
+def over_common_denominator(*parts) -> tuple:
+    """([numerators], D) for dicts of RationalFunctions, each value n/D for
+    D the lcm of the monic denominators, each fixed by its terms (None when
+    all are 1), n and D polynomials; one gcd per distinct denominator."""
+    dens = list({frozenset(v.den.terms.items()): v.den
+                 for part in parts for v in part.values()}.values())
+    if all(d.is_constant() for d in dens):
+        return list(parts), None
+    D = reduce(lambda lcm_, d: lcm_ * _cancel(d, lcm_)[1], dens)
+    one, cofactors = D.table.one, [poly_exact_div(D, d) for d in dens]
+    return [{k: RationalFunction._reduced(
+        v.num * cofactors[dens.index(v.den)], one) for k, v in part.items()}
+        for part in parts], RationalFunction._reduced(D, one)
+
+
 def quotient_by_factor(value: RationalFunction, divisor: RationalFunction
                        ) -> RationalFunction:
     """value/divisor where a polynomial divisor is expected to divide the

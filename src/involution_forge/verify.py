@@ -9,10 +9,11 @@ that produced it.  Verdicts always carry a symbolic witness on failure.
 combination [Pi1, Pi1] - 2 lambda [Pi0, Pi1] + lambda^2 [Pi0, Pi0] of the
 three brackets it takes anyway (Kosmann-Schwarzbach & Magri 1990, Ann. IHP
 53), a square [Pi, Pi] takes one of the two Schouten sums, and a bracket
-matrix takes only its upper triangle.  Its rank claims take RANK_DRAWS
-points per bivector (``linalg.sampled_rank`` with no target), reading each
-pair of the skew matrix once, so the printed sample point depends only on
-the seed and pencil.
+matrix takes only its upper triangle.  Involution entries and chain links
+are read off df, Pi0#df and Pi1#df, taken once per family function.  Its
+rank claims draw RANK_DRAWS points per bivector (``linalg.sampled_rank``
+with no target), so the sample point depends only on the seed and pencil,
+and evaluate them only while the rank can still rise, each pair once.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from random import Random
 
 from .anchor import (
     APPENDED_NAME,
+    bivector_sharp,
     full_matrix,
     hamiltonian_vf,
     poisson_bracket,
 )
 from .errors import DegreeError, SpecError
-from .exterior import schouten
+from .exterior import differential, pairing, schouten
 from .linalg import det, rank_at_point, sampled_rank
 from .pencil import FunctionFamily, Pencil, bracket_closed_form
 from .report import Verdict, vanishes
@@ -69,14 +71,6 @@ def involution_table(Pi_lambda, family: FunctionFamily) -> list:
     return _bracket_matrix(Pi_lambda, family.functions())
 
 
-def _involution_verdict(entries, names, label: str) -> Verdict:
-    for i, j in combinations(range(len(entries)), 2):
-        if not entries[i][j].is_zero():
-            witness = f"{{{names[i]},{names[j]}}} = {entries[i][j].render()}"
-            return Verdict(label, False, witness)
-    return Verdict(label, True)
-
-
 def lenard_magri_check(Pi0, Pi1, chain) -> list:
     """Per-link verdicts for Pi0#(df_{j+1}) = Pi1#(df_j).
 
@@ -103,9 +97,8 @@ def compatibility_check(PiA, PiB, label: str = "compatibility") -> Verdict:
 
 
 def rank_at_sample(Pi, rng: Random, avoid=()):
-    """Best (rank, point) over all RANK_DRAWS generic rational draws: with
-    no target there is no early stop, so the rng advances the same way
-    whatever the rank."""
+    """Best (rank, point) over RANK_DRAWS generic rational draws, all of
+    them drawn (there is no target), so the rng advances whatever the rank."""
     return sampled_rank(full_matrix(Pi), Pi.table, rng, avoid=avoid,
                         skew=True)
 
@@ -175,19 +168,25 @@ def certify(pencil: Pencil, seed: int = 0) -> PencilCertificate:
         casimir_check(pi_lam, F_i, f"casimir[F^{pos}]")
         for pos, F_i in enumerate(F_list, start=1)
     )
-    verdicts.append(_involution_verdict(
-        involution_table(pi_lam, family), family.names, "involution[family]"
-    ))
+    df = {f: differential(family.entry(f), table) for f in family.names}
+    X0 = {f: bivector_sharp(Pi0, d) for f, d in df.items()}
+    X1 = {f: bivector_sharp(Pi1, d) for f, d in df.items()}
+    involution = Verdict("involution[family]", True)
+    for f, h in combinations(family.names, 2):
+        b = pairing(df[h], X1[f]) - lam * pairing(df[h], X0[f])
+        if b:
+            involution = Verdict("involution[family]", False,
+                                 f"{{{f},{h}}} = {b.render()}")
+            break
+    verdicts.append(involution)
     verdicts.append(vanishes("compatibility[Pi0,Pi1]", s01))
-
     for ci, cp in enumerate(pencil.partition, start=1):
-        if len(cp.names) < 2:
-            continue
-        chain = [family.entry(name) for name in cp.names]
-        for v in lenard_magri_check(Pi0, Pi1, chain):
-            verdicts.append(
-                Verdict(f"chain[{ci}].{v.label}", v.passed, v.witness)
-            )
+        for j in range(1, len(cp.names)):
+            lhs = X0[cp.names[j]]
+            residual = lhs - X1[cp.names[j - 1]]
+            passed = residual.is_zero()
+            verdicts.append(Verdict(f"chain[{ci}].link[{j}]", passed,
+                                    lhs if passed else residual))
 
     rng = Random(seed)
     rank0, _ = rank_at_sample(Pi0, rng)

@@ -23,6 +23,7 @@ from involution_forge import (
     Polynomial,
     RationalFunction,
     VarTable,
+    bivector_sharp,
     build_symplectic,
     codifferential,
     differential,
@@ -32,11 +33,13 @@ from involution_forge import (
     pairing,
     parse_ratfun,
     poisson_bracket,
+    sample_point,
     schouten,
     sharp,
     wedge,
 )
 from involution_forge.exterior import _merge_sign, accumulate
+from involution_forge.linalg import RANK_DRAWS, rref
 from involution_forge.symexpr import FIELD_BITS
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -256,6 +259,47 @@ def _partial(P: MultiVector, l: int) -> MultiVector:
     """P with each component differentiated along x_l."""
     return MultiVector(P.table, P.degree,
                        {idx: c.derivative(l) for idx, c in P.comps.items()})
+
+
+def oracle_sharp_extend(Pi: MultiVector, a: Form) -> MultiVector:
+    """The degree-p extension of Pi# as scalar ^ wedge ^ ... ^ wedge of the
+    images X_i = Pi#(dx_i), one component of a at a time, added by ``+``:
+    the oracle for ``anchor._sharp_extend``, which sums the products of
+    each result component at once."""
+    table = a.table
+    out = MultiVector.zero(table, a.degree)
+    for idx, c in a.comps.items():
+        piece = MultiVector.scalar(table, c)
+        for i in idx:
+            piece = wedge(piece, bivector_sharp(Pi, Form(table, 1, {(i,): 1})))
+        out = out + piece
+    return out
+
+
+def reference_sampled_rank(rows: list, table: VarTable, rng, target=None,
+                           avoid=(), skew=False):
+    """``linalg.sampled_rank`` evaluating and eliminating at every draw,
+    also once the rank is already the largest the shape allows: the
+    oracle for the draws the package skips."""
+    cells = [(i, j) for i, row in enumerate(rows)
+             for j in range(i + 1 if skew else 0, len(row)) if row[j]]
+    guards = [rows[i][j].den for i, j in cells
+              if not rows[i][j].den.is_constant()]
+    guards.extend(avoid)
+    best, best_point = -1, None
+    for _ in range(RANK_DRAWS):
+        point = sample_point(table, guards, rng)
+        values = [[0] * len(row) for row in rows]
+        for i, j in cells:
+            values[i][j] = value = rows[i][j].evaluate(point)
+            if skew:
+                values[j][i] = -value
+        rank = len(rref(values)[1])
+        if rank > best:
+            best, best_point = rank, point
+        if best == target:
+            break
+    return best, best_point
 
 
 # ---------------------------------------------------------------------------

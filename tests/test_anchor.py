@@ -37,9 +37,11 @@ from involution_forge.pencil import decompose_prime
 from helpers import (
     koszul_codifferential,
     load_spec,
+    oracle_sharp_extend,
     random_form,
     random_multivector,
     random_polynomial,
+    random_rational,
     sigma_equivalence_suite,
     star,
 )
@@ -89,6 +91,27 @@ def test_sharp_and_flat_are_mutually_inverse(canonical):
         X = random_multivector(table, 1, rng)
         assert flat(canonical, sharp(canonical, a)) == a
         assert sharp(canonical, flat(canonical, X)) == X
+
+
+ANCHOR_SPECS = FIXTURE_NAMES + ("reject_sigma", "certify_scaled")
+
+
+@pytest.mark.parametrize("name", ANCHOR_SPECS)
+def test_sharp_extend_matches_the_wedge_by_wedge_oracle(name):
+    # one sum of products per image component against the scalar ^ wedge
+    # ^ ... ^ wedge pieces added one at a time, in degrees 0 to 4, with
+    # polynomial and rational coefficients, on the spec's anchor and, for
+    # an odd one, on its lift
+    anchor = elaborate(load_spec(name)).anchor
+    rng = Random(ANCHOR_SPECS.index(name))
+    for structure in {id(a): a for a in (anchor, anchor.lifted)}.values():
+        table = structure.table
+        Pi = structure.lambda_bi
+        for degree in range(5):
+            for scale in (1, random_rational(table, rng)):
+                a = random_form(table, degree, rng) * scale
+                assert anchor_module._sharp_extend(Pi, a) == (
+                    oracle_sharp_extend(Pi, a)), (degree, scale)
 
 
 def test_sharp_is_multiplicative_on_wedges(canonical):

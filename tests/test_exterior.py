@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from involution_forge.cli import assemble
+from involution_forge.cli import assemble, elaborate
 from involution_forge import (
     DegreeError,
     DimensionMismatch,
@@ -28,6 +28,7 @@ from involution_forge import (
     pairing,
     parse_ratfun,
     schouten,
+    sharp,
     wedge,
 )
 from helpers import (
@@ -219,6 +220,19 @@ def test_schouten_matches_the_wedge_by_wedge_formula():
             assert schouten(P, Q) == oracle_schouten(P, Q), (p, q)
         P = random_multivector(table, 2, rng) * left
         assert schouten(P, P) == oracle_schouten(P, P)
+
+
+def test_schouten_of_the_rejected_sigma_pair_matches_the_oracle():
+    # the lifted bivectors of reject_sigma: sigma1's components lie over
+    # x3 and x3*(x1*y2 - x2*y1), sigma0's are polynomials, and the square
+    # of the first fails Jacobi
+    parts = elaborate(load_spec("reject_sigma"))
+    lifted = parts.anchor.lifted
+    P0, P1 = (sharp(lifted, s) for s in (parts.sigma0, parts.sigma1))
+    assert not P1.comps[min(P1.comps)].is_polynomial()
+    square = schouten(P1, P1)
+    assert not square.is_zero() and square == oracle_schouten(P1, P1)
+    assert schouten(P0, P1) == oracle_schouten(P0, P1)
 
 
 def test_schouten_known_squares(table):

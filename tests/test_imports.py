@@ -7,8 +7,10 @@ calls the gcd or the exact division itself, the exact division has one
 caller besides ``poly_exact_div``, the codifferential differentiates
 neither the whole form nor its contraction with the whole bivector, no
 verdict outside ``report`` decides an exact residual by hand, no code
-outside ``anchor`` writes a Hamiltonian field out, and no module but
-``anchor`` names the codifferential.
+outside ``anchor`` writes a Hamiltonian field out, no module but
+``anchor`` names the codifferential, ``certify`` calls neither the
+involution table nor the chain check, and the sharp extension takes no
+wedge.
 
 No linter ships with the toolchain, so this walks the syntax trees with
 ``ast``.  ``__init__.py`` is exempt from the import check: its imports are
@@ -339,3 +341,32 @@ def test_inline_hamiltonian_field_is_reported():
               "anchor.bivector_sharp(\n    P, exterior.differential(f))\n"
               "hamiltonian_vf(P, f)\n")
     assert _inline_hamiltonian_fields(source) == [1, 3]
+
+
+def _function_calls(source: str, function: str) -> set:
+    """Callees of every call inside the module-level function ``function``."""
+    [node] = [node for node in ast.parse(source).body
+              if isinstance(node, ast.FunctionDef) and node.name == function]
+    return {_callee(call) for call in ast.walk(node)
+            if isinstance(call, ast.Call)}
+
+
+def test_certify_takes_no_bracket_table_and_no_chain_check():
+    # certify reads each involution entry and each link off the fields
+    # Pi0#df and Pi1#df it takes once per family function; the public
+    # checks stay as API and as the tests' oracles
+    source = (PACKAGE / "verify.py").read_text(encoding="utf-8")
+    assert _function_calls(source, "certify") & {
+        "involution_table", "lenard_magri_check"} == set()
+
+
+def test_sharp_extend_takes_no_wedge():
+    # each image component is one sum of products, not a wedge of images
+    source = (PACKAGE / "anchor.py").read_text(encoding="utf-8")
+    assert "wedge" not in _function_calls(source, "_sharp_extend")
+
+
+def test_function_calls_are_reported():
+    source = ("def f(P):\n    return wedge(g(P), exterior.wedge(P))\n\n"
+              "def g(P):\n    return h(P)\n")
+    assert _function_calls(source, "f") == {"wedge", "g"}

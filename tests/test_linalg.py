@@ -29,7 +29,12 @@ from involution_forge.linalg import (
     sampled_rank,
     solve_linear,
 )
-from helpers import mat_mul, mat_vec, random_polynomial
+from helpers import (
+    mat_mul,
+    mat_vec,
+    random_polynomial,
+    reference_sampled_rank,
+)
 
 
 @pytest.fixture(scope="module")
@@ -317,3 +322,47 @@ def test_skew_sampled_rank_reads_the_upper_triangle(table, monkeypatch):
         assert sampled_rank(upper, table, Random(0), target, avoid,
                             skew=True) == expected
         assert drawn == full_draws
+
+
+def test_sampled_rank_skips_only_what_cannot_raise_the_rank(table,
+                                                            monkeypatch):
+    # once the best rank is the largest the shape allows, the remaining
+    # points are drawn but neither evaluated nor eliminated: the rank, the
+    # point and the final rng state are those of the loop that evaluates
+    # every draw.  A full-rank skew matrix, a skew one of rank 2 in size 4,
+    # and a full-rank 2x3 one, with a pole and an avoided zero
+    def matrix(text):
+        return [[parse_ratfun(v, table) for v in row] for row in text]
+
+    def skew(text):
+        upper = matrix(text)
+        return [[upper[i][j] if i < j else -upper[j][i] if i > j
+                 else upper[i][i] * 0 for j in range(len(upper))]
+                for i in range(len(upper))]
+
+    cases = [
+        (skew([["0", "x1", "x2/(x1 - x3)", "1"], ["0", "0", "x3", "x2"],
+               ["0", "0", "0", "x1*x2"], ["0", "0", "0", "0"]]), True, 1),
+        (skew([["0", "x1", "x2", "0"], ["0", "0", "0", "0"],
+               ["0", "0", "0", "0"], ["0", "0", "0", "0"]]), True, RANK_DRAWS),
+        (matrix([["x1", "x2", "1/(x2 + 1)"], ["x2", "x3", "x1*x3"]]), False,
+         1),
+    ]
+    avoid = [parse_ratfun("x1 - x2", table)]
+    eliminations = []
+    real_rref = linalg.rref
+
+    def counting(rows):
+        eliminations.append(rows)
+        return real_rref(rows)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    for rows, is_skew, evaluated in cases:
+        for seed in range(3):
+            eliminations.clear()
+            rng, reference_rng = Random(seed), Random(seed)
+            got = sampled_rank(rows, table, rng, avoid=avoid, skew=is_skew)
+            assert got == reference_sampled_rank(
+                rows, table, reference_rng, avoid=avoid, skew=is_skew)
+            assert rng.getstate() == reference_rng.getstate()
+            assert len(eliminations) == evaluated

@@ -43,6 +43,7 @@ from involution_forge.symexpr import (
     _zz_quotient,
     as_ratfun,
     migrate_polynomial,
+    over_common_denominator,
     poly_exact_div,
     poly_gcd,
 )
@@ -803,3 +804,22 @@ def test_kernel_matches_the_tuple_oracle():
         same(migrate_polynomial(migrate_polynomial(a, wide), table), oa)
 
     check()
+
+
+def test_values_over_a_common_denominator():
+    # each value is its numerator over the monic lcm of the denominators,
+    # with equal denominators counted once; all-polynomial values come
+    # back as they are, with no denominator
+    table = VarTable.build(["x1", "x2", "y1"])
+    texts = ["x1/(x1*x2 + 1)", "y1/(2*x1)", "1/(x1^2*x2 + x1)", "x2 - y1",
+             "3/(x1*x2 + 1)"]
+    values = {k: parse_ratfun(t, table) for k, t in enumerate(texts)}
+    [numerators], D = over_common_denominator(values)
+    assert D == parse_ratfun("x1^2*x2 + x1", table)
+    for k, v in values.items():
+        assert numerators[k].is_polynomial()
+        assert numerators[k] / D == v
+    split = over_common_denominator({0: values[0]}, {1: values[1]})
+    assert split == ([{0: numerators[0]}, {1: numerators[1]}], D)
+    plain = {0: values[3], 1: values[3] * values[3]}
+    assert over_common_denominator(plain) == ([plain], None)

@@ -12,6 +12,7 @@ import pytest
 from involution_forge import (
     CasimirPolynomial,
     Form,
+    FunctionFamily,
     MultiVector,
     Pencil,
     RationalFunction,
@@ -19,6 +20,7 @@ from involution_forge import (
     SpecError,
     VarKind,
     VarTable,
+    Verdict,
     assemble_pencil,
     bivector_sharp,
     build_family,
@@ -37,9 +39,10 @@ from involution_forge import (
     schouten,
     wedge,
 )
+from involution_forge import linalg as linalg_module
 from involution_forge import verify as verify_module
 from involution_forge.anchor import full_matrix
-from involution_forge.linalg import sampled_rank
+from involution_forge.linalg import RANK_DRAWS, sampled_rank
 from involution_forge.cli import assemble, build_table, elaborate, run
 from involution_forge.fixtures import FIXTURE_NAMES, fixture_file, load_fixture
 from helpers import coordinate_jacobiator, random_multivector
@@ -322,23 +325,35 @@ def test_lambda_left_in_a_closed_form_denominator_is_a_failed_verdict(
     assert "(lambda + 1)" in closed.witness
 
 
+# sampled draws certify evaluates: every draw on lagrange_top, whose ranks 4
+# stay below its dimension 6, and only the first per bivector on the 5-dim
+# Toda pencils, whose first draws reach rank 4, the largest a 5x5 skew
+# matrix can have
+EVALUATED_DRAWS = {"lagrange_top": 3 * RANK_DRAWS, "toda_first": 3,
+                   "toda_second": 3}
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_certify_takes_each_bracket_once(name, monkeypatch):
-    # three Schouten brackets, the upper triangle of each bracket matrix,
-    # and no Poisson bracket in the closed-form check
+    # three Schouten brackets, two Hamiltonian fields per family function
+    # for the involution table and the links, Poisson brackets only for the
+    # upper triangle of the det[F^2] matrix, and one elimination per
+    # evaluated draw besides the one of the Casimir Jacobian
     _, pencil = assemble(load_fixture(name).spec)
-    calls = {"schouten": 0, "poisson_bracket": 0}
+    calls = {"schouten": 0, "poisson_bracket": 0, "bivector_sharp": 0,
+             "rref": 0}
 
-    def counting(attr):
-        real = getattr(verify_module, attr)
+    def counting(module, attr):
+        real = getattr(module, attr)
 
         def wrapped(*args):
             calls[attr] += 1
             return real(*args)
-        return wrapped
+        monkeypatch.setattr(module, attr, wrapped)
 
-    for attr in calls:
-        monkeypatch.setattr(verify_module, attr, counting(attr))
+    for attr in ("schouten", "poisson_bracket", "bivector_sharp"):
+        counting(verify_module, attr)
+    counting(linalg_module, "rref")
     certify(pencil, seed=0)
     k = len(pencil.family.functions())
     m = len(pencil.F_functions)
@@ -346,7 +361,9 @@ def test_certify_takes_each_bracket_once(name, monkeypatch):
         m += 1
     assert calls == {
         "schouten": 3,
-        "poisson_bracket": k * (k - 1) // 2 + m * (m - 1) // 2,
+        "poisson_bracket": m * (m - 1) // 2,
+        "bivector_sharp": 2 * k,
+        "rref": EVALUATED_DRAWS[name] + 1,
     }
 
 
@@ -500,3 +517,45 @@ def test_report_is_invariant_under_a_permutation_of_the_coordinates(
     assert (_report_outcome(permuted, tmp_path, name)
             == _report_outcome(payload, tmp_path, f"{name}_original"))
 
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_involution_and_links_match_the_public_checks(name):
+    # certify pairs the fields Pi0#df and Pi1#df it takes once per family
+    # function; involution_table and lenard_magri_check take brackets and
+    # fields of their own.  Both must give the same labels, flags and
+    # witnesses, on the pencil and on one whose last chain function is
+    # perturbed so that a link and an involution entry fail
+    _, pencil = assemble(load_fixture(name).spec)
+    table, family = pencil.table, pencil.family
+    chain = next(cp.names for cp in pencil.partition if len(cp.names) > 1)
+    x = RationalFunction.variable(table, table.names[0])
+    bent = FunctionFamily(table, [
+        (f, family.entry(f) + (x if f == chain[-1] else 0))
+        for f in family.names])
+    for fam in (family, bent):
+        stub = Pencil(pencil.anchor, fam, pencil.partition, pencil.Pi0,
+                      pencil.Pi1, pencil.sigma_lambda, pencil.g_lambda,
+                      pencil.F_lambda, pencil.F_functions, pencil.r)
+        got = {v.label: v for v in certify(stub, seed=0).verdicts}
+        entries = involution_table(stub.pi_lambda(), fam)
+        failing = [
+            Verdict("involution[family]", False,
+                    f"{{{fam.names[i]},{fam.names[j]}}} = "
+                    f"{entries[i][j].render()}")
+            for i, j in itertools.combinations(range(len(fam.names)), 2)
+            if entries[i][j]]
+        expected = failing[:1] or [Verdict("involution[family]", True)]
+        for ci, cp in enumerate(pencil.partition, start=1):
+            if len(cp.names) > 1:
+                expected.extend(
+                    Verdict(f"chain[{ci}].{v.label}", v.passed, v.witness)
+                    for v in lenard_magri_check(
+                        stub.Pi0, stub.Pi1,
+                        [fam.entry(f) for f in cp.names]))
+        for verdict in expected:
+            assert got[verdict.label] == verdict
+            assert got[verdict.label].render() == verdict.render()
+        if fam is bent:
+            assert not got["involution[family]"].passed
+            assert not all(v.passed for v in expected[1:])

@@ -359,15 +359,15 @@ def decompose_prime(a):
     return kind(table, a.degree, rest), kind(table, a.degree - 1, tail)
 
 
-def reduce_bivector(Pi_prime: MultiVector) -> MultiVector:
-    """Forget s: requires no Ds legs and s-independent components."""
+def reduce_bivector(Pi_prime: MultiVector, base: VarTable) -> MultiVector:
+    """Forget s onto ``base``, the table the lifted one extends by s, so
+    the reduced bivectors of one pencil share their table object: requires
+    no Ds legs and s-independent components."""
     rest, tail = decompose_prime(Pi_prime)
-    ext = Pi_prime.table
-    s_idx = ext.appended_index
+    s_idx = Pi_prime.table.appended_index
     if not tail.is_zero():
         raise NotReducible(f"Ds legs remain: ({tail.render()})^Ds")
     for idx, c in rest.comps.items():
         if c.involves(s_idx):
             raise NotReducible(f"component {idx} depends on s: {c.render()}")
-    base = VarTable.build(list(zip(ext.names[:s_idx], ext.kinds[:s_idx])))
     return migrate_alternating(rest, base)

@@ -33,6 +33,7 @@ from .symexpr import (
     VarTable,
     as_ratfun,
     over_common_denominator,
+    quotient_by_factor,
     sum_of_products,
 )
 
@@ -343,7 +344,10 @@ def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
     -sum_l (Q <d/dD_l) ^ dP/dx_l for both degree pairs, and for the square
     of a bivector the two sums agree: [P, P] = -2 sum_l (P <d/dD_l) ^ dP/dx_l.
     Each component is one sum of products over every l, of numerators over
-    D^3 for D the lcm of the denominators: D^2 d_l(N/D) = D d_lN - N d_lD."""
+    D^3 for D the lcm of the denominators: D^2 d_l(N/D) = D d_lN - N d_lD.
+    The sum is divided by D^3 one factor of D at a time, which stops at the
+    first factor the numerator is coprime to, instead of taking its gcd
+    with D^3."""
     if not isinstance(P, MultiVector) or not isinstance(Q, MultiVector):
         raise UnsupportedDegrees("schouten acts on multivectors")
     P.table.require_same(Q.table)
@@ -358,11 +362,12 @@ def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
     else:
         _right_products(products, NP, NQ, D, 1 if P.degree == 1 else -1)
         _right_products(products, NQ, NP, D, -1)
-    bracket = P._like(P.degree + Q.degree - 1, {
-        idx: sum_of_products(P.table, terms)
-        for idx, terms in products.items()
-    })
-    return bracket if D is None else bracket * (1 / D**3)
+    comps = {idx: sum_of_products(P.table, terms)
+             for idx, terms in products.items()}
+    if D is not None:
+        comps = {idx: quotient_by_factor(c, D, 3)
+                 for idx, c in comps.items() if c}
+    return P._like(P.degree + Q.degree - 1, comps)
 
 
 def _right_products(products: dict, A: dict, B: dict, D, sign: int) -> None:

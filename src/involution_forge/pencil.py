@@ -582,7 +582,7 @@ def assemble_pencil(anchor, pair: SigmaPair, family: FunctionFamily,
     )
     sigma_lambda = pair.sigma1 - pair.sigma0 * lam
     if isinstance(anchor, CosymplecticAnchor):
-        Pi0, Pi1 = reduce_bivector(Pi0), reduce_bivector(Pi1)
+        Pi0, Pi1 = reduce_bivector(Pi0, table), reduce_bivector(Pi1, table)
         sigma_part, _ = decompose_prime(sigma_lambda)
         sigma_lambda = migrate_alternating(sigma_part, table)
 
@@ -626,17 +626,23 @@ def closed_form_interior(pencil: Pencil) -> Form:
     return phi
 
 
-def _top_quotient(numerator: Form, volume: Form) -> RationalFunction:
-    table = volume.table
-    top = tuple(table.geometric_indices)
+def volume_coefficient(volume: Form) -> RationalFunction:
+    """The one component of a nonzero top form."""
+    top = tuple(volume.table.geometric_indices)
     if volume.degree != len(top) or volume.is_zero():
         raise DegenerateVolume("volume form is not a nonzero top form")
+    return volume.coefficient(top)
+
+
+def _top_quotient(numerator: Form, volume: Form) -> RationalFunction:
+    coefficient = volume_coefficient(volume)
+    top = tuple(volume.table.geometric_indices)
     if numerator.degree != len(top):
         raise DimensionMismatch(
             f"expected a top form of degree {len(top)}, got degree "
             f"{numerator.degree}"
         )
-    return numerator.coefficient(top) / volume.coefficient(top)
+    return numerator.coefficient(top) / coefficient
 
 
 def bracket_closed_form(pencil: Pencil, f, h) -> RationalFunction:

@@ -54,16 +54,26 @@ t/((d/g)*(d/g)*g) for g = gcd(d, d') and t = n'*(d/g) - n*(d'/g), and
 cancels t only against g: a factor of d/g involves the variable and cannot
 divide t.  A sum of products, sum +-(a/b)*(c/d) as in wedges, contractions
 and pairings, is reduced once per pair of denominators, not once per
-product: ``sum_of_products`` adds the numerators a*c over b*d and cancels
-each group once, then adds the groups as above.  It multiplies before it
-cancels, so a product whose factors cancel only against each other can
-reach the exponent guard where one reduced product at a time would not.
-Where a polynomial q is expected to divide the numerator a of a/b,
+product: ``sum_of_products`` multiplies the numerators a*c term pair by
+term pair straight into one integer term dict per pair b, d (Johnson
+1974; Monagan & Pearce 2007), with no polynomial built per product,
+cancels each group once against b*d, then adds the groups as above.  It
+multiplies before it cancels, so a product whose factors cancel only
+against each other can reach the exponent guard where one reduced product
+at a time would not; the guard is checked on every monomial of every
+product, cancelled or not, so it trips exactly when one product reaches
+it.  Where a polynomial q is expected to divide the numerator a of a/b,
 ``quotient_by_factor`` divides by it exactly and takes no gcd: (a/q)/b
-is reduced, since gcd(a/q, b) divides gcd(a, b) = 1.  It falls back to
-the general quotient when q does not divide a.  The trial is kept out of
-``_cancel``, where a failed trial would cost about as much as the gcd
-that follows it.
+is reduced, since gcd(a/q, b) divides gcd(a, b) = 1.  Where q does not
+divide a it cancels a against q alone, and a power of q is divided one
+factor at a time, stopping at the first factor a is coprime to.  The
+trial is kept out of ``_cancel``, where a failed trial would cost about
+as much as the gcd that follows it.
+
+The parser computes with polynomials and makes a fraction only at '/',
+through the ``RationalFunction`` constructor; a one-term base is raised
+to its power in one step, and a sum's polynomial terms are added in one
+pass.
 """
 
 from __future__ import annotations
@@ -460,9 +470,7 @@ class Polynomial:
                     terms[e] = get(e, 0) + ca * cb
             if len(terms) < len(a) * len(b):
                 terms = {e: c for e, c in terms.items() if c}
-        if reduce(or_, terms, 0) & self.table.guard:
-            raise ExponentOverflow(
-                f"an exponent reaches 2^{FIELD_BITS - 1} in a product")
+        _require_below_guard(self.table, terms)
         return _normal(self.table, terms, self.den * other.den)
 
     __rmul__ = __mul__
@@ -470,6 +478,14 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise NegativeExponent(f"exponent must be an unsigned integer, got {n}")
+        if len(self.terms) == 1:
+            # a one-term base in one step: n times its packed monomial, with
+            # every field checked against the guard first
+            [(m, c)] = self.terms.items()
+            if n * max(_unpack(self.table, m), default=0) >= _GUARD:
+                raise ExponentOverflow(
+                    f"an exponent reaches 2^{FIELD_BITS - 1} in a power")
+            return Polynomial(self.table, {m * n: c**n}, self.den**n)
         # one factor at a time: for a dense base, squaring would spend most
         # of its work on the last product of two large powers
         result = Polynomial.one(self.table)
@@ -1094,33 +1110,73 @@ class RationalFunction:
         return f"({self.num.render()})/({self.den.render()})"
 
 
+def _add_product(terms: dict, a: dict, c: dict, factor: int) -> None:
+    """Add factor*a*c into ``terms`` for term dicts {packed monomial: int},
+    term pair by term pair; every pair leaves its monomial as a key, even
+    where the sum cancels its coefficient to 0."""
+    if len(a) > len(c):
+        a, c = c, a
+    get = terms.get
+    for ea, ca in a.items():
+        k = ca * factor
+        for ec, cc in c.items():
+            e = ea + ec
+            terms[e] = get(e, 0) + k * cc
+
+
+def _require_below_guard(table: VarTable, monomials) -> None:
+    """Raise ExponentOverflow when a monomial of a product of two
+    polynomials has a field at the guard: no field of a factor reaches it,
+    so no field of their sum carries into the next one."""
+    if reduce(or_, monomials, 0) & table.guard:
+        raise ExponentOverflow(
+            f"an exponent reaches 2^{FIELD_BITS - 1} in a product")
+
+
 def sum_of_products(table: VarTable, products) -> RationalFunction:
     """The sum of sign*(a/b)*(c/d) over triples (sign, a/b, c/d) of reduced
     fractions, for an integer sign factor: 1 or -1, or 2 or -2 for a pair
-    counted twice.  The products over one pair of denominators
-    b, d share b*d: their numerators a*c are added in one integer pass and
+    counted twice.  The products over one pair of denominators b, d share
+    b*d: each a*c is multiplied straight into the group's terms over the
+    group's common integer denominator, with no polynomial per product, and
     the sum is cancelled once against b*d.  The groups are then added as
     fractions (Henrici)."""
     groups: dict = {}
     for sign, left, right in products:
+        a, c = left.num, right.num
+        a.table.require_same(c.table)
+        if not (a.terms and c.terms):
+            continue
         b, d = left.den, right.den
-        # a monic denominator is fixed by its numerators alone
-        key = frozenset((frozenset(b.terms.items()),
-                         frozenset(d.terms.items())))
+        bt, dt = b.terms, d.terms
+        # a monic denominator is fixed by its numerators alone; the common
+        # pair of two constant denominators, 1 and 1, needs no frozensets
+        if len(bt) == len(dt) == 1 and 0 in bt and 0 in dt:
+            key = None
+        else:
+            key = frozenset((frozenset(bt.items()), frozenset(dt.items())))
         group = groups.get(key)
         if group is None:
-            group = groups[key] = (b * d, [])
-        group[1].append((sign, left.num * right.num))
+            group = groups[key] = (b, d, [])
+        group[2].append((sign, a, c))
     total = None
-    for den, numerators in groups.values():
-        scale = lcm(*(p.den for _, p in numerators))
+    for key, (b, d, group) in groups.items():
+        scale = lcm(*(a.den * c.den for _, a, c in group))
         terms: dict = {}
-        get = terms.get
-        for sign, p in numerators:
-            factor = sign * (scale // p.den)
-            for m, c in p.terms.items():
-                terms[m] = get(m, 0) + c * factor
-        terms = {m: c for m, c in terms.items() if c}
+        for sign, a, c in group:
+            _add_product(terms, a.terms, c.terms,
+                         sign * (scale // (a.den * c.den)))
+        # the keys hold every monomial of every product: one of them at
+        # the guard is a product that reached it, whatever the sum cancels
+        _require_below_guard(table, terms)
+        den = table.one
+        if key is not None:
+            den = {}
+            _add_product(den, b.terms, d.terms, 1)
+            _require_below_guard(table, den)
+            den = _normal(table, {m: v for m, v in den.items() if v},
+                          b.den * d.den)
+        terms = {m: v for m, v in terms.items() if v}
         if not terms:
             continue
         _, num, den = _cancel(_normal(table, terms, scale), den)
@@ -1144,18 +1200,30 @@ def over_common_denominator(*parts) -> tuple:
         for part in parts], RationalFunction._reduced(D, one)
 
 
-def quotient_by_factor(value: RationalFunction, divisor: RationalFunction
-                       ) -> RationalFunction:
-    """value/divisor where a polynomial divisor is expected to divide the
-    numerator a of value = a/b: then (a/divisor)/b is already reduced,
-    since gcd(a/divisor, b) divides gcd(a, b) = 1, and b stays monic, so
-    one exact division replaces the gcd of the general quotient.  Any
-    other divisor takes the general quotient."""
-    if divisor.is_polynomial():
-        quot = poly_quotient(value.num, divisor.num)
-        if quot is not None:
-            return RationalFunction._reduced(quot, value.den)
-    return value / divisor
+def quotient_by_factor(value: RationalFunction, divisor: RationalFunction,
+                       power: int = 1) -> RationalFunction:
+    """value/divisor^power where a polynomial divisor q is expected to
+    divide the numerator a of value = a/b: then (a/q)/b is already reduced,
+    since gcd(a/q, b) divides gcd(a, b) = 1, and b stays monic, so one
+    exact division replaces the gcd of the general quotient.  The power is
+    divided one factor of q at a time: an exact division where q divides,
+    else one cancellation against q alone.  Once a is coprime to q it is
+    coprime to every power of q, so the factors left join the denominator
+    with no gcd.  Any other divisor takes the general quotient."""
+    if not divisor.is_polynomial():
+        return value / divisor**power
+    a, b, q = value.num, value.den, divisor.num
+    while power:
+        quot = poly_quotient(a, q)
+        if quot is None:
+            g, a, rest = _cancel(a, q)
+            if g.is_constant():
+                break
+            b = b * rest
+        else:
+            a = quot
+        power -= 1
+    return RationalFunction._reduced(*_monic_pair(a, b * q**power))
 
 
 def migrate_polynomial(p: Polynomial, new_table: VarTable) -> Polynomial:
@@ -1284,9 +1352,11 @@ MAX_EXPONENT = 100
 # fractions may reach, checked on its result; it keeps exponents far below
 # the guard of a packed field (see the module docstring).
 MAX_DEGREE = 200
-# The most terms '^', '*' and '/' may give a numerator or denominator,
-# bounded before expanding: (x1+x2+x3+y1+y2+y3+1)^100 passes both bounds
-# above but has C(106, 6), about 1.7e9; the shipped specs need at most 5.
+# The most terms the powers, products and quotients of one expression may
+# give their numerators and denominators together, bounded before each is
+# expanded: (x1+x2+x3+y1+y2+y3+1)^100 passes both bounds above but has
+# C(106, 6), about 1.7e9, and three powers ^16 of that base have 74 613
+# terms each; an expression of the shipped specs spends at most 19.
 MAX_TERMS = 100_000
 
 _TOKEN_RE = re.compile(
@@ -1329,14 +1399,23 @@ class _Parser:
     '/' divides, left associative.  No implicit multiplication; whitespace
     is insignificant.  Parentheses nest at most MAX_NESTING deep, an
     exponent is at most MAX_EXPONENT, no power, product, quotient or
-    sum of fractions has a total degree above MAX_DEGREE, and no power,
-    product or quotient may expand to more than MAX_TERMS terms."""
+    sum of fractions has a total degree above MAX_DEGREE, and the powers,
+    products and quotients of one expression may together expand to at
+    most MAX_TERMS terms: each that can expand takes its bound from one
+    budget.
+
+    Values are polynomials until a '/' makes a fraction through
+    ``RationalFunction(num, den)``; the polynomial terms of a sum up to its
+    first fraction are added in one pass, and from there on the sum is
+    folded term by term, so a sum of fractions is checked after each sign
+    at that sign's position."""
 
     def __init__(self, text: str, table: VarTable):
         self.tokens = _tokenize(text)
         self.table = table
         self.i = 0
         self.depth = 0
+        self.budget = MAX_TERMS
 
     def peek(self):
         return self.tokens[self.i]
@@ -1352,33 +1431,59 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         return self.advance()
 
-    def parse(self):
+    def spend(self, bound: int, pos: int):
+        """Take the term bound of one power, product or quotient from the
+        expression's budget before expanding it.  A bound of 1 is one term
+        times one term, which expands nothing: it takes nothing, so a long
+        sum of monomials is not refused for its length."""
+        if bound == 1:
+            return
+        if bound > self.budget:
+            total = f"{bound} terms" if bound > MAX_TERMS else (
+                f"{MAX_TERMS - self.budget + bound} terms in all")
+            raise ParseError(
+                f"may expand to {total}, more than {MAX_TERMS}", pos)
+        self.budget -= bound
+
+    def parse(self) -> RationalFunction:
         value = self.expr()
         kind, tok, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {tok!r}", pos)
+        if isinstance(value, Polynomial):
+            return RationalFunction._reduced(value, self.table.one)
         return value
 
     def expr(self):
-        negate = False
+        sign = 1
         kind, value, _ = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            negate = True
-        acc = self.term()
-        if negate:
-            acc = -acc
+            sign = -1
+        polys = []  # (sign, polynomial) up to the first fraction
+        acc = None  # the sum from the first fraction on
+        pos = None  # where the sign before the term stands
         while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                acc = acc + rhs if value == "+" else acc - rhs
-                # a sum of fractions multiplies their denominators
-                if not acc.is_polynomial():
-                    _check_degree(_degree(acc), pos)
+            term = self.term()
+            if acc is None and isinstance(term, Polynomial):
+                polys.append((sign, term))
             else:
-                return acc
+                if sign < 0:
+                    term = -term
+                if acc is not None:
+                    acc = acc + term
+                elif polys:
+                    acc = term + _signed_sum(self.table, polys)
+                else:
+                    acc = term
+                # a sum of fractions multiplies their denominators
+                if pos is not None and not acc.is_polynomial():
+                    _check_degree(_degree(acc), pos)
+            kind, value, pos = self.peek()
+            if kind != "op" or value not in "+-":
+                return _signed_sum(self.table, polys) if acc is None else acc
+            self.advance()
+            sign = 1 if value == "+" else -1
 
     def term(self):
         acc = self.factor()
@@ -1395,8 +1500,13 @@ class _Parser:
             (a, b), (c, d) = _sizes(acc), _sizes(rhs)
             if divide:  # (a/b) / (c/d) = (a*d) / (b*c)
                 c, d = d, c
-            _check_terms(max(a * c, b * d), pos)
-            acc = acc / rhs if divide else acc * rhs
+            self.spend(max(a * c, b * d), pos)
+            if not divide:
+                acc = acc * rhs
+            elif isinstance(acc, Polynomial) and isinstance(rhs, Polynomial):
+                acc = RationalFunction(acc, rhs)
+            else:
+                acc = acc / rhs
 
     def factor(self):
         base = self.base()
@@ -1414,8 +1524,8 @@ class _Parser:
                 )
             self.advance()
             _check_degree(value * _degree(base), caret)
-            _check_terms(max(comb(value + t - 1, t - 1)
-                             for t in _sizes(base) if t), caret)
+            self.spend(max(comb(value + t - 1, t - 1)
+                           for t in _sizes(base) if t), caret)
             base = base**value
         return base
 
@@ -1423,10 +1533,10 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "num":
             self.advance()
-            return RationalFunction.constant(self.table, value)
+            return Polynomial.constant(self.table, value)
         if kind == "ident":
             self.advance()
-            return RationalFunction.variable(self.table, value)
+            return Polynomial.variable(self.table, value)
         if kind == "op" and value == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(
@@ -1441,12 +1551,32 @@ class _Parser:
         raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input", pos)
 
 
-def _degree(value: RationalFunction) -> int:
-    """Total degree of a fraction: that of its numerator or denominator,
-    whichever is larger."""
+def _signed_sum(table: VarTable, parts: list) -> Polynomial:
+    """The sum of sign*p over (sign, p) pairs, in one pass over their
+    common integer denominator."""
+    if len(parts) == 1:
+        [(sign, p)] = parts
+        return p if sign > 0 else -p
+    scale = lcm(*(p.den for _, p in parts))
+    terms: dict = {}
+    for sign, p in parts:
+        _add_product(terms, p.terms, table.one.terms, sign * (scale // p.den))
+    return _normal(table, {m: c for m, c in terms.items() if c}, scale)
+
+
+def _parts(value) -> tuple:
+    """A parsed value's numerator and denominator polynomials."""
+    if isinstance(value, Polynomial):
+        return value, value.table.one
+    return value.num, value.den
+
+
+def _degree(value) -> int:
+    """Total degree of a parsed value: that of its numerator or
+    denominator, whichever is larger."""
     shifts = value.table.shifts
     return max(sum(m >> s & _FIELD for s in shifts)
-               for p in (value.num, value.den) for m in p.terms)
+               for p in _parts(value) for m in p.terms)
 
 
 def _check_degree(degree: int, pos: int):
@@ -1454,15 +1584,9 @@ def _check_degree(degree: int, pos: int):
         raise ParseError(f"degree {degree} exceeds {MAX_DEGREE}", pos)
 
 
-def _sizes(value: RationalFunction) -> tuple:
-    """Term counts of a fraction's numerator and denominator."""
-    return len(value.num.terms), len(value.den.terms)
-
-
-def _check_terms(bound: int, pos: int):
-    if bound > MAX_TERMS:
-        raise ParseError(f"may expand to {bound} terms, more than {MAX_TERMS}",
-                         pos)
+def _sizes(value) -> tuple:
+    """Term counts of a parsed value's numerator and denominator."""
+    return tuple(len(p.terms) for p in _parts(value))
 
 
 def parse_ratfun(text: str, table: VarTable) -> RationalFunction:

@@ -31,7 +31,12 @@ from .anchor import (
 from .errors import DegreeError, SpecError
 from .exterior import differential, pairing, schouten
 from .linalg import det, rank_at_point, sampled_rank
-from .pencil import FunctionFamily, Pencil, bracket_closed_form
+from .pencil import (
+    FunctionFamily,
+    Pencil,
+    closed_form_interior,
+    volume_coefficient,
+)
 from .report import Verdict, vanishes
 from .symexpr import (
     RationalFunction,
@@ -243,15 +248,23 @@ def _det_identity(pencil: Pencil, F_list) -> Verdict:
 def _closed_form_equivalence(pencil: Pencil, pi_lam) -> Verdict:
     """bracket_closed_form agrees with the sharp-contraction bracket on
     every coordinate pair; both are polynomials in the pencil parameter.
-    The contraction {x_a, x_b} = Pi_l(dx_a, dx_b) is the component
-    Pi_l^{ab} itself."""
+    The closed form {x_a, x_b} = dx_a^dx_b^Phi_lambda / Omega is read off
+    Phi_lambda: with a and b at positions p < q among the coordinates,
+    dx_a^dx_b^Phi_lambda is (-1)^(p + q - 1) times the component of
+    Phi_lambda on the other coordinates, times the top basis form.  The
+    contraction {x_a, x_b} = Pi_l(dx_a, dx_b) is the component Pi_l^{ab}
+    itself."""
     label = "closed-form[coordinates]"
     table = pencil.table
     names = table.names
-    for a, b in combinations(table.geometric_indices, 2):
-        f = RationalFunction.variable(table, names[a])
-        h = RationalFunction.variable(table, names[b])
-        lhs = bracket_closed_form(pencil, f, h)
+    geo = table.geometric_indices
+    phi = closed_form_interior(pencil)
+    volume = volume_coefficient(pencil.anchor.volume)
+    for (p, a), (q, b) in combinations(enumerate(geo), 2):
+        rest = tuple(i for i in geo if i != a and i != b)
+        lhs = phi.coefficient(rest) / volume
+        if (p + q) % 2 == 0:
+            lhs = -lhs
         rhs = pi_lam.coefficient((a, b))
         if lhs != rhs:
             witness = (

@@ -20,6 +20,7 @@ from involution_forge import (
     Form,
     MultiVector,
     NegativeExponent,
+    ParseError,
     Polynomial,
     RationalFunction,
     VarTable,
@@ -40,7 +41,7 @@ from involution_forge import (
 )
 from involution_forge.exterior import _merge_sign, accumulate
 from involution_forge.linalg import RANK_DRAWS, rref
-from involution_forge.symexpr import FIELD_BITS
+from involution_forge.symexpr import FIELD_BITS, _tokenize
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -300,6 +301,113 @@ def reference_sampled_rank(rows: list, table: VarTable, rng, target=None,
         if best == target:
             break
     return best, best_point
+
+
+# ---------------------------------------------------------------------------
+# the expression grammar with a RationalFunction per token: the oracle for
+# ``parse_ratfun``, which computes with polynomials until a '/'.  It keeps
+# the grammar and the DivisionByZero check but none of the parser's
+# bounds, so it is for admissible expressions only
+
+
+class _OracleParser:
+    """expr := ['-'] term (('+'|'-') term)*, term := factor (('*'|'/')
+    factor)*, factor := base ('^' uint)?, base := uint | ident | '(' expr ')';
+    every value a RationalFunction, every sum folded term by term."""
+
+    def __init__(self, text: str, table: VarTable):
+        self.tokens = _tokenize(text)
+        self.table = table
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self, op=None):
+        kind, value, pos = self.tokens[self.i]
+        if op is not None and (kind, value) != ("op", op):
+            raise ParseError(f"expected {op!r}", pos)
+        self.i += 1
+        return kind, value, pos
+
+    def expr(self):
+        negate = self.peek()[:2] == ("op", "-")
+        if negate:
+            self.take()
+        acc = self.term()
+        if negate:
+            acc = -acc
+        while self.peek()[0] == "op" and self.peek()[1] in "+-":
+            _, op, _ = self.take()
+            rhs = self.term()
+            acc = acc + rhs if op == "+" else acc - rhs
+        return acc
+
+    def term(self):
+        acc = self.factor()
+        while self.peek()[0] == "op" and self.peek()[1] in "*/":
+            _, op, pos = self.take()
+            rhs = self.factor()
+            if op == "*":
+                acc = acc * rhs
+            elif rhs.is_zero():
+                raise DivisionByZero(f"division by zero at position {pos}")
+            else:
+                acc = acc / rhs
+        return acc
+
+    def factor(self):
+        base = self.base()
+        if self.peek()[:2] == ("op", "^"):
+            self.take()
+            kind, value, pos = self.take()
+            if kind != "num":
+                raise ParseError("expected an unsigned integer exponent", pos)
+            base = base**value
+        return base
+
+    def base(self):
+        kind, value, pos = self.take()
+        if kind == "num":
+            return RationalFunction.constant(self.table, value)
+        if kind == "ident":
+            return RationalFunction.variable(self.table, value)
+        if (kind, value) == ("op", "("):
+            inner = self.expr()
+            self.take(")")
+            return inner
+        raise ParseError(f"unexpected {value!r}", pos)
+
+
+def oracle_parse(text: str, table: VarTable) -> RationalFunction:
+    """``text`` parsed with a RationalFunction for every token."""
+    parser = _OracleParser(text, table)
+    value = parser.expr()
+    kind, tok, pos = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected {tok!r}", pos)
+    return value
+
+
+def random_expression(rng: Random, names, depth: int = 0) -> str:
+    """A random expression of the parser's grammar over ``names``: nested
+    sums, products, quotients and powers of small integers and names."""
+    pick = rng.random() if depth < 4 else 0.0
+    if pick < 0.3:
+        return (str(rng.randint(0, 9)) if rng.random() < 0.3
+                else rng.choice(names))
+    if pick < 0.45:
+        inner = random_expression(rng, names, depth + 1)
+        return f"({inner})^{rng.randint(0, 3)}"
+    if pick < 0.6:
+        return f"(-{random_expression(rng, names, depth + 1)})"
+    ops = "+-" if pick < 0.8 else "*/"
+    parts = [random_expression(rng, names, depth + 1)
+             for _ in range(rng.randint(2, 4))]
+    text = parts[0]
+    for part in parts[1:]:
+        text += f" {rng.choice(ops)} {part}"
+    return f"({text})"
 
 
 # ---------------------------------------------------------------------------

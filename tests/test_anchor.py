@@ -368,7 +368,8 @@ def test_lift_reduce_round_trip(toda_anchor):
                 comps[idx] = RationalFunction.constant(
                     ltab, Fraction(coeff))
     P = MultiVector(ltab, 2, comps)
-    reduced = reduce_bivector(P)
+    reduced = reduce_bivector(P, toda_anchor.table)
+    assert reduced.table is toda_anchor.table
     assert reduced.table.dim == ltab.dim - 1
     assert reduced.to_records() == P.to_records()
 
@@ -379,15 +380,16 @@ def test_reduce_rejects_appended_dependence(toda_anchor):
     geo = [i for i in ltab.geometric_indices if i != ltab.appended_index]
     P = MultiVector(ltab, 2, {(geo[0], geo[1]): s})
     with pytest.raises(NotReducible):
-        reduce_bivector(P)
+        reduce_bivector(P, toda_anchor.table)
     one = RationalFunction.one(ltab)
     legged = MultiVector(ltab, 2, {(geo[0], ltab.appended_index): one})
     with pytest.raises(NotReducible):
-        reduce_bivector(legged)
+        reduce_bivector(legged, toda_anchor.table)
     # s no longer the last variable: the base table cannot be a prefix
     later = ltab.extend("c", VarKind.CONSTANT)
     with pytest.raises(NotReducible):
-        reduce_bivector(MultiVector(later, 2, {(geo[0], geo[1]): 1}))
+        reduce_bivector(MultiVector(later, 2, {(geo[0], geo[1]): 1}),
+                        toda_anchor.table)
 
 
 def test_sharp_of_a_form_with_a_reeb_leg_is_not_semi_basic(toda_anchor):

@@ -6,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -584,6 +585,20 @@ def test_expansion_above_the_term_bound_exits_two(spec_on_disk, expression,
     assert proc.stdout == (
         f"error: {path}.family[1].expression: may expand to {bound} "
         f"terms, more than 100000 (at position {position})\n")
+
+
+def test_powers_of_one_expression_share_the_term_budget(spec_on_disk):
+    # each power has C(22, 6) = 74 613 terms, under the bound alone; the
+    # second one takes the expression past it.  Before the bounds shared
+    # one budget this 86-character expression took seconds to expand
+    expression = f"{SUM7}^16 + {SUM7}^16*x2 + {SUM7}^16*x3^2"
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["family"][1]["expression"] = expression
+    path = spec_on_disk(payload)
+    assert run("check", path) == (
+        2, f"error: {path}.family[1].expression: may expand to "
+        f"{2 * comb(22, 6)} terms in all, more than 100000 "
+        f"(at position {expression.index('^', 30)})")
 
 
 def test_sum_of_fractions_above_the_budget_exits_two(spec_on_disk):

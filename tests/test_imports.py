@@ -9,8 +9,9 @@ neither the whole form nor its contraction with the whole bivector, no
 verdict outside ``report`` decides an exact residual by hand, no code
 outside ``anchor`` writes a Hamiltonian field out, no module but
 ``anchor`` names the codifferential, ``certify`` calls neither the
-involution table nor the chain check, and the sharp extension takes no
-wedge.
+involution table nor the chain check, the sharp extension takes no
+wedge, the sum of products multiplies no two polynomials, and the
+closed-form check reads its brackets off Phi_lambda without wedging.
 
 No linter ships with the toolchain, so this walks the syntax trees with
 ``ast``.  ``__init__.py`` is exempt from the import check: its imports are
@@ -186,7 +187,9 @@ def test_rational_functions_cancel_only_through_one_helper():
     # products go through it, and the exterior algebra does not cancel.
     # The exact division poly_quotient has one other caller,
     # quotient_by_factor, which tries it where a factor is expected and
-    # otherwise takes the general quotient
+    # otherwise cancels against that one factor through _cancel: a power
+    # of the factor is divided one factor at a time, so the cancellation
+    # cannot be left to the general quotient
     dividers = {"poly_gcd", "poly_exact_div", "poly_quotient"}
     source = (PACKAGE / "symexpr.py").read_text(encoding="utf-8")
     assert _method_calls(source, "RationalFunction", dividers) == []
@@ -199,7 +202,7 @@ def test_rational_functions_cancel_only_through_one_helper():
                   if _calls_to(node, {"poly_quotient"})) == [
         "poly_exact_div", "quotient_by_factor"]
     assert _calls_to(functions["quotient_by_factor"],
-                     dividers | {"_cancel"}) == ["poly_quotient"]
+                     dividers | {"_cancel"}) == ["_cancel", "poly_quotient"]
     for module in ("exterior.py", "anchor.py", "pencil.py", "verify.py"):
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
         assert _calls_to(tree, dividers | {"_cancel"}) == [], module
@@ -370,3 +373,66 @@ def test_function_calls_are_reported():
     source = ("def f(P):\n    return wedge(g(P), exterior.wedge(P))\n\n"
               "def g(P):\n    return h(P)\n")
     assert _function_calls(source, "f") == {"wedge", "g"}
+
+
+def _polynomial_products(tree) -> list:
+    """Line of each ``*`` inside ``tree`` with a polynomial operand: the
+    numerator or denominator of a fraction (``x.num``, ``x.den`` for a name
+    ``x`` whose ``.num`` the code reads), or a name assigned from one.  The
+    integer denominator ``p.den`` of a polynomial ``p`` does not count."""
+    def fraction_part(node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr in ("num", "den")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in fractions)
+
+    fractions = {node.value.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "num"
+                 and isinstance(node.value, ast.Name)}
+    polynomials = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if (isinstance(target, ast.Tuple)
+                    and isinstance(node.value, ast.Tuple)):
+                pairs = zip(target.elts, node.value.elts)
+            polynomials.update(name.id for name, value in pairs
+                               if isinstance(name, ast.Name)
+                               and fraction_part(value))
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        and any(fraction_part(operand) or isinstance(operand, ast.Name)
+                and operand.id in polynomials
+                for operand in (node.left, node.right)))
+
+
+def test_sum_of_products_multiplies_no_two_polynomials():
+    # each product a*c goes term pair by term pair into its group's term
+    # dict, and so does the group denominator b*d: no polynomial per product
+    source = (PACKAGE / "symexpr.py").read_text(encoding="utf-8")
+    [node] = [node for node in ast.parse(source).body
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "sum_of_products"]
+    assert _polynomial_products(node) == []
+
+
+def test_polynomial_product_is_reported():
+    source = ("for sign, left, right in products:\n"
+              "    a, c = left.num, right.num\n"
+              "    b = left.den\n"
+              "    x = left.num * right.num\n"
+              "    y = b * right.den\n"
+              "    z = 2 * a\n"
+              "    w = a.den * c.den * sign\n"
+              "    v = sign * 3\n")
+    assert _polynomial_products(ast.parse(source)) == [4, 5, 6]
+
+
+def test_closed_form_check_reads_phi_without_wedging():
+    # each coordinate bracket is one component of Phi_lambda, up to sign,
+    # over the volume's coefficient: no dx_a^dx_b^Phi_lambda is formed
+    source = (PACKAGE / "verify.py").read_text(encoding="utf-8")
+    assert _function_calls(source, "_closed_form_equivalence") & {
+        "wedge", "differential", "bracket_closed_form"} == set()

@@ -1,8 +1,10 @@
 """Exact arithmetic: ring/field axioms, canonical forms, parsing."""
 
 import copy
+import json
 import operator
 import pickle
+import time
 from fractions import Fraction
 from math import comb
 from random import Random
@@ -46,11 +48,17 @@ from involution_forge.symexpr import (
     over_common_denominator,
     poly_exact_div,
     poly_gcd,
+    quotient_by_factor,
+    sum_of_products,
 )
+from involution_forge.fixtures import FIXTURE_NAMES, fixture_file
 from helpers import (
+    BENCHMARKS,
     TuplePolynomial,
     exponent_terms,
+    oracle_parse,
     poly_from_terms,
+    random_expression,
     random_polynomial,
     random_rational,
     ring_field_suite,
@@ -235,15 +243,26 @@ def test_parse_error_paths(table):
 def test_term_bound_is_checked_before_expanding(table, monkeypatch):
     # a power of a t-term base is bounded by C(n + t - 1, t - 1), a product
     # or quotient by the products of the numerator and denominator counts
-    # it would multiply; a result at the bound is admitted
+    # it would multiply; a result at the bound is admitted.  The bounds of
+    # one expression share one budget
     bound = comb(12 + 3, 3)
     monkeypatch.setattr(symexpr, "MAX_TERMS", bound)
     base = "(x1 + x2 + x3 + 1)"
     assert len(parse_ratfun(f"{base}^12", table).num.terms) == bound
-    assert parse_ratfun(f"{base}^12/{base}^12", table) == parse_ratfun(
+    assert parse_ratfun(f"{base}^6/{base}^6", table) == parse_ratfun(
         "1", table)
     assert parse_ratfun(f"{base}^2*{base}^3", table) == parse_ratfun(
         f"{base}^5", table)
+    with pytest.raises(ParseError) as raised:
+        parse_ratfun(f"{base}^12/{base}^12", table)
+    assert str(raised.value) == (
+        f"may expand to {2 * bound} terms in all, more than {bound} "
+        f"(at position 40)")
+    # a one-term power or product expands nothing and takes nothing: a sum
+    # of more such monomials than the budget holds still parses
+    monomials = " + ".join(f"{k}*x1^{k % 5}*x2^{k % 3}*x3"
+                           for k in range(1, 2 * bound))
+    assert len(parse_ratfun(monomials, table).num.terms) == 15
     for text, terms, position in ((f"{base}^13", comb(16, 3), 18),
                                   (f"{base}^5*{base}^3", 56 * 20, 20),
                                   (f"1/{base}^5/{base}^3", 56 * 20, 22)):
@@ -823,3 +842,217 @@ def test_values_over_a_common_denominator():
     assert split == ([{0: numerators[0]}, {1: numerators[1]}], D)
     plain = {0: values[3], 1: values[3] * values[3]}
     assert over_common_denominator(plain) == ([plain], None)
+
+
+# --- the fused sum of products -------------------------------------------------
+
+# monic denominators: 1, coprime ones, and products that share a factor
+DENOMINATORS = ("1", "x1 + 1", "x2 - 2", "x1*x3 + 1/2", "(x1 + 1)*(x2 - 2)",
+                "(x1 + 1)^2")
+
+
+def test_sum_of_products_matches_the_sum_of_fractions():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    table = VarTable.build(["x1", "x2", "x3"])
+    dens = [parse_ratfun(d, table).num for d in DENOMINATORS]
+    fraction = st.builds(
+        lambda num, den: RationalFunction(num, den),
+        st.one_of(st.just(Polynomial.zero(table)), _polynomials(st, table)),
+        st.sampled_from(dens))
+    triple = st.tuples(st.sampled_from((1, -1, 2, -2)), fraction, fraction)
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=150)
+    @hypothesis.given(st.lists(triple, max_size=6))
+    def check(products):
+        want = RationalFunction.zero(table)
+        for sign, left, right in products:
+            want = want + left * right * sign
+        # a triple reused with the opposite sign cancels to zero
+        twice = products + [(-sign, left, right)
+                            for sign, left, right in products]
+        got = sum_of_products(table, products)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert sum_of_products(table, twice).is_zero()
+
+    check()
+
+
+def test_sum_of_products_forms_no_polynomial_product(table, monkeypatch):
+    # with unit denominators everything lands in one group over 1: the
+    # products go term pair by term pair into one dict, and nothing calls
+    # Polynomial.__mul__ (more than one group adds its groups as fractions)
+    values = [parse_ratfun(t, table) for t in ("x1 + 2*x2", "x3^2 - 1/3",
+                                                "5", "x1*x2*x3 + x1")]
+    products = [(sign, a, b) for sign in (1, -2)
+                for a in values for b in values]
+    want = sum((a * b * sign for sign, a, b in products),
+               RationalFunction.zero(table))
+    calls = []
+    real = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    assert sum_of_products(table, products) == want
+    assert calls == []
+
+
+def test_sum_of_products_raises_just_at_the_guard(table):
+    def rf(p, q=None):
+        return RationalFunction(p, q or Polynomial.one(table))
+
+    x1, x2 = (Polynomial.variable(table, n) for n in ("x1", "x2"))
+    below = Polynomial.monomial(table, (0, _TOP - 1, 0))
+    at = Polynomial.monomial(table, (0, _TOP, 0))
+    # numerators: the largest exponent below the guard is kept, one more
+    # raises, whichever factor carries it and whatever its other terms
+    kept = sum_of_products(table, [(1, rf(below + x1), rf(x2 + 1))])
+    assert kept == rf((below + x1) * (x2 + 1))
+    assert kept.num.degree_in(1) == _TOP
+    for left, right in ((at + x1, x2 + 1), (x2 + 3, at), (at, x2 * x1)):
+        with pytest.raises(ExponentOverflow):
+            sum_of_products(table, [(1, rf(left), rf(right))])
+    # the check is per product, before its terms meet the sum's other terms
+    with pytest.raises(ExponentOverflow):
+        sum_of_products(table, [(1, rf(at), rf(x2)), (-1, rf(at), rf(x2))])
+    # another field does not add up: x1^TOP * x2^TOP is below the guard
+    wide = Polynomial.monomial(table, (_TOP, 0, 0))
+    assert sum_of_products(table, [(1, rf(wide), rf(at))]) == rf(wide * at)
+    # denominators: 1/x2^(TOP-1) * 1/x2 is kept, 1/x2^TOP * 1/x2 raises
+    one = Polynomial.one(table)
+    assert sum_of_products(table, [(1, rf(one, below), rf(one, x2))]) == rf(
+        one, below * x2)
+    with pytest.raises(ExponentOverflow):
+        sum_of_products(table, [(1, rf(one, at), rf(one, x2))])
+
+
+def test_quotient_by_a_power_divides_one_factor_at_a_time(table,
+                                                           monkeypatch):
+    def poly(text):
+        return parse_ratfun(text, table).num
+
+    D = parse_ratfun("x1*x2 + 1", table)
+    calls = []
+    real = symexpr.poly_gcd
+
+    def spying(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(symexpr, "poly_gcd", spying)
+    for num, den, gcds in (
+            ("(x1*x2 + 1)^3*(x3 - 1)", "1", 0),   # D^3 divides: no gcd
+            ("(x1*x2 + 1)^4*x3", "x2 + 1", 0),   # more than D^3 divides
+            ("(x1*x2 + 1)*(x3 + 2)", "1", 1),    # coprime after one factor
+            ("x3^2 + x1", "x1 + 2", 1),          # coprime at once
+            ("(x1*x2 + 1)^2", "x3", 0),          # a constant is left
+            ("0", "1", 0)):
+        value = RationalFunction(poly(num), poly(den))
+        calls.clear()
+        got = quotient_by_factor(value, D, 3)
+        assert len(calls) == gcds, num
+        assert (got.num, got.den) == (
+            (value / D**3).num, (value / D**3).den), num
+    # a divisor that shares only a factor with the numerator, with a
+    # non-monic leading coefficient: x1 cancels, x2 + 1 stays
+    value = RationalFunction(poly("x1^2*(x3 + 1)"), poly("x3 - 5"))
+    divisor = parse_ratfun("2*x1*(x2 + 1)", table)
+    for power in (1, 2, 3):
+        got = quotient_by_factor(value, divisor, power)
+        want = value / divisor**power
+        assert (got.num, got.den) == (want.num, want.den)
+    # a divisor that is no polynomial takes the general quotient
+    fraction = parse_ratfun("x1/(x2 + 1)", table)
+    assert quotient_by_factor(value, fraction, 2) == value / fraction**2
+
+
+# --- the parser against the token-by-token oracle ------------------------------
+
+
+def _strings(payload):
+    """Every string in a JSON payload."""
+    if isinstance(payload, str):
+        yield payload
+    elif isinstance(payload, dict):
+        for value in payload.values():
+            yield from _strings(value)
+    elif isinstance(payload, list):
+        for value in payload:
+            yield from _strings(value)
+
+
+SPEC_FILES = ([fixture_file(name) for name in FIXTURE_NAMES]
+              + sorted((BENCHMARKS / "specs").glob("*.json")))
+
+
+@pytest.mark.parametrize("path", SPEC_FILES, ids=lambda p: p.name)
+def test_spec_expressions_parse_to_the_oracle_form(path):
+    # every expression of a bundled or benchmark spec, names included,
+    # over a table of its variables and every other name it mentions
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    entries = [v if isinstance(v, str) else (v["name"], v["kind"])
+               for v in payload["variables"]]
+    declared = {e if isinstance(e, str) else e[0] for e in entries}
+    texts = [t for t in _strings(payload) if t != payload["name"]]
+    mentioned = {name for t in texts for name in symexpr._IDENT_RE.findall(t)}
+    extra = sorted(mentioned - declared)
+    table = VarTable.build(entries + [(n, VarKind.CONSTANT) for n in extra])
+    parsed = 0
+    for text in texts:
+        try:
+            want = oracle_parse(text, table)
+        except ParseError:  # a note or a message, not an expression
+            with pytest.raises(ParseError):
+                parse_ratfun(text, table)
+            continue
+        got = parse_ratfun(text, table)
+        assert (got.num, got.den) == (want.num, want.den), text
+        assert got.render() == want.render()
+        parsed += 1
+    assert parsed > 20
+
+
+def test_random_expressions_parse_to_the_oracle_form(table):
+    rng = Random(71)
+    names = list(table.names)
+    refused = 0
+    for _ in range(300):
+        text = random_expression(rng, names)
+        try:
+            want = oracle_parse(text, table)
+        except DivisionByZero:
+            with pytest.raises(DivisionByZero):
+                parse_ratfun(text, table)
+            refused += 1
+            continue
+        got = parse_ratfun(text, table)
+        assert (got.num, got.den) == (want.num, want.den), text
+    assert refused < 30
+
+
+def test_parse_time_grows_linearly(table):
+    # ROADMAP item 5: a sum of n distinct monomials c*x1^a*x2^b*x3^c
+    # parses in time about linear in n; quadratic growth would take 16
+    # times as long for four times the terms
+    def text(n):
+        rng = Random(5)
+        exponents = rng.sample(range(41**3), n)
+        return " + ".join(
+            f"{rng.randint(1, 99)}*x1^{e // 1681}*x2^{e // 41 % 41}"
+            f"*x3^{e % 41}" for e in exponents)
+
+    def best(text):
+        times = []
+        for _ in range(2):
+            start = time.process_time()
+            value = parse_ratfun(text, table)
+            times.append(time.process_time() - start)
+        return min(times), len(value.num.terms)
+
+    small, n_small = best(text(1000))
+    large, n_large = best(text(4000))
+    assert (n_small, n_large) == (1000, 4000)
+    assert large < 8 * small

@@ -23,6 +23,7 @@ from involution_forge import (
     Verdict,
     assemble_pencil,
     bivector_sharp,
+    bracket_closed_form,
     build_family,
     casimir_check,
     certify,
@@ -45,7 +46,7 @@ from involution_forge.anchor import full_matrix
 from involution_forge.linalg import RANK_DRAWS, sampled_rank
 from involution_forge.cli import assemble, build_table, elaborate, run
 from involution_forge.fixtures import FIXTURE_NAMES, fixture_file, load_fixture
-from helpers import coordinate_jacobiator, random_multivector
+from helpers import coordinate_jacobiator, load_spec, random_multivector
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +324,43 @@ def test_lambda_left_in_a_closed_form_denominator_is_a_failed_verdict(
     assert not closed.passed
     assert " vs contraction " in closed.witness
     assert "(lambda + 1)" in closed.witness
+    # the line the wedge-by-wedge check prints, read off Phi_lambda
+    assert closed.render() == _wedged_closed_form_verdict(
+        stub, stub.pi_lambda()).render()
+
+
+def _wedged_closed_form_verdict(pencil, pi_lam) -> Verdict:
+    """The closed-form check by bracket_closed_form, which wedges
+    dx_a^dx_b^Phi_lambda for every pair: the oracle for the read-off."""
+    names = pencil.table.names
+    for a, b in itertools.combinations(pencil.table.geometric_indices, 2):
+        lhs = bracket_closed_form(pencil, names[a], names[b])
+        rhs = pi_lam.coefficient((a, b))
+        if lhs != rhs:
+            return Verdict(
+                "closed-form[coordinates]", False,
+                f"{{{names[a]},{names[b]}}}: closed form {lhs.render()} "
+                f"vs contraction {rhs.render()}")
+    return Verdict("closed-form[coordinates]", True)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ("certify_scaled",))
+def test_closed_form_read_off_matches_the_wedge_on_every_pair(name):
+    # shifting one contraction by 1 makes its pair the first to fail, so
+    # the witness shows that pair's closed form as read off Phi_lambda
+    _, pencil = assemble(load_spec(name))
+    pi_lam = pencil.pi_lambda()
+    table = pencil.table
+    check = verify_module._closed_form_equivalence
+    assert check(pencil, pi_lam).passed
+    for a, b in itertools.combinations(table.geometric_indices, 2):
+        shifted = pi_lam + MultiVector(table, 2, {(a, b): 1})
+        got = check(pencil, shifted)
+        assert not got.passed
+        assert got.witness.startswith(
+            f"{{{table.names[a]},{table.names[b]}}}: ")
+        assert got.render() == _wedged_closed_form_verdict(
+            pencil, shifted).render()
 
 
 # sampled draws certify evaluates: every draw on lagrange_top, whose ranks 4

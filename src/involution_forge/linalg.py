@@ -1,12 +1,14 @@
 """Exact linear algebra over the rational-function field.
 
 Matrices are plain lists of lists of RationalFunction sharing one variable
-table.  All of the module reads off one Gauss-Jordan elimination, which
-works over any exact field, so the rank at a point runs it on Fraction
-entries.  It pivots deterministically: scan columns left to right and take
-the first row whose entry is not identically zero.  A pivot chosen
-this way may still vanish on a subvariety; results are generic in that sense,
-which is the intended reading everywhere this module is used.
+table.  Two Gauss-Jordan loops, one per domain, pivot alike: scan columns
+left to right and take the first row whose entry is not identically zero.
+Over Q(x) the elimination is fraction-free: each row is cleared to
+polynomial numerators, every update is one exact polynomial division, and
+each entry read off is cancelled once.  The field loop runs on Fraction
+entries, for the rank at a point.  A pivot chosen this way may still
+vanish on a subvariety; results are generic in that sense, which is the
+intended reading everywhere this module is used.
 
 ``sampled_rank`` is the package's one sampled-rank loop.  A draw is uniform
 on [-B, B]^n for B = symexpr.SAMPLE_BOUND, so by Schwartz-Zippel a nonzero
@@ -19,10 +21,13 @@ from math import prod
 
 from .errors import Degenerate, DimensionMismatch, Inconsistent
 from .symexpr import (
+    Polynomial,
     RationalFunction,
     RationalPoint,
     VarTable,
     as_ratfun,
+    over_common_denominator,
+    poly_exact_div,
     sample_point,
 )
 
@@ -39,9 +44,10 @@ def identity(table: VarTable, n: int) -> list:
 
 
 def _eliminate(rows: list):
-    """Gauss-Jordan elimination, the module's one elimination loop, over
-    any exact field whose elements are falsy exactly at zero and support
-    ``1 / v``, ``v * w``, ``v - w``, ``v * 0`` and ``v ** 0``.
+    """Gauss-Jordan elimination over any exact field whose elements are
+    falsy exactly at zero and support ``1 / v``, ``v * w``, ``v - w``,
+    ``v * 0`` and ``v ** 0``: the loop for Fraction entries, and on
+    RationalFunction entries the oracle of the fraction-free loop.
 
     Returns (reduced, pivot_columns, pivot_values, sign), where the pivot
     values are the entries divided out, in order, and sign is the parity
@@ -77,9 +83,87 @@ def _eliminate(rows: list):
     return work, pivots, values, sign
 
 
+def _cleared(rows: list, table: VarTable):
+    """Each row as polynomial numerators over the lcm of its monic
+    denominators; returns (numerator rows, [row denominators])."""
+    numerators, dens = [], []
+    for row in rows:
+        [part], common = over_common_denominator(dict(enumerate(row)))
+        numerators.append([part[j].num for j in range(len(row))])
+        dens.append(table.one if common is None else common.num)
+    return numerators, dens
+
+
+def _fraction_free(work: list, table: VarTable):
+    """Fraction-free Gauss-Jordan elimination of polynomial rows, in place.
+
+    Row i stands for level_i times its row in the field elimination, at
+    level 1 to begin with.  A pivot step with pivot p brings each row i
+    whose entry f in the pivot column is nonzero to level p, entry by
+    entry as (p*a - f*b) / level_i against the pivot row's entry b; the
+    division is exact.  A row with f = 0 keeps its level, as Gauss-Jordan
+    leaves it.  The pivot row is first rescaled to the last pivot when its
+    level lags, so that p is the leading minor of the rows and columns
+    chosen so far (Bareiss), and then takes p as its level.  A pivot row
+    reads off as its entries over its level.  Returns (levels,
+    pivot_columns, sign), sign being the parity of the row swaps."""
+    m, n = len(work), len(work[0]) if work else 0
+    zero = Polynomial.zero(table)
+    levels = [table.one] * m
+    pivots, sign, current = [], 1, table.one
+    r = 0
+    for col in range(n):
+        pivot_row = next((i for i in range(r, m) if work[i][col].terms),
+                         None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            levels[r], levels[pivot_row] = levels[pivot_row], levels[r]
+            sign = -sign
+        # rows are zero left of col from r down, so a lagging pivot row is
+        # rescaled from col on
+        row = work[r]
+        if levels[r] != current:
+            row[col:] = [poly_exact_div(v * current, levels[r])
+                         if v.terms else v for v in row[col:]]
+        pivot = row[col]
+        # every other row's entry in the pivot column clears to zero
+        rest = [zero] * (col + 1) + row[col + 1:]
+        for i in range(m):
+            factor = work[i][col]
+            if i == r or not factor.terms:
+                continue
+            work[i][col] = zero
+            level = levels[i]
+            work[i] = [poly_exact_div(pivot * a - factor * b, level)
+                       if a.terms or b.terms else a
+                       for a, b in zip(work[i], rest)]
+            levels[i] = pivot
+        levels[r] = current = pivot
+        pivots.append(col)
+        r += 1
+    return levels, pivots, sign
+
+
 def rref(rows: list):
-    """Reduced row echelon form.  Returns (reduced, pivot_columns)."""
-    reduced, pivots, _, _ = _eliminate(rows)
+    """Reduced row echelon form, by the fraction-free loop over Q(x) and by
+    the field loop otherwise.  Returns (reduced, pivot_columns)."""
+    first = next((v for row in rows for v in row), None)
+    if not isinstance(first, RationalFunction):
+        return _eliminate(rows)[:2]
+    table = first.table
+    work, _ = _cleared(rows, table)
+    levels, pivots, _ = _fraction_free(work, table)
+    zero, one = RationalFunction.zero(table), RationalFunction.one(table)
+    # the rows past the rank are zero; each pivot row is level times its
+    # reduced row, so its pivot entry is its level
+    reduced = [[zero] * len(row) for row in work]
+    for r, col in enumerate(pivots):
+        level = levels[r]
+        reduced[r] = [one if j == col else
+                      RationalFunction(v, level) if v.terms else zero
+                      for j, v in enumerate(work[r])]
     return reduced, pivots
 
 
@@ -147,15 +231,19 @@ def invert(rows: list, table: VarTable) -> list:
 
 
 def det(rows: list, table: VarTable) -> RationalFunction:
-    """Determinant: the signed product of the elimination's pivots."""
+    """Determinant: the last pivot of the fraction-free elimination, the
+    determinant of the cleared rows up to the sign of the row swaps, over
+    the product of the row denominators."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DimensionMismatch("determinant needs a square matrix")
-    _, pivots, values, sign = _eliminate(rows)
+    work, dens = _cleared(rows, table)
+    levels, pivots, sign = _fraction_free(work, table)
     if len(pivots) < n:
         return RationalFunction.zero(table)
-    result = prod(values, start=RationalFunction.one(table))
-    return result if sign > 0 else -result
+    last = levels[-1] if levels else table.one
+    return RationalFunction(last if sign > 0 else -last,
+                            prod(dens, start=table.one))
 
 
 def rank_at_point(rows: list, point: RationalPoint) -> int:

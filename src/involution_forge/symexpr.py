@@ -52,17 +52,17 @@ constant factor in a polynomial product only scales the other factor, and
 a factor of 1 returns it unchanged.  The quotient rule builds (n/d)' as
 t/((d/g)*(d/g)*g) for g = gcd(d, d') and t = n'*(d/g) - n*(d'/g), and
 cancels t only against g: a factor of d/g involves the variable and cannot
-divide t.  A sum of products, sum +-(a/b)*(c/d) as in wedges, contractions
-and pairings, is reduced once per pair of denominators, not once per
-product: ``sum_of_products`` multiplies the numerators a*c term pair by
-term pair straight into one integer term dict per pair b, d (Johnson
-1974; Monagan & Pearce 2007), with no polynomial built per product,
-cancels each group once against b*d, then adds the groups as above.  It
-multiplies before it cancels, so a product whose factors cancel only
-against each other can reach the exponent guard where one reduced product
-at a time would not; the guard is checked on every monomial of every
-product, cancelled or not, so it trips exactly when one product reaches
-it.  Where a polynomial q is expected to divide the numerator a of a/b,
+divide t.  A sum of products, sum +-(a/b)*(c/d) as in wedges,
+contractions, pairings and substitutions, is reduced once per pair of
+denominators, not once per product: ``sum_of_products`` multiplies the
+numerators a*c term pair by term pair straight into one integer term dict
+per pair b, d (Johnson 1974; Monagan & Pearce 2007), with no polynomial
+built per product, cancels each group once against b*d, then adds the
+groups as above.  It multiplies before it cancels, so a product whose
+factors cancel only against each other can reach the exponent guard where
+one reduced product at a time would not; the guard is checked on every
+monomial of every product, cancelled or not, so it trips exactly when one
+product reaches it.  Where a polynomial q is expected to divide the numerator a of a/b,
 ``quotient_by_factor`` divides by it exactly and takes no gcd: (a/q)/b
 is reduced, since gcd(a/q, b) divides gcd(a, b) = 1.  Where q does not
 divide a it cancels a against q alone, and a power of q is divided one
@@ -1086,18 +1086,23 @@ class RationalFunction:
         # substitute in table order, whatever the order of the mapping
         values = sorted(values.items())
 
+        one = RationalFunction.one(table)
+
         def sub_poly(p: Polynomial) -> RationalFunction:
-            total = RationalFunction.zero(table)
+            # each term is (weight of its substituted powers) * (the rest
+            # of the term), and the terms are summed in one pass
+            products = []
             for m, c in p.terms.items():
-                piece = RationalFunction.constant(table, Fraction(c, p.den))
+                weight = one
                 for i, value in values:
                     power = m >> table.shifts[i] & _FIELD
                     if power:
-                        piece = piece * value**power
+                        weight = weight * value**power
                         m -= power << table.shifts[i]
-                piece = piece * Polynomial(table, {m: 1})
-                total = total + piece
-            return total
+                rest = _normal(table, {m: c}, p.den)
+                products.append((1, weight, RationalFunction._reduced(
+                    rest, table.one)))
+            return sum_of_products(table, products)
 
         bottom = sub_poly(self.den)
         if bottom.is_zero():
@@ -1189,10 +1194,10 @@ def over_common_denominator(*parts) -> tuple:
     """([numerators], D) for dicts of RationalFunctions, each value n/D for
     D the lcm of the monic denominators, each fixed by its terms (None when
     all are 1), n and D polynomials; one gcd per distinct denominator."""
+    if all(v.den.is_constant() for part in parts for v in part.values()):
+        return list(parts), None
     dens = list({frozenset(v.den.terms.items()): v.den
                  for part in parts for v in part.values()}.values())
-    if all(d.is_constant() for d in dens):
-        return list(parts), None
     D = reduce(lambda lcm_, d: lcm_ * _cancel(d, lcm_)[1], dens)
     one, cofactors = D.table.one, [poly_exact_div(D, d) for d in dens]
     return [{k: RationalFunction._reduced(

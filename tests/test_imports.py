@@ -206,6 +206,11 @@ def test_rational_functions_cancel_only_through_one_helper():
     for module in ("exterior.py", "anchor.py", "pencil.py", "verify.py"):
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
         assert _calls_to(tree, dividers | {"_cancel"}) == [], module
+    # the fraction-free elimination divides exactly and takes no gcd: each
+    # entry it reads off is cancelled once, by the RationalFunction
+    # constructor
+    tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    assert set(_calls_to(tree, dividers | {"_cancel"})) == {"poly_exact_div"}
 
 
 def _second_differentiations(tree) -> list:

@@ -2,7 +2,9 @@
 
 import itertools
 from fractions import Fraction
+from math import prod
 from random import Random
+from unittest import mock
 
 import pytest
 
@@ -18,6 +20,10 @@ from involution_forge import (
     parse_ratfun,
     sample_point,
 )
+from involution_forge import pencil as pencil_module
+from involution_forge import symexpr
+from involution_forge.cli import elaborate_ansatz
+from involution_forge.fixtures import load_fixture
 from involution_forge.linalg import (
     RANK_DRAWS,
     det,
@@ -366,3 +372,226 @@ def test_sampled_rank_skips_only_what_cannot_raise_the_rank(table,
                 rows, table, reference_rng, avoid=avoid, skew=is_skew)
             assert rng.getstate() == reference_rng.getstate()
             assert len(eliminations) == evaluated
+
+
+# --- the fraction-free loop against the field loop ------------------------------
+
+# the field loop on RationalFunction entries is the oracle: RREF is unique,
+# so both loops must give the same canonical fractions, pivots and errors
+def _field_rref(rows):
+    return linalg._eliminate(rows)[:2]
+
+
+def _field_det(rows, table):
+    _, pivots, values, sign = linalg._eliminate(rows)
+    if len(pivots) < len(rows):
+        return RationalFunction.zero(table)
+    result = prod(values, start=RationalFunction.one(table))
+    return result if sign > 0 else -result
+
+
+def _outcome(fn, *args):
+    """fn's result, or the class of the Degenerate or Inconsistent it
+    raises."""
+    try:
+        return fn(*args)
+    except (Degenerate, Inconsistent) as err:
+        return type(err)
+
+
+def _results(rows, table, det_fn):
+    """Everything linalg reads off an elimination of ``rows``: the RREF, the
+    nullspace, the solution with the last column as right-hand side, and
+    the inverse and determinant of the leading square block."""
+    k = min(len(rows), len(rows[0]))
+    square = [row[:k] for row in rows[:k]]
+    return {
+        "rref": linalg.rref(rows),
+        "nullspace": linalg.nullspace(rows, table, len(rows[0])),
+        "solve": _outcome(linalg.solve_linear, [row[:-1] for row in rows],
+                          [row[-1] for row in rows], table),
+        "invert": _outcome(linalg.invert, square, table),
+        "det": det_fn(square, table),
+    }
+
+
+def assert_matches_field_loop(rows, table):
+    """Assert that the fraction-free loop reads off what the field loop
+    does; returns the field loop's pivot columns."""
+    got = _results(rows, table, linalg.det)
+    with mock.patch.object(linalg, "rref", _field_rref):
+        expected = _results(rows, table, _field_det)
+    assert got == expected
+    return expected["rref"][1]
+
+
+ORACLE_TABLE = VarTable.build(["x1", "x2", "x3", ("k", "constant")])
+CONSTANTS = ("1", "-1", "2", "-3/2", "5")
+# k is an inert symbolic constant, as the free unknowns of the ansatz are
+POLYNOMIALS = ("x1", "x2 - 1", "x1*x2 + k", "k", "k*x3 - 2", "x3^2 - x1")
+# x1 + 1 is shared by several entries, x2 - 2 and x1*x3 + 3 are coprime to it
+FRACTIONS = ("1/(x1 + 1)", "x2/(x1 + 1)", "(x1 - k)/(x1 + 1)",
+             "1/(x2 - 2)", "x1/(x1*x3 + 3)", "k/(x2 - 2)")
+
+
+def _features(rows, pivots):
+    """The cases a matrix with these pivot columns covers, among those the
+    oracle test must see."""
+    m, n = len(rows), len(rows[0])
+    found = set()
+    if len(pivots) < min(m, n):
+        found.add("rank deficient")
+    if any(not any(row[j] for row in rows) for j in range(n)):
+        found.add("zero column")
+    if pivots and not rows[0][pivots[0]]:
+        found.add("row swap")
+    entries = [v for row in rows for v in row if v]
+    if entries and all(v.num.is_constant() and v.is_polynomial()
+                       for v in entries):
+        found.add("all constant")
+    if any(v.involves(ORACLE_TABLE.index("k")) for v in entries):
+        found.add("symbolic constant")
+    for row in rows:
+        dens = [v.den for v in row if not v.is_polynomial()]
+        if len(dens) != len({frozenset(d.terms.items()) for d in dens}):
+            found.add("shared denominators")
+        if any(symexpr.poly_gcd(a, b).is_constant()
+               for a, b in itertools.combinations(dens, 2)):
+            found.add("coprime denominators")
+    return found
+
+
+def test_fraction_free_loop_matches_the_field_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    table = ORACLE_TABLE
+    zero = RationalFunction.zero(table)
+
+    @st.composite
+    def matrices(draw):
+        m, n = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+        palette = draw(st.sampled_from(
+            [CONSTANTS, CONSTANTS + POLYNOMIALS, POLYNOMIALS + FRACTIONS]))
+        # half the entries zero, as in the systems the package solves
+        entry = st.one_of(st.just("0"), st.sampled_from(palette))
+        rows = [[parse_ratfun(draw(entry), table) for _ in range(n)]
+                for _ in range(m)]
+        for col in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            for row in rows:
+                row[col] = zero
+        if m > 1 and draw(st.booleans()):
+            # one row a combination of two others: the rank drops
+            i, j, l = (draw(st.integers(0, m - 1)) for _ in range(3))
+            c = parse_ratfun(draw(st.sampled_from(palette)), table)
+            rows[i] = [c * a + b for a, b in zip(rows[j], rows[l])]
+        if m > 1 and draw(st.booleans()):
+            # a zero leading entry over a nonzero one: the first pivot
+            # needs a row swap
+            rows[0][0] = zero
+            rows[1][0] = parse_ratfun(draw(st.sampled_from(palette)), table)
+        return rows
+
+    seen = set()
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=80)
+    @hypothesis.given(matrices())
+    def check(rows):
+        seen.update(_features(rows, assert_matches_field_loop(rows, table)))
+
+    check()
+    assert seen == {"rank deficient", "zero column", "row swap",
+                    "all constant", "symbolic constant",
+                    "shared denominators", "coprime denominators"}
+
+
+def test_rref_over_rational_functions_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    table = ORACLE_TABLE
+    symbols = {name: sympy.Symbol(name) for name in table.names}
+
+    def to_sympy(v):
+        return sympy.sympify(v.render().replace("^", "**"), locals=symbols)
+
+    cases = [
+        [["x1", "1/(x1 + 1)", "x2", "k"],
+         ["x1^2", "x1/(x1 + 1)", "x1*x2", "k*x1"],
+         ["0", "x2/(x2 - 2)", "1", "x3"]],
+        [["0", "k", "x1/(x1*x3 + 3)", "1"],
+         ["x2 - 1", "0", "x3", "k*x3 - 2"],
+         ["x2 - 1", "k", "x1/(x1*x3 + 3) + x3", "k*x3 - 1"]],
+        [["2", "-3/2", "0", "5"], ["1", "1", "x1", "0"],
+         ["0", "0", "0", "1/(x2 - 2)"]],
+    ]
+    for texts in cases:
+        rows = [[parse_ratfun(t, table) for t in row] for row in texts]
+        reduced, pivots = rref(rows)
+        expected, expected_pivots = sympy.Matrix(
+            [[to_sympy(v) for v in row] for row in rows]).rref(
+                iszerofunc=lambda e: sympy.cancel(e) == 0,
+                simplify=sympy.cancel)
+        assert pivots == list(expected_pivots)
+        for i, row in enumerate(reduced):
+            for j, v in enumerate(row):
+                assert sympy.cancel(to_sympy(v) - expected[i, j]) == 0
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.fixture(scope="module")
+def ansatz_system():
+    """The linear system of the recursion ansatz on lagrange_top:
+    (rows, rhs, table), as solve_recursion_ansatz hands it over, captured
+    before it is solved."""
+    captured = []
+
+    def capture(rows, rhs, table):
+        captured.append((rows, rhs, table))
+        raise _Captured
+
+    problem = elaborate_ansatz(load_fixture("lagrange_top").spec, seed=0)
+    with mock.patch.object(pencil_module, "solve_linear", capture), \
+            pytest.raises(_Captured):
+        pencil_module.solve_recursion_ansatz(
+            problem.anchor, problem.sigma0, problem.basis, problem.family,
+            problem.partition)
+    [system] = captured
+    return system
+
+
+def test_ansatz_solution_is_invariant_under_row_operations(ansatz_system):
+    # RREF is unique: permuting the equations, or multiplying each by a
+    # nonzero polynomial, leaves the solution as it is, so a slip in the
+    # per-row levels or denominators shows here
+    rows, rhs, table = ansatz_system
+    expected = solve_linear(rows, rhs, table)
+    with mock.patch.object(linalg, "rref", _field_rref):
+        assert solve_linear(rows, rhs, table) == expected
+    rng = Random(61)
+    for _ in range(3):
+        order = list(range(len(rows)))
+        rng.shuffle(order)
+        assert solve_linear([rows[i] for i in order], [rhs[i] for i in order],
+                            table) == expected
+    geo = [table.names[i] for i in table.geometric_indices]
+    scales = [parse_ratfun(text, table) for text in
+              ["2", "-1", f"{geo[0]} + 1", f"{geo[1]}*{geo[2]} - 3",
+               f"{geo[0]}^2 - {geo[3]}"]]
+    factors = [scales[i % len(scales)] for i in range(len(rows))]
+    assert solve_linear([[c * v for v in row] for c, row in zip(factors, rows)],
+                        [c * b for c, b in zip(factors, rhs)],
+                        table) == expected
+
+
+def test_ansatz_solve_cancels_once_per_entry(ansatz_system, monkeypatch):
+    # the field loop takes 228 gcds on this system, one or two per
+    # elimination step; the fraction-free loop takes one per entry read
+    # off that is not already a polynomial over a constant level
+    rows, rhs, table = ansatz_system
+    calls = []
+    real = symexpr.poly_gcd
+    monkeypatch.setattr(symexpr, "poly_gcd",
+                        lambda a, b: calls.append(1) or real(a, b))
+    solve_linear(rows, rhs, table)
+    assert len(calls) <= 12

@@ -25,6 +25,7 @@ form (-1)^p (i_Lambda da - d i_Lambda a) as independent oracles for it.
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import prod
 
 from .errors import (
     DegenerateVolume,
@@ -108,19 +109,7 @@ def bivector_sharp(Pi: MultiVector, alpha: Form) -> MultiVector:
     """Pi#(alpha) on a 1-form: component j is sum_i Pi^{ij} alpha_i."""
     if Pi.degree != 2 or alpha.degree != 1:
         raise DegreeError("bivector_sharp pairs a bivector with a 1-form")
-    Pi.table.require_same(alpha.table)
-    products: dict = {}
-    for (i, j), w in Pi.comps.items():
-        ai = alpha.comps.get((i,))
-        if ai is not None:
-            products.setdefault((j,), []).append((1, w, ai))
-        aj = alpha.comps.get((j,))
-        if aj is not None:
-            products.setdefault((i,), []).append((-1, w, aj))
-    return MultiVector(Pi.table, 1, {
-        idx: sum_of_products(Pi.table, terms)
-        for idx, terms in products.items()
-    })
+    return _sharp_extend(Pi, alpha)
 
 
 def hamiltonian_vf(Pi: MultiVector, f) -> MultiVector:
@@ -138,24 +127,27 @@ def poisson_bracket(Pi: MultiVector, f, g) -> RationalFunction:
 def _sharp_extend(Pi: MultiVector, a: Form) -> MultiVector:
     """Degree-p extension of Pi#, multiplicative over the wedge: with
     X_i = Pi#(dx_i), component J of the image of sum c_I dx_I is one sum of
-    products c_I X_{i1}^{j1} ... X_{ip}^{jp}, (j1, ..., jp) permuting J."""
+    products c_I X_{i1}^{j1} ... X_{ip}^{jp}, (j1, ..., jp) permuting J.
+    Row i of Pi is read off its components with their signs: X_i^j is
+    Pi^{ij}, and -Pi^{ji} below the diagonal."""
     table = a.table
     Pi.table.require_same(table)
-    geo = table.geometric_indices
-    rows = {i: [(j, w) for j, w in zip(geo, row) if w]
-            for i, row in zip(geo, full_matrix(Pi))}
+    rows: dict = {i: [] for i in table.geometric_indices}
+    for (i, j), w in Pi.comps.items():
+        rows[i].append((j, 1, w))
+        rows[j].append((i, -1, w))
     products: dict = {}
     for idx, c in a.comps.items():
         for legs in product(*(rows[i] for i in idx)):
-            targets = [j for j, _ in legs]
+            targets = [j for j, _, _ in legs]
             if len(set(targets)) < len(targets):
                 continue
-            weight = legs[0][1] if legs else RationalFunction.one(table)
-            for _, w in legs[1:]:
+            weight = legs[0][2] if legs else RationalFunction.one(table)
+            for _, _, w in legs[1:]:
                 weight = weight * w
             flips = sum(x > y for x, y in combinations(targets, 2))
             products.setdefault(tuple(sorted(targets)), []).append(
-                (-1 if flips & 1 else 1, c, weight))
+                ((-1) ** flips * prod(s for _, s, _ in legs), c, weight))
     return MultiVector(table, a.degree, {
         idx: sum_of_products(table, terms) for idx, terms in products.items()
     })

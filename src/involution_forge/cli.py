@@ -26,7 +26,7 @@ from .anchor import (
     full_matrix,
     poisson_bracket,
 )
-from .errors import ForgeError, RankTooSmall, SpecError
+from .errors import ForgeError, PoleAtPoint, RankTooSmall, SpecError
 from .exterior import Form, MultiVector, exterior_derivative, from_records, wedge
 from .pencil import (
     CasimirPolynomial,
@@ -664,8 +664,9 @@ def _cmd_bracket(spec: SpecFile, seed: int, pair) -> tuple:
 def _solve_ansatz(spec: SpecFile, problem: Elaborated) -> tuple:
     """The ansatz solved and its specialize block applied: (solution,
     values_at, specialized sigma1), the last two None without a block.  A
-    bad name or value is a spec error at its own path, a free unknown left
-    unassigned one at the block."""
+    bad name or value is a spec error at its own path; a free unknown left
+    unassigned, or values that put a pole in the solution, one at the
+    block."""
     solution = solve_recursion_ansatz(
         problem.anchor, problem.sigma0, problem.basis,
         problem.family, problem.partition,
@@ -682,7 +683,7 @@ def _solve_ansatz(spec: SpecFile, problem: Elaborated) -> tuple:
     try:
         return (solution, solution.values_at(values),
                 solution.specialize(values))
-    except SpecError as exc:
+    except (SpecError, PoleAtPoint) as exc:
         raise SpecError(str(exc), path) from exc
 
 

@@ -14,11 +14,14 @@ lambda.  The leading and trailing coefficients of F(lambda) are nonzero
 exactly when they survive in its exact coefficient list; the remaining
 genericity statements (independence, maximal rank) are certified at
 sampled rational points.  Every power is divided (``divided_power``):
-Lambda^l/l! in F(lambda), w^(r-2)/(r-2)! in Phi_lambda."""
+Lambda^l/l! in F(lambda), w^(r-2)/(r-2)! in Phi_lambda.  The closed form
+{f,h} Omega = df^dh^Phi_lambda is stated once, as the bivector of
+coordinate brackets read off Phi_lambda (``closed_form_bivector``)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 from .anchor import (
@@ -28,6 +31,7 @@ from .anchor import (
     full_matrix,
     hamiltonian_vf,
     migrate_alternating,
+    poisson_bracket,
     reduce_bivector,
     sharp,
 )
@@ -634,30 +638,30 @@ def volume_coefficient(volume: Form) -> RationalFunction:
     return volume.coefficient(top)
 
 
-def _top_quotient(numerator: Form, volume: Form) -> RationalFunction:
-    coefficient = volume_coefficient(volume)
-    top = tuple(volume.table.geometric_indices)
-    if numerator.degree != len(top):
-        raise DimensionMismatch(
-            f"expected a top form of degree {len(top)}, got degree "
-            f"{numerator.degree}"
-        )
-    return numerator.coefficient(top) / coefficient
+def closed_form_bivector(pencil: Pencil) -> MultiVector:
+    """The bivector of coordinate brackets {x_a, x_b} = dx_a^dx_b^Phi_lambda
+    / Omega, read off Phi_lambda: with a and b at positions p < q among
+    the coordinates, dx_a^dx_b^Phi_lambda is (-1)^(p + q - 1) times the
+    component of Phi_lambda on the other coordinates, times the top basis
+    form.  On a correctly assembled pencil it is Pi_lambda."""
+    geo = pencil.table.geometric_indices
+    phi = closed_form_interior(pencil)
+    volume = volume_coefficient(pencil.anchor.volume)
+    comps = {}
+    for (p, a), (q, b) in combinations(enumerate(geo), 2):
+        rest = tuple(i for i in geo if i != a and i != b)
+        c = phi.coefficient(rest) / volume
+        comps[(a, b)] = c if (p + q) % 2 else -c
+    return MultiVector(pencil.table, 2, comps)
 
 
 def bracket_closed_form(pencil: Pencil, f, h) -> RationalFunction:
-    """{f,h}(lambda): df^dh^Phi_lambda divided by the volume form.  On a
-    correctly assembled pencil it is the contraction Pi_lambda(df, dh), a
-    polynomial in lambda; its callers compare the two, so a lambda left in
-    the denominator shows as a mismatch with a witness."""
-    table = pencil.table
-    f = as_ratfun(table, f)
-    h = as_ratfun(table, h)
-    phi = closed_form_interior(pencil)
-    numerator = wedge(
-        differential(f, table), wedge(differential(h, table), phi)
-    )
-    return _top_quotient(numerator, pencil.anchor.volume)
+    """{f,h}(lambda) = df^dh^Phi_lambda / Omega, the bracket of f and h
+    under ``closed_form_bivector``.  On a correctly assembled pencil it is
+    the contraction Pi_lambda(df, dh), a polynomial in lambda; its callers
+    compare the two, so a lambda left in the denominator shows as a
+    mismatch with a witness."""
+    return poisson_bracket(closed_form_bivector(pencil), f, h)
 
 
 def jacobian_bracket(functions, prefactor, volume: Form, g, h
@@ -676,4 +680,5 @@ def jacobian_bracket(functions, prefactor, volume: Form, g, h
     numerator = wedge(differential(g, table), differential(h, table))
     for c in functions:
         numerator = wedge(numerator, differential(as_ratfun(table, c), table))
-    return _top_quotient(numerator * prefactor, volume)
+    top = numerator.coefficient(table.geometric_indices)
+    return top * prefactor / volume_coefficient(volume)

@@ -455,21 +455,10 @@ class Polynomial:
             return self._times(b.get(0, 0), other.den)
         if self.is_constant():
             return other._times(a.get(0, 0), self.den)
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:
-            # a monomial factor: no two products meet
-            [(eb, cb)] = b.items()
-            terms = {ea + eb: ca * cb for ea, ca in a.items()}
-        else:
-            terms = {}
-            get = terms.get
-            for ea, ca in a.items():
-                for eb, cb in b.items():
-                    e = ea + eb
-                    terms[e] = get(e, 0) + ca * cb
-            if len(terms) < len(a) * len(b):
-                terms = {e: c for e, c in terms.items() if c}
+        terms: dict = {}
+        _add_product(terms, a, b, 1)
+        if len(terms) < len(a) * len(b):
+            terms = {e: c for e, c in terms.items() if c}
         _require_below_guard(self.table, terms)
         return _normal(self.table, terms, self.den * other.den)
 

@@ -14,6 +14,8 @@ are read off df, Pi0#df and Pi1#df, taken once per family function.  Its
 rank claims draw RANK_DRAWS points per bivector (``linalg.sampled_rank``
 with no target), so the sample point depends only on the seed and pencil,
 and evaluate them only while the rank can still rise, each pair once.
+The closed-form check compares ``pencil.closed_form_bivector`` with
+Pi_lambda: the sign and the volume of the read-off live there alone.
 """
 
 from __future__ import annotations
@@ -31,12 +33,7 @@ from .anchor import (
 from .errors import DegreeError, SpecError
 from .exterior import differential, pairing, schouten
 from .linalg import det, rank_at_point, sampled_rank
-from .pencil import (
-    FunctionFamily,
-    Pencil,
-    closed_form_interior,
-    volume_coefficient,
-)
+from .pencil import FunctionFamily, Pencil, closed_form_bivector
 from .report import Verdict, vanishes
 from .symexpr import (
     RationalFunction,
@@ -246,25 +243,15 @@ def _det_identity(pencil: Pencil, F_list) -> Verdict:
 
 
 def _closed_form_equivalence(pencil: Pencil, pi_lam) -> Verdict:
-    """bracket_closed_form agrees with the sharp-contraction bracket on
-    every coordinate pair; both are polynomials in the pencil parameter.
-    The closed form {x_a, x_b} = dx_a^dx_b^Phi_lambda / Omega is read off
-    Phi_lambda: with a and b at positions p < q among the coordinates,
-    dx_a^dx_b^Phi_lambda is (-1)^(p + q - 1) times the component of
-    Phi_lambda on the other coordinates, times the top basis form.  The
-    contraction {x_a, x_b} = Pi_l(dx_a, dx_b) is the component Pi_l^{ab}
-    itself."""
+    """The closed form {x_a, x_b} = dx_a^dx_b^Phi_lambda / Omega agrees
+    with the sharp-contraction bracket Pi_lambda(dx_a, dx_b) on every
+    coordinate pair: ``closed_form_bivector`` against Pi_lambda, component
+    by component; both are polynomials in the pencil parameter."""
     label = "closed-form[coordinates]"
-    table = pencil.table
-    names = table.names
-    geo = table.geometric_indices
-    phi = closed_form_interior(pencil)
-    volume = volume_coefficient(pencil.anchor.volume)
-    for (p, a), (q, b) in combinations(enumerate(geo), 2):
-        rest = tuple(i for i in geo if i != a and i != b)
-        lhs = phi.coefficient(rest) / volume
-        if (p + q) % 2 == 0:
-            lhs = -lhs
+    names = pencil.table.names
+    closed = closed_form_bivector(pencil)
+    for a, b in combinations(pencil.table.geometric_indices, 2):
+        lhs = closed.coefficient((a, b))
         rhs = pi_lam.coefficient((a, b))
         if lhs != rhs:
             witness = (

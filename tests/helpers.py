@@ -24,8 +24,8 @@ from involution_forge import (
     Polynomial,
     RationalFunction,
     VarTable,
-    bivector_sharp,
     build_symplectic,
+    closed_form_interior,
     codifferential,
     differential,
     exterior_derivative,
@@ -41,7 +41,7 @@ from involution_forge import (
 )
 from involution_forge.exterior import _merge_sign, accumulate
 from involution_forge.linalg import RANK_DRAWS, rref
-from involution_forge.symexpr import FIELD_BITS, _tokenize
+from involution_forge.symexpr import FIELD_BITS, _tokenize, as_ratfun
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -266,15 +266,29 @@ def oracle_sharp_extend(Pi: MultiVector, a: Form) -> MultiVector:
     """The degree-p extension of Pi# as scalar ^ wedge ^ ... ^ wedge of the
     images X_i = Pi#(dx_i), one component of a at a time, added by ``+``:
     the oracle for ``anchor._sharp_extend``, which sums the products of
-    each result component at once."""
+    each result component at once (and which ``bivector_sharp`` is on a
+    1-form, so the images here come from ``oracle_bivector_sharp``)."""
     table = a.table
     out = MultiVector.zero(table, a.degree)
     for idx, c in a.comps.items():
         piece = MultiVector.scalar(table, c)
         for i in idx:
-            piece = wedge(piece, bivector_sharp(Pi, Form(table, 1, {(i,): 1})))
+            piece = wedge(piece, oracle_bivector_sharp(
+                Pi, Form(table, 1, {(i,): 1})))
         out = out + piece
     return out
+
+
+def oracle_bracket_closed_form(pencil, f, h) -> RationalFunction:
+    """{f,h}(lambda) as the top component of df^dh^Phi_lambda, wedged, over
+    that of the volume form: the oracle for ``pencil.closed_form_bivector``,
+    which reads each coordinate bracket off one component of Phi_lambda."""
+    table = pencil.table
+    top = wedge(differential(as_ratfun(table, f), table),
+                wedge(differential(as_ratfun(table, h), table),
+                      closed_form_interior(pencil)))
+    geo = table.geometric_indices
+    return top.coefficient(geo) / pencil.anchor.volume.coefficient(geo)
 
 
 def reference_sampled_rank(rows: list, table: VarTable, rng, target=None,

@@ -459,6 +459,18 @@ def test_check_applies_specialize_like_solve_ansatz(spec_on_disk):
         assert run("check", path) == expected
 
 
+def test_specialize_value_that_makes_a_pole_is_a_spec_error(spec_on_disk):
+    # the solved ansatz divides by m3, so m3 = 0 puts a pole in it: a bad
+    # value at the block, for check as for solve-ansatz
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["sigma1"]["ansatz"]["specialize"]["m3"] = "0"
+    path = spec_on_disk(payload)
+    expected = (2, f"error: {path}.sigma1.ansatz.specialize: "
+                   "substitution makes the denominator vanish")
+    assert run("solve-ansatz", path) == expected
+    assert run("check", path) == expected
+
+
 def test_unassigned_free_unknown_exits_two(spec_on_disk):
     payload = json.loads(fixture_file("lagrange_top").read_text())
     payload["sigma1"]["ansatz"]["specialize"] = {"l3": "1", "m3": "2"}

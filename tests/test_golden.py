@@ -9,6 +9,7 @@ tests also pin that the printed output does not depend on string hashing
 rewritten.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -85,3 +86,50 @@ def test_benchmark_spec_reports_match_golden(hash_seed):
     replayed = replay(ops, hash_seed)
     for key, want in golden.items():
         assert replayed[key] == [want["stdout"], want["exit"]], key
+
+
+BRACKETS_GOLDEN = Path(__file__).parent / "golden_brackets.json"
+
+
+def bracket_ops() -> list:
+    """``bracket`` on every family pair of the bundled specs and of
+    certify_scaled, ``pencil`` on both benchmark specs and one ``bracket``
+    on reject_sigma, all at seed 0: ``[(key, argv), ...]``."""
+    benchmark = {name: BENCHMARKS / "specs" / f"{name}.json"
+                 for name in ("certify_scaled", "reject_sigma")}
+    specs = {name: fixture_file(name) for name in
+             ("lagrange_top", "toda_first", "toda_second")}
+    ops = []
+    for name, path in {**specs, **benchmark}.items():
+        names = [entry["name"] for entry in
+                 json.loads(path.read_text("utf-8"))["family"]]
+        pairs = ([names[:2]] if name == "reject_sigma"
+                 else itertools.combinations(names, 2))
+        for f, h in pairs:
+            ops.append((f"bracket {name} {f},{h}",
+                        ["bracket", str(path), "--pair", f"{f},{h}"]))
+        if name in benchmark:
+            ops.append((f"pencil {name}", ["pencil", str(path)]))
+    return ops
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_every_bracket_pair_matches_golden(hash_seed):
+    golden = json.loads(BRACKETS_GOLDEN.read_text("utf-8"))["ops"]
+    ops = bracket_ops()
+    assert len(golden) == len(ops) == 18
+    replayed = replay(ops, hash_seed)
+    for key, want in golden.items():
+        assert replayed[key] == [want["stdout"], want["exit"]], key
+
+
+if __name__ == "__main__":
+    # Re-capture golden_brackets.json (only when a change to these bytes
+    # is intended):  PYTHONPATH=src:tests python tests/test_golden.py
+    captured = replay(bracket_ops(), "0")
+    BRACKETS_GOLDEN.write_text(json.dumps({
+        "note": "Regression reference, not ground truth: stdout and exit "
+                "code of every bracket pair and of pencil on the benchmark "
+                "specs, as printed by the engine when captured.",
+        "ops": {key: {"stdout": text, "exit": code}
+                for key, (text, code) in captured.items()},
+    }, indent=1) + "\n", encoding="utf-8")

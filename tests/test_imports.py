@@ -351,12 +351,32 @@ def test_inline_hamiltonian_field_is_reported():
     assert _inline_hamiltonian_fields(source) == [1, 3]
 
 
+def _definition(source: str, name: str):
+    """The module-level function ``name``, or the method ``Class.method``."""
+    body = ast.parse(source).body
+    for part in name.split("."):
+        [node] = [node for node in body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name == part]
+        body = node.body
+    return node
+
+
 def _function_calls(source: str, function: str) -> set:
-    """Callees of every call inside the module-level function ``function``."""
-    [node] = [node for node in ast.parse(source).body
-              if isinstance(node, ast.FunctionDef) and node.name == function]
-    return {_callee(call) for call in ast.walk(node)
+    """Callees of every call inside the function or method ``function``."""
+    return {_callee(call) for call in ast.walk(_definition(source, function))
             if isinstance(call, ast.Call)}
+
+
+ANY_LOOP = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+            ast.GeneratorExp)
+
+
+def _loops(source: str, function: str, kinds=(ast.For, ast.While)) -> list:
+    """Line of each loop of the given kinds inside ``function``."""
+    return sorted(node.lineno
+                  for node in ast.walk(_definition(source, function))
+                  if isinstance(node, kinds))
 
 
 def test_certify_takes_no_bracket_table_and_no_chain_check():
@@ -378,6 +398,46 @@ def test_function_calls_are_reported():
     source = ("def f(P):\n    return wedge(g(P), exterior.wedge(P))\n\n"
               "def g(P):\n    return h(P)\n")
     assert _function_calls(source, "f") == {"wedge", "g"}
+
+
+def test_method_calls_and_loops_are_reported():
+    source = ("class P:\n    def f(self, a):\n        for x in a:\n"
+              "            g(x)\n        return {y: 1 for y in a}\n\n"
+              "def f(a):\n    return a\n")
+    assert _function_calls(source, "P.f") == {"g"}
+    assert _function_calls(source, "f") == set()
+    assert _loops(source, "P.f") == [3]
+    assert _loops(source, "P.f", ANY_LOOP) == [3, 5]
+
+
+def test_bivector_sharp_is_the_degree_one_sharp_extend():
+    # one sharp: Pi# of a 1-form is the degree-1 case of the extension,
+    # with no loop of its own over the components
+    source = (PACKAGE / "anchor.py").read_text(encoding="utf-8")
+    assert "_sharp_extend" in _function_calls(source, "bivector_sharp")
+    assert _loops(source, "bivector_sharp", ANY_LOOP) == []
+
+
+def test_every_closed_form_bracket_is_read_off_one_bivector():
+    # the sign and the volume of {x_a, x_b} = dx_a^dx_b^Phi_lambda / Omega
+    # live in pencil.closed_form_bivector alone: the bracket command and
+    # the certificate's check both go through it, and neither wedges
+    pencil = (PACKAGE / "pencil.py").read_text(encoding="utf-8")
+    verify = (PACKAGE / "verify.py").read_text(encoding="utf-8")
+    for source, function in ((pencil, "bracket_closed_form"),
+                             (verify, "_closed_form_equivalence")):
+        calls = _function_calls(source, function)
+        assert "closed_form_bivector" in calls, function
+        assert "wedge" not in calls, function
+    assert _calls(verify, "volume_coefficient") == []
+
+
+def test_polynomial_product_goes_through_the_fused_kernel():
+    # one term-pair loop: Polynomial * Polynomial adds its products into
+    # a term dict with _add_product, like each group of sum_of_products
+    source = (PACKAGE / "symexpr.py").read_text(encoding="utf-8")
+    assert "_add_product" in _function_calls(source, "Polynomial.__mul__")
+    assert _loops(source, "Polynomial.__mul__") == []
 
 
 def _polynomial_products(tree) -> list:

@@ -2,6 +2,7 @@
 closed-form brackets, determinant brackets."""
 
 import copy
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -51,10 +52,12 @@ from involution_forge.pencil import (
     check_partition,
     check_recursion,
     check_sigma_conditions,
+    closed_form_bivector,
     distribution,
     solve_recursion_ansatz,
 )
-from helpers import jacobian_bracket_suite, random_polynomial
+from helpers import (jacobian_bracket_suite, load_spec,
+                     oracle_bracket_closed_form, random_polynomial)
 
 
 @pytest.fixture(scope="module")
@@ -407,6 +410,20 @@ def test_closed_form_bracket_matches_contraction(lagrange):
         closed = bracket_closed_form(pencil, ff, hh)
         direct = poisson_bracket(pi_lam, ff, hh)
         assert closed == direct
+        assert oracle_bracket_closed_form(pencil, ff, hh) == direct
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ("certify_scaled",))
+def test_closed_form_bivector_is_the_pencil(name):
+    # each coordinate bracket read off Phi_lambda is the wedged one, and
+    # together they are Pi_lambda
+    _, pencil = assemble(load_spec(name))
+    closed = closed_form_bivector(pencil)
+    assert closed == pencil.pi_lambda()
+    names = pencil.table.names
+    for a, b in itertools.combinations(pencil.table.geometric_indices, 2):
+        assert closed.coefficient((a, b)) == oracle_bracket_closed_form(
+            pencil, names[a], names[b]), (names[a], names[b])
 
 
 def _fresh(pencil):
@@ -469,10 +486,9 @@ def test_family_brackets_vanish_identically(lagrange):
     names = elab.family.names
     for i, f in enumerate(names):
         for h in names[i + 1:]:
-            value = bracket_closed_form(pencil,
-                                        elab.family.entry(f),
-                                        elab.family.entry(h))
-            assert value.is_zero()
+            ff, hh = elab.family.entry(f), elab.family.entry(h)
+            assert bracket_closed_form(pencil, ff, hh).is_zero()
+            assert oracle_bracket_closed_form(pencil, ff, hh).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from involution_forge import (
     Verdict,
     assemble_pencil,
     bivector_sharp,
-    bracket_closed_form,
     build_family,
     casimir_check,
     certify,
@@ -46,7 +45,8 @@ from involution_forge.anchor import full_matrix
 from involution_forge.linalg import RANK_DRAWS, sampled_rank
 from involution_forge.cli import assemble, build_table, elaborate, run
 from involution_forge.fixtures import FIXTURE_NAMES, fixture_file, load_fixture
-from helpers import coordinate_jacobiator, load_spec, random_multivector
+from helpers import (coordinate_jacobiator, load_spec,
+                     oracle_bracket_closed_form, random_multivector)
 
 
 @pytest.fixture(scope="module")
@@ -330,11 +330,11 @@ def test_lambda_left_in_a_closed_form_denominator_is_a_failed_verdict(
 
 
 def _wedged_closed_form_verdict(pencil, pi_lam) -> Verdict:
-    """The closed-form check by bracket_closed_form, which wedges
+    """The closed-form check by oracle_bracket_closed_form, which wedges
     dx_a^dx_b^Phi_lambda for every pair: the oracle for the read-off."""
     names = pencil.table.names
     for a, b in itertools.combinations(pencil.table.geometric_indices, 2):
-        lhs = bracket_closed_form(pencil, names[a], names[b])
+        lhs = oracle_bracket_closed_form(pencil, names[a], names[b])
         rhs = pi_lam.coefficient((a, b))
         if lhs != rhs:
             return Verdict(
@@ -518,6 +518,52 @@ def test_report_is_invariant_under_the_swap_of_the_sigma_pair(name,
                    sigma1=payload["sigma0"],
                    partition=[chain[::-1] for chain in payload["partition"]])
     assert (_report_outcome(swapped, tmp_path, name)
+            == _report_outcome(payload, tmp_path, f"{name}_original"))
+
+
+def test_report_is_invariant_under_the_swap_on_lagrange_top(tmp_path):
+    # only sigma1 may carry an ansatz, so the swapped sigma0 is sigma1 by
+    # its explicit components alone
+    payload = _spec_payload("lagrange_top")
+    swapped = dict(payload,
+                   sigma0={"components": payload["sigma1"]["components"]},
+                   sigma1=payload["sigma0"],
+                   partition=[chain[::-1] for chain in payload["partition"]])
+    outcome = _report_outcome(swapped, tmp_path, "lagrange_top")
+    assert outcome == _report_outcome(payload, tmp_path, "original")
+    assert len([line for line in outcome if isinstance(line, list)]) == 13
+    assert "rank[pencil] = 4" in outcome
+
+
+def _scaled(records, factor: str) -> list:
+    """Coefficient records, or basis coefficients [a, b, text], times
+    ``factor``."""
+    return [dict(item, coeff=f"{factor}*({item['coeff']})")
+            if isinstance(item, dict) else [*item[:2], f"{factor}*({item[2]})"]
+            for item in records]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_report_is_invariant_under_a_rescaling_of_the_sigma_pair(
+        name, tmp_path):
+    # sigma_i -> c_i sigma_i scales Pi_i by c_i, so Pi0#df_{j+1} = Pi1#df_j
+    # holds again for f_j -> (c1/c0)^j f_j along each chain
+    payload = _spec_payload(name)
+    factors = {"sigma0": "2", "sigma1": "3/5"}
+    scaled = dict(payload)
+    for key, factor in factors.items():
+        block = dict(payload[key])
+        for part in ("components", "coefficients"):
+            if part in block:
+                block[part] = _scaled(block[part], factor)
+        scaled[key] = block
+    position = {f: j for chain in payload["partition"]
+                for j, f in enumerate(chain)}
+    scaled["family"] = [
+        dict(entry, expression=f"(3/10)^{position[entry['name']]}*"
+                               f"({entry['expression']})")
+        for entry in payload["family"]]
+    assert (_report_outcome(scaled, tmp_path, name)
             == _report_outcome(payload, tmp_path, f"{name}_original"))
 
 

@@ -266,13 +266,6 @@ def sharp(anchor, a: Form) -> MultiVector:
     return _sharp_extend(anchor.lambda_bi, a)
 
 
-def flat(anchor: SymplecticAnchor, X: MultiVector) -> Form:
-    """Inverse of sharp on vector fields."""
-    if X.degree != 1:
-        raise DegreeError("flat acts on vector fields")
-    return -interior(X, anchor.omega)
-
-
 def codifferential(anchor: SymplecticAnchor, a: Form) -> Form:
     """delta = *d*, degree p-1 (zero on functions), as the Koszul bracket
     (-1)^p (i_Lambda da - d i_Lambda a) (Koszul 1985; Brylinski 1988,

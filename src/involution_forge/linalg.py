@@ -1,14 +1,13 @@
 """Exact linear algebra over the rational-function field.
 
 Matrices are plain lists of lists of RationalFunction sharing one variable
-table.  Two Gauss-Jordan loops, one per domain, pivot alike: scan columns
-left to right and take the first row whose entry is not identically zero.
-Over Q(x) the elimination is fraction-free: each row is cleared to
-polynomial numerators, every update is one exact polynomial division, and
-each entry read off is cancelled once.  The field loop runs on Fraction
-entries, for the rank at a point.  A pivot chosen this way may still
-vanish on a subvariety; results are generic in that sense, which is the
-intended reading everywhere this module is used.
+table, or of Fraction and int entries for the rank at a point.  One
+Gauss-Jordan loop serves both: it scans columns left to right and takes
+the first row whose entry is not zero.  It is fraction-free: each row is
+cleared to integer or polynomial numerators, every update is one exact
+division, and each entry read off is cancelled once.  A pivot chosen this
+way may still vanish on a subvariety; results are generic in that sense,
+which is the intended reading everywhere this module is used.
 
 ``sampled_rank`` is the package's one sampled-rank loop.  A draw is uniform
 on [-B, B]^n for B = symexpr.SAMPLE_BOUND, so by Schwartz-Zippel a nonzero
@@ -17,17 +16,16 @@ minor of degree D vanishes there with probability at most D/(2B + 1).
 
 from __future__ import annotations
 
-from math import prod
+from fractions import Fraction
+from math import lcm, prod
 
 from .errors import Degenerate, DimensionMismatch, Inconsistent
 from .symexpr import (
-    Polynomial,
     RationalFunction,
     RationalPoint,
     VarTable,
     as_ratfun,
     over_common_denominator,
-    poly_exact_div,
     sample_point,
 )
 
@@ -43,64 +41,34 @@ def identity(table: VarTable, n: int) -> list:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def _eliminate(rows: list):
-    """Gauss-Jordan elimination over any exact field whose elements are
-    falsy exactly at zero and support ``1 / v``, ``v * w``, ``v - w``,
-    ``v * 0`` and ``v ** 0``: the loop for Fraction entries, and on
-    RationalFunction entries the oracle of the fraction-free loop.
-
-    Returns (reduced, pivot_columns, pivot_values, sign), where the pivot
-    values are the entries divided out, in order, and sign is the parity
-    of the row swaps."""
-    work = [list(row) for row in rows]
-    m, n = len(work), len(work[0]) if work else 0
-    pivots, values, sign = [], [], 1
-    r = 0
-    for col in range(n):
-        pivot_row = next((i for i in range(r, m) if work[i][col]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-            sign = -sign
-        # rows are zero left of col from r down, so only columns col on
-        # change; zero entries are never multiplied out
-        pivot, rest = work[r][col], work[r][col + 1:]
-        inv = 1 / pivot
-        rest = [v * inv if v else v for v in rest]
-        work[r][col:] = [pivot ** 0] + rest
-        for i in range(m):
-            factor = work[i][col]
-            if i == r or not factor:
-                continue
-            work[i][col:] = [factor * 0] + [
-                a - factor * b if b else a
-                for a, b in zip(work[i][col + 1:], rest)
-            ]
-        pivots.append(col)
-        values.append(pivot)
-        r += 1
-    return work, pivots, values, sign
-
-
-def _cleared(rows: list, table: VarTable):
-    """Each row as polynomial numerators over the lcm of its monic
-    denominators; returns (numerator rows, [row denominators])."""
+def _cleared(rows: list):
+    """Each row cleared of its denominators: a Fraction or int row by the
+    lcm of its denominators, a RationalFunction row to polynomial
+    numerators over the lcm of its monic denominators; returns (numerator
+    rows, [row denominators])."""
     numerators, dens = [], []
     for row in rows:
-        [part], common = over_common_denominator(dict(enumerate(row)))
-        numerators.append([part[j].num for j in range(len(row))])
-        dens.append(table.one if common is None else common.num)
+        if row and isinstance(row[0], RationalFunction):
+            [part], common = over_common_denominator(dict(enumerate(row)))
+            numerators.append([part[j].num for j in range(len(row))])
+            dens.append(row[0].table.one if common is None else common.num)
+        else:
+            den = lcm(*(v.denominator for v in row))
+            numerators.append([v.numerator * (den // v.denominator)
+                               for v in row])
+            dens.append(den)
     return numerators, dens
 
 
-def _fraction_free(work: list, table: VarTable):
-    """Fraction-free Gauss-Jordan elimination of polynomial rows, in place.
+def _fraction_free(work: list):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer or
+    polynomial rows, in place: the one elimination loop.  Entries are
+    falsy exactly at zero and divide exactly by ``//``.
 
     Row i stands for level_i times its row in the field elimination, at
     level 1 to begin with.  A pivot step with pivot p brings each row i
     whose entry f in the pivot column is nonzero to level p, entry by
-    entry as (p*a - f*b) / level_i against the pivot row's entry b; the
+    entry as (p*a - f*b) // level_i against the pivot row's entry b; the
     division is exact.  A row with f = 0 keeps its level, as Gauss-Jordan
     leaves it.  The pivot row is first rescaled to the last pivot when its
     level lags, so that p is the leading minor of the rows and columns
@@ -108,13 +76,14 @@ def _fraction_free(work: list, table: VarTable):
     reads off as its entries over its level.  Returns (levels,
     pivot_columns, sign), sign being the parity of the row swaps."""
     m, n = len(work), len(work[0]) if work else 0
-    zero = Polynomial.zero(table)
-    levels = [table.one] * m
-    pivots, sign, current = [], 1, table.one
+    if not n:
+        return [], [], 1
+    zero, one = work[0][0] * 0, work[0][0] ** 0
+    levels = [one] * m
+    pivots, sign, current = [], 1, one
     r = 0
     for col in range(n):
-        pivot_row = next((i for i in range(r, m) if work[i][col].terms),
-                         None)
+        pivot_row = next((i for i in range(r, m) if work[i][col]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
@@ -125,19 +94,18 @@ def _fraction_free(work: list, table: VarTable):
         # rescaled from col on
         row = work[r]
         if levels[r] != current:
-            row[col:] = [poly_exact_div(v * current, levels[r])
-                         if v.terms else v for v in row[col:]]
+            row[col:] = [v * current // levels[r] if v else v
+                         for v in row[col:]]
         pivot = row[col]
         # every other row's entry in the pivot column clears to zero
         rest = [zero] * (col + 1) + row[col + 1:]
         for i in range(m):
             factor = work[i][col]
-            if i == r or not factor.terms:
+            if i == r or not factor:
                 continue
             work[i][col] = zero
             level = levels[i]
-            work[i] = [poly_exact_div(pivot * a - factor * b, level)
-                       if a.terms or b.terms else a
+            work[i] = [(pivot * a - factor * b) // level if a or b else a
                        for a, b in zip(work[i], rest)]
             levels[i] = pivot
         levels[r] = current = pivot
@@ -146,23 +114,28 @@ def _fraction_free(work: list, table: VarTable):
     return levels, pivots, sign
 
 
+def _rank(rows: list) -> int:
+    """Rank of a matrix, read off the loop with no reduced matrix built."""
+    work, _ = _cleared(rows)
+    return len(_fraction_free(work)[1])
+
+
 def rref(rows: list):
-    """Reduced row echelon form, by the fraction-free loop over Q(x) and by
-    the field loop otherwise.  Returns (reduced, pivot_columns)."""
-    first = next((v for row in rows for v in row), None)
-    if not isinstance(first, RationalFunction):
-        return _eliminate(rows)[:2]
-    table = first.table
-    work, _ = _cleared(rows, table)
-    levels, pivots, _ = _fraction_free(work, table)
-    zero, one = RationalFunction.zero(table), RationalFunction.one(table)
+    """Reduced row echelon form of a matrix of RationalFunction, Fraction
+    or int entries; returns (reduced, pivot_columns)."""
+    work, _ = _cleared(rows)
+    levels, pivots, _ = _fraction_free(work)
+    if not pivots:
+        return [list(row) for row in rows], pivots
+    sample = rows[0][0]
+    zero, one = sample * 0, sample ** 0
+    over = RationalFunction if isinstance(sample, RationalFunction) else Fraction
     # the rows past the rank are zero; each pivot row is level times its
     # reduced row, so its pivot entry is its level
     reduced = [[zero] * len(row) for row in work]
     for r, col in enumerate(pivots):
         level = levels[r]
-        reduced[r] = [one if j == col else
-                      RationalFunction(v, level) if v.terms else zero
+        reduced[r] = [one if j == col else over(v, level) if v else zero
                       for j, v in enumerate(work[r])]
     return reduced, pivots
 
@@ -237,8 +210,8 @@ def det(rows: list, table: VarTable) -> RationalFunction:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DimensionMismatch("determinant needs a square matrix")
-    work, dens = _cleared(rows, table)
-    levels, pivots, sign = _fraction_free(work, table)
+    work, dens = _cleared(rows)
+    levels, pivots, sign = _fraction_free(work)
     if len(pivots) < n:
         return RationalFunction.zero(table)
     last = levels[-1] if levels else table.one
@@ -248,7 +221,7 @@ def det(rows: list, table: VarTable) -> RationalFunction:
 
 def rank_at_point(rows: list, point: RationalPoint) -> int:
     """Rank of the matrix evaluated at a rational point."""
-    return len(rref([[v.evaluate(point) for v in row] for row in rows])[1])
+    return _rank([[v.evaluate(point) for v in row] for row in rows])
 
 
 def sampled_rank(rows: list, table: VarTable, rng, target=None, avoid=(),
@@ -278,7 +251,7 @@ def sampled_rank(rows: list, table: VarTable, rng, target=None, avoid=(),
             values[i][j] = value = rows[i][j].evaluate(point)
             if skew:
                 values[j][i] = -value
-        rank = len(rref(values)[1])
+        rank = _rank(values)
         if rank > best:
             best, best_point = rank, point
         if best == target:

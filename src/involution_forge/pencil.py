@@ -485,7 +485,7 @@ class Pencil:
 
     __slots__ = (
         "anchor", "family", "partition", "Pi0", "Pi1", "sigma_lambda",
-        "g_lambda", "F_lambda", "F_functions", "r", "_phi",
+        "g_lambda", "F_lambda", "F_functions", "r",
     )
 
     def __init__(self, anchor, family, partition, Pi0, Pi1, sigma_lambda,
@@ -500,7 +500,6 @@ class Pencil:
         self.F_lambda = F_lambda
         self.F_functions = list(F_functions)
         self.r = r
-        self._phi = None
 
     @property
     def table(self) -> VarTable:
@@ -603,8 +602,6 @@ def assemble_pencil(anchor, pair: SigmaPair, family: FunctionFamily,
 def closed_form_interior(pencil: Pencil) -> Form:
     """Phi_lambda = -(1/F) (sigma_lambda + g_lambda/(r-1) w) ^ w^{r-2}/(r-2)!
     ^ dF^1 ^ ... ^ dF^k, with w the anchor 2-form (Theta when odd)."""
-    if pencil._phi is not None:
-        return pencil._phi
     if pencil.r < 2:
         raise RankTooSmall(
             f"the closed formula needs r >= 2, got r = {pencil.r}"
@@ -623,11 +620,9 @@ def closed_form_interior(pencil: Pencil) -> Form:
     # F divides each component on every bundled spec: one exact division
     # each, and the general quotient only where it does not divide
     minus_F = -pencil.F_lambda
-    phi = Form(table, phi.degree, {
+    return Form(table, phi.degree, {
         idx: quotient_by_factor(c, minus_F) for idx, c in phi.comps.items()
     })
-    pencil._phi = phi
-    return phi
 
 
 def volume_coefficient(volume: Form) -> RationalFunction:

@@ -346,6 +346,10 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        """False exactly for zero, as for ``int``."""
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         # the zero monomial is the only constant one
         terms = self.terms
@@ -463,6 +467,14 @@ class Polynomial:
         return _normal(self.table, terms, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        """The exact quotient, unlike ``int``'s floor: raises if the
+        division leaves a remainder."""
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return poly_exact_div(self, other)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

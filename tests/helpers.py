@@ -11,6 +11,7 @@ import importlib.util
 import itertools
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 from random import Random
 
@@ -40,7 +41,7 @@ from involution_forge import (
     wedge,
 )
 from involution_forge.exterior import _merge_sign, accumulate
-from involution_forge.linalg import RANK_DRAWS, rref
+from involution_forge.linalg import RANK_DRAWS
 from involution_forge.symexpr import FIELD_BITS, _tokenize, as_ratfun
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -175,6 +176,72 @@ def mat_vec(a: list, v: list) -> list:
     return [entry for [entry] in mat_mul(a, [[x] for x in v])]
 
 
+def flat(anchor, X: MultiVector) -> Form:
+    """The inverse of sharp on vector fields, -i_X omega: the oracle of the
+    sharp/flat round trip."""
+    return -interior(X, anchor.omega)
+
+
+# ---------------------------------------------------------------------------
+# the field loop: Gauss-Jordan elimination dividing by each pivot, the
+# oracle of the package's fraction-free loop.  RREF is unique, so both must
+# give the same canonical fractions, pivots and errors
+
+
+def _eliminate(rows: list):
+    """Gauss-Jordan elimination over any exact field whose elements are
+    falsy exactly at zero and support ``1 / v``, ``v * w``, ``v - w``,
+    ``v * 0`` and ``v ** 0``.
+
+    Returns (reduced, pivot_columns, pivot_values, sign), where the pivot
+    values are the entries divided out, in order, and sign is the parity
+    of the row swaps."""
+    work = [list(row) for row in rows]
+    m, n = len(work), len(work[0]) if work else 0
+    pivots, values, sign = [], [], 1
+    r = 0
+    for col in range(n):
+        pivot_row = next((i for i in range(r, m) if work[i][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            sign = -sign
+        # rows are zero left of col from r down, so only columns col on
+        # change; zero entries are never multiplied out
+        pivot, rest = work[r][col], work[r][col + 1:]
+        inv = 1 / pivot
+        rest = [v * inv if v else v for v in rest]
+        work[r][col:] = [pivot ** 0] + rest
+        for i in range(m):
+            factor = work[i][col]
+            if i == r or not factor:
+                continue
+            work[i][col:] = [factor * 0] + [
+                a - factor * b if b else a
+                for a, b in zip(work[i][col + 1:], rest)
+            ]
+        pivots.append(col)
+        values.append(pivot)
+        r += 1
+    return work, pivots, values, sign
+
+
+def field_rref(rows: list):
+    """(reduced, pivot_columns) by the field loop, as ``linalg.rref``
+    returns them."""
+    return _eliminate(rows)[:2]
+
+
+def field_det(rows: list, table: VarTable) -> RationalFunction:
+    """The determinant as the signed product of the field loop's pivots."""
+    _, pivots, values, sign = _eliminate(rows)
+    if len(pivots) < len(rows):
+        return RationalFunction.zero(table)
+    result = prod(values, start=RationalFunction.one(table))
+    return result if sign > 0 else -result
+
+
 # ---------------------------------------------------------------------------
 # sums of products, one product at a time: each product reduced by
 # RationalFunction ``*`` and added by ``+``, the oracle for the grouped sums
@@ -293,9 +360,9 @@ def oracle_bracket_closed_form(pencil, f, h) -> RationalFunction:
 
 def reference_sampled_rank(rows: list, table: VarTable, rng, target=None,
                            avoid=(), skew=False):
-    """``linalg.sampled_rank`` evaluating and eliminating at every draw,
-    also once the rank is already the largest the shape allows: the
-    oracle for the draws the package skips."""
+    """``linalg.sampled_rank`` evaluating at every draw, also once the rank
+    is already the largest the shape allows, and ranking by the field
+    loop: the oracle for the draws the package skips."""
     cells = [(i, j) for i, row in enumerate(rows)
              for j in range(i + 1 if skew else 0, len(row)) if row[j]]
     guards = [rows[i][j].den for i, j in cells
@@ -309,7 +376,7 @@ def reference_sampled_rank(rows: list, table: VarTable, rng, target=None,
             values[i][j] = value = rows[i][j].evaluate(point)
             if skew:
                 values[j][i] = -value
-        rank = len(rref(values)[1])
+        rank = len(_eliminate(values)[1])
         if rank > best:
             best, best_point = rank, point
         if best == target:

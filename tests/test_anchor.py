@@ -17,10 +17,8 @@ from involution_forge import (
     build_cosymplectic,
     build_symplectic,
     codifferential,
-    differential,
     divided_power,
     exterior_derivative,
-    flat,
     interior,
     pairing,
     parse_ratfun,
@@ -35,6 +33,7 @@ from involution_forge.cli import elaborate
 from involution_forge.fixtures import FIXTURE_NAMES, load_fixture
 from involution_forge.pencil import decompose_prime
 from helpers import (
+    flat,
     koszul_codifferential,
     load_spec,
     oracle_sharp_extend,
@@ -333,7 +332,6 @@ def test_lift_adds_one_coordinate(toda_anchor):
     # the lifted structure is symplectic: omega = theta + ds ^ vartheta
     one = RationalFunction.one(ltab)
     ds = Form(ltab, 1, {(ltab.appended_index,): one})
-    from involution_forge.symexpr import migrate_ratfun
     from involution_forge.exterior import from_records
     theta_l = from_records(ltab, 2, toda_anchor.theta.to_records())
     vartheta_l = from_records(ltab, 1, toda_anchor.vartheta.to_records())

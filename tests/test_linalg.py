@@ -2,7 +2,6 @@
 
 import itertools
 from fractions import Fraction
-from math import prod
 from random import Random
 from unittest import mock
 
@@ -36,6 +35,8 @@ from involution_forge.linalg import (
     solve_linear,
 )
 from helpers import (
+    field_det,
+    field_rref,
     mat_mul,
     mat_vec,
     random_polynomial,
@@ -213,16 +214,20 @@ def test_rref_over_fractions_matches_sympy():
     rng = Random(57)
     shapes = [(n, n, None) for n in (1, 2, 3, 4, 5)]
     shapes += [(4, 4, 2), (5, 5, 3), (3, 5, 2), (5, 3, 1), (4, 6, 3)]
-    for m, n, rank in shapes:
-        for _ in range(3):
-            rows = random_fraction_matrix(rng, m, n, rank)
-            reduced, pivots = rref(rows)
-            expected, expected_pivots = sympy.Matrix(rows).rref()
-            assert pivots == list(expected_pivots)
-            assert reduced == [
-                [Fraction(int(v.p), int(v.q)) for v in expected.row(i)]
-                for i in range(m)
-            ]
+    cases = [random_fraction_matrix(rng, m, n, rank)
+             for m, n, rank in shapes for _ in range(3)]
+    # an all-zero matrix, one with no rows, and one of ints alone whose
+    # second row is a multiple of its first
+    cases += [[[Fraction(0)] * 4 for _ in range(3)], [],
+              [[2, -4, 6, 1], [-4, 8, -12, -2], [0, 3, 1, 5]]]
+    for rows in cases:
+        reduced, pivots = rref(rows)
+        expected, expected_pivots = sympy.Matrix(rows).rref()
+        assert pivots == list(expected_pivots)
+        assert reduced == [
+            [Fraction(int(v.p), int(v.q)) for v in expected.row(i)]
+            for i in range(len(rows))
+        ]
 
 
 def test_rank_at_point_matches_sympy_on_rank_deficient_matrices(table):
@@ -356,13 +361,13 @@ def test_sampled_rank_skips_only_what_cannot_raise_the_rank(table,
     ]
     avoid = [parse_ratfun("x1 - x2", table)]
     eliminations = []
-    real_rref = linalg.rref
+    real_rank = linalg._rank
 
     def counting(rows):
         eliminations.append(rows)
-        return real_rref(rows)
+        return real_rank(rows)
 
-    monkeypatch.setattr(linalg, "rref", counting)
+    monkeypatch.setattr(linalg, "_rank", counting)
     for rows, is_skew, evaluated in cases:
         for seed in range(3):
             eliminations.clear()
@@ -376,19 +381,7 @@ def test_sampled_rank_skips_only_what_cannot_raise_the_rank(table,
 
 # --- the fraction-free loop against the field loop ------------------------------
 
-# the field loop on RationalFunction entries is the oracle: RREF is unique,
-# so both loops must give the same canonical fractions, pivots and errors
-def _field_rref(rows):
-    return linalg._eliminate(rows)[:2]
-
-
-def _field_det(rows, table):
-    _, pivots, values, sign = linalg._eliminate(rows)
-    if len(pivots) < len(rows):
-        return RationalFunction.zero(table)
-    result = prod(values, start=RationalFunction.one(table))
-    return result if sign > 0 else -result
-
+# field_rref and field_det, from the field loop in helpers, are the oracle
 
 def _outcome(fn, *args):
     """fn's result, or the class of the Degenerate or Inconsistent it
@@ -419,8 +412,8 @@ def assert_matches_field_loop(rows, table):
     """Assert that the fraction-free loop reads off what the field loop
     does; returns the field loop's pivot columns."""
     got = _results(rows, table, linalg.det)
-    with mock.patch.object(linalg, "rref", _field_rref):
-        expected = _results(rows, table, _field_det)
+    with mock.patch.object(linalg, "rref", field_rref):
+        expected = _results(rows, table, field_det)
     assert got == expected
     return expected["rref"][1]
 
@@ -566,7 +559,7 @@ def test_ansatz_solution_is_invariant_under_row_operations(ansatz_system):
     # per-row levels or denominators shows here
     rows, rhs, table = ansatz_system
     expected = solve_linear(rows, rhs, table)
-    with mock.patch.object(linalg, "rref", _field_rref):
+    with mock.patch.object(linalg, "rref", field_rref):
         assert solve_linear(rows, rhs, table) == expected
     rng = Random(61)
     for _ in range(3):

@@ -4,7 +4,6 @@ closed-form brackets, determinant brackets."""
 import copy
 import itertools
 from fractions import Fraction
-from random import Random
 
 import pytest
 
@@ -12,7 +11,6 @@ from involution_forge import (
     CasimirPolynomial,
     ConditionFailed,
     Form,
-    MultiVector,
     Pencil,
     Polynomial,
     RankDrop,
@@ -36,7 +34,6 @@ from involution_forge import (
     pairing,
     parse_ratfun,
     poisson_bracket,
-    schouten,
     sharp,
     wedge,
 )
@@ -57,7 +54,7 @@ from involution_forge.pencil import (
     solve_recursion_ansatz,
 )
 from helpers import (jacobian_bracket_suite, load_spec,
-                     oracle_bracket_closed_form, random_polynomial)
+                     oracle_bracket_closed_form)
 
 
 @pytest.fixture(scope="module")
@@ -426,13 +423,6 @@ def test_closed_form_bivector_is_the_pencil(name):
             pencil, names[a], names[b]), (names[a], names[b])
 
 
-def _fresh(pencil):
-    """A copy of the pencil without its cached Phi_lambda."""
-    fresh = copy.copy(pencil)
-    fresh._phi = None
-    return fresh
-
-
 def _spy_gcd(monkeypatch) -> list:
     calls = []
     real = symexpr.poly_gcd
@@ -447,7 +437,7 @@ def test_closed_form_interior_takes_no_gcd(name, monkeypatch):
     # division each, and no cancellation against F
     _, pencil = assemble(load_fixture(name).spec)
     calls = _spy_gcd(monkeypatch)
-    phi = closed_form_interior(_fresh(pencil))
+    phi = closed_form_interior(pencil)
     assert calls == []
     assert not phi.is_zero()
 
@@ -458,10 +448,10 @@ def test_closed_form_interior_matches_the_general_quotient(name,
     # the same reduced components as Phi' * (-1/F), the product the
     # exact division replaces
     _, pencil = assemble(load_fixture(name).spec)
-    phi = closed_form_interior(_fresh(pencil))
+    phi = closed_form_interior(pencil)
     monkeypatch.setattr(pencil_module, "quotient_by_factor",
                         lambda value, divisor: value * (1 / divisor))
-    assert closed_form_interior(_fresh(pencil)).comps == phi.comps
+    assert closed_form_interior(pencil).comps == phi.comps
 
 
 def test_quotient_by_a_non_dividing_factor_falls_back(monkeypatch):

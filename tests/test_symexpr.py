@@ -409,6 +409,9 @@ def test_gcd_matches_the_prs_fallback():
 def test_truthiness_matches_fraction(table):
     assert not RationalFunction.zero(table)
     assert RationalFunction.one(table)
+    assert not Polynomial.zero(table)
+    assert Polynomial.one(table)
+    assert parse_ratfun("x1 - x1", table).num.__bool__() is False
     assert parse_ratfun("x1 - x1", table).__bool__() is False
     assert parse_ratfun("x2/(x1 + 1)", table).__bool__() is True
 
@@ -816,6 +819,7 @@ def test_kernel_matches_the_tuple_oracle():
         assert a.evaluate(at) == oa.evaluate(at)
         if not b.is_zero():
             same(poly_exact_div(a * b, b), tuple_exact_div(oa * ob, ob))
+            same(a * b // b, oa)
         if not c.is_zero():
             assert exponent_terms(poly_gcd(a * c, b * c)) == sympy_gcd_terms(
                 a * c, b * c)

@@ -354,7 +354,9 @@ def load_payload(spec_path: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise SpecError(f"cannot read spec file: {exc}", spec_path) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, bad UTF-8, or an integer longer than
+        # int-from-str conversion allows
         raise SpecError(f"invalid JSON: {exc}", spec_path) from exc
     except RecursionError as exc:
         raise SpecError("JSON nested too deeply", spec_path) from exc

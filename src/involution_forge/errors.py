@@ -41,6 +41,11 @@ class ExponentOverflow(ForgeError):
     """An exponent reached the guard bit of its field in a packed monomial."""
 
 
+class IntegerTooLong(ForgeError):
+    """A result coefficient has more digits than int-to-str conversion
+    allows (``sys.get_int_max_str_digits``), so it cannot be printed."""
+
+
 class PoleAtPoint(ForgeError):
     """Evaluation point lies on the vanishing locus of a denominator."""
 

@@ -485,11 +485,11 @@ class Pencil:
 
     __slots__ = (
         "anchor", "family", "partition", "Pi0", "Pi1", "sigma_lambda",
-        "g_lambda", "F_lambda", "F_functions", "r",
+        "g_lambda", "F_lambda", "F_functions",
     )
 
     def __init__(self, anchor, family, partition, Pi0, Pi1, sigma_lambda,
-                 g_lambda, F_lambda, F_functions, r):
+                 g_lambda, F_lambda, F_functions):
         self.anchor = anchor
         self.family = family
         self.partition = list(partition)
@@ -499,11 +499,14 @@ class Pencil:
         self.g_lambda = g_lambda
         self.F_lambda = F_lambda
         self.F_functions = list(F_functions)
-        self.r = r
 
     @property
     def table(self) -> VarTable:
         return self.anchor.table
+
+    @property
+    def r(self) -> int:
+        return self.family.r
 
     @property
     def k(self) -> int:
@@ -593,7 +596,7 @@ def assemble_pencil(anchor, pair: SigmaPair, family: FunctionFamily,
     F_functions = [casimir_function(family, cp) for cp in partition]
     F_lambda = compute_F_lambda(anchor, F_functions, family.r)
     return Pencil(anchor, family, partition, Pi0, Pi1, sigma_lambda,
-                  g_lambda, F_lambda, F_functions, family.r)
+                  g_lambda, F_lambda, F_functions)
 
 
 # --- closed-form brackets -------------------------------------------------------

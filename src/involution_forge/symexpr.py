@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, isqrt, lcm
@@ -90,6 +91,7 @@ from .errors import (
     DivisionByZero,
     ExponentOverflow,
     ForbiddenVariable,
+    IntegerTooLong,
     NegativeExponent,
     ParseError,
     PoleAtPoint,
@@ -557,7 +559,13 @@ class Polynomial:
             mono = "*".join(factors)
             g = gcd(c, self.den)
             num, den = abs(c) // g, self.den // g
-            mag = str(num) if den == 1 else f"{num}/{den}"
+            try:
+                mag = str(num) if den == 1 else f"{num}/{den}"
+            except ValueError:
+                raise IntegerTooLong(
+                    "a coefficient has more than "
+                    f"{sys.get_int_max_str_digits()} digits"
+                ) from None
             if not mono:
                 body = mag
             elif num == den == 1:
@@ -1384,7 +1392,13 @@ def _tokenize(text: str):
                 len(text) - len(stripped),
             )
         if m.group("num") is not None:
-            tokens.append(("num", int(m.group("num")), m.start("num")))
+            digits, start = m.group("num"), m.start("num")
+            try:
+                tokens.append(("num", int(digits), start))
+            except ValueError:
+                raise ParseError(
+                    f"integer literal of {len(digits)} digits exceeds "
+                    f"{sys.get_int_max_str_digits()}", start) from None
         elif m.group("ident") is not None:
             tokens.append(("ident", m.group("ident"), m.start("ident")))
         else:

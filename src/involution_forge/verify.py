@@ -9,8 +9,12 @@ that produced it.  Verdicts always carry a symbolic witness on failure.
 combination [Pi1, Pi1] - 2 lambda [Pi0, Pi1] + lambda^2 [Pi0, Pi0] of the
 three brackets it takes anyway (Kosmann-Schwarzbach & Magri 1990, Ann. IHP
 53), a square [Pi, Pi] takes one of the two Schouten sums, and a bracket
-matrix takes only its upper triangle.  Involution entries and chain links
-are read off df, Pi0#df and Pi1#df, taken once per family function.  Its
+matrix takes only its upper triangle.  The Casimir residuals, involution
+entries and chain links are all read off df, X0 = Pi0#df and X1 = Pi1#df,
+taken once per family function, and Xl = X1 - lambda X0 = Pi_lambda#df:
+with lambda inert, Pi_lambda#dF^i for F^i = lambda^r f_0 + ... + f_r is
+the Horner sum of Xl over the chain, leading entry first, an entry {f, h}
+is <dh, Xl[f]>, and a link compares X0 and X1 of neighbours.  Its
 rank claims draw RANK_DRAWS points per bivector (``linalg.sampled_rank``
 with no target), so the sample point depends only on the seed and pencil,
 and evaluate them only while the rank can still rise, each pair once.
@@ -165,17 +169,18 @@ def certify(pencil: Pencil, seed: int = 0) -> PencilCertificate:
         vanishes("jacobi[Pi1]", s11),
         vanishes("jacobi[pencil]", s11 - s01 * (2 * lam) + s00 * lam**2),
     ]
-    F_list = pencil.F_functions
-    verdicts.extend(
-        casimir_check(pi_lam, F_i, f"casimir[F^{pos}]")
-        for pos, F_i in enumerate(F_list, start=1)
-    )
     df = {f: differential(family.entry(f), table) for f in family.names}
     X0 = {f: bivector_sharp(Pi0, d) for f, d in df.items()}
     X1 = {f: bivector_sharp(Pi1, d) for f, d in df.items()}
+    Xl = {f: X1[f] - X0[f] * lam for f in family.names}
+    for pos, cp in enumerate(pencil.partition, start=1):
+        residual = Xl[cp.names[0]]
+        for f in cp.names[1:]:
+            residual = residual * lam + Xl[f]
+        verdicts.append(vanishes(f"casimir[F^{pos}]", residual))
     involution = Verdict("involution[family]", True)
     for f, h in combinations(family.names, 2):
-        b = pairing(df[h], X1[f]) - lam * pairing(df[h], X0[f])
+        b = pairing(df[h], Xl[f])
         if b:
             involution = Verdict("involution[family]", False,
                                  f"{{{f},{h}}} = {b.render()}")
@@ -203,6 +208,7 @@ def certify(pencil: Pencil, seed: int = 0) -> PencilCertificate:
         f"(rank0, rank1, rank_pencil) = ({rank0}, {rank1}, {rank_pencil}),"
         f" expected {expected}",
     ))
+    F_list = pencil.F_functions
     geo = table.geometric_indices
     jac = [[F.derivative(i) for i in geo] for F in F_list]
     verdicts.append(Verdict(

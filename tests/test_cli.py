@@ -138,12 +138,27 @@ def test_condition_failure_exits_one(spec_on_disk):
     code, text = run("report", path)
     assert code == 1
     assert "ConditionFailed" in text
+    # a valid spec whose solved ansatz has a coefficient of 5000 digits,
+    # more than int-to-str conversion prints: a failed computation too
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["sigma1"]["ansatz"]["specialize"]["l3"] = "9" * 2500 + "^2"
+    assert run("solve-ansatz", spec_on_disk(payload)) == (
+        1, "error: IntegerTooLong: a coefficient has more than 4300 digits")
 
 
 def test_unreadable_file_exits_two(tmp_path):
     code, text = run("report", str(tmp_path / "missing.json"))
     assert code == 2
     assert "error" in text
+    # bytes that are not UTF-8, and an integer of more digits than
+    # int-from-str conversion reads, are invalid JSON at the file
+    for name, content in (("latin.json", b'{"name": "\xff"}'),
+                          ("long.json", b'{"name": ' + b"9" * 5000 + b'}')):
+        path = tmp_path / name
+        path.write_bytes(content)
+        code, text = run("check", str(path))
+        assert code == 2
+        assert text.startswith(f"error: {path}: invalid JSON: ")
 
 
 def test_checks_filtering(spec_on_disk):
@@ -488,6 +503,13 @@ def test_bad_family_expression_line_names_the_spec(spec_on_disk):
     code, text = run("check", path)
     assert code == 2
     assert text.startswith(f"error: {path}.family[1].expression: ")
+    # an integer literal longer than int-from-str conversion reads
+    payload = json.loads(fixture_file("toda_first").read_text())
+    payload["family"][0]["expression"] = "9" * 5000 + "*a1"
+    path = spec_on_disk(payload)
+    assert run("check", path) == (
+        2, f"error: {path}.family[0].expression: integer literal of 5000 "
+        "digits exceeds 4300 (at position 0)")
 
 
 def test_partition_degree_error_is_reported_by_check(spec_on_disk):

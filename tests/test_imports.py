@@ -381,12 +381,13 @@ def _loops(source: str, function: str, kinds=(ast.For, ast.While)) -> list:
 
 
 def test_certify_takes_no_bracket_table_and_no_chain_check():
-    # certify reads each involution entry and each link off the fields
-    # Pi0#df and Pi1#df it takes once per family function; the public
-    # checks stay as API and as the tests' oracles
+    # certify reads each Casimir residual, involution entry and link off
+    # the fields Pi0#df and Pi1#df it takes once per family function; the
+    # public checks stay as API and as the tests' oracles
     source = (PACKAGE / "verify.py").read_text(encoding="utf-8")
     assert _function_calls(source, "certify") & {
-        "involution_table", "lenard_magri_check"} == set()
+        "involution_table", "lenard_magri_check", "casimir_check",
+        "hamiltonian_vf"} == set()
 
 
 def test_sharp_extend_takes_no_wedge():

@@ -11,6 +11,7 @@ from involution_forge import (
     CasimirPolynomial,
     ConditionFailed,
     Form,
+    FunctionFamily,
     Pencil,
     Polynomial,
     RankDrop,
@@ -384,10 +385,14 @@ def test_ansatz_rejects_unknown_assignment(lagrange):
 
 
 def test_closed_form_needs_rank_at_least_two(lagrange):
+    # a fifth function on the 6-dimensional patch makes r = 1, k = 4
     _, elab, pencil = lagrange
-    stub = Pencil(pencil.anchor, pencil.family, pencil.partition,
+    family = FunctionFamily(pencil.table,
+                            [*pencil.family.entries.items(), ("c", "x1")])
+    assert family.r == 1
+    stub = Pencil(pencil.anchor, family, pencil.partition,
                   pencil.Pi0, pencil.Pi1, pencil.sigma_lambda,
-                  pencil.g_lambda, pencil.F_lambda, pencil.F_functions, r=1)
+                  pencil.g_lambda, pencil.F_lambda, pencil.F_functions)
     with pytest.raises(RankTooSmall):
         closed_form_interior(stub)
     with pytest.raises(RankTooSmall):

@@ -7,8 +7,11 @@ import json
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from involution_forge import (
+    CasimirPolynomial,
     Form,
     FunctionFamily,
     MultiVector,
@@ -22,6 +25,7 @@ from involution_forge import (
     assemble_pencil,
     build_family,
     casimir_check,
+    casimir_function,
     certify,
     compatibility_check,
     differential,
@@ -42,7 +46,8 @@ from involution_forge.linalg import RANK_DRAWS, sampled_rank
 from involution_forge.cli import assemble, build_table, elaborate, run
 from involution_forge.fixtures import FIXTURE_NAMES, fixture_file, load_fixture
 from helpers import (coordinate_jacobiator, load_spec,
-                     oracle_bracket_closed_form, random_multivector)
+                     oracle_bracket_closed_form, random_multivector,
+                     random_polynomial)
 
 
 @pytest.fixture(scope="module")
@@ -280,27 +285,61 @@ def test_pencil_jacobi_is_bilinear_in_the_three_brackets(lagrange,
     assert nonzero >= 10
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 3))
+def test_casimir_residual_is_the_horner_sum_of_the_chain_fields(seed,
+                                                                length):
+    # with lambda inert, Pi_lambda#dF = sum_j lambda^(r-j) (X1[f_j] -
+    # lambda X0[f_j]) for F = lambda^r f_0 + ... + f_r, the sum certify
+    # reads each casimir[F^i] off; a 1-entry chain too, which no shipped
+    # spec has.  Four functions on four coordinates fit r = 0, k = 4.
+    rng = Random(seed)
+    table = VarTable.build(["x1", "x2", "x3", "x4",
+                            ("lambda", VarKind.PENCIL)])
+    lam = RationalFunction.variable(table, "lambda")
+    Pi0 = random_multivector(table, 2, rng)
+    Pi1 = random_multivector(table, 2, rng)
+    family = FunctionFamily(table, [
+        (f"f{j}", random_polynomial(table, rng)) for j in range(4)])
+    chain = family.names[:length]
+    X0, X1 = ({f: hamiltonian_vf(Pi, family.entry(f)) for f in chain}
+              for Pi in (Pi0, Pi1))
+    horner = X1[chain[0]] - X0[chain[0]] * lam
+    for f in chain[1:]:
+        horner = horner * lam + (X1[f] - X0[f] * lam)
+    F = casimir_function(family, CasimirPolynomial(chain))
+    assert horner.comps == hamiltonian_vf(Pi1 - Pi0 * lam, F).comps
+
+
 @pytest.mark.parametrize("which", ["Pi1", "Pi0"])
-def test_certify_failure_witnesses_match_the_direct_checks(lagrange, which):
-    # jacobi[pencil] comes from the three brackets by bilinearity; on a
-    # broken Pi1 (or Pi0) its witness is the one the direct bracket gives.
-    # The bump y1*Dx1^Dx3 makes that witness mix the lambda-free and the
-    # lambda terms, so a wrong sign or a dropped bracket shows.
-    _, _, pencil = lagrange
-    table = pencil.table
-    broken = copy.copy(pencil)
-    setattr(broken, which, getattr(pencil, which) + MultiVector(
-        table, 2, {(0, 2): parse_ratfun("y1", table)}))
-    verdicts = {v.label: v for v in certify(broken, seed=0).verdicts}
-    direct = [
-        jacobi_check(broken.pi_lambda(), "jacobi[pencil]"),
-        compatibility_check(broken.Pi0, broken.Pi1,
-                            "compatibility[Pi0,Pi1]"),
-    ]
-    assert "lambda" in direct[0].witness.render()
-    for verdict in direct:
-        assert not verdict.passed
-        assert verdicts[verdict.label].render() == verdict.render()
+def test_certify_failure_witnesses_match_the_direct_checks(lagrange,
+                                                            toda_pair, which):
+    # jacobi[pencil] comes from the three brackets by bilinearity, and each
+    # casimir[F^i] is the Horner sum over its chain of Pi1#df - lambda
+    # Pi0#df; on a broken Pi1 (or Pi0) their witnesses are the ones the
+    # direct bracket and Pi_lambda#dF^i give.  The bump x4*Dx1^Dx3 (y1 on
+    # the Lagrange top, b2 on toda_first with its 3-entry chain) makes the
+    # jacobi witness mix the lambda-free and the lambda terms, so a wrong
+    # sign or a dropped bracket shows.
+    (_, _, lagrange_pencil), ((_, toda_pencil), _) = lagrange, toda_pair
+    for pencil in (lagrange_pencil, toda_pencil):
+        table = pencil.table
+        broken = copy.copy(pencil)
+        setattr(broken, which, getattr(pencil, which) + MultiVector(
+            table, 2, {(0, 2): parse_ratfun(table.names[3], table)}))
+        verdicts = {v.label: v for v in certify(broken, seed=0).verdicts}
+        direct = [
+            jacobi_check(broken.pi_lambda(), "jacobi[pencil]"),
+            compatibility_check(broken.Pi0, broken.Pi1,
+                                "compatibility[Pi0,Pi1]"),
+        ] + [
+            casimir_check(broken.pi_lambda(), F, f"casimir[F^{i}]")
+            for i, F in enumerate(broken.F_functions, start=1)
+        ]
+        assert "lambda" in direct[0].witness.render()
+        for verdict in direct:
+            assert not verdict.passed
+            assert verdicts[verdict.label].render() == verdict.render()
 
 
 def test_lambda_left_in_a_closed_form_denominator_is_a_failed_verdict(
@@ -314,7 +353,7 @@ def test_lambda_left_in_a_closed_form_denominator_is_a_failed_verdict(
     stub = Pencil(pencil.anchor, pencil.family, pencil.partition,
                   pencil.Pi0, pencil.Pi1, pencil.sigma_lambda,
                   pencil.g_lambda, pencil.F_lambda * (lam + 1),
-                  pencil.F_functions, pencil.r)
+                  pencil.F_functions)
     verdicts = {v.label: v for v in certify(stub, seed=0).verdicts}
     closed = verdicts["closed-form[coordinates]"]
     assert not closed.passed
@@ -370,12 +409,13 @@ EVALUATED_DRAWS = {"lagrange_top": 3 * RANK_DRAWS, "toda_first": 3,
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_certify_takes_each_bracket_once(name, monkeypatch):
     # three Schouten brackets, two Hamiltonian fields per family function
-    # for the involution table and the links, Poisson brackets only for the
-    # upper triangle of the det[F^2] matrix, and one elimination per
-    # evaluated draw besides the one of the Casimir Jacobian
+    # for the Casimir residuals, the involution table and the links, none
+    # through hamiltonian_vf, Poisson brackets only for the upper triangle
+    # of the det[F^2] matrix, and one elimination per evaluated draw
+    # besides the one of the Casimir Jacobian
     _, pencil = assemble(load_fixture(name).spec)
     calls = {"schouten": 0, "poisson_bracket": 0, "bivector_sharp": 0,
-             "_rank": 0}
+             "hamiltonian_vf": 0, "_rank": 0}
 
     def counting(module, attr):
         real = getattr(module, attr)
@@ -385,7 +425,8 @@ def test_certify_takes_each_bracket_once(name, monkeypatch):
             return real(*args)
         monkeypatch.setattr(module, attr, wrapped)
 
-    for attr in ("schouten", "poisson_bracket", "bivector_sharp"):
+    for attr in ("schouten", "poisson_bracket", "bivector_sharp",
+                 "hamiltonian_vf"):
         counting(verify_module, attr)
     counting(linalg_module, "_rank")
     certify(pencil, seed=0)
@@ -397,6 +438,7 @@ def test_certify_takes_each_bracket_once(name, monkeypatch):
         "schouten": 3,
         "poisson_bracket": m * (m - 1) // 2,
         "bivector_sharp": 2 * k,
+        "hamiltonian_vf": 0,
         "_rank": EVALUATED_DRAWS[name] + 1,
     }
 
@@ -601,11 +643,11 @@ def test_report_is_invariant_under_a_permutation_of_the_coordinates(
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_involution_and_links_match_the_public_checks(name):
-    # certify pairs the fields Pi0#df and Pi1#df it takes once per family
-    # function; involution_table and lenard_magri_check take brackets and
-    # fields of their own.  Both must give the same labels, flags and
-    # witnesses, on the pencil and on one whose last chain function is
-    # perturbed so that a link and an involution entry fail
+    # certify reads these off the fields Pi0#df and Pi1#df it takes once
+    # per family function; involution_table and lenard_magri_check take
+    # brackets and fields of their own.  Both must give the same labels,
+    # flags and witnesses, on the pencil and on one whose last chain
+    # function is perturbed so that a link and an involution entry fail
     _, pencil = assemble(load_fixture(name).spec)
     table, family = pencil.table, pencil.family
     chain = next(cp.names for cp in pencil.partition if len(cp.names) > 1)
@@ -616,7 +658,7 @@ def test_involution_and_links_match_the_public_checks(name):
     for fam in (family, bent):
         stub = Pencil(pencil.anchor, fam, pencil.partition, pencil.Pi0,
                       pencil.Pi1, pencil.sigma_lambda, pencil.g_lambda,
-                      pencil.F_lambda, pencil.F_functions, pencil.r)
+                      pencil.F_lambda, pencil.F_functions)
         got = {v.label: v for v in certify(stub, seed=0).verdicts}
         entries = involution_table(stub.pi_lambda(), fam)
         failing = [

@@ -17,9 +17,9 @@ not re-check them; the tests do.  Volumes are divided powers,
 omega^n/n! and vartheta^Theta^n/n!.
 
 The codifferential delta = *d* is computed as the Koszul bracket
-[i_Lambda, d], expanded so that each component is differentiated once.
-It needs no Hodge star; the tests keep the star and the two-differential
-form (-1)^p (i_Lambda da - d i_Lambda a) as independent oracles for it.
+(-1)^p [i_Lambda, d] of the package's own interior product and exterior
+derivative.  It needs no Hodge star; the tests keep the star as the
+independent oracle for it.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .exterior import (
     MultiVector,
     differential,
     divided_power,
+    exterior_derivative,
     interior,
     pairing,
     wedge,
@@ -269,51 +270,14 @@ def sharp(anchor, a: Form) -> MultiVector:
 def codifferential(anchor: SymplecticAnchor, a: Form) -> Form:
     """delta = *d*, degree p-1 (zero on functions), as the Koszul bracket
     (-1)^p (i_Lambda da - d i_Lambda a) (Koszul 1985; Brylinski 1988,
-    J. Diff. Geom. 28) with the commutator [i_Lambda, d] expanded:
-
-        delta(a) = (-1)^p [ sum_{i != j} Lambda^{ji} i_{d/dx_i} d_j a
-                            - sum_k dx_k ^ i_{d_k Lambda} a ],
-
-    d_j the componentwise partial derivative, i_{d/dx_i} e_I =
-    (-1)^(position of i in I) e_{I-i}.  Each d_j a_I is taken once, for
-    the partners j of the indices of I, and each component of the first
-    sum is one sum of products.  The second sum vanishes for p = 1 and
-    for a constant Lambda, as on every shipped anchor."""
+    J. Diff. Geom. 28); d i_Lambda a vanishes for p = 1."""
     p = a.degree
-    table = a.table
     if p == 0:
-        return Form.zero(table, 0)
-    lam = anchor.lambda_bi
-    sign = -1 if p % 2 else 1
-    # partners[i]: (j, Lambda^{ji}) for each j that Lambda pairs with i
-    partners: dict = {}
-    for (i, j), w in lam.comps.items():
-        partners.setdefault(i, []).append((j, -w))
-        partners.setdefault(j, []).append((i, w))
-    products: dict = {}
-    for idx, c in a.comps.items():
-        derivatives: dict = {}
-        for pos, i in enumerate(idx):
-            terms = products.setdefault(idx[:pos] + idx[pos + 1:], [])
-            for j, w in partners.get(i, ()):
-                dc = derivatives.get(j)
-                if dc is None:
-                    dc = derivatives[j] = c.derivative(j)
-                if dc:
-                    terms.append((-sign if pos & 1 else sign, w, dc))
-    out = Form(table, p - 1, {
-        idx: sum_of_products(table, terms) for idx, terms in products.items()
-    })
-    if p == 1:
-        return out
-    for k in table.geometric_indices:
-        dlam = {J: w.derivative(k) for J, w in lam.comps.items()
-                if w.involves(k)}
-        if dlam:
-            twist = wedge(Form(table, 1, {(k,): 1}),
-                          interior(MultiVector(table, 2, dlam), a))
-            out = out - twist * sign
-    return out
+        return Form.zero(a.table, 0)
+    out = interior(anchor.lambda_bi, exterior_derivative(a))
+    if p > 1:
+        out = out - exterior_derivative(interior(anchor.lambda_bi, a))
+    return -out if p % 2 else out
 
 
 # --- odd/even traffic --------------------------------------------------------

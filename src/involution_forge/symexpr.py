@@ -1451,16 +1451,21 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         return self.advance()
 
-    def spend(self, bound: int, pos: int):
+    def spend(self, bound: int, pos: int, words: int = 1):
         """Take the term bound of one power, product or quotient from the
         expression's budget before expanding it.  A bound of 1 is one term
         times one term, which expands nothing: it takes nothing, so a long
-        sum of monomials is not refused for its length."""
-        if bound == 1:
+        sum of monomials is not refused for its length.  A term whose
+        coefficient may be ``words`` times longer than the longest literal
+        counts words^2 times, about the cost of multiplying two of them."""
+        bound *= words * words
+        if bound <= 1:
             return
         if bound > self.budget:
-            total = f"{bound} terms" if bound > MAX_TERMS else (
-                f"{MAX_TERMS - self.budget + bound} terms in all")
+            unit = "terms" if words == 1 else (
+                f"terms of {sys.int_info.default_max_str_digits} digits")
+            total = f"{bound} {unit}" if bound > MAX_TERMS else (
+                f"{MAX_TERMS - self.budget + bound} {unit} in all")
             raise ParseError(
                 f"may expand to {total}, more than {MAX_TERMS}", pos)
         self.budget -= bound
@@ -1544,8 +1549,15 @@ class _Parser:
                 )
             self.advance()
             _check_degree(value * _degree(base), caret)
+            # p^n has coefficients of at most n times the bits of p's
+            # largest plus those of its term count; in words of the longest
+            # default literal (10/3 bits a digit), nested powers stay bounded
+            bits = max(max([p.den, *map(abs, p.terms.values())]).bit_length()
+                       + (len(p.terms) - 1).bit_length() for p in _parts(base))
+            words = -(-value * bits * 3
+                      // (10 * sys.int_info.default_max_str_digits))
             self.spend(max(comb(value + t - 1, t - 1)
-                           for t in _sizes(base) if t), caret)
+                           for t in _sizes(base) if t), caret, words)
             base = base**value
         return base
 

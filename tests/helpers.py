@@ -142,22 +142,10 @@ def coordinate_jacobiator(Pi: MultiVector, i: int, j: int, k: int
 
 def star(anchor, a: Form) -> Form:
     """Hodge star *a = interior(sharp(a), Omega) on a symplectic anchor;
-    the engine computes the codifferential *d* without it, so it serves
-    here as an independent oracle."""
+    the engine computes the codifferential as the Koszul bracket
+    [i_Lambda, d] without it, so *d* serves here as an independent oracle
+    wherever d omega = 0."""
     return interior(sharp(anchor, a), anchor.volume)
-
-
-def koszul_codifferential(anchor, a: Form) -> Form:
-    """delta(a) = (-1)^p (i_Lambda da - d i_Lambda a), the Koszul bracket
-    as two differentials and two contractions with the whole bivector:
-    the oracle for ``codifferential``, which differentiates once."""
-    if a.degree == 0:
-        return Form.zero(a.table, 0)
-    lam = anchor.lambda_bi
-    out = interior(lam, exterior_derivative(a))
-    if a.degree > 1:
-        out = out - exterior_derivative(interior(lam, a))
-    return -out if a.degree % 2 else out
 
 
 def mat_mul(a: list, b: list) -> list:

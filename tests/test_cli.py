@@ -17,6 +17,7 @@ import involution_forge
 from involution_forge.cli import COMMANDS, main, parse_spec, run
 from involution_forge.errors import SpecError
 from involution_forge.fixtures import FIXTURE_NAMES, fixture_file
+from involution_forge.symexpr import MAX_EXPONENT, MAX_NESTING
 from helpers import BENCHMARKS, load_benchmark
 
 
@@ -172,6 +173,13 @@ def test_checks_filtering(spec_on_disk):
     assert verdicts
     for line in verdicts:
         assert "jacobi[" in line or "rank[" in line
+    # the full format keeps the ranks block and lists the same verdicts
+    code, text = run("report", path, format="full")
+    assert code == 0
+    lines = [l.strip() for l in text.strip().splitlines()]
+    assert "checks = jacobi, rank" in lines
+    assert "ranks:" in lines and "rank[Pi0] = 4" in lines
+    assert [l for l in lines if l.startswith(("PASS", "FAIL"))] == verdicts
 
 
 def test_main_entry_point(lagrange_path, capsys):
@@ -474,6 +482,33 @@ def test_check_applies_specialize_like_solve_ansatz(spec_on_disk):
         assert run("check", path) == expected
 
 
+def _l3_in_family(payload):
+    payload["family"][0]["expression"] += " + l3"
+
+
+def _l3_in_sigma0(payload):
+    payload["sigma0"]["basis"][0][0]["coeff"] = "x2*l3"
+
+
+@pytest.mark.parametrize("edit, at", [
+    (_l3_in_family, "family[0].expression"),
+    (_l3_in_sigma0, "sigma0.basis[0][0].coeff"),
+])
+def test_check_refuses_an_ansatz_constant_outside_the_ansatz(spec_on_disk,
+                                                             edit, at):
+    # check elaborates twice on purpose: the plain elaboration, the one
+    # pencil and report take, knows no ansatz constant and refuses l3 in a
+    # top-level block; solve-ansatz elaborates only the ansatz, where l3 is
+    # a constant, so it does not refuse the spec
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    edit(payload)
+    path = spec_on_disk(payload)
+    expected = (2, f"error: {path}.{at}: unknown variable 'l3'")
+    for command in ("check", "pencil", "report"):
+        assert run(command, path) == expected, command
+    assert run("solve-ansatz", path)[0] != 2
+
+
 def test_specialize_value_that_makes_a_pole_is_a_spec_error(spec_on_disk):
     # the solved ansatz divides by m3, so m3 = 0 puts a pole in it: a bad
     # value at the block, for check as for solve-ansatz
@@ -621,6 +656,30 @@ def test_expansion_above_the_term_bound_exits_two(spec_on_disk, expression,
         f"terms, more than 100000 (at position {position})\n")
 
 
+def test_nested_powers_of_a_constant_exit_two(spec_on_disk):
+    # 36 characters whose last power has about 10^10 bits: the length of a
+    # coefficient counts in the term budget, so the fourth power is refused
+    # before it is computed.  A separate process with 1 GiB of address
+    # space, as above, so that a bound that stops working fails the test
+    # instead of exhausting memory
+    expression = "x1 + ((((2^100)^100)^100)^100)^100"
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["family"][1]["expression"] = expression
+    path = spec_on_disk(payload)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(involution_forge.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "involution_forge", "check", path],
+        env=env, capture_output=True, text=True, timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (2**30, 2**30)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == (
+        f"error: {path}.family[1].expression: may expand to {6977**2} "
+        f"terms of 4300 digits, more than 100000 (at position 25)\n")
+
+
 def test_powers_of_one_expression_share_the_term_budget(spec_on_disk):
     # each power has C(22, 6) = 74 613 terms, under the bound alone; the
     # second one takes the expression past it.  Before the bounds shared
@@ -766,6 +825,83 @@ def test_mutated_spec_never_ends_in_a_traceback(tmp_path_factory, data):
     path.write_text(json.dumps(payload))
     code, text = run(command, str(path), pair=pair)
     assert code in (0, 1, 2), text
+
+
+# the grammar's atoms on toda_first: its coordinates, the pencil parameter
+# (a family entry may not involve it), an undeclared name, zero, and
+# literals at and one digit past CPython's int/str limit
+_LIMIT = sys.get_int_max_str_digits()
+_ATOMS = st.one_of(
+    st.sampled_from(["a1", "a2", "b1", "b2", "b3", "lambda", "zz", "0",
+                     "(a1 + a2 + b1 + b2 + b3 + 1)"]),
+    st.integers(1, 10**6).map(str),
+    st.sampled_from(["7" * _LIMIT, "7" * (_LIMIT + 1)]),
+)
+_EXPONENTS = st.sampled_from(
+    [0, 1, 2, 3, 50, MAX_EXPONENT, MAX_EXPONENT + 1, 10**30]).map(str)
+_DEPTHS = st.sampled_from(
+    [1, 2, MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1, 10 * MAX_NESTING])
+_STRAY = list("+-*/^()") + ["**", ")(", "()", " ", "@", "#", ".", ",", "=",
+                           "[", "\\", "é", "²", "\t", "\n"]
+
+
+def _tower(base, exponents):
+    return "(" * len(exponents) + base + "".join(
+        f")^{n}" for n in exponents)
+
+
+def _towers(inner):
+    return st.builds(_tower, inner,
+                     st.lists(_EXPONENTS, min_size=1, max_size=5))
+
+
+def _grow(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map("".join),
+        _towers(inner),
+        st.builds(lambda e, n: "(" * n + e + ")" * n, inner, _DEPTHS),
+        inner.map(lambda e: f"-({e})"),
+        st.lists(inner, min_size=2, max_size=40).map("/".join),
+        inner.map(lambda e: f"{e}/0"),
+    )
+
+
+def _monomial_sum(count):
+    # distinct monomials, each term of degree at most 9 + 9 + 19
+    return " + ".join(f"{k + 1}*a1^{k % 10}*b1^{k // 10 % 10}*b3^{k // 100}"
+                      for k in range(count))
+
+
+def _stray(text, pos, junk):
+    pos %= len(text) + 1
+    return text[:pos] + junk + text[pos:]
+
+
+_TREES = st.recursive(_ATOMS, _grow, max_leaves=6)
+_EXPRESSIONS = st.one_of(
+    _TREES, _towers(_TREES), st.integers(1, 2000).map(_monomial_sum),
+).flatmap(lambda text: st.one_of(
+    st.just(text),
+    st.builds(_stray, st.just(text), st.integers(0, 10**6),
+              st.sampled_from(_STRAY)),
+))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(expression=_EXPRESSIONS)
+def test_generated_expression_never_ends_in_a_traceback(tmp_path_factory,
+                                                        expression):
+    # the expression grammar itself, through the command line: nesting and
+    # exponents up to and past their bounds, chained and zero divisors,
+    # long sums, stray characters and over-long literals in a family entry
+    payload = json.loads(fixture_file("toda_first").read_text())
+    payload["family"][0]["expression"] = expression
+    path = tmp_path_factory.mktemp("grammar") / "spec.json"
+    path.write_text(json.dumps(payload))
+    code, text = run("check", str(path))
+    assert code in (0, 1, 2), text
+    assert text.startswith("error: " if code else "check:"), text
 
 
 def test_cli_imports_only_the_standard_library():

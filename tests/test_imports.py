@@ -4,8 +4,8 @@ every public one is used there or exported at the root, ``__all__``
 lists exactly the public names the package root binds, no
 ``RationalFunction`` method, sum of products or exterior-algebra code
 calls the gcd or the exact division itself, the exact division has one
-caller besides ``poly_exact_div``, the codifferential differentiates
-neither the whole form nor its contraction with the whole bivector, no
+caller besides ``poly_exact_div``, the codifferential composes the
+interior product and the exterior derivative with no loop of its own, no
 verdict outside ``report`` decides an exact residual by hand, no code
 outside ``anchor`` writes a Hamiltonian field out, no module but
 ``anchor`` names the codifferential, ``certify`` calls neither the
@@ -214,46 +214,6 @@ def test_rational_functions_cancel_only_through_one_helper():
     assert _calls_to(tree, dividers | {"_cancel"}) == []
 
 
-def _second_differentiations(tree) -> list:
-    """Line of each call inside ``tree`` that differentiates a whole form
-    (``exterior_derivative``, ``differential``) or contracts the whole
-    bivector (``interior`` of ``lam`` or of an attribute ``lambda_bi``):
-    the two halves of the Koszul bracket i_Lambda d - d i_Lambda."""
-    found = []
-    for call in ast.walk(tree):
-        if not isinstance(call, ast.Call):
-            continue
-        callee = _callee(call)
-        if callee in ("exterior_derivative", "differential"):
-            found.append(call.lineno)
-        elif callee == "interior" and call.args:
-            first = call.args[0]
-            if (isinstance(first, ast.Name) and first.id == "lam"
-                    or isinstance(first, ast.Attribute)
-                    and first.attr == "lambda_bi"):
-                found.append(call.lineno)
-    return sorted(found)
-
-
-def test_codifferential_differentiates_each_component_once():
-    # delta = [i_Lambda, d] expanded: one partial derivative per component
-    # and partner, not d of the form and d of its contraction
-    source = (PACKAGE / "anchor.py").read_text(encoding="utf-8")
-    [node] = [node for node in ast.parse(source).body
-              if isinstance(node, ast.FunctionDef)
-              and node.name == "codifferential"]
-    assert _second_differentiations(node) == []
-
-
-def test_second_differentiation_is_reported():
-    source = ("interior(lam, exterior_derivative(a))\n"
-              "exterior.differential(f)\n"
-              "interior(anchor.lambda_bi, a)\n"
-              "interior(MultiVector(table, 2, dlam), a)\n"
-              "c.derivative(j)\n")
-    assert _second_differentiations(ast.parse(source)) == [1, 1, 2, 3]
-
-
 def _modules_naming(sources: dict, name: str, home: str) -> list:
     """Modules besides ``home`` and the root ``__init__`` (whose imports
     are re-exports) whose code mentions ``name``."""
@@ -418,6 +378,16 @@ def test_bivector_sharp_is_the_degree_one_sharp_extend():
     source = (PACKAGE / "anchor.py").read_text(encoding="utf-8")
     assert "_sharp_extend" in _function_calls(source, "bivector_sharp")
     assert _loops(source, "bivector_sharp", ANY_LOOP) == []
+
+
+def test_codifferential_composes_interior_and_exterior_derivative():
+    # delta = (-1)^p (i_Lambda d - d i_Lambda) in its defining form: the
+    # package's own contraction and derivative, with no loop of its own
+    # over the components
+    source = (PACKAGE / "anchor.py").read_text(encoding="utf-8")
+    calls = _function_calls(source, "codifferential")
+    assert {"interior", "exterior_derivative"} <= calls
+    assert _loops(source, "codifferential", ANY_LOOP) == []
 
 
 def test_every_closed_form_bracket_is_read_off_one_bivector():

@@ -278,6 +278,30 @@ def test_term_bound_is_checked_before_expanding(table, monkeypatch):
         assert parse_ratfun(text, table) == expected
 
 
+def test_long_coefficients_count_in_the_term_budget(table):
+    # a power multiplies the bits of its base's coefficients by up to the
+    # exponent, so nested powers of a constant grow them exponentially.  A
+    # term whose coefficient may be w times longer than the longest default
+    # literal (4300 digits) counts w^2 times, so the fourth power of 2 below
+    # is refused before it is computed: it has 10^8 bits, and the fifth
+    # would take more than a gigabyte
+    constant = RationalFunction.constant
+    assert parse_ratfun("((2^100)^100)^100", table) == constant(table,
+                                                                2**10**6)
+    long = "7" * 4300
+    assert parse_ratfun(f"({long})^100", table) == constant(table,
+                                                            int(long)**100)
+    for text, cost, position in (
+            ("(((2^100)^100)^100)^100", 6977**2, 19),
+            ("((((2^100)^100)^100)^100)^100", 6977**2, 20),
+            (f"(x1 + x2 + {long})^100", comb(102, 2) * 100**2, 4312)):
+        with pytest.raises(ParseError) as raised:
+            parse_ratfun(text, table)
+        assert str(raised.value) == (
+            f"may expand to {cost} terms of 4300 digits, more than 100000 "
+            f"(at position {position})")
+
+
 def test_degree_budget_is_checked_before_computing(table):
     # the true degrees of the operands count, not the exponents written
     assert parse_ratfun("(x1^100*x2^99)/x3", table) == parse_ratfun(

@@ -27,7 +27,14 @@ from .anchor import (
     poisson_bracket,
 )
 from .errors import ForgeError, PoleAtPoint, RankTooSmall, SpecError
-from .exterior import Form, MultiVector, exterior_derivative, from_records, wedge
+from .exterior import (
+    Form,
+    MultiVector,
+    exterior_derivative,
+    from_records,
+    record_indices,
+    wedge,
+)
 from .pencil import (
     CasimirPolynomial,
     SigmaPair,
@@ -338,13 +345,6 @@ def parse_spec(payload, path: str = "spec") -> SpecFile:
             "at least one manifold variable is required",
             f"{path}.variables",
         )
-
-    used = [name for chain in spec.partition for name in chain]
-    if sorted(used) != sorted(name for name, _ in spec.family):
-        raise SpecError(
-            "partition must use every family name exactly once",
-            f"{path}.partition",
-        )
     return spec
 
 
@@ -366,27 +366,18 @@ def load_payload(spec_path: str) -> dict:
 
 
 def _records_form(table: VarTable, degree: int, records, path: str,
-                  kind=Form):
-    width = table.dim
+                  kind=Form, indices_at=".indices"):
+    """The form (or multivector) of some records, each record's index
+    error reported at ``<path>[pos]`` followed by ``indices_at``."""
     parsed = []
     for pos, rec in enumerate(records):
-        idx = rec["indices"]
         where = f"{path}[{pos}]"
-        if len(idx) != degree:
-            raise SpecError(
-                f"expected {degree} indices, got {len(idx)}",
-                f"{where}.indices",
-            )
-        if any(i > width for i in idx):
-            raise SpecError(
-                f"indices must lie in 1..{width}", f"{where}.indices"
-            )
-        if idx != sorted(set(idx)):
-            raise SpecError(
-                "indices must be strictly increasing", f"{where}.indices"
-            )
+        try:
+            record_indices(table, degree, rec["indices"])
+        except ForgeError as exc:
+            raise SpecError(str(exc), f"{where}{indices_at}") from exc
         parsed.append({
-            "indices": idx,
+            "indices": rec["indices"],
             "coeff": _parse_coeff(table, rec["coeff"], f"{where}.coeff"),
         })
     return from_records(table, degree, parsed, kind=kind)
@@ -441,14 +432,14 @@ def build_anchor(spec: SpecFile, table: VarTable):
         _require_closed(theta, "Theta", f"{at}.theta")
         return build_cosymplectic(vartheta, theta)
     if data["type"] == "canonical":
-        records = [
-            {"indices": list(pair), "coeff": "1"} for pair in data["pairs"]
-        ]
-        path = f"{at}.pairs"
+        # a pair is its own indices node
+        records = [{"indices": pair, "coeff": "1"} for pair in data["pairs"]]
+        path, indices_at = f"{at}.pairs", ""
     else:
         records = data["bivector"]
-        path = f"{at}.bivector"
-    lambda_bi = _records_form(table, 2, records, path, kind=MultiVector)
+        path, indices_at = f"{at}.bivector", ".indices"
+    lambda_bi = _records_form(table, 2, records, path, kind=MultiVector,
+                              indices_at=indices_at)
     anchor = build_symplectic(lambda_bi)
     _require_closed(anchor.omega, "omega", path)
     return anchor

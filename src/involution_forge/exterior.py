@@ -214,17 +214,25 @@ class MultiVector(_Alternating):
         return f"D{self.table.names[i]}"
 
 
-def from_records(table: VarTable, degree: int, records, kind=Form):
-    """Inverse of ``to_records`` (1-based geometric indices); a coefficient
-    is anything ``as_ratfun`` takes."""
+def record_indices(table: VarTable, degree: int, indices) -> tuple:
+    """The table indices of one record's 1-based geometric ``indices``:
+    ``degree`` of them, in range and strictly increasing."""
     geo = table.geometric_indices
+    if len(indices) != degree:
+        raise DegreeError(f"expected {degree} indices, got {len(indices)}")
+    if any(not 1 <= i <= len(geo) for i in indices):
+        raise DimensionMismatch(f"indices must lie in 1..{len(geo)}")
+    if any(a >= b for a, b in zip(indices, indices[1:])):
+        raise DegreeError("indices must be strictly increasing")
+    return tuple(geo[i - 1] for i in indices)
+
+
+def from_records(table: VarTable, degree: int, records, kind=Form):
+    """Inverse of ``to_records`` (indices as ``record_indices`` takes
+    them); a coefficient is anything ``as_ratfun`` takes."""
     comps: dict = {}
     for rec in records:
-        indices = rec["indices"]
-        if any(not 1 <= i <= len(geo) for i in indices):
-            raise DimensionMismatch(
-                f"indices {indices} must lie in 1..{len(geo)}")
-        idx = tuple(geo[i - 1] for i in indices)
+        idx = record_indices(table, degree, rec["indices"])
         coeff = as_ratfun(table, rec["coeff"])
         prev = comps.get(idx)
         comps[idx] = coeff if prev is None else prev + coeff

@@ -157,7 +157,8 @@ class CasimirPolynomial(Frozen):
 
 
 def check_partition(family: FunctionFamily, partition) -> None:
-    """Every entry used exactly once; Sum r_i = r; k polynomials."""
+    """Every entry used exactly once and Sum r_i = r.  Together they make
+    k polynomials: the r+k entries in c chains have Sum r_i = r+k-c."""
     used = []
     for cp in partition:
         used.extend(cp.names)
@@ -170,11 +171,6 @@ def check_partition(family: FunctionFamily, partition) -> None:
     if total != family.r:
         raise SpecError(
             f"partition degrees sum to {total}, expected r = {family.r}"
-        )
-    if len(partition) != family.k:
-        raise SpecError(
-            f"partition has {len(partition)} polynomials, expected "
-            f"k = {family.k}"
         )
 
 

@@ -17,6 +17,7 @@ import involution_forge
 from involution_forge.cli import COMMANDS, main, parse_spec, run
 from involution_forge.errors import SpecError
 from involution_forge.fixtures import FIXTURE_NAMES, fixture_file
+from involution_forge.pencil import unknown_name
 from involution_forge.symexpr import MAX_EXPONENT, MAX_NESTING
 from helpers import BENCHMARKS, load_benchmark
 
@@ -226,6 +227,17 @@ def test_ansatz_unknown_names_are_reserved(spec_on_disk):
     assert code == 2
     assert f"sigma1.ansatz.constants[{len(constants) - 1}]" in text
     assert "reserved" in text
+    # past nine covectors the two basis positions are split by "_"
+    assert unknown_name(1, 10) == "k1_10"
+    for name in ("k1_10", "k9_10"):
+        payload = json.loads(fixture_file("lagrange_top").read_text())
+        payload["sigma1"]["ansatz"]["basis"].extend(
+            [{"indices": [1], "coeff": "1"}] for _ in range(6))
+        payload["variables"].append({"name": name, "kind": "constant"})
+        path = spec_on_disk(payload)
+        assert run("check", path) == (
+            2, f"error: {path}.variables[7]: variable {name!r} is reserved "
+            "for an ansatz unknown")
 
 
 def test_unknown_specialize_name_exits_two(spec_on_disk):
@@ -780,6 +792,83 @@ def test_malformed_value_exits_two(spec_on_disk, where, value, message):
     path = spec_on_disk(payload)
     for command in ("check", "report"):
         assert run(command, path) == (2, f"error: {path}.{where}: {message}")
+
+
+def _indices(where, indices):
+    return lambda p: _set(p, where, indices)
+
+
+_COMPONENT = ("sigma1", "components", 0, "indices")
+_PAIR = ("anchor", "pairs", 0)
+# solve-ansatz elaborates only the ansatz of sigma1
+_PLAIN = tuple(command for command in COMMANDS if command != "solve-ansatz")
+
+
+# each damage to the Lagrange top spec, the JSON path and message of its
+# exit-2 line, and the commands that print it
+@pytest.mark.parametrize("damage, where, message, commands", [
+    (lambda p: p.update(sigma1={"coefficients": [[1, 2, "1"]]}), "sigma1",
+     "one of 'components', 'basis', 'ansatz' is required", COMMANDS),
+    (lambda p: p["sigma0"].pop("coefficients"), "sigma0",
+     "'coefficients' is required alongside 'basis'", COMMANDS),
+    (lambda p: p["sigma0"]["coefficients"][0].__setitem__(1, 9),
+     "sigma0.coefficients[0]",
+     "basis pair (1, 9) out of range for 4 covectors", COMMANDS),
+    (lambda p: p.update(variables=p["variables"][-1:]), "variables",
+     "at least one manifold variable is required", COMMANDS),
+    (_indices(_COMPONENT, [1, 5, 6]), "sigma1.components[0].indices",
+     "expected 2 indices, got 3", _PLAIN),
+    (_indices(_COMPONENT, [1, 9]), "sigma1.components[0].indices",
+     "indices must lie in 1..6", _PLAIN),
+    (_indices(_COMPONENT, [5, 1]), "sigma1.components[0].indices",
+     "indices must be strictly increasing", _PLAIN),
+    # a canonical pair is its own indices node
+    (_indices(_PAIR, [4, 1]), "anchor.pairs[0]",
+     "indices must be strictly increasing", COMMANDS),
+    (_indices(_PAIR, [1, 9]), "anchor.pairs[0]",
+     "indices must lie in 1..6", COMMANDS),
+    (_indices(_PAIR, [1, 1]), "anchor.pairs[0]",
+     "indices must be strictly increasing", COMMANDS),
+    (lambda p: p.update(partition=[["f1"], ["f2", "f4"]]), "partition",
+     "partition must use every family entry exactly once; got "
+     "['f1', 'f2', 'f4'] for entries ['f1', 'f2', 'f3', 'f4']", COMMANDS),
+])
+def test_spec_error_line_is_exact(spec_on_disk, damage, where, message,
+                                  commands):
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    damage(payload)
+    path = spec_on_disk(payload)
+    for command in commands:
+        assert run(command, path, pair="f1,f3") == (
+            2, f"error: {path}.{where}: {message}")
+
+
+def test_ansatz_only_sigma1_is_checked_but_not_assembled(spec_on_disk):
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["sigma1"] = {"ansatz": payload["sigma1"]["ansatz"]}
+    path = spec_on_disk(payload)
+    code, text = run("check", path)
+    assert code == 0
+    assert "  sigma1 = ansatz only" in text.splitlines()
+    for command in ("pencil", "report", "bracket"):
+        assert run(command, path, pair="f1,f3") == (
+            2, f"error: {path}.sigma1: "
+            "no components and no basis given; only an ansatz")
+
+
+def test_solve_ansatz_without_specialize_prints_the_general_solution(
+        spec_on_disk):
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    del payload["sigma1"]["ansatz"]["specialize"]
+    code, text = run("solve-ansatz", spec_on_disk(payload))
+    assert code == 0
+    assert "  free = k34" in text.splitlines()
+    assert "specialized at" not in text
+
+
+def test_bracket_pair_outside_the_family_exits_two(lagrange_path):
+    assert run("bracket", lagrange_path, pair="f1,zz") == (
+        2, "error: no family entry named 'zz'")
 
 
 # replacement values for the mutation property: wrong types, JSON's

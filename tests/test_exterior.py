@@ -270,6 +270,20 @@ def test_records_outside_the_dimension_raise():
             from_records(table, 1, [{"indices": [index], "coeff": "1"}])
 
 
+@pytest.mark.parametrize("indices, error, message", [
+    ([1, 2, 3], DegreeError, "expected 2 indices, got 3"),
+    ([1, 5], DimensionMismatch, "indices must lie in 1..4"),
+    ([3, 1], DegreeError, "indices must be strictly increasing"),
+    ([2, 2], DegreeError, "indices must be strictly increasing"),
+])
+def test_record_index_errors(table, indices, error, message):
+    # the spec reader prints these messages at the record's JSON path
+    with pytest.raises(error) as raised:
+        from_records(table, 2, [{"indices": [1, 2], "coeff": "1"},
+                                {"indices": indices, "coeff": "1"}])
+    assert str(raised.value) == message
+
+
 def test_operation_results_hold_no_zero_component(table):
     # results are built without the constructor's checks, so they must
     # still drop every component that cancels

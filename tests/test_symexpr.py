@@ -430,6 +430,27 @@ def test_gcd_matches_the_prs_fallback():
         poly_exact_div(b, g)
 
 
+def test_gcd_falls_back_when_the_heuristic_gives_up(monkeypatch):
+    # GCDHEU gives up on no input the engine meets; with no evaluation
+    # point allowed it gives up at once, and poly_gcd must take the
+    # content/PRS path to the same gcd
+    rng = Random(31)
+    table = VarTable.build(["x1", "x2", "x3", "x4"])
+    cases = []
+    for _ in range(200):
+        c = random_polynomial(table, rng).num
+        a, b = (random_polynomial(table, rng).num * c for _ in range(2))
+        cases.append((a, b, poly_gcd(a, b)))
+    calls = []
+    real = symexpr._content_prs_gcd
+    monkeypatch.setattr(symexpr, "HEU_GCD_MAX", 0)
+    monkeypatch.setattr(symexpr, "_content_prs_gcd",
+                        lambda a, b: calls.append(a) or real(a, b))
+    for a, b, g in cases:
+        assert poly_gcd(a, b) == g
+    assert len(calls) >= 100
+
+
 def test_truthiness_matches_fraction(table):
     assert not RationalFunction.zero(table)
     assert RationalFunction.one(table)

@@ -14,9 +14,9 @@ the JSON path).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 
 from .anchor import (
@@ -751,23 +751,107 @@ def run(command: str, spec_path: str, seed: int = 0,
         return 1, f"error: {type(exc).__name__}: {exc}"
 
 
+def _read_argv(argv) -> tuple:
+    """(command, spec, seed, format, pair) read as the argparse parser of
+    earlier versions read them, with its help and its usage errors (exit
+    2): each option as ``--opt value`` or ``--opt=value``, by a unique
+    prefix of its name, anywhere before a ``--``."""
+    usage = """usage: involution-forge [-h] [--seed SEED] [--format {full,summary}]
+                        [--pair PAIR]
+                        {check,pencil,bracket,solve-ansatz,report} spec
+"""
+
+    def fail(message):
+        sys.stderr.write(f"{usage}involution-forge: error: {message}\n")
+        raise SystemExit(2)
+
+    def option(arg):
+        # (name, value given in the same word) of an option, (arg, None) of
+        # an unknown one, None where argparse reads a positional
+        if arg[:1] != "-" or arg == "-":
+            return None
+        if arg[:2] == "--":
+            name, eq, value = arg.partition("=")
+            found = [known for known in ("--help", "--seed", "--format",
+                                         "--pair") if known.startswith(name)]
+            if len(found) > 1:
+                fail(f"ambiguous option: {arg} could match "
+                     f"{', '.join(found)}")
+            if found:
+                return found[0], value if eq else None
+        elif arg[:2] == "-h":
+            # "-h=x" gives -h the value x, and "-hh" is "-h -h"
+            value = arg[3:] if arg[2:3] == "=" else arg[2:] or None
+            return "--help", value.lstrip("h") or None if value else value
+        if re.fullmatch(r"-\d+|-\d*\.\d+|.* .*", arg):
+            return None
+        return arg, None
+
+    # every word is read before any is used, as argparse does; the words
+    # after the first "--" are positionals
+    argv = list(argv)
+    end = argv.index("--") if "--" in argv else len(argv)
+    opts = ([option(arg) for arg in argv[:end]] + [("--", None)]
+            + [None] * (len(argv) - end - 1))
+    values = {"--seed": 0, "--format": "full", "--pair": None}
+    words, extras, pos, word_end = [], [], 0, 0
+    while pos < len(argv):
+        arg, (name, value) = argv[pos], opts[pos] or (None, None)
+        pos += 1
+        if name is None and len(words) < 2:
+            if not words and arg not in COMMANDS:
+                fail(f"argument command: invalid choice: {arg!r} (choose "
+                     f"from {', '.join(map(repr, COMMANDS))})")
+            words.append(arg)
+            word_end = pos
+        elif name == "--help":
+            if value is not None:
+                fail(f"argument -h/--help: ignored explicit argument "
+                     f"{value!r}")
+            sys.stdout.write(f"""{usage}
+build and certify Poisson pencils from a spec file
+
+positional arguments:
+  {{check,pencil,bracket,solve-ansatz,report}}
+  spec                  path to a JSON spec file
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED           seed for every sampled point (default 0)
+  --format {{full,summary}}
+                        report verbosity
+  --pair PAIR           two family names f,h for the bracket command
+""")
+            raise SystemExit(0)
+        elif name in values:
+            if value is None:
+                if pos == len(argv) or opts[pos] is not None:
+                    fail(f"argument {name}: expected one argument")
+                value, pos = argv[pos], pos + 1
+            if name == "--seed":
+                try:
+                    value = int(value)
+                except ValueError:
+                    fail(f"argument --seed: invalid int value: {value!r}")
+            if name == "--format" and value not in ("full", "summary"):
+                fail(f"argument --format: invalid choice: {value!r} "
+                     "(choose from 'full', 'summary')")
+            values[name] = value
+        elif name != "--" or len(words) == 2 and word_end != pos - 1:
+            # argparse drops a "--" only next to the command or the spec
+            extras.append(arg)
+    if len(words) < 2:
+        fail("the following arguments are required: "
+             + ", ".join(("command", "spec")[len(words):]))
+    if extras:
+        fail(f"unrecognized arguments: {' '.join(extras)}")
+    return (*words, *values.values())
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="involution-forge",
-        description="build and certify Poisson pencils from a spec file",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("spec", help="path to a JSON spec file")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for every sampled point (default 0)")
-    parser.add_argument("--format", choices=("full", "summary"),
-                        default="full", dest="fmt",
-                        help="report verbosity")
-    parser.add_argument("--pair", default=None,
-                        help="two family names f,h for the bracket command")
-    args = parser.parse_args(argv)
-    code, text = run(args.command, args.spec, seed=args.seed,
-                     format=args.fmt, pair=args.pair)
+    command, spec, seed, fmt, pair = _read_argv(
+        sys.argv[1:] if argv is None else argv)
+    code, text = run(command, spec, seed=seed, format=fmt, pair=pair)
     try:
         print(text)
         sys.stdout.flush()

@@ -475,26 +475,36 @@ def solve_recursion_ansatz(anchor, sigma0: Form, basis, family: FunctionFamily,
 # --- the pencil ----------------------------------------------------------------
 
 
-class Pencil:
+class Pencil(Frozen):
     """The assembled pair of bivectors with its lambda-data, together with
-    the anchor, family and partition it was assembled for."""
+    the anchor, family and partition it was assembled for.
+
+    ``assemble_pencil`` also records the components of the ``Pi0`` and
+    ``Pi1`` whose brackets [Pi0,Pi0], [Pi1,Pi1] and [Pi0,Pi1] it proved
+    zero, as copies of their ``comps``.  A pencil built through this
+    constructor, a copy included, carries no record, and an edit of
+    ``Pi0.comps`` or ``Pi1.comps`` in place voids it (``brackets_proved``)."""
 
     __slots__ = (
         "anchor", "family", "partition", "Pi0", "Pi1", "sigma_lambda",
-        "g_lambda", "F_lambda", "F_functions",
+        "g_lambda", "F_lambda", "F_functions", "_proved",
     )
+    _fields = __slots__[:-1]
+    __hash__ = None  # its bivectors are unhashable
 
     def __init__(self, anchor, family, partition, Pi0, Pi1, sigma_lambda,
                  g_lambda, F_lambda, F_functions):
-        self.anchor = anchor
-        self.family = family
-        self.partition = list(partition)
-        self.Pi0 = Pi0
-        self.Pi1 = Pi1
-        self.sigma_lambda = sigma_lambda
-        self.g_lambda = g_lambda
-        self.F_lambda = F_lambda
-        self.F_functions = list(F_functions)
+        for name, value in zip(self._fields, (
+            anchor, family, list(partition), Pi0, Pi1, sigma_lambda,
+            g_lambda, F_lambda, list(F_functions),
+        )):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_proved", None)
+
+    def brackets_proved(self) -> bool:
+        """Whether assembly proved the three brackets of Pi0 and Pi1 zero
+        for the components these bivectors hold now."""
+        return self._proved == (self.Pi0.comps, self.Pi1.comps)
 
     @property
     def table(self) -> VarTable:
@@ -591,8 +601,14 @@ def assemble_pencil(anchor, pair: SigmaPair, family: FunctionFamily,
     g_lambda = -pairing(sigma_lambda, anchor.lambda_bi)
     F_functions = [casimir_function(family, cp) for cp in partition]
     F_lambda = compute_F_lambda(anchor, F_functions, family.r)
-    return Pencil(anchor, family, partition, Pi0, Pi1, sigma_lambda,
-                  g_lambda, F_lambda, F_functions)
+    pencil = Pencil(anchor, family, partition, Pi0, Pi1, sigma_lambda,
+                    g_lambda, F_lambda, F_functions)
+    # the sigma conditions proved the three brackets of Pi0' and Pi1'
+    # zero.  On an odd anchor that proof carries over to the reduced
+    # bivectors: reduce_bivector refuses any Ds leg and any s-dependence,
+    # so each bracket of the reduced pair is the lifted one with s dropped
+    object.__setattr__(pencil, "_proved", (dict(Pi0.comps), dict(Pi1.comps)))
+    return pencil
 
 
 # --- closed-form brackets -------------------------------------------------------

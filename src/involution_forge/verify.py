@@ -7,11 +7,14 @@ that produced it.  Verdicts always carry a symbolic witness on failure.
 
 ``certify`` computes each quantity once: Jacobi for the pencil is the
 combination [Pi1, Pi1] - 2 lambda [Pi0, Pi1] + lambda^2 [Pi0, Pi0] of the
-three brackets it takes anyway (Kosmann-Schwarzbach & Magri 1990, Ann. IHP
-53), a square [Pi, Pi] takes one of the two Schouten sums, and a bracket
-matrix takes only its upper triangle.  The Casimir residuals, involution
-entries and chain links are all read off df, X0 = Pi0#df and X1 = Pi1#df,
-taken once per family function, and Xl = X1 - lambda X0 = Pi_lambda#df:
+three brackets (Kosmann-Schwarzbach & Magri 1990, Ann. IHP 53), a square
+[Pi, Pi] takes one of the two Schouten sums, and a bracket matrix takes
+only its upper triangle.  The three brackets are the one exception to
+re-deriving: on a pencil whose components are those ``assemble_pencil``
+proved them zero for (``Pencil.brackets_proved``), they are not taken
+again.  The Casimir residuals, involution entries and chain links are
+all read off df, X0 = Pi0#df and X1 = Pi1#df, taken once per family
+function, and Xl = X1 - lambda X0 = Pi_lambda#df:
 with lambda inert, Pi_lambda#dF^i for F^i = lambda^r f_0 + ... + f_r is
 the Horner sum of Xl over the chain, leading entry first, an entry {f, h}
 is <dh, Xl[f]>, and a link compares X0 and X1 of neighbours.  Its
@@ -35,7 +38,7 @@ from .anchor import (
     poisson_bracket,
 )
 from .errors import DegreeError, SpecError
-from .exterior import differential, pairing, schouten
+from .exterior import MultiVector, differential, pairing, schouten
 from .linalg import det, rank_at_point, sampled_rank
 from .pencil import FunctionFamily, Pencil, closed_form_bivector
 from .report import Verdict, vanishes
@@ -160,9 +163,13 @@ def certify(pencil: Pencil, seed: int = 0) -> PencilCertificate:
     Pi0, Pi1 = pencil.Pi0, pencil.Pi1
     pi_lam = pencil.pi_lambda()
     lam = RationalFunction.variable(table, pencil.pencil_name)
-    s00 = schouten(Pi0, Pi0)
-    s11 = schouten(Pi1, Pi1)
-    s01 = schouten(Pi0, Pi1)
+    if pencil.brackets_proved():
+        # assembly proved these brackets zero; a PASS carries no witness
+        s00 = s11 = s01 = MultiVector.zero(table, 3)
+    else:
+        s00 = schouten(Pi0, Pi0)
+        s11 = schouten(Pi1, Pi1)
+        s01 = schouten(Pi0, Pi1)
 
     verdicts = [
         vanishes("jacobi[Pi0]", s00),

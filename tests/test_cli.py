@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, output shapes."""
 
+import argparse
 import json
 import os
 import re
@@ -8,12 +9,14 @@ import subprocess
 import sys
 from math import comb
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import involution_forge
+from involution_forge import cli as cli_module
 from involution_forge.cli import COMMANDS, main, parse_spec, run
 from involution_forge.errors import SpecError
 from involution_forge.fixtures import FIXTURE_NAMES, fixture_file
@@ -192,6 +195,149 @@ def test_main_entry_point(lagrange_path, capsys):
     with pytest.raises(SystemExit):
         main(["not-a-command", lagrange_path])
     capsys.readouterr()
+
+
+USAGE = """\
+usage: involution-forge [-h] [--seed SEED] [--format {full,summary}]
+                        [--pair PAIR]
+                        {check,pencil,bracket,solve-ansatz,report} spec
+"""
+
+HELP = USAGE + """
+build and certify Poisson pencils from a spec file
+
+positional arguments:
+  {check,pencil,bracket,solve-ansatz,report}
+  spec                  path to a JSON spec file
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED           seed for every sampled point (default 0)
+  --format {full,summary}
+                        report verbosity
+  --pair PAIR           two family names f,h for the bracket command
+"""
+
+CHECK_LAGRANGE = """\
+check:
+  spec = lagrange_top
+  variables = 7
+  family = f1, f2, f3, f4
+  partition = (f1, f3); (f2, f4)
+  sigma0 = ok
+  sigma1 = ok
+  ansatz = declared
+  schema = ok
+"""
+
+
+def _usage_error(message):
+    return 2, "", f"{USAGE}involution-forge: error: {message}\n"
+
+
+# (argv with SPEC for the lagrange_top path, exit code, stdout, stderr), as
+# the argparse parser of earlier versions printed them
+ARGV_TABLE = [
+    (["--help"], 0, HELP, ""),
+    (["nope", "SPEC"], *_usage_error(
+        "argument command: invalid choice: 'nope' (choose from 'check', "
+        "'pencil', 'bracket', 'solve-ansatz', 'report')")),
+    (["check", "SPEC", "--format", "fancy"], *_usage_error(
+        "argument --format: invalid choice: 'fancy' (choose from 'full', "
+        "'summary')")),
+    (["check", "SPEC", "--seed", "abc"], *_usage_error(
+        "argument --seed: invalid int value: 'abc'")),
+    # int() refuses more than 4300 digits
+    (["check", "SPEC", "--seed", "9" * 5000], *_usage_error(
+        f"argument --seed: invalid int value: '{'9' * 5000}'")),
+    (["check", "SPEC", "--seed"], *_usage_error(
+        "argument --seed: expected one argument")),
+    (["check"], *_usage_error("the following arguments are required: spec")),
+    (["check", "SPEC", "extra"], *_usage_error(
+        "unrecognized arguments: extra")),
+    (["check", "SPEC", "--sede", "1"], *_usage_error(
+        "unrecognized arguments: --sede 1")),
+    (["check", "--", "SPEC"], 0, CHECK_LAGRANGE, ""),
+]
+
+
+def _main_outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv, code, out, err", ARGV_TABLE,
+                         ids=[" ".join(argv)[:30] for argv, *_ in ARGV_TABLE])
+def test_argv_table(argv, code, out, err, lagrange_path, capsys):
+    argv = [lagrange_path if arg == "SPEC" else arg for arg in argv]
+    assert _main_outcome(argv, capsys) == (code, out, err)
+
+
+def test_seed_forms_print_the_same_bytes(lagrange_path, capsys):
+    outcomes = [
+        _main_outcome(["report", lagrange_path, *seed, "--format=summary"],
+                      capsys)
+        for seed in (["--seed=3"], ["--se", "3"], ["--seed", "3"])
+    ]
+    assert outcomes[0][0] == 0 and "  seed = 3\n" in outcomes[0][1]
+    assert outcomes == [outcomes[0]] * 3
+
+
+ARGV_WORDS = [
+    "check", "report", "nope", "SPEC", "T", "", "-", "--", "3", "-3", "-1.5",
+    "abc", "a b", "-a b", "full", "summary", "fancy", "a,b", "-h", "--help",
+    "--he", "-hh", "-hx", "-h=", "--help=x", "--seed", "--se", "--seed=3",
+    "--seed=", "--seed=-3", "--format", "--fo=summary", "--pair", "--p",
+    "--pair=a,b", "--sede", "-x", "--=x", "---seed",
+]
+
+
+def _argparse_main(argv):
+    """What main parsed with the argparse parser of earlier versions."""
+    parser = argparse.ArgumentParser(
+        prog="involution-forge",
+        description="build and certify Poisson pencils from a spec file",
+    )
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("spec", help="path to a JSON spec file")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for every sampled point (default 0)")
+    parser.add_argument("--format", choices=("full", "summary"),
+                        default="full", dest="fmt",
+                        help="report verbosity")
+    parser.add_argument("--pair", default=None,
+                        help="two family names f,h for the bracket command")
+    args = parser.parse_args(argv)
+    return args.command, args.spec, args.seed, args.fmt, args.pair
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from(ARGV_WORDS), max_size=7))
+@example(argv=["check", "--", "--"])
+def test_argv_reader_matches_argparse(capsys, argv):
+    # argparse as the oracle: the same values, or the same exit code and
+    # the same bytes on stdout and stderr, at the width it wraps at without
+    # a terminal
+    def outcome(read):
+        try:
+            result = read(argv)
+        except SystemExit as exc:
+            result = exc.code
+        return result, capsys.readouterr()
+
+    with patch.dict(os.environ, COLUMNS="80"):
+        expected = outcome(_argparse_main)
+    if isinstance(expected[0], tuple) and expected[0][1] == []:
+        # argparse strips the second "--" of "check -- --" out of the spec
+        # and leaves an empty list, on which main ended in a traceback; the
+        # reader takes that "--" as the spec path
+        expected = (expected[0][:1] + ("--",) + expected[0][2:], expected[1])
+    assert outcome(cli_module._read_argv) == expected
 
 
 def test_report_full_contains_certificate(lagrange_path):
@@ -1011,8 +1157,9 @@ def test_cli_imports_only_the_standard_library():
 
 def test_cli_import_loads_no_introspection_modules():
     # a CLI op is one cold process: dataclasses alone would add inspect,
-    # ast, dis and tokenize to every op.  Compared with a bare interpreter,
-    # so that a site which loads some of them itself does not count.
+    # ast, dis and tokenize to every op, and argparse adds itself and
+    # gettext.  Compared with a bare interpreter, so that a site which
+    # loads some of them itself does not count.
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(involution_forge.__file__).parents[1])
 
@@ -1024,7 +1171,7 @@ def test_cli_import_loads_no_introspection_modules():
 
     added = loaded(", involution_forge.cli") - loaded("")
     assert not added & {"dataclasses", "inspect", "ast", "dis",
-                        "tokenize"}, sorted(added)
+                        "tokenize", "argparse", "gettext"}, sorted(added)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -451,6 +451,49 @@ def test_gcd_falls_back_when_the_heuristic_gives_up(monkeypatch):
     assert len(calls) >= 100
 
 
+# pairs on which GCDHEU, with two evaluation points per level, gives up one
+# level down at the first point of the level above (found by a search over
+# random products with a common factor; the second pair gives up two levels
+# down, so two levels take the branch)
+INNER_GIVE_UP_CASES = [
+    ("25*x2*x3^2 - 5*x2*x3 + 10*x3 - 2", "-25*x3^2 + 1"),
+    ("-x1*x2*x3 - 2*x1 - 4*x2^2*x3 - 3*x2*x3 - 8*x2 - 6",
+     "-x2^2*x3^2 + x2^2*x3 - 2*x2*x3 + 2*x2"),
+    ("-2*x1*x2*x3^2 + 2*x1*x3^2 - x2*x3^2 - 3*x2*x3 + x3^2 + 3*x3",
+     "4*x1^2*x3 - 8*x1*x2^2*x3 + 8*x1*x2*x3 + 2*x1*x3 + 6*x1 - 4*x2^2*x3"
+     " - 12*x2^2 + 4*x2*x3 + 12*x2"),
+]
+
+
+@pytest.mark.parametrize("a, b", INNER_GIVE_UP_CASES,
+                         ids=["two_variables", "two_levels", "one_level"])
+def test_gcd_falls_back_when_an_inner_evaluation_gives_up(table, a, b,
+                                                          monkeypatch):
+    # an inner _heu_gcd that gives up makes its caller give up at once,
+    # with an evaluation point still left, and poly_gcd then takes the
+    # content/PRS path to SymPy's gcd.  Each call logs whether each of its
+    # inner calls gave up, and whether it gave up itself.
+    pytest.importorskip("sympy")
+    a, b = (parse_ratfun(text, table).num for text in (a, b))
+    real, stack, log = symexpr._heu_gcd, [], []
+
+    def spying(f, g, shifts, table):
+        stack.append([])
+        result = real(f, g, shifts, table)
+        inner = stack.pop()
+        if stack:
+            stack[-1].append(result is None)
+        log.append((inner, result is None))
+        return result
+
+    monkeypatch.setattr(symexpr, "HEU_GCD_MAX", 2)
+    monkeypatch.setattr(symexpr, "_heu_gcd", spying)
+    assert exponent_terms(poly_gcd(a, b)) == sympy_gcd_terms(a, b)
+    # some call gave up right after its first inner call gave up, of the
+    # two evaluation points it had
+    assert ([True], True) in log
+
+
 def test_truthiness_matches_fraction(table):
     assert not RationalFunction.zero(table)
     assert RationalFunction.one(table)

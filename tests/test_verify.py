@@ -324,9 +324,10 @@ def test_certify_failure_witnesses_match_the_direct_checks(lagrange,
     (_, _, lagrange_pencil), ((_, toda_pencil), _) = lagrange, toda_pair
     for pencil in (lagrange_pencil, toda_pencil):
         table = pencil.table
-        broken = copy.copy(pencil)
-        setattr(broken, which, getattr(pencil, which) + MultiVector(
-            table, 2, {(0, 2): parse_ratfun(table.names[3], table)}))
+        fields = {name: getattr(pencil, name) for name in Pencil._fields}
+        fields[which] = fields[which] + MultiVector(
+            table, 2, {(0, 2): parse_ratfun(table.names[3], table)})
+        broken = Pencil(**fields)
         verdicts = {v.label: v for v in certify(broken, seed=0).verdicts}
         direct = [
             jacobi_check(broken.pi_lambda(), "jacobi[pencil]"),
@@ -408,14 +409,18 @@ EVALUATED_DRAWS = {"lagrange_top": 3 * RANK_DRAWS, "toda_first": 3,
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_certify_takes_each_bracket_once(name, monkeypatch):
-    # three Schouten brackets, two Hamiltonian fields per family function
-    # for the Casimir residuals, the involution table and the links, none
-    # through hamiltonian_vf, Poisson brackets only for the upper triangle
-    # of the det[F^2] matrix, and one elimination per evaluated draw
-    # besides the one of the Casimir Jacobian
+    # no Schouten bracket on an assembled pencil, whose three brackets
+    # assembly proved zero, and three on the same pencil rebuilt through
+    # the constructor; two Hamiltonian fields per family function for the
+    # Casimir residuals, the involution table and the links, none through
+    # hamiltonian_vf, Poisson brackets only for the upper triangle of the
+    # det[F^2] matrix, and one elimination per evaluated draw besides the
+    # one of the Casimir Jacobian
     _, pencil = assemble(load_fixture(name).spec)
-    calls = {"schouten": 0, "poisson_bracket": 0, "bivector_sharp": 0,
-             "hamiltonian_vf": 0, "_rank": 0}
+    rebuilt = Pencil(**{field: getattr(pencil, field)
+                        for field in Pencil._fields})
+    calls = dict.fromkeys(("schouten", "poisson_bracket", "bivector_sharp",
+                           "hamiltonian_vf", "_rank"), 0)
 
     def counting(module, attr):
         real = getattr(module, attr)
@@ -429,18 +434,79 @@ def test_certify_takes_each_bracket_once(name, monkeypatch):
                  "hamiltonian_vf"):
         counting(verify_module, attr)
     counting(linalg_module, "_rank")
-    certify(pencil, seed=0)
     k = len(pencil.family.functions())
     m = len(pencil.F_functions)
     if pencil.anchor.lifted.table.appended_index is not None:
         m += 1
-    assert calls == {
-        "schouten": 3,
-        "poisson_bracket": m * (m - 1) // 2,
-        "bivector_sharp": 2 * k,
-        "hamiltonian_vf": 0,
-        "_rank": EVALUATED_DRAWS[name] + 1,
-    }
+    for subject, brackets in ((pencil, 0), (rebuilt, 3)):
+        calls.update(dict.fromkeys(calls, 0))
+        certify(subject, seed=0)
+        assert calls == {
+            "schouten": brackets,
+            "poisson_bracket": m * (m - 1) // 2,
+            "bivector_sharp": 2 * k,
+            "hamiltonian_vf": 0,
+            "_rank": EVALUATED_DRAWS[name] + 1,
+        }
+
+
+# the bracket verdicts of certify with x4*Dx1^Dx3 added to Pi1 after
+# assembly, as the certificate printed them when it took every bracket
+BUMPED_PI1_VERDICTS = {
+    "lagrange_top": [
+        "PASS  jacobi[Pi0]",
+        "FAIL  jacobi[Pi1]  [residual: (-2)*Dx1^Dx2^Dx3]",
+        "FAIL  jacobi[pencil]  [residual: (-2*x3*lambda - 2)*Dx1^Dx2^Dx3]",
+        "FAIL  compatibility[Pi0,Pi1]  [residual: (x3)*Dx1^Dx2^Dx3]",
+    ],
+    "toda_first": [
+        "PASS  jacobi[Pi0]",
+        "FAIL  jacobi[Pi1]  [residual: (-a2*b2)*Da1^Da2^Db1]",
+        "FAIL  jacobi[pencil]  [residual: (-a2*b2 + 2*a2*lambda)"
+        "*Da1^Da2^Db1]",
+        "FAIL  compatibility[Pi0,Pi1]  [residual: (-a2)*Da1^Da2^Db1]",
+    ],
+    "toda_second": [
+        "PASS  jacobi[Pi0]",
+        "FAIL  jacobi[Pi1]  [residual: (4*a1^2*a2 - 2*a2*b1*b2 + 2*a2*b2*b3)"
+        "*Da1^Da2^Db1]",
+        "FAIL  jacobi[pencil]  [residual: (4*a1^2*a2 - 2*a2*b1*b2 + "
+        "2*a2*b2*b3 + 2*a2*b2*lambda - 4*a2*b3*lambda)*Da1^Da2^Db1]",
+        "FAIL  compatibility[Pi0,Pi1]  [residual: (-a2*b2 + 2*a2*b3)"
+        "*Da1^Da2^Db1]",
+    ],
+}
+
+
+@pytest.mark.parametrize("how", ["constructor", "in_place"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_certify_retakes_the_brackets_of_a_pencil_changed_after_assembly(
+        name, how):
+    # assembly's proof of the three brackets holds for the components it
+    # saw: a Pi1 bumped after assembly, in a pencil built through the
+    # constructor or by editing Pi1.comps in place, fails jacobi[Pi1] and
+    # compatibility[Pi0,Pi1] with the witnesses of the brackets themselves
+    _, pencil = assemble(load_fixture(name).spec)
+    assert pencil.brackets_proved()
+    assert not copy.copy(pencil).brackets_proved()
+    with pytest.raises(AttributeError):
+        pencil.Pi1 = pencil.Pi0
+    table = pencil.table
+    bumped = pencil.Pi1 + MultiVector(
+        table, 2, {(0, 2): parse_ratfun(table.names[3], table)})
+    if how == "constructor":
+        fields = {field: getattr(pencil, field) for field in Pencil._fields}
+        pencil = Pencil(**dict(fields, Pi1=bumped))
+    else:
+        pencil.Pi1.comps.clear()
+        pencil.Pi1.comps.update(bumped.comps)
+    assert not pencil.brackets_proved()
+    verdicts = [v for v in certify(pencil, seed=0).verdicts
+                if v.label.startswith(("jacobi[", "compatibility["))]
+    assert [v.render() for v in verdicts] == BUMPED_PI1_VERDICTS[name]
+    assert verdicts[1] == jacobi_check(bumped, "jacobi[Pi1]")
+    assert verdicts[3] == compatibility_check(pencil.Pi0, bumped,
+                                              "compatibility[Pi0,Pi1]")
 
 
 # x_i -> x_i + (x_{i+1} + ... + x_5 + 1) along the Toda chain: triangular

@@ -47,6 +47,7 @@ from .exterior import (
 from .linalg import invert
 from .symexpr import (
     RationalFunction,
+    Record,
     VarKind,
     VarTable,
     migrate_ratfun,
@@ -157,16 +158,10 @@ def _sharp_extend(Pi: MultiVector, a: Form) -> MultiVector:
 # --- anchors -----------------------------------------------------------------
 
 
-class SymplecticAnchor:
+class SymplecticAnchor(Record):
     """Nondegenerate bivector with its inverse 2-form and volume."""
 
-    __slots__ = ("table", "lambda_bi", "omega", "volume")
-
-    def __init__(self, table, lambda_bi, omega, volume):
-        self.table = table
-        self.lambda_bi = lambda_bi
-        self.omega = omega
-        self.volume = volume
+    __slots__ = _fields = ("table", "lambda_bi", "omega", "volume")
 
     @property
     def lifted(self) -> "SymplecticAnchor":
@@ -174,24 +169,14 @@ class SymplecticAnchor:
         return self
 
 
-class CosymplecticAnchor:
+class CosymplecticAnchor(Record):
     """Odd-dimensional structure (vartheta, Theta) with its contravariant
     side (Lambda, E), volume vartheta^Theta^n/n!, and in ``lifted`` the
     symplectic anchor of omega' = Theta + ds^vartheta on the table
     extended by s."""
 
-    __slots__ = ("table", "vartheta", "theta", "lambda_bi", "reeb",
-                 "volume", "lifted")
-
-    def __init__(self, table, vartheta, theta, lambda_bi, reeb, volume,
-                 lifted):
-        self.table = table
-        self.vartheta = vartheta
-        self.theta = theta
-        self.lambda_bi = lambda_bi
-        self.reeb = reeb
-        self.volume = volume
-        self.lifted = lifted
+    __slots__ = _fields = ("table", "vartheta", "theta", "lambda_bi", "reeb",
+                           "volume", "lifted")
 
 
 def build_symplectic(given) -> SymplecticAnchor:

@@ -46,7 +46,7 @@ from .pencil import (
     solve_recursion_ansatz,
     unknown_name,
 )
-from .symexpr import _IDENT_RE, VarKind, VarTable, parse_ratfun
+from .symexpr import _IDENT_RE, Record, VarKind, VarTable, parse_ratfun
 from .verify import certify
 
 COMMANDS = ("check", "pencil", "bracket", "solve-ansatz", "report")
@@ -73,23 +73,13 @@ _ANCHOR_FIELDS = {
 # --- parsing -------------------------------------------------------------------
 
 
-class SpecFile:
+class SpecFile(Record):
     """A validated spec payload; ``path`` names the document, and every
     error about its content is reported at ``<path>.<JSON path>``."""
 
-    def __init__(self, path: str, name: str, variables: list, anchor: dict,
-                 family: list, partition: list, sigma0: dict, sigma1: dict,
-                 checks: tuple, expected: dict):
-        self.path = path
-        self.name = name
-        self.variables = variables
-        self.anchor = anchor
-        self.family = family
-        self.partition = partition
-        self.sigma0 = sigma0
-        self.sigma1 = sigma1
-        self.checks = checks
-        self.expected = expected
+    __slots__ = _fields = ("path", "name", "variables", "anchor", "family",
+                           "partition", "sigma0", "sigma1", "checks",
+                           "expected")
 
 
 # The walkers below check one node of the payload each, raise SpecError at
@@ -486,22 +476,14 @@ def resolve_sigma(block, table: VarTable, path: str):
     return explicit if explicit is not None else combined
 
 
-class Elaborated:
+class Elaborated(Record):
     """Everything a command needs, parsed and typed but not yet assembled.
     ``elaborate`` fills ``sigma1`` unless sigma1 is given only as an
     ansatz; ``elaborate_ansatz`` restates the ansatz with symbolic
     constants in ``basis`` and ``specialize``."""
 
-    def __init__(self, spec: SpecFile, anchor: object, family: object,
-                 partition: list, sigma0: Form):
-        self.spec = spec
-        self.anchor = anchor
-        self.family = family
-        self.partition = partition
-        self.sigma0 = sigma0
-        self.sigma1: Form = None
-        self.basis: list = None
-        self.specialize: dict = {}
+    __slots__ = _fields = ("spec", "anchor", "family", "partition", "sigma0",
+                           "sigma1", "basis", "specialize")
 
     @property
     def table(self) -> VarTable:
@@ -523,7 +505,7 @@ def _elaborate(spec: SpecFile, seed: int, constants, family,
     partition = _build_partition(family, spec)
     sigma0 = resolve_sigma(spec.sigma0, anchor.lifted.table,
                            f"{spec.path}.sigma0")
-    return Elaborated(spec, anchor, family, partition, sigma0)
+    return Elaborated(spec, anchor, family, partition, sigma0, None, None, {})
 
 
 def elaborate(spec: SpecFile, seed: int = 0) -> Elaborated:

@@ -12,22 +12,18 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .cli import SpecFile, parse_spec
+from .cli import parse_spec
 from .errors import UnknownFixture
+from .symexpr import Record
 
 FIXTURE_NAMES = ("lagrange_top", "toda_first", "toda_second")
 
 
-class FixtureSpec:
+class FixtureSpec(Record):
     """One bundled fixture: the raw payload, its parsed spec, and the
     frozen expected artifacts."""
 
-    def __init__(self, name: str, payload: dict, spec: SpecFile,
-                 expected: dict):
-        self.name = name
-        self.payload = payload
-        self.spec = spec
-        self.expected = expected
+    __slots__ = _fields = ("name", "payload", "spec", "expected")
 
 
 def fixture_file(name: str):

@@ -61,6 +61,7 @@ from .report import Verdict, vanishes
 from .symexpr import (
     Frozen,
     RationalFunction,
+    Record,
     VarKind,
     VarTable,
     as_ratfun,
@@ -337,18 +338,12 @@ def unknown_name(a: int, b: int) -> str:
     return f"k{a}_{b}"
 
 
-class AnsatzSolution:
+class AnsatzSolution(Record):
     """General solution sigma1 = sum k_ab basis_a ^ basis_b, expressed over
     the table extended by one symbolic constant per free unknown."""
 
-    def __init__(self, base_table: VarTable, table: VarTable, pairs: list,
-                 expressions: dict, free_names: list, sigma1: Form):
-        self.base_table = base_table
-        self.table = table
-        self.pairs = pairs
-        self.expressions = expressions
-        self.free_names = free_names
-        self.sigma1 = sigma1
+    __slots__ = _fields = ("base_table", "table", "pairs", "expressions",
+                           "free_names", "sigma1")
 
     def substitution(self, mapping) -> dict:
         """Values for free unknowns or constants, expression strings parsed

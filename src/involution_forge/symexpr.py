@@ -124,13 +124,35 @@ class VarKind(enum.Enum):
         return self in (VarKind.MANIFOLD, VarKind.APPENDED)
 
 
-class Frozen:
-    """Base of the immutable value types.  ``__init__`` sets each slot once
-    through ``object.__setattr__``; equality, hash and repr go by the
-    ``_fields`` a subclass names, and assignment raises AttributeError."""
+class Record:
+    """Base of the record types: ``__init__`` takes the ``_fields`` a subclass
+    names, by position or by keyword, and repr shows them.  A record stays
+    mutable and compares by identity."""
 
     __slots__ = ()
     _fields: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(self._fields, args), **kwargs)
+        if (len(given) < len(args) + len(kwargs)
+                or given.keys() != set(self._fields)):
+            raise TypeError(f"{type(self).__name__} takes each field of "
+                            f"{self._fields} once; got {len(args)} by "
+                            f"position and {sorted(kwargs)} by keyword")
+        for name in self._fields:
+            object.__setattr__(self, name, given[name])
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Frozen(Record):
+    """Base of the immutable value types: equality and hash go by the
+    ``_fields``, and assignment raises AttributeError."""
+
+    __slots__ = ()
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -148,11 +170,6 @@ class Frozen:
         # arguments in order
         return type(self), self._key()
 
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -163,10 +180,11 @@ class Frozen:
 class VarTable(Frozen):
     """Ordered list of variable names with their roles."""
 
-    # besides names and kinds: the bit offset of each variable's field in a
-    # packed monomial, the mask of all guard bits, and the polynomial 1,
-    # which every caller can share because polynomials are never written to
-    __slots__ = ("names", "kinds", "shifts", "guard", "one")
+    # besides names and kinds: each variable's bit offset in a packed
+    # monomial, the mask of all guard bits, the polynomial 1 (shared, as
+    # polynomials are never written to) and the indices of each kind
+    __slots__ = ("names", "kinds", "shifts", "guard", "one",
+                 "geometric_indices", "pencil_index", "appended_index")
     _fields = ("names", "kinds")
 
     def __init__(self, names: tuple[str, ...], kinds: tuple[VarKind, ...]):
@@ -179,9 +197,14 @@ class VarTable(Frozen):
             if name in seen:
                 raise TableMismatch(f"duplicate variable {name!r}")
             seen.add(name)
-        for kind in (VarKind.PENCIL, VarKind.APPENDED):
-            if sum(1 for k in kinds if k is kind) > 1:
+        for kind, slot in ((VarKind.PENCIL, "pencil_index"),
+                           (VarKind.APPENDED, "appended_index")):
+            found = [i for i, k in enumerate(kinds) if k is kind]
+            if len(found) > 1:
                 raise TableMismatch(f"more than one {kind.value} variable")
+            object.__setattr__(self, slot, found[0] if found else None)
+        object.__setattr__(self, "geometric_indices", tuple(
+            i for i, k in enumerate(kinds) if k.geometric))
         n = len(names)
         shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
         object.__setattr__(self, "names", names)
@@ -219,27 +242,9 @@ class VarTable(Frozen):
         return len(self.names)
 
     @property
-    def geometric_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, k in enumerate(self.kinds) if k.geometric)
-
-    @property
     def dim(self) -> int:
         """Number of geometric variables (the manifold dimension)."""
         return len(self.geometric_indices)
-
-    @property
-    def pencil_index(self):
-        for i, k in enumerate(self.kinds):
-            if k is VarKind.PENCIL:
-                return i
-        return None
-
-    @property
-    def appended_index(self):
-        for i, k in enumerate(self.kinds):
-            if k is VarKind.APPENDED:
-                return i
-        return None
 
     def extend(self, name: str, kind: VarKind) -> "VarTable":
         """New table with one variable appended (existing indices keep)."""
@@ -726,10 +731,9 @@ def _prs_gcd(a: Polynomial, b: Polynomial, v: int) -> Polynomial:
         d = a.degree_in(v) - b.degree_in(v)
         r = _prem(a, b, v)
         if r.is_zero():
+            # b free of v leaves no pseudo-remainder: coprime inputs end here
             prim = poly_exact_div(b, _content_in(b, v))
             return prim if prim.involves(v) else Polynomial.one(a.table)
-        if b.degree_in(v) == 0:
-            return Polynomial.one(a.table)
         a, b = b, poly_exact_div(r, g * h**d)
         g = _lc_in(a, v)
         if d == 1:
@@ -1451,19 +1455,14 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         return self.advance()
 
-    def spend(self, bound: int, pos: int, words: int = 1):
-        """Take the term bound of one power, product or quotient from the
-        expression's budget before expanding it.  A bound of 1 is one term
-        times one term, which expands nothing: it takes nothing, so a long
-        sum of monomials is not refused for its length.  A term whose
-        coefficient may be ``words`` times longer than the longest literal
-        counts words^2 times, about the cost of multiplying two of them."""
-        bound *= words * words
+    def spend(self, bound: int, pos: int, unit: str = "terms"):
+        """Take the term bound of one power, product or quotient, counted in
+        ``unit``, from the expression's budget before expanding it.  A bound
+        of 1 is one term times one term, which expands nothing: it takes
+        nothing, so a long sum of monomials is not refused for its length."""
         if bound <= 1:
             return
         if bound > self.budget:
-            unit = "terms" if words == 1 else (
-                f"terms of {sys.int_info.default_max_str_digits} digits")
             total = f"{bound} {unit}" if bound > MAX_TERMS else (
                 f"{MAX_TERMS - self.budget + bound} {unit} in all")
             raise ParseError(
@@ -1549,15 +1548,22 @@ class _Parser:
                 )
             self.advance()
             _check_degree(value * _degree(base), caret)
-            # p^n has coefficients of at most n times the bits of p's
-            # largest plus those of its term count; in words of the longest
-            # default literal (10/3 bits a digit), nested powers stay bounded
+            # p^k has coefficients of at most k times the bits of p's largest
+            # plus those of its term count.  A term w > 1 times as long as the
+            # longest default literal (10/3 bits a digit) counts w^2 times, so
+            # nested powers stay bounded, and as a base of more than one term
+            # is raised one factor at a time, each p^k on the way then counts
             bits = max(max([p.den, *map(abs, p.terms.values())]).bit_length()
                        + (len(p.terms) - 1).bit_length() for p in _parts(base))
-            words = -(-value * bits * 3
-                      // (10 * sys.int_info.default_max_str_digits))
-            self.spend(max(comb(value + t - 1, t - 1)
-                           for t in _sizes(base) if t), caret, words)
+            digits = sys.int_info.default_max_str_digits
+            words = [-(-3 * k * bits // (10 * digits))
+                     for k in range(value + 1)]
+            long = words[-1] > 1
+            self.spend(max(sum(comb(k + t - 1, t - 1) * words[k] ** 2
+                               for k in range(1 if long and t > 1 else value,
+                                              value + 1))
+                           for t in _sizes(base) if t), caret,
+                       f"terms of {digits} digits" if long else "terms")
             base = base**value
         return base
 

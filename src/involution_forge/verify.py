@@ -44,7 +44,7 @@ from .pencil import FunctionFamily, Pencil, closed_form_bivector
 from .report import Verdict, vanishes
 from .symexpr import (
     RationalFunction,
-    RationalPoint,
+    Record,
     migrate_ratfun,
 )
 
@@ -112,7 +112,7 @@ def rank_at_sample(Pi, rng: Random, avoid=()):
                         skew=True)
 
 
-class PencilCertificate:
+class PencilCertificate(Record):
     """Outcome of every check on one assembled pencil.
 
     The rank claim is split into its two honest halves: equality with 2r
@@ -120,15 +120,8 @@ class PencilCertificate:
     inferred from k independent Casimirs (corank at least k wherever their
     differentials stay independent)."""
 
-    def __init__(self, verdicts: list, rank0: int, rank1: int,
-                 rank_pencil_at_sample: int, rank_expected: int,
-                 sample: RationalPoint):
-        self.verdicts = verdicts
-        self.rank0 = rank0
-        self.rank1 = rank1
-        self.rank_pencil_at_sample = rank_pencil_at_sample
-        self.rank_expected = rank_expected
-        self.sample = sample
+    __slots__ = _fields = ("verdicts", "rank0", "rank1",
+                           "rank_pencil_at_sample", "rank_expected", "sample")
 
     @property
     def passed(self) -> bool:

@@ -750,6 +750,29 @@ def test_exponent_above_the_bound_exits_two(spec_on_disk):
         "exponent 101 exceeds 100 (at position 3)")
 
 
+def test_exponent_that_is_not_a_literal_exits_two(spec_on_disk):
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    for expression in ("x1^y1", "x1^(2)"):
+        payload["family"][1]["expression"] = expression
+        path = spec_on_disk(payload)
+        assert run("check", path) == (
+            2, f"error: {path}.family[1].expression: "
+            "expected an unsigned integer exponent (at position 3)")
+
+
+def test_unknown_command_or_format_exits_two_in_one_line(lagrange_path):
+    # run() is the library entry point: main() refuses both in the argv
+    # reader, but a caller of run() gets the same exit code and one line
+    assert run("frobnicate", lagrange_path) == (
+        2, "error: unknown command 'frobnicate'")
+    for command in COMMANDS:
+        assert run(command, lagrange_path, format="json") == (
+            2, "error: unknown format 'json'")
+    # the command is checked first, and neither reads the spec
+    assert run("frobnicate", "no/such/spec.json", format="json") == (
+        2, "error: unknown command 'frobnicate'")
+
+
 @pytest.mark.parametrize("expression, position", [
     # the inner power is within the budget and is computed, the outer
     # one is refused before it multiplies anything

@@ -10,8 +10,10 @@ verdict outside ``report`` decides an exact residual by hand, no code
 outside ``anchor`` writes a Hamiltonian field out, no module but
 ``anchor`` names the codifferential, ``certify`` calls neither the
 involution table nor the chain check, the sharp extension takes no
-wedge, the sum of products multiplies no two polynomials, and the
-closed-form check reads its brackets off Phi_lambda without wedging.
+wedge, the sum of products multiplies no two polynomials, the
+closed-form check reads its brackets off Phi_lambda without wedging, and
+no class but ``Polynomial`` has an ``__init__`` that only copies its
+arguments.
 
 No linter ships with the toolchain, so this walks the syntax trees with
 ``ast``.  ``__init__.py`` is exempt from the import check: its imports are
@@ -144,6 +146,84 @@ def test_unreferenced_public_is_reported():
     }
     assert _unreferenced_publics(sources) == [("a.py", "Orphan"),
                                               ("a.py", "wrapper")]
+
+
+def _copies_a_parameter(stmt, params) -> bool:
+    """Whether ``stmt`` is ``self.<p> = <p>``, annotated or not, for one of
+    the parameters ``params``, ``self`` being the first of them."""
+    target = stmt.target if isinstance(stmt, ast.AnnAssign) else (
+        stmt.targets[0] if isinstance(stmt, ast.Assign)
+        and len(stmt.targets) == 1 else None)
+    return (isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == params[0]
+            and isinstance(stmt.value, ast.Name)
+            and stmt.value.id == target.attr and target.attr in params[1:])
+
+
+def _copying_constructors(sources: dict) -> list:
+    """(module, class) of each class whose ``__init__`` only copies its
+    arguments: a docstring aside, every statement is ``self.<p> = <p>``."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in node.body:
+                if not (isinstance(method, ast.FunctionDef)
+                        and method.name == "__init__"):
+                    continue
+                args = method.args
+                params = [a.arg for a in args.posonlyargs + args.args
+                          + args.kwonlyargs]
+                body = method.body[ast.get_docstring(method) is not None:]
+                if body and all(_copies_a_parameter(stmt, params)
+                                for stmt in body):
+                    found.append((module, node.name))
+    return sorted(found)
+
+
+def test_records_name_their_fields_once():
+    # a class that only stores its arguments is a symexpr.Record naming its
+    # _fields once, with no __init__ of its own.  Polynomial is the one
+    # exception: its constructor runs on every arithmetic result, and three
+    # plain assignments cost less than Record's check of its arguments
+    assert _copying_constructors(_package_sources()) == [
+        ("symexpr.py", "Polynomial")]
+
+
+def test_copying_constructor_is_reported():
+    source = '''
+class Copies:
+    def __init__(self, a, b):
+        """Stores a and b."""
+        self.a = a
+        self.b: int = b
+
+class Checks:
+    def __init__(self, a):
+        if a < 0:
+            raise ValueError(a)
+        self.a = a
+
+class Converts:
+    def __init__(me, a, b):
+        me.a = a
+        me.b = tuple(b)
+
+class Renames:
+    def __init__(self, a):
+        self.b = a
+
+def outer():
+    class Inner:
+        def __init__(me, a, *, b):
+            me.a = a
+            me.b = b
+    return Inner
+'''
+    assert _copying_constructors({"a.py": source}) == [("a.py", "Copies"),
+                                                       ("a.py", "Inner")]
 
 
 def test_package_root_exports_every_public_name():

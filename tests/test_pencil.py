@@ -4,6 +4,7 @@ closed-form brackets, determinant brackets."""
 import copy
 import itertools
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -35,6 +36,7 @@ from involution_forge import (
     pairing,
     parse_ratfun,
     poisson_bracket,
+    sample_point,
     sharp,
     wedge,
 )
@@ -42,7 +44,9 @@ from involution_forge.symexpr import quotient_by_factor
 from involution_forge import anchor as anchor_module
 from involution_forge import symexpr
 from involution_forge import pencil as pencil_module
-from involution_forge.cli import assemble, elaborate, elaborate_ansatz
+from involution_forge.cli import (assemble, elaborate, elaborate_ansatz,
+                                  resolve_basis)
+from involution_forge.linalg import rank_at_point
 from involution_forge.fixtures import FIXTURE_NAMES, load_fixture
 from involution_forge.pencil import (
     SigmaPair,
@@ -287,6 +291,63 @@ def test_sigmas_annihilate_their_distributions(lagrange, toda):
             for beta in basis:
                 for X in generators:
                     assert pairing(beta, X).is_zero()
+
+
+def _same_span_ranks(written, computed) -> list:
+    """Ranks of the written covectors, the computed ones and both stacked,
+    at one sampled point off the poles of every component."""
+    table = computed[0].table
+    zero = RationalFunction.zero(table)
+    a, b = ([[beta.comps.get((i,), zero) for i in table.geometric_indices]
+             for beta in part] for part in (written, computed))
+    point = sample_point(table, [v.den for row in a + b for v in row],
+                         Random(0))
+    return [rank_at_point(rows, point) for rows in (a, b, a + b)]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_written_bases_span_the_computed_annihilators(name):
+    # a spec writes a basis of Ann D_j by hand for sigma_j (and for the
+    # ansatz, over its constants); the computed Ann D_j spans the same
+    # module: stacking the two adds no rank at a sample
+    spec = load_fixture(name).spec
+    plain = elaborate(spec)
+    blocks = [(spec.sigma0, 0, plain), (spec.sigma1, 1, plain)]
+    if "ansatz" in spec.sigma1:
+        blocks.append((spec.sigma1["ansatz"], 1, elaborate_ansatz(spec)))
+    checked = 0
+    for block, which, parts in blocks:
+        if "basis" not in block:
+            continue
+        written = resolve_basis(block, parts.sigma_table, spec.path)
+        computed = annihilator_basis(distribution(
+            parts.anchor, parts.family, parts.partition, which))
+        assert _same_span_ranks(written, computed) == [4, 4, 4]
+        checked += 1
+    assert checked == len(blocks)
+
+
+# k34 of each fixture's sigma1 in the basis of the computed Ann D_1
+COMPUTED_BASIS_K34 = {
+    "lagrange_top": "y1/2",
+    "toda_first": "-a2*b3",
+    "toda_second": "2*a2*b3^2",
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_ansatz_over_the_computed_annihilator_gives_sigma1(name):
+    # the recursion over Lambda^2(Ann D_1), with Ann D_1 computed instead of
+    # written, leaves one free unknown; one value of it is the fixture's
+    # sigma1
+    elab = elaborate(load_fixture(name).spec)
+    basis = annihilator_basis(distribution(elab.anchor, elab.family,
+                                           elab.partition, 1))
+    solution = solve_recursion_ansatz(elab.anchor, elab.sigma0, basis,
+                                      elab.family, elab.partition)
+    assert solution.free_names == ["k34"]
+    assert solution.specialize(
+        {"k34": COMPUTED_BASIS_K34[name]}) == elab.sigma1
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ from involution_forge.symexpr import (
     MAX_DEGREE,
     MAX_EXPONENT,
     MAX_NESTING,
+    Frozen,
+    Record,
     _cancel,
     _content_prs_gcd,
     _heuristic_gcd,
@@ -214,6 +216,25 @@ def test_integer_and_power_literals(table):
     assert parse_ratfun("x1/2", table) == parse_ratfun("(1/2)*x1", table)
 
 
+def test_trailing_whitespace_ends_the_expression(table):
+    assert parse_ratfun("x1 + 1  ", table) == parse_ratfun("x1 + 1", table)
+    assert parse_ratfun(" x1\t\n", table) == parse_ratfun("x1", table)
+    # what is missing after trailing blanks is missing at the end of the text
+    with pytest.raises(ParseError) as raised:
+        parse_ratfun("x1 +  ", table)
+    assert str(raised.value) == "unexpected end of input (at position 6)"
+
+
+def test_exponent_must_be_an_unsigned_integer_literal(table):
+    # '^' takes a literal, not a variable or a parenthesized expression
+    for text in ("x1^y1", "x1^(2)", "x1^x2", "x1^"):
+        with pytest.raises(ParseError) as raised:
+            parse_ratfun(text, table)
+        assert str(raised.value) == (
+            "expected an unsigned integer exponent (at position 3)")
+        assert raised.value.position == 3
+
+
 def test_parse_error_paths(table):
     with pytest.raises(NegativeExponent):
         parse_ratfun("x1^-2", table)
@@ -284,17 +305,29 @@ def test_long_coefficients_count_in_the_term_budget(table):
     # term whose coefficient may be w times longer than the longest default
     # literal (4300 digits) counts w^2 times, so the fourth power of 2 below
     # is refused before it is computed: it has 10^8 bits, and the fifth
-    # would take more than a gigabyte
+    # would take more than a gigabyte.  A base of more than one term is
+    # raised one factor at a time, and each p^k on the way counts: p^k has
+    # C(k + t - 1, t - 1) terms of k words here.  Counting only p^n would
+    # admit the powers ^46 and ^20 below, which take 1.5 s and 0.8 s
     constant = RationalFunction.constant
     assert parse_ratfun("((2^100)^100)^100", table) == constant(table,
                                                                 2**10**6)
     long = "7" * 4300
     assert parse_ratfun(f"({long})^100", table) == constant(table,
                                                             int(long)**100)
+
+    def steps(n, t):
+        return sum(comb(k + t - 1, t - 1) * k**2 for k in range(1, n + 1))
+
+    parser = symexpr._Parser(f"(x1 + {long})^5", table)
+    assert parser.parse() == parse_ratfun(f"x1 + {long}", table) ** 5
+    assert symexpr.MAX_TERMS - parser.budget == steps(5, 2)
     for text, cost, position in (
             ("(((2^100)^100)^100)^100", 6977**2, 19),
             ("((((2^100)^100)^100)^100)^100", 6977**2, 20),
-            (f"(x1 + x2 + {long})^100", comb(102, 2) * 100**2, 4312)):
+            (f"(x1 + x2 + {long})^100", steps(100, 3), 4312),
+            (f"(x1 + {long})^46", steps(46, 2), 4307),
+            (f"(x1 + x2 + {long})^20", steps(20, 3), 4312)):
         with pytest.raises(ParseError) as raised:
             parse_ratfun(text, table)
         assert str(raised.value) == (
@@ -347,6 +380,9 @@ def test_table_kinds_and_lookup():
     assert table.geometric_indices == (0, 1, 3)
     assert table.pencil_index == 2
     assert table.appended_index == 3
+    plain = VarTable.build(["x1", ("k1", VarKind.CONSTANT)])
+    assert (plain.geometric_indices, plain.pencil_index,
+            plain.appended_index) == ((0,), None, None)
     assert table.kind_of("lambda") is VarKind.PENCIL
     assert table.kind_of("k1") is VarKind.CONSTANT
 
@@ -372,6 +408,50 @@ def test_value_types_are_immutable_values():
     assert copy.deepcopy(table).one == Polynomial.constant(table, 1)
     assert repr(values[3]) == (
         "Verdict(label='jacobi[Pi0]', passed=True, witness=None)")
+
+
+class _Span(Record):
+    __slots__ = _fields = ("start", "stop")
+
+
+class _FrozenSpan(Frozen):
+    __slots__ = _fields = ("start", "stop")
+
+
+def test_record_takes_each_field_once_by_position_or_keyword():
+    for span in (_Span(1, 2), _Span(1, stop=2), _Span(stop=2, start=1)):
+        assert (span.start, span.stop) == (1, 2)
+        assert repr(span) == "_Span(start=1, stop=2)"
+    for args, kwargs in (((1,), {}),                       # missing
+                         ((), {"start": 1}),               # missing
+                         ((1, 2, 3), {}),                  # unknown
+                         ((1, 2), {"step": 1}),            # unknown
+                         ((1,), {"start": 1, "stop": 2})):  # twice
+        with pytest.raises(TypeError, match=r"takes each field of "
+                           r"\('start', 'stop'\) once"):
+            _Span(*args, **kwargs)
+
+
+def test_record_is_mutable_and_frozen_is_a_value():
+    # a record is a mutable object compared by identity; a Frozen value
+    # takes its fields the same way, refuses assignment and compares,
+    # hashes and copies by its fields
+    span, twin = _Span(1, 2), _Span(1, 2)
+    assert span != twin and span == span
+    span.stop = 3
+    assert repr(span) == "_Span(start=1, stop=3)"
+    value = _FrozenSpan(1, stop=2)
+    assert value == _FrozenSpan(1, 2) and hash(value) == hash((1, 2))
+    assert value != _Span(1, 2)
+    assert copy.copy(value) == value and repr(value) == (
+        "_FrozenSpan(start=1, stop=2)")
+    for name in ("start", "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 3)
+    with pytest.raises(AttributeError):
+        del value.start
+    with pytest.raises(TypeError):
+        _FrozenSpan(1)
 
 
 def test_as_ratfun_coerces_each_accepted_type(table):
@@ -449,6 +529,65 @@ def test_gcd_falls_back_when_the_heuristic_gives_up(monkeypatch):
     for a, b, g in cases:
         assert poly_gcd(a, b) == g
     assert len(calls) >= 100
+
+
+def test_subresultant_gcd_across_degree_gaps_matches_sympy(monkeypatch):
+    # with GCDHEU giving up at once, poly_gcd runs the subresultant
+    # sequence in x3.  Knuth's pair (TAOCP vol. 2, 4.6.1) has remainders of
+    # degree 8, 6, 4, 2, 1, 0 in x: each of the first three steps has a
+    # degree gap d = 2, so h = g^d / h^(d-1) is taken and divided by on the
+    # next steps.  With x = x1*x3 the leading coefficients involve x1, and
+    # each divisor of the sequence is SymPy's subresultant up to sign; an h
+    # too large leaves a division inexact, one too small grows the
+    # coefficients.  The pair is coprime, and sparse random pairs, with and
+    # without a common factor, add gcds of 1 and of more
+    sympy = pytest.importorskip("sympy")
+    table = VarTable.build(["x1", "x2", "x3"])
+    x = "(x1*x3)"
+    a_text = f"{x}^8 + {x}^6 - 3*{x}^4 - 3*{x}^3 + 8*{x}^2 + 2*{x} - 5"
+    b_text = f"3*{x}^6 + 5*{x}^4 - 4*{x}^2 - 9*{x} + 21"
+    a, b = (parse_ratfun(text, table).num for text in (a_text, b_text))
+    divisors = []
+    real_prem = symexpr._prem
+
+    def prem(p, q, v):
+        if v == 2:
+            divisors.append(exponent_terms(q))
+        return real_prem(p, q, v)
+
+    monkeypatch.setattr(symexpr, "HEU_GCD_MAX", 0)
+    monkeypatch.setattr(symexpr, "_prem", prem)
+    assert poly_gcd(a, b) == Polynomial.one(table)
+    gens = sympy.symbols("x1 x2 x3")
+    a_sym, b_sym = (sympy.sympify(text.replace("^", "**"))
+                    for text in (a_text, b_text))
+    expected = [{e: Fraction(int(v)) for e, v in
+                 sympy.Poly(s, *gens).as_dict().items()}
+                for s in sympy.subresultants(a_sym, b_sym, gens[2])[1:]]
+    assert len(divisors) == 5
+    for ours, theirs in zip(divisors, expected):
+        assert ours in (theirs, {e: -c for e, c in theirs.items()})
+    c = parse_ratfun("x2*x3^2 + x1*x3 + 1", table).num
+    rng = Random(41)
+
+    def sparse(top):
+        # three powers of x3, the top one included, each with a coefficient
+        # of degree at most 1 in x1 and in x2
+        return poly_from_terms(table, {
+            (rng.randint(0, 1), rng.randint(0, 1), k): rng.choice((-2, -1,
+                                                                   1, 2))
+            for k in {top, *rng.sample(range(top), 2)}})
+
+    pairs = [(a * c, b * c)] + [
+        pair for p, q, r in ((sparse(5), sparse(3), sparse(2))
+                             for _ in range(6))
+        for pair in ((p * r, q * r), (p, q))]
+    coprime = 0
+    for p, q in pairs:
+        g = poly_gcd(p, q)
+        assert exponent_terms(g) == sympy_gcd_terms(p, q)
+        coprime += g == Polynomial.one(table)
+    assert coprime >= 3
 
 
 # pairs on which GCDHEU, with two evaluation points per level, gives up one

@@ -14,6 +14,8 @@ the JSON path).
 
 from __future__ import annotations
 
+import atexit
+import gc
 import json
 import os
 import re
@@ -831,6 +833,14 @@ options:
 
 
 def main(argv=None) -> int:
+    # The process ends soon after main returns, with stdout flushed.
+    # Freezing the heap at exit moves every tracked object into the
+    # permanent generation, which the interpreter's final collections
+    # skip, so the OS reclaims the heap instead of the collector freeing
+    # it one object at a time.  atexit keeps every registration, so a
+    # later call of main replaces the hook of an earlier one
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     command, spec, seed, fmt, pair = _read_argv(
         sys.argv[1:] if argv is None else argv)
     code, text = run(command, spec, seed=seed, format=fmt, pair=pair)

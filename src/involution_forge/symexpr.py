@@ -1376,6 +1376,17 @@ MAX_DEGREE = 200
 # C(106, 6), about 1.7e9, and three powers ^16 of that base have 74 613
 # terms each; an expression of the shipped specs spends at most 19.
 MAX_TERMS = 100_000
+# The most tokens one expression may have.  A sum of monomials spends
+# nothing from MAX_TERMS, so this bounds its length: an expression of the
+# shipped and benchmark specs has at most 82 tokens, the largest of a
+# toda_first pulled back through x_i -> x_i + (x_{i+1} + ... + x_5 + 1)^4
+# (a 757 KB spec) has 55 763, and 100 000 tokens parse in about a second.
+MAX_TOKENS = 100_000
+# A term whose coefficients are longer than the longest integer literal
+# int() reads by default counts in MAX_TERMS for as many terms of that
+# length, one word (see _words), as it costs
+_DIGITS = sys.int_info.default_max_str_digits
+_LONG_TERMS = f"terms of {_DIGITS} digits"
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
@@ -1383,6 +1394,9 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text: str):
+    """The tokens (kind, value, position) of ``text``, ending in an "end"
+    token; counted as they are read, so a text of more than MAX_TOKENS is
+    refused after reading that many."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -1395,18 +1409,18 @@ def _tokenize(text: str):
                 f"unexpected character {stripped[0]!r}",
                 len(text) - len(stripped),
             )
-        if m.group("num") is not None:
-            digits, start = m.group("num"), m.start("num")
+        kind = m.lastgroup
+        value, start = m.group(kind), m.start(kind)
+        if len(tokens) == MAX_TOKENS:
+            raise ParseError(f"more than {MAX_TOKENS} tokens", start)
+        if kind == "num":
             try:
-                tokens.append(("num", int(digits), start))
+                value = int(value)
             except ValueError:
                 raise ParseError(
-                    f"integer literal of {len(digits)} digits exceeds "
+                    f"integer literal of {len(value)} digits exceeds "
                     f"{sys.get_int_max_str_digits()}", start) from None
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        tokens.append((kind, value, start))
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
@@ -1426,7 +1440,8 @@ class _Parser:
     sum of fractions has a total degree above MAX_DEGREE, and the powers,
     products and quotients of one expression may together expand to at
     most MAX_TERMS terms: each that can expand takes its bound from one
-    budget.
+    budget, a term with long coefficients counting several times.  An
+    expression has at most MAX_TOKENS tokens.
 
     Values are polynomials until a '/' makes a fraction through
     ``RationalFunction(num, den)``; the polynomial terms of a sum up to its
@@ -1521,10 +1536,15 @@ class _Parser:
             if divide and rhs.is_zero():
                 raise DivisionByZero(f"division by zero at position {pos}")
             _check_degree(_degree(acc) + _degree(rhs), pos)
-            (a, b), (c, d) = _sizes(acc), _sizes(rhs)
+            # a term pair whose coefficients are u and v words long (see
+            # _words) costs as much as u*v pairs of one word
+            a, b, u, w = _shape(acc)
+            c, d, v, z = _shape(rhs)
             if divide:  # (a/b) / (c/d) = (a*d) / (b*c)
-                c, d = d, c
-            self.spend(max(a * c, b * d), pos)
+                c, d, v, z = d, c, z, v
+            long = u * v > 1 or w * z > 1
+            self.spend(max(a * c * u * v, b * d * w * z), pos,
+                       _LONG_TERMS if long else "terms")
             if not divide:
                 acc = acc * rhs
             elif isinstance(acc, Polynomial) and isinstance(rhs, Polynomial):
@@ -1549,21 +1569,18 @@ class _Parser:
             self.advance()
             _check_degree(value * _degree(base), caret)
             # p^k has coefficients of at most k times the bits of p's largest
-            # plus those of its term count.  A term w > 1 times as long as the
-            # longest default literal (10/3 bits a digit) counts w^2 times, so
-            # nested powers stay bounded, and as a base of more than one term
-            # is raised one factor at a time, each p^k on the way then counts
-            bits = max(max([p.den, *map(abs, p.terms.values())]).bit_length()
-                       + (len(p.terms) - 1).bit_length() for p in _parts(base))
-            digits = sys.int_info.default_max_str_digits
-            words = [-(-3 * k * bits // (10 * digits))
-                     for k in range(value + 1)]
+            # plus those of its term count.  A term w > 1 words long (see
+            # _words) counts w^2 times, so nested powers stay bounded, and
+            # as a base of more than one term is raised one factor at a time,
+            # each p^k on the way then counts
+            bits = max(map(_bits, _parts(base)))
+            words = [_words(k * bits) for k in range(value + 1)]
             long = words[-1] > 1
             self.spend(max(sum(comb(k + t - 1, t - 1) * words[k] ** 2
                                for k in range(1 if long and t > 1 else value,
                                               value + 1))
                            for t in _sizes(base) if t), caret,
-                       f"terms of {digits} digits" if long else "terms")
+                       _LONG_TERMS if long else "terms")
             base = base**value
         return base
 
@@ -1611,10 +1628,11 @@ def _parts(value) -> tuple:
 
 def _degree(value) -> int:
     """Total degree of a parsed value: that of its numerator or
-    denominator, whichever is larger."""
-    shifts = value.table.shifts
-    return max(sum(m >> s & _FIELD for s in shifts)
-               for p in _parts(value) for m in p.terms)
+    denominator, whichever is larger.  As 2^FIELD_BITS is 1 modulo _FIELD,
+    a packed monomial is the sum of its fields modulo _FIELD, and that sum
+    is below _FIELD here: a value the parser measures has degree at most
+    2*MAX_DEGREE (a sum of two fractions of degree at most MAX_DEGREE)."""
+    return max(m % _FIELD for p in _parts(value) for m in p.terms)
 
 
 def _check_degree(degree: int, pos: int):
@@ -1625,6 +1643,27 @@ def _check_degree(degree: int, pos: int):
 def _sizes(value) -> tuple:
     """Term counts of a parsed value's numerator and denominator."""
     return tuple(len(p.terms) for p in _parts(value))
+
+
+def _bits(p: Polynomial) -> int:
+    """Bits of p's longest coefficient, its denominator included, plus
+    those of its term count."""
+    longest = max(map(int.bit_length, p.terms.values()), default=0)
+    return max(longest, p.den.bit_length()) + (len(p.terms) - 1).bit_length()
+
+
+def _words(bits: int) -> int:
+    """``bits`` in words as long as the longest default literal, at 10/3
+    bits a digit, rounded up."""
+    return -(-3 * bits // (10 * _DIGITS))
+
+
+def _shape(value) -> tuple:
+    """Term counts of a parsed value's numerator and denominator, then the
+    lengths in words of their coefficients."""
+    num, den = _parts(value)
+    return (len(num.terms), len(den.terms), _words(_bits(num)),
+            _words(_bits(den)))
 
 
 def parse_ratfun(text: str, table: VarTable) -> RationalFunction:

@@ -21,7 +21,7 @@ from involution_forge.cli import COMMANDS, main, parse_spec, run
 from involution_forge.errors import SpecError
 from involution_forge.fixtures import FIXTURE_NAMES, fixture_file
 from involution_forge.pencil import unknown_name
-from involution_forge.symexpr import MAX_EXPONENT, MAX_NESTING
+from involution_forge.symexpr import MAX_EXPONENT, MAX_NESTING, MAX_TOKENS
 from helpers import BENCHMARKS, load_benchmark
 
 
@@ -859,6 +859,35 @@ def test_nested_powers_of_a_constant_exit_two(spec_on_disk):
     assert proc.stdout == (
         f"error: {path}.family[1].expression: may expand to {6977**2} "
         f"terms of 4300 digits, more than 100000 (at position 25)\n")
+
+
+@pytest.mark.parametrize("power, terms", [(10, 66), (8, 45)])
+def test_product_of_long_powers_exits_two(spec_on_disk, power, terms):
+    # each power has C(power + 2, 2) terms whose coefficients are ``power``
+    # words of 4300 digits long, so each of the terms**2 term pairs of the
+    # product costs power**2.  Counting term pairs alone admitted both
+    # products, which took 3.2 s and 1.1 s to parse
+    long = "7" * 4300
+    expression = f"(x1 + x2 + {long})^{power}*(x2 + x3 + {long})^{power}"
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["family"][1]["expression"] = expression
+    path = spec_on_disk(payload)
+    assert run("check", path) == (
+        2, f"error: {path}.family[1].expression: may expand to "
+        f"{terms**2 * power**2} terms of 4300 digits, more than 100000 "
+        f"(at position {expression.index('*')})")
+
+
+def test_expression_above_the_token_cap_exits_two(spec_on_disk):
+    # a sum of monomials spends nothing from the term budget; the token cap
+    # refuses it while tokenizing, before anything is parsed
+    expression = "x1*x2+" * (MAX_TOKENS // 4) + "x1"
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["family"][1]["expression"] = expression
+    path = spec_on_disk(payload)
+    assert run("check", path) == (
+        2, f"error: {path}.family[1].expression: more than {MAX_TOKENS} "
+        f"tokens (at position {len(expression) - 2})")
 
 
 def test_powers_of_one_expression_share_the_term_budget(spec_on_disk):

@@ -11,9 +11,10 @@ outside ``anchor`` writes a Hamiltonian field out, no module but
 ``anchor`` names the codifferential, ``certify`` calls neither the
 involution table nor the chain check, the sharp extension takes no
 wedge, the sum of products multiplies no two polynomials, the
-closed-form check reads its brackets off Phi_lambda without wedging, and
-no class but ``Polynomial`` has an ``__init__`` that only copies its
-arguments.
+closed-form check reads its brackets off Phi_lambda without wedging, no
+class but ``Polynomial`` has an ``__init__`` that only copies its
+arguments, and no module but ``cli`` imports ``gc`` or ``atexit``, whose
+``main`` alone names them.
 
 No linter ships with the toolchain, so this walks the syntax trees with
 ``ast``.  ``__init__.py`` is exempt from the import check: its imports are
@@ -553,3 +554,61 @@ def test_closed_form_check_reads_phi_without_wedging():
     source = (PACKAGE / "verify.py").read_text(encoding="utf-8")
     assert _function_calls(source, "_closed_form_equivalence") & {
         "wedge", "differential", "bracket_closed_form"} == set()
+
+
+PROCESS_MODULES = {"gc", "atexit"}
+
+
+def _process_hooks(sources: dict) -> list:
+    """(module, "import") for each module that imports ``gc`` or ``atexit``,
+    and (module, where) for each module-level function or class, or
+    "<module>" for any other module-level statement, that names what such
+    an import binds."""
+    found = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias for alias in node.names
+                         if alias.name.split(".")[0] in PROCESS_MODULES]
+                bound.update(alias.asname or alias.name.split(".")[0]
+                             for alias in names)
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module in PROCESS_MODULES):
+                names = node.names
+                bound.update(alias.asname or alias.name for alias in names)
+            else:
+                continue
+            if names:
+                found.add((module, "import"))
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            where = node.name if isinstance(node, (
+                ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else (
+                "<module>")
+            if any(isinstance(name, ast.Name) and name.id in bound
+                   for name in ast.walk(node)):
+                found.add((module, where))
+    return sorted(found)
+
+
+def test_only_cli_main_touches_the_process_heap():
+    # main freezes the heap at exit for the process it ends; the library
+    # entry run() and every engine module leave the process alone
+    assert _process_hooks(_package_sources()) == [("cli.py", "import"),
+                                                  ("cli.py", "main")]
+
+
+def test_process_hook_is_reported():
+    sources = {
+        "a.py": "import gc as g\n\ndef f():\n    g.freeze()\n",
+        "b.py": "from atexit import register\nregister(print)\n",
+        "c.py": "class C:\n    def h(self):\n        import gc\n"
+                "        return gc.collect()\n",
+        "d.py": "import json\ngc = 1\n\ndef gc_count():\n    return gc\n",
+    }
+    assert _process_hooks(sources) == [
+        ("a.py", "f"), ("a.py", "import"), ("b.py", "<module>"),
+        ("b.py", "import"), ("c.py", "C"), ("c.py", "import")]

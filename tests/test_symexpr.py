@@ -299,6 +299,17 @@ def test_term_bound_is_checked_before_expanding(table, monkeypatch):
         assert parse_ratfun(text, table) == expected
 
 
+def test_token_cap_is_checked_while_tokenizing(table, monkeypatch):
+    # an expression of exactly MAX_TOKENS tokens parses; the next token is
+    # refused at its position, and whitespace does not count
+    monkeypatch.setattr(symexpr, "MAX_TOKENS", 7)
+    assert parse_ratfun(" x1 * ( x2 + 3 ) ", table) == parse_ratfun(
+        "x1*x2 + 3*x1", table)
+    with pytest.raises(ParseError) as raised:
+        parse_ratfun("x1*(x2 + 3) - 1", table)
+    assert str(raised.value) == "more than 7 tokens (at position 12)"
+
+
 def test_long_coefficients_count_in_the_term_budget(table):
     # a power multiplies the bits of its base's coefficients by up to the
     # exponent, so nested powers of a constant grow them exponentially.  A
@@ -322,6 +333,18 @@ def test_long_coefficients_count_in_the_term_budget(table):
     parser = symexpr._Parser(f"(x1 + {long})^5", table)
     assert parser.parse() == parse_ratfun(f"x1 + {long}", table) ** 5
     assert symexpr.MAX_TERMS - parser.budget == steps(5, 2)
+    # a product's term pair counts u*v times for coefficients u and v words
+    # long: here 3*3 pairs of two words each, after the two squares.  A
+    # quotient multiplies the numerator by the divisor's denominator and
+    # the denominator by its numerator, here 1*3 pairs of one and two words
+    # and then 3*3 pairs of two words each
+    parser = symexpr._Parser(f"(x1 + {long})^2*(x2 + {long})^2", table)
+    parser.parse()
+    assert symexpr.MAX_TERMS - parser.budget == 2 * steps(2, 2) + 9 * 2 * 2
+    parser = symexpr._Parser(f"1/(x1 + {long})^2/(x2 + {long})^2", table)
+    parser.parse()
+    assert symexpr.MAX_TERMS - parser.budget == (2 * steps(2, 2) + 3 * 2
+                                                 + 9 * 2 * 2)
     for text, cost, position in (
             ("(((2^100)^100)^100)^100", 6977**2, 19),
             ("((((2^100)^100)^100)^100)^100", 6977**2, 20),

@@ -18,7 +18,6 @@ import atexit
 import gc
 import json
 import os
-import re
 import sys
 
 from .anchor import (
@@ -736,100 +735,55 @@ def run(command: str, spec_path: str, seed: int = 0,
 
 
 def _read_argv(argv) -> tuple:
-    """(command, spec, seed, format, pair) read as the argparse parser of
-    earlier versions read them, with its help and its usage errors (exit
-    2): each option as ``--opt value`` or ``--opt=value``, by a unique
-    prefix of its name, anywhere before a ``--``."""
-    usage = """usage: involution-forge [-h] [--seed SEED] [--format {full,summary}]
-                        [--pair PAIR]
-                        {check,pencil,bracket,solve-ansatz,report} spec
-"""
-
-    def fail(message):
-        sys.stderr.write(f"{usage}involution-forge: error: {message}\n")
-        raise SystemExit(2)
-
-    def option(arg):
-        # (name, value given in the same word) of an option, (arg, None) of
-        # an unknown one, None where argparse reads a positional
-        if arg[:1] != "-" or arg == "-":
-            return None
-        if arg[:2] == "--":
-            name, eq, value = arg.partition("=")
-            found = [known for known in ("--help", "--seed", "--format",
-                                         "--pair") if known.startswith(name)]
-            if len(found) > 1:
-                fail(f"ambiguous option: {arg} could match "
-                     f"{', '.join(found)}")
-            if found:
-                return found[0], value if eq else None
-        elif arg[:2] == "-h":
-            # "-h=x" gives -h the value x, and "-hh" is "-h -h"
-            value = arg[3:] if arg[2:3] == "=" else arg[2:] or None
-            return "--help", value.lstrip("h") or None if value else value
-        if re.fullmatch(r"-\d+|-\d*\.\d+|.* .*", arg):
-            return None
-        return arg, None
-
-    # every word is read before any is used, as argparse does; the words
-    # after the first "--" are positionals
-    argv = list(argv)
-    end = argv.index("--") if "--" in argv else len(argv)
-    opts = ([option(arg) for arg in argv[:end]] + [("--", None)]
-            + [None] * (len(argv) - end - 1))
+    """(command, spec, seed, format, pair) of the usage line's form: the
+    command and the spec, then ``--seed``, ``--format`` and ``--pair`` by
+    their full names, each as ``--opt value`` or ``--opt=value``.  Every
+    other argv goes to argparse, which gives the help and the usage errors."""
     values = {"--seed": 0, "--format": "full", "--pair": None}
-    words, extras, pos, word_end = [], [], 0, 0
-    while pos < len(argv):
-        arg, (name, value) = argv[pos], opts[pos] or (None, None)
-        pos += 1
-        if name is None and len(words) < 2:
-            if not words and arg not in COMMANDS:
-                fail(f"argument command: invalid choice: {arg!r} (choose "
-                     f"from {', '.join(map(repr, COMMANDS))})")
-            words.append(arg)
-            word_end = pos
-        elif name == "--help":
-            if value is not None:
-                fail(f"argument -h/--help: ignored explicit argument "
-                     f"{value!r}")
-            sys.stdout.write(f"""{usage}
-build and certify Poisson pencils from a spec file
+    words = iter(argv[2:])
+    for word in words:
+        name, eq, value = word.partition("=")
+        if not eq:  # a value that starts with "-", or none, is argparse's
+            value = next(words, "-")
+        if name not in values or value[:1] == "-" and not eq:
+            break
+        if name == "--seed":
+            try:
+                value = int(value)
+            except ValueError:
+                break
+        elif name == "--format" and value not in ("full", "summary"):
+            break
+        values[name] = value
+    else:
+        if len(argv) > 1 and argv[0] in COMMANDS and argv[1][:1] != "-":
+            return (*argv[:2], *values.values())
+    return _parse_argv(argv)
 
-positional arguments:
-  {{check,pencil,bracket,solve-ansatz,report}}
-  spec                  path to a JSON spec file
 
-options:
-  -h, --help            show this help message and exit
-  --seed SEED           seed for every sampled point (default 0)
-  --format {{full,summary}}
-                        report verbosity
-  --pair PAIR           two family names f,h for the bracket command
-""")
-            raise SystemExit(0)
-        elif name in values:
-            if value is None:
-                if pos == len(argv) or opts[pos] is not None:
-                    fail(f"argument {name}: expected one argument")
-                value, pos = argv[pos], pos + 1
-            if name == "--seed":
-                try:
-                    value = int(value)
-                except ValueError:
-                    fail(f"argument --seed: invalid int value: {value!r}")
-            if name == "--format" and value not in ("full", "summary"):
-                fail(f"argument --format: invalid choice: {value!r} "
-                     "(choose from 'full', 'summary')")
-            values[name] = value
-        elif name != "--" or len(words) == 2 and word_end != pos - 1:
-            # argparse drops a "--" only next to the command or the spec
-            extras.append(arg)
-    if len(words) < 2:
-        fail("the following arguments are required: "
-             + ", ".join(("command", "spec")[len(words):]))
-    if extras:
-        fail(f"unrecognized arguments: {' '.join(extras)}")
-    return (*words, *values.values())
+def _parse_argv(argv) -> tuple:
+    """_read_argv's result by argparse, imported only here: it and gettext
+    cost a cold process about 3.4 ms."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="involution-forge",
+        description="build and certify Poisson pencils from a spec file",
+        # the help and usage text wrap alike on every terminal
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78),
+    )
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("spec", help="path to a JSON spec file")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for every sampled point (default 0)")
+    parser.add_argument("--format", choices=("full", "summary"),
+                        default="full", help="report verbosity")
+    parser.add_argument("--pair", default=None,
+                        help="two family names f,h for the bracket command")
+    args = parser.parse_args(argv)
+    # argparse leaves an empty list for the spec of "check -- --"
+    return (args.command, args.spec if args.spec != [] else "--", args.seed,
+            args.format, args.pair)
 
 
 def main(argv=None) -> int:

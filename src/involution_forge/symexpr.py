@@ -1440,8 +1440,9 @@ class _Parser:
     sum of fractions has a total degree above MAX_DEGREE, and the powers,
     products and quotients of one expression may together expand to at
     most MAX_TERMS terms: each that can expand takes its bound from one
-    budget, a term with long coefficients counting several times.  An
-    expression has at most MAX_TOKENS tokens.
+    budget, a term with long coefficients counting several times, and so
+    do the gcds that cancel long coefficients.  An expression has at most
+    MAX_TOKENS tokens.
 
     Values are polynomials until a '/' makes a fraction through
     ``RationalFunction(num, den)``; the polynomial terms of a sum up to its
@@ -1542,8 +1543,16 @@ class _Parser:
             c, d, v, z = _shape(rhs)
             if divide:  # (a/b) / (c/d) = (a*d) / (b*c)
                 c, d, v, z = d, c, z, v
+            # The gcds that cancel a against d and c against b cost
+            # x*y*min(x, y)^2 a term pair for coefficients x and y words
+            # long: GCDHEU evaluates at a point as long as the shorter ones,
+            # and its images grow with both.  A gcd with a monomial side, or
+            # of short coefficients, costs nothing
+            gcds = sum(s * t * x * y * min(x, y) ** 2
+                       for s, t, x, y in ((a, d, u, z), (c, b, v, w))
+                       if x * y > 1 and s > 1 < t)
             long = u * v > 1 or w * z > 1
-            self.spend(max(a * c * u * v, b * d * w * z), pos,
+            self.spend(max(a * c * u * v, b * d * w * z) + gcds, pos,
                        _LONG_TERMS if long else "terms")
             if not divide:
                 acc = acc * rhs

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from math import prod
 from pathlib import Path
 from random import Random
 
+import involution_forge
 from involution_forge import (
     DivisionByZero,
     ForbiddenVariable,
@@ -55,6 +58,17 @@ def load_benchmark(name: str):
     sys.modules[spec.name] = module  # run.py declares dataclasses
     spec.loader.exec_module(module)
     return module
+
+
+def fresh_cli(args, code=None, flags=()):
+    """A fresh interpreter running ``python flags -m involution_forge args``,
+    or ``python flags -c code args``, with stdout and stderr on pipes, as
+    bytes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(involution_forge.__file__).parents[1])
+    head = ["-m", "involution_forge"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *flags, *head, *args], env=env,
+                          capture_output=True, timeout=120)
 
 
 def load_spec(name: str):

@@ -22,7 +22,7 @@ from involution_forge.errors import SpecError
 from involution_forge.fixtures import FIXTURE_NAMES, fixture_file
 from involution_forge.pencil import unknown_name
 from involution_forge.symexpr import MAX_EXPONENT, MAX_NESTING, MAX_TOKENS
-from helpers import BENCHMARKS, load_benchmark
+from helpers import BENCHMARKS, fresh_cli, load_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +340,71 @@ def test_argv_reader_matches_argparse(capsys, argv):
     assert outcome(cli_module._read_argv) == expected
 
 
+@pytest.mark.parametrize("columns", ["40", "200"])
+def test_help_and_usage_do_not_wrap_with_the_terminal(columns, lagrange_path,
+                                                      capsys):
+    # the rows of --help and of a usage error, at 78 columns
+    with patch.dict(os.environ, COLUMNS=columns):
+        for argv, code, out, err in (ARGV_TABLE[0], ARGV_TABLE[3]):
+            argv = [lagrange_path if arg == "SPEC" else arg for arg in argv]
+            assert _main_outcome(argv, capsys) == (code, out, err)
+
+
+# runs main on its argv in a fresh interpreter, then writes to stderr which
+# of argparse and gettext main loaded
+ARGPARSE_PROBE = """
+import sys
+before = set(sys.modules)
+from involution_forge.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+sys.stderr.write(" ".join(sorted({"argparse", "gettext"}
+                                 & (set(sys.modules) - before))))
+raise SystemExit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "SPEC", "--seed", "3"],
+    ["bracket", "SPEC", "--seed", "3", "--pair", "f1,f3"],
+    ["report", "SPEC", "--format=summary"],
+], ids=" ".join)
+def test_usage_line_form_is_read_without_argparse(argv, lagrange_path):
+    # every benchmark op has this form, and each is a cold process, which
+    # importing and running argparse would cost about 3.4 ms
+    argv = [lagrange_path if arg == "SPEC" else arg for arg in argv]
+    proc = fresh_cli(argv, ARGPARSE_PROBE)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_other_spellings_go_through_argparse(lagrange_path):
+    # the negative control: a prefix of --seed loads argparse, and prints
+    # the same bytes
+    fast, slow = (fresh_cli(["report", lagrange_path, seed, "3"],
+                            ARGPARSE_PROBE) for seed in ("--seed", "--se"))
+    assert slow.stderr == b"argparse gettext"
+    assert fast.stdout.startswith(b"report:\n")
+    assert (slow.returncode, slow.stdout) == (fast.returncode, fast.stdout)
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    ARGV_TABLE[0],
+    ARGV_TABLE[3],
+    (["report", "SPEC"], 0, None, ""),
+], ids=["help", "usage error", "report"])
+def test_cli_runs_clean_with_warnings_as_errors(argv, code, out, err,
+                                                lagrange_path):
+    # a DeprecationWarning or ResourceWarning of the engine, or of argparse
+    # imported late, ends the process instead of reaching stderr
+    if out is None:
+        golden = json.loads((BENCHMARKS / "golden.json").read_text("utf-8"))
+        out = golden["stdout"]["report lagrange_top 0"]
+    argv = [lagrange_path if arg == "SPEC" else arg for arg in argv]
+    proc = fresh_cli(argv, flags=("-X", "dev", "-W", "error"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, out.encode(), err.encode())
+
+
 def test_report_full_contains_certificate(lagrange_path):
     code, text = run("report", lagrange_path, format="full")
     assert code == 0
@@ -571,15 +636,10 @@ def test_a_vanishing_end_of_F_lambda_exits_one(spec_on_disk, f0, f1, sigma0,
 
 
 def test_python_dash_m_runs_the_cli(lagrange_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(involution_forge.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "involution_forge", "check", lagrange_path],
-        env=env, capture_output=True, text=True,
-    )
+    proc = fresh_cli(["check", lagrange_path])
     assert proc.returncode == 0
-    assert proc.stderr == ""
-    assert "schema = ok" in proc.stdout
+    assert proc.stderr == b""
+    assert b"schema = ok" in proc.stdout
 
 
 def test_stdout_closed_by_the_reader_ends_in_one_error_line(lagrange_path):
@@ -876,6 +936,24 @@ def test_product_of_long_powers_exits_two(spec_on_disk, power, terms):
         2, f"error: {path}.family[1].expression: may expand to "
         f"{terms**2 * power**2} terms of 4300 digits, more than 100000 "
         f"(at position {expression.index('*')})")
+
+
+@pytest.mark.parametrize("power, terms", [(10, 66), (8, 45)])
+def test_quotient_of_long_powers_exits_two(spec_on_disk, power, terms):
+    # the gcd that cancels the numerator against the divisor takes terms**2
+    # term pairs of coefficients ``power`` words long, at power**4 each,
+    # after the terms cross products of ``power`` words.  Charging the cross
+    # products alone admitted both quotients, which took 25.8 s and 8.3 s
+    # to parse
+    long = "7" * 4300
+    expression = f"(x1 + x2 + {long})^{power}/(x2 + x3 + {long})^{power}"
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["family"][1]["expression"] = expression
+    path = spec_on_disk(payload)
+    assert run("check", path) == (
+        2, f"error: {path}.family[1].expression: may expand to "
+        f"{terms**2 * power**4 + terms * power} terms of 4300 digits, more "
+        f"than 100000 (at position {expression.index('/')})")
 
 
 def test_expression_above_the_token_cap_exits_two(spec_on_disk):

@@ -9,27 +9,13 @@ command line prints, through a real pipe, is unchanged.
 import atexit
 import gc
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import involution_forge
 from involution_forge.cli import main, run
 from involution_forge.fixtures import fixture_file
-from helpers import BENCHMARKS
-
-
-def _fresh(args, code=None):
-    """A fresh interpreter running ``python -m involution_forge args``, or
-    ``python -c code args``, with stdout and stderr on pipes, as bytes."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(involution_forge.__file__).parents[1])
-    head = ["-m", "involution_forge"] if code is None else ["-c", code]
-    return subprocess.run([sys.executable, *head, *args], env=env,
-                          capture_output=True, timeout=120)
+from helpers import BENCHMARKS, fresh_cli
 
 
 def test_run_and_main_leave_the_heap_unfrozen(capsys, monkeypatch):
@@ -55,7 +41,7 @@ def test_run_and_main_leave_the_heap_unfrozen(capsys, monkeypatch):
 
 def test_report_through_a_pipe_writes_the_golden_bytes():
     golden = json.loads((BENCHMARKS / "golden.json").read_text("utf-8"))
-    proc = _fresh(["report", str(fixture_file("lagrange_top"))])
+    proc = fresh_cli(["report", str(fixture_file("lagrange_top"))])
     assert proc.returncode == 0
     assert proc.stderr == b""
     assert proc.stdout == golden["stdout"]["report lagrange_top 0"].encode()
@@ -65,7 +51,7 @@ def test_rejected_sigma_through_a_pipe_writes_one_line():
     golden = json.loads((Path(__file__).parent
                          / "golden_benchmark_specs.json").read_text("utf-8"))
     want = golden["ops"]["report reject_sigma 0"]
-    proc = _fresh(["report", str(BENCHMARKS / "specs" / "reject_sigma.json")])
+    proc = fresh_cli(["report", str(BENCHMARKS / "specs" / "reject_sigma.json")])
     assert proc.returncode == want["exit"] == 1
     assert proc.stderr == b""
     assert proc.stdout == want["stdout"].encode()
@@ -90,7 +76,7 @@ raise SystemExit(code)
 
 @pytest.mark.parametrize("entry", ["main", "run"])
 def test_exit_hook_freezes_the_heap_after_main_only(entry):
-    proc = _fresh([entry, "check", str(fixture_file("toda_first"))], PROBE)
+    proc = fresh_cli([entry, "check", str(fixture_file("toda_first"))], PROBE)
     assert proc.returncode == 0
     assert b"schema = ok" in proc.stdout
     label, count = proc.stderr.decode().split()

@@ -345,6 +345,28 @@ def test_long_coefficients_count_in_the_term_budget(table):
     parser.parse()
     assert symexpr.MAX_TERMS - parser.budget == (2 * steps(2, 2) + 3 * 2
                                                  + 9 * 2 * 2)
+    # The gcd that cancels a numerator against the divisor's numerator, or
+    # against the other factor's denominator, costs u*v*min(u, v)^2 a term
+    # pair for coefficients u and v words long: here 3*3 pairs of two words
+    # each after the cross products.  A gcd with a constant or a monomial
+    # costs nothing, as above, and neither does one of short coefficients.
+    # With one side short the gcd evaluates at a short point: the quotient
+    # of the two powers ^10 below, of 66 terms each, takes about 0.02 s in
+    # its gcd, which costs 10*1*1^2 a pair.  The short power counts its
+    # terms alone
+    parser = symexpr._Parser(f"(x1 + {long})^2/(x2 + {long})^2", table)
+    parser.parse()
+    assert symexpr.MAX_TERMS - parser.budget == (2 * steps(2, 2) + 3 * 2
+                                                 + 9 * (2 * 2)**2)
+    parser = symexpr._Parser(f"(x1 + {long})^2*(1/(x2 + {long})^2)", table)
+    parser.parse()
+    assert symexpr.MAX_TERMS - parser.budget == (2 * steps(2, 2) + 2 * 3 * 2
+                                                 + 9 * (2 * 2)**2)
+    parser = symexpr._Parser(f"(x1 + x2 + {long})^10/(x2 + x3 + 1)^10",
+                             table)
+    parser.parse()
+    assert symexpr.MAX_TERMS - parser.budget == (steps(10, 3) + 66
+                                                 + 66 * 10 + 66 * 66 * 10)
     for text, cost, position in (
             ("(((2^100)^100)^100)^100", 6977**2, 19),
             ("((((2^100)^100)^100)^100)^100", 6977**2, 20),
@@ -654,6 +676,37 @@ def test_gcd_falls_back_when_an_inner_evaluation_gives_up(table, a, b,
     # some call gave up right after its first inner call gave up, of the
     # two evaluation points it had
     assert ([True], True) in log
+
+
+@pytest.mark.parametrize("a, b", [
+    *INNER_GIVE_UP_CASES,
+    ("(x1*x2 - 3*x3 + 2)*(x1^2 + x2*x3)", "(x1*x2 - 3*x3 + 2)*(x2 - x3^2)"),
+])
+def test_gcd_falls_back_when_every_inner_evaluation_gives_up(table, a, b,
+                                                             monkeypatch):
+    # at the default HEU_GCD_MAX, every _heu_gcd call below the outermost
+    # one gives up: the outermost call gives up after its first inner call,
+    # with five points left, and poly_gcd takes the content/PRS path to the
+    # same gcd
+    a, b = (parse_ratfun(text, table).num for text in (a, b))
+    expected = poly_gcd(a, b)
+    real_heu, real_prs = symexpr._heu_gcd, symexpr._content_prs_gcd
+    inner, outer, prs = [], [], []
+
+    def inner_gives_up(f, g, shifts, table):
+        if inner:
+            inner[-1] += 1
+            return None
+        inner.append(0)
+        result = real_heu(f, g, shifts, table)
+        outer.append((inner.pop(), result))
+        return result
+
+    monkeypatch.setattr(symexpr, "_heu_gcd", inner_gives_up)
+    monkeypatch.setattr(symexpr, "_content_prs_gcd",
+                        lambda a, b: prs.append(a) or real_prs(a, b))
+    assert poly_gcd(a, b) == expected
+    assert outer[0] == (1, None) and prs
 
 
 def test_truthiness_matches_fraction(table):

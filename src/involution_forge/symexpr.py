@@ -69,11 +69,6 @@ divide a it cancels a against q alone, and a power of q is divided one
 factor at a time, stopping at the first factor a is coprime to.  The
 trial is kept out of ``_cancel``, where a failed trial would cost about
 as much as the gcd that follows it.
-
-The parser computes with polynomials and makes a fraction only at '/',
-through the ``RationalFunction`` constructor; a one-term base is raised
-to its power in one step, and a sum's polynomial terms are added in one
-pass.
 """
 
 from __future__ import annotations
@@ -1370,11 +1365,11 @@ MAX_EXPONENT = 100
 # fractions may reach, checked on its result; it keeps exponents far below
 # the guard of a packed field (see the module docstring).
 MAX_DEGREE = 200
-# The most terms the powers, products and quotients of one expression may
-# give their numerators and denominators together, bounded before each is
-# expanded: (x1+x2+x3+y1+y2+y3+1)^100 passes both bounds above but has
-# C(106, 6), about 1.7e9, and three powers ^16 of that base have 74 613
-# terms each; an expression of the shipped specs spends at most 19.
+# The most terms the powers, products, quotients and sums of fractions of
+# one expression may give their numerators and denominators together,
+# bounded before each is expanded: (x1+x2+x3+y1+y2+y3+1)^100 passes both
+# bounds above but has C(106, 6), about 1.7e9, and three powers ^16 of that
+# base have 74 613 terms each; a shipped spec's expression spends at most 5.
 MAX_TERMS = 100_000
 # The most tokens one expression may have.  A sum of monomials spends
 # nothing from MAX_TERMS, so this bounds its length: an expression of the
@@ -1382,11 +1377,11 @@ MAX_TERMS = 100_000
 # toda_first pulled back through x_i -> x_i + (x_{i+1} + ... + x_5 + 1)^4
 # (a 757 KB spec) has 55 763, and 100 000 tokens parse in about a second.
 MAX_TOKENS = 100_000
-# A term whose coefficients are longer than the longest integer literal
-# int() reads by default counts in MAX_TERMS for as many terms of that
-# length, one word (see _words), as it costs
+# The most digits an integer of a parsed value may have: the longest
+# literal int() reads by default, and the longest coefficient
+# Polynomial.render prints.  The integers below _TOP have at most that many.
 _DIGITS = sys.int_info.default_max_str_digits
-_LONG_TERMS = f"terms of {_DIGITS} digits"
+_TOP = 10**_DIGITS
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
@@ -1436,19 +1431,20 @@ class _Parser:
 
     '/' divides, left associative.  No implicit multiplication; whitespace
     is insignificant.  Parentheses nest at most MAX_NESTING deep, an
-    exponent is at most MAX_EXPONENT, no power, product, quotient or
-    sum of fractions has a total degree above MAX_DEGREE, and the powers,
-    products and quotients of one expression may together expand to at
-    most MAX_TERMS terms: each that can expand takes its bound from one
-    budget, a term with long coefficients counting several times, and so
-    do the gcds that cancel long coefficients.  An expression has at most
-    MAX_TOKENS tokens.
+    exponent is at most MAX_EXPONENT, and an expression has at most
+    MAX_TOKENS tokens.  No power, product, quotient or sum of fractions
+    has a total degree above MAX_DEGREE or an integer of more than _DIGITS
+    digits, and those of one expression expand to at most MAX_TERMS terms
+    in all.  Each bound is checked on the operands before computing;
+    adding, cancelling and making a denominator monic can lengthen
+    integers beyond that estimate, so each sum and each product or
+    quotient that gives a fraction checks the integers of its result too.
 
     Values are polynomials until a '/' makes a fraction through
-    ``RationalFunction(num, den)``; the polynomial terms of a sum up to its
-    first fraction are added in one pass, and from there on the sum is
-    folded term by term, so a sum of fractions is checked after each sign
-    at that sign's position."""
+    ``RationalFunction(num, den)``; the terms of a sum with a constant
+    denominator up to its first fraction are added in one pass, and from
+    there on the sum is folded term by term, so a sum of fractions is
+    checked after each sign at that sign's position."""
 
     def __init__(self, text: str, table: VarTable):
         self.tokens = _tokenize(text)
@@ -1471,19 +1467,29 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         return self.advance()
 
-    def spend(self, bound: int, pos: int, unit: str = "terms"):
-        """Take the term bound of one power, product or quotient, counted in
-        ``unit``, from the expression's budget before expanding it.  A bound
+    def spend(self, bound: int, pos: int):
+        """Take the term bound of one power, product, quotient or sum of
+        fractions from the expression's budget before expanding it.  A bound
         of 1 is one term times one term, which expands nothing: it takes
         nothing, so a long sum of monomials is not refused for its length."""
         if bound <= 1:
             return
         if bound > self.budget:
-            total = f"{bound} {unit}" if bound > MAX_TERMS else (
-                f"{MAX_TERMS - self.budget + bound} {unit} in all")
+            total = f"{bound} terms" if bound > MAX_TERMS else (
+                f"{MAX_TERMS - self.budget + bound} terms in all")
             raise ParseError(
                 f"may expand to {total}, more than {MAX_TERMS}", pos)
         self.budget -= bound
+
+    def charge(self, pairs, pos: int):
+        """Check the products p*q of one operation's (p, q) ``pairs`` before
+        computing them: the length of their integers, then their terms."""
+        bits = terms = 0
+        for p, q in pairs:
+            bits = max(bits, _bits(p) + _bits(q))
+            terms = max(terms, len(p.terms) * len(q.terms))
+        _check_length(1 << bits, pos)
+        self.spend(terms, pos)
 
     def parse(self) -> RationalFunction:
         value = self.expr()
@@ -1500,29 +1506,45 @@ class _Parser:
         if kind == "op" and value == "-":
             self.advance()
             sign = -1
-        polys = []  # (sign, polynomial) up to the first fraction
+        polys = []  # (sign, numerator) over constant denominators
+        scale = 1  # their common denominator
         acc = None  # the sum from the first fraction on
         pos = None  # where the sign before the term stands
         while True:
             term = self.term()
-            if acc is None and isinstance(term, Polynomial):
-                polys.append((sign, term))
+            num, den = _parts(term)
+            if acc is None and den.is_constant():
+                polys.append((sign, num))
+                scale = lcm(scale, num.den)
+                _check_length(scale, pos)
             else:
                 if sign < 0:
                     term = -term
-                if acc is not None:
-                    acc = acc + term
-                elif polys:
-                    acc = term + _signed_sum(self.table, polys)
-                else:
+                if acc is None and polys:
+                    acc = _signed_sum(self.table, polys)
+                if acc is None:
                     acc = term
-                # a sum of fractions multiplies their denominators
-                if pos is not None and not acc.is_polynomial():
+                else:
+                    # a/b + c/d multiplies a*d, c*b and b*d unless b = d;
+                    # a one-term factor only scales, and is not charged
+                    a, b = _parts(acc)
+                    if b != den:
+                        self.charge([(p, q) for p, q in
+                                     ((a, den), (num, b), (b, den))
+                                     if len(p.terms) > 1 < len(q.terms)],
+                                    pos)
+                    acc = acc + term
                     _check_degree(_degree(acc), pos)
-            kind, value, pos = self.peek()
+                    _check_length(_longest(acc), pos)
+            kind, value, end = self.peek()
             if kind != "op" or value not in "+-":
-                return _signed_sum(self.table, polys) if acc is None else acc
+                if acc is None:
+                    acc = _signed_sum(self.table, polys)
+                    if len(polys) > 1:
+                        _check_length(_longest(acc), pos)
+                return acc
             self.advance()
+            pos = end
             sign = 1 if value == "+" else -1
 
     def term(self):
@@ -1537,29 +1559,19 @@ class _Parser:
             if divide and rhs.is_zero():
                 raise DivisionByZero(f"division by zero at position {pos}")
             _check_degree(_degree(acc) + _degree(rhs), pos)
-            # a term pair whose coefficients are u and v words long (see
-            # _words) costs as much as u*v pairs of one word
-            a, b, u, w = _shape(acc)
-            c, d, v, z = _shape(rhs)
+            (a, b), (c, d) = _parts(acc), _parts(rhs)
             if divide:  # (a/b) / (c/d) = (a*d) / (b*c)
-                c, d, v, z = d, c, z, v
-            # The gcds that cancel a against d and c against b cost
-            # x*y*min(x, y)^2 a term pair for coefficients x and y words
-            # long: GCDHEU evaluates at a point as long as the shorter ones,
-            # and its images grow with both.  A gcd with a monomial side, or
-            # of short coefficients, costs nothing
-            gcds = sum(s * t * x * y * min(x, y) ** 2
-                       for s, t, x, y in ((a, d, u, z), (c, b, v, w))
-                       if x * y > 1 and s > 1 < t)
-            long = u * v > 1 or w * z > 1
-            self.spend(max(a * c * u * v, b * d * w * z) + gcds, pos,
-                       _LONG_TERMS if long else "terms")
+                c, d = d, c
+            self.charge(((a, c), (b, d)), pos)
             if not divide:
                 acc = acc * rhs
             elif isinstance(acc, Polynomial) and isinstance(rhs, Polynomial):
                 acc = RationalFunction(acc, rhs)
             else:
                 acc = acc / rhs
+            if isinstance(acc, RationalFunction):
+                # cancelling and a monic denominator may pass the estimate
+                _check_length(_longest(acc), pos)
 
     def factor(self):
         base = self.base()
@@ -1578,18 +1590,10 @@ class _Parser:
             self.advance()
             _check_degree(value * _degree(base), caret)
             # p^k has coefficients of at most k times the bits of p's largest
-            # plus those of its term count.  A term w > 1 words long (see
-            # _words) counts w^2 times, so nested powers stay bounded, and
-            # as a base of more than one term is raised one factor at a time,
-            # each p^k on the way then counts
-            bits = max(map(_bits, _parts(base)))
-            words = [_words(k * bits) for k in range(value + 1)]
-            long = words[-1] > 1
-            self.spend(max(sum(comb(k + t - 1, t - 1) * words[k] ** 2
-                               for k in range(1 if long and t > 1 else value,
-                                              value + 1))
-                           for t in _sizes(base) if t), caret,
-                       _LONG_TERMS if long else "terms")
+            # plus those of its term count
+            _check_length(1 << value * max(map(_bits, _parts(base))), caret)
+            self.spend(max(comb(value + len(p.terms) - 1, value)
+                           for p in _parts(base) if p.terms), caret)
             base = base**value
         return base
 
@@ -1649,9 +1653,17 @@ def _check_degree(degree: int, pos: int):
         raise ParseError(f"degree {degree} exceeds {MAX_DEGREE}", pos)
 
 
-def _sizes(value) -> tuple:
-    """Term counts of a parsed value's numerator and denominator."""
-    return tuple(len(p.terms) for p in _parts(value))
+def _check_length(bound: int, pos: int):
+    """Refuse an operation whose integers may reach ``bound`` in absolute
+    value if ``bound`` has more than _DIGITS digits."""
+    if bound >= _TOP:
+        raise ParseError(f"coefficients may exceed {_DIGITS} digits", pos)
+
+
+def _longest(value) -> int:
+    """The largest integer, in absolute value, that a parsed value holds."""
+    return max(max([p.den, *map(abs, p.terms.values())])
+               for p in _parts(value))
 
 
 def _bits(p: Polynomial) -> int:
@@ -1659,20 +1671,6 @@ def _bits(p: Polynomial) -> int:
     those of its term count."""
     longest = max(map(int.bit_length, p.terms.values()), default=0)
     return max(longest, p.den.bit_length()) + (len(p.terms) - 1).bit_length()
-
-
-def _words(bits: int) -> int:
-    """``bits`` in words as long as the longest default literal, at 10/3
-    bits a digit, rounded up."""
-    return -(-3 * bits // (10 * _DIGITS))
-
-
-def _shape(value) -> tuple:
-    """Term counts of a parsed value's numerator and denominator, then the
-    lengths in words of their coefficients."""
-    num, den = _parts(value)
-    return (len(num.terms), len(den.terms), _words(_bits(num)),
-            _words(_bits(den)))
 
 
 def parse_ratfun(text: str, table: VarTable) -> RationalFunction:

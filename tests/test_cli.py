@@ -9,6 +9,7 @@ import subprocess
 import sys
 from math import comb
 from pathlib import Path
+from random import Random
 from unittest.mock import patch
 
 import pytest
@@ -21,7 +22,8 @@ from involution_forge.cli import COMMANDS, main, parse_spec, run
 from involution_forge.errors import SpecError
 from involution_forge.fixtures import FIXTURE_NAMES, fixture_file
 from involution_forge.pencil import unknown_name
-from involution_forge.symexpr import MAX_EXPONENT, MAX_NESTING, MAX_TOKENS
+from involution_forge.symexpr import (MAX_EXPONENT, MAX_NESTING, MAX_TERMS,
+                                      MAX_TOKENS, VarTable, _Parser)
 from helpers import BENCHMARKS, fresh_cli, load_benchmark
 
 
@@ -143,12 +145,20 @@ def test_condition_failure_exits_one(spec_on_disk):
     code, text = run("report", path)
     assert code == 1
     assert "ConditionFailed" in text
-    # a valid spec whose solved ansatz has a coefficient of 5000 digits,
-    # more than int-to-str conversion prints: a failed computation too
+    # a valid spec whose solved ansatz has a coefficient longer than
+    # int-to-str conversion prints: a failed computation too.  The value
+    # of m3 is a literal of 4300 digits, within the parser's bound
     payload = json.loads(fixture_file("lagrange_top").read_text())
-    payload["sigma1"]["ansatz"]["specialize"]["l3"] = "9" * 2500 + "^2"
+    payload["sigma1"]["ansatz"]["specialize"]["m3"] = "9" * 4300
     assert run("solve-ansatz", spec_on_disk(payload)) == (
         1, "error: IntegerTooLong: a coefficient has more than 4300 digits")
+    # a value whose own coefficient may pass 4300 digits is a spec error
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["sigma1"]["ansatz"]["specialize"]["l3"] = "9" * 2500 + "^2"
+    path = spec_on_disk(payload)
+    assert run("solve-ansatz", path) == (
+        2, f"error: {path}.sigma1.ansatz.specialize.l3: coefficients may "
+        "exceed 4300 digits (at position 2500)")
 
 
 def test_unreadable_file_exits_two(tmp_path):
@@ -897,63 +907,109 @@ def test_expansion_above_the_term_bound_exits_two(spec_on_disk, expression,
         f"terms, more than 100000 (at position {position})\n")
 
 
-def test_nested_powers_of_a_constant_exit_two(spec_on_disk):
-    # 36 characters whose last power has about 10^10 bits: the length of a
-    # coefficient counts in the term budget, so the fourth power is refused
-    # before it is computed.  A separate process with 1 GiB of address
-    # space, as above, so that a bound that stops working fails the test
-    # instead of exhausting memory
-    expression = "x1 + ((((2^100)^100)^100)^100)^100"
-    payload = json.loads(fixture_file("lagrange_top").read_text())
-    payload["family"][1]["expression"] = expression
-    path = spec_on_disk(payload)
+def _check_in_a_fresh_process(path):
+    """``check`` on ``path`` in a separate process with a timeout and 1 GiB
+    of address space, so that a bound that stops working fails the test
+    instead of stalling the suite or exhausting memory."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(involution_forge.__file__).parents[1])
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "involution_forge", "check", path],
         env=env, capture_output=True, text=True, timeout=30,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
                                               (2**30, 2**30)),
     )
+
+
+def test_nested_powers_of_a_constant_exit_two(spec_on_disk):
+    # 36 characters whose last power has about 10^10 bits: the third power
+    # may pass 4300 digits, so it is refused before it is computed
+    expression = "x1 + ((((2^100)^100)^100)^100)^100"
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["family"][1]["expression"] = expression
+    path = spec_on_disk(payload)
+    proc = _check_in_a_fresh_process(path)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == (
-        f"error: {path}.family[1].expression: may expand to {6977**2} "
-        f"terms of 4300 digits, more than 100000 (at position 25)\n")
+        f"error: {path}.family[1].expression: coefficients may exceed 4300 "
+        f"digits (at position 20)\n")
+
+
+def _sum_of_wide_fractions(n):
+    # one-digit coefficients drawn once: n fractions over 7-term
+    # denominators in six variables
+    rng = Random(1)
+    return " + ".join(
+        "1/(" + " + ".join(f"{rng.randint(1, 9)}*{v}" for v in
+                           ("x1", "x2", "x3", "y1", "y2", "y3"))
+        + f" + {rng.randint(1, 9)})" for _ in range(n))
+
+
+_LONG = 10**4299  # 4300 digits
+
+
+@pytest.mark.parametrize("expression, message", [
+    # each '+' multiplies two denominators of many terms, and is charged
+    (_sum_of_wide_fractions(24),
+     "may expand to 136206 terms in all, more than 100000 (at position 498)"),
+    # each fraction is within the bound, the product of two denominators
+    # is not
+    (" + ".join(f"1/(x1 + {_LONG + i})" for i in range(60)),
+     "coefficients may exceed 4300 digits (at position 4310)"),
+    # the common denominator of two terms passes 4300 digits
+    (" + ".join(f"(x1 + x2)/{_LONG + i}" for i in range(40)),
+     "coefficients may exceed 4300 digits (at position 4311)"),
+    # the cube of a 4300-digit constant
+    (f"(x1 + x2 + x3 + {_LONG})^3/(x1 + x2 - x3 + {_LONG})^3",
+     "coefficients may exceed 4300 digits (at position 4317)"),
+], ids=["wide-fractions", "long-fractions", "long-divisors", "long-powers"])
+def test_slow_sums_and_quotients_exit_two(spec_on_disk, expression, message):
+    # each of these took seconds to parse without the bound that refuses it
+    payload = json.loads(fixture_file("lagrange_top").read_text())
+    payload["family"][1]["expression"] = expression
+    path = spec_on_disk(payload)
+    proc = _check_in_a_fresh_process(path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == f"error: {path}.family[1].expression: {message}\n"
 
 
 @pytest.mark.parametrize("power, terms", [(10, 66), (8, 45)])
 def test_product_of_long_powers_exits_two(spec_on_disk, power, terms):
-    # each power has C(power + 2, 2) terms whose coefficients are ``power``
-    # words of 4300 digits long, so each of the terms**2 term pairs of the
-    # product costs power**2.  Counting term pairs alone admitted both
-    # products, which took 3.2 s and 1.1 s to parse
+    # each power of a base with a 4300-digit constant may have coefficients
+    # of ``power`` times as many digits, so the first one is refused before
+    # it is computed.  With a one-digit constant the product spends its
+    # terms**2 term pairs after the two powers of ``terms`` terms each
     long = "7" * 4300
     expression = f"(x1 + x2 + {long})^{power}*(x2 + x3 + {long})^{power}"
     payload = json.loads(fixture_file("lagrange_top").read_text())
     payload["family"][1]["expression"] = expression
     path = spec_on_disk(payload)
     assert run("check", path) == (
-        2, f"error: {path}.family[1].expression: may expand to "
-        f"{terms**2 * power**2} terms of 4300 digits, more than 100000 "
-        f"(at position {expression.index('*')})")
+        2, f"error: {path}.family[1].expression: coefficients may exceed "
+        f"4300 digits (at position {expression.index('^')})")
+    parser = _Parser(expression.replace(long, "7"),
+                     VarTable.build(["x1", "x2", "x3"]))
+    parser.parse()
+    assert MAX_TERMS - parser.budget == 2 * terms + terms**2
 
 
 @pytest.mark.parametrize("power, terms", [(10, 66), (8, 45)])
 def test_quotient_of_long_powers_exits_two(spec_on_disk, power, terms):
-    # the gcd that cancels the numerator against the divisor takes terms**2
-    # term pairs of coefficients ``power`` words long, at power**4 each,
-    # after the terms cross products of ``power`` words.  Charging the cross
-    # products alone admitted both quotients, which took 25.8 s and 8.3 s
-    # to parse
+    # refused at the first power, as the product above.  With a one-digit
+    # constant the quotient spends its ``terms`` cross products after the
+    # two powers
     long = "7" * 4300
     expression = f"(x1 + x2 + {long})^{power}/(x2 + x3 + {long})^{power}"
     payload = json.loads(fixture_file("lagrange_top").read_text())
     payload["family"][1]["expression"] = expression
     path = spec_on_disk(payload)
     assert run("check", path) == (
-        2, f"error: {path}.family[1].expression: may expand to "
-        f"{terms**2 * power**4 + terms * power} terms of 4300 digits, more "
-        f"than 100000 (at position {expression.index('/')})")
+        2, f"error: {path}.family[1].expression: coefficients may exceed "
+        f"4300 digits (at position {expression.index('^')})")
+    parser = _Parser(expression.replace(long, "7"),
+                     VarTable.build(["x1", "x2", "x3"]))
+    parser.parse()
+    assert MAX_TERMS - parser.budget == 3 * terms
 
 
 def test_expression_above_the_token_cap_exits_two(spec_on_disk):

@@ -44,10 +44,11 @@ from involution_forge.symexpr import quotient_by_factor
 from involution_forge import anchor as anchor_module
 from involution_forge import symexpr
 from involution_forge import pencil as pencil_module
+from involution_forge import cli
 from involution_forge.cli import (assemble, elaborate, elaborate_ansatz,
                                   resolve_basis)
 from involution_forge.linalg import rank_at_point
-from involution_forge.fixtures import FIXTURE_NAMES, load_fixture
+from involution_forge.fixtures import FIXTURE_NAMES, fixture_file, load_fixture
 from involution_forge.pencil import (
     SigmaPair,
     annihilator_basis,
@@ -458,6 +459,27 @@ def test_closed_form_needs_rank_at_least_two(lagrange):
         closed_form_interior(stub)
     with pytest.raises(RankTooSmall):
         bracket_closed_form(stub, "x1", "y1")
+
+
+def test_cli_prints_no_closed_form_below_rank_two(lagrange, monkeypatch):
+    # the r = 1 stub of the test above, as the CLI's assembled pencil:
+    # pencil prints no phi, and report takes no closed-form check
+    _, elab, pencil = lagrange
+    family = FunctionFamily(pencil.table,
+                            [*pencil.family.entries.items(), ("c", "x1")])
+    stub = Pencil(pencil.anchor, family, pencil.partition,
+                  pencil.Pi0, pencil.Pi1, pencil.sigma_lambda,
+                  pencil.g_lambda, pencil.F_lambda, pencil.F_functions)
+    monkeypatch.setattr(cli, "assemble", lambda spec, seed: (elab, stub))
+    path = str(fixture_file("lagrange_top"))
+    code, text = cli.run("pencil", path)
+    assert code == 0
+    assert text.splitlines()[-1] == "  phi = unavailable (r < 2)"
+    code, text = cli.run("report", path, format="summary")
+    labels = [line.split()[1] for line in text.splitlines()[3:-1]]
+    assert code == 1
+    assert labels[-1] == "det[F^2]"
+    assert "closed-form[coordinates]" not in labels
 
 
 def test_closed_form_bracket_matches_contraction(lagrange):

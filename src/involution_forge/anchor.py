@@ -19,7 +19,16 @@ omega^n/n! and vartheta^Theta^n/n!.
 The codifferential delta = *d* is computed as the Koszul bracket
 (-1)^p [i_Lambda, d] of the package's own interior product and exterior
 derivative.  It needs no Hodge star; the tests keep the star as the
-independent oracle for it.
+independent oracle for it, which agrees where d omega = 0.  No other
+package module calls it (an ``ast`` test pins that): assembly decides the
+sigma conditions as Schouten brackets, and the codifferential stays a
+root export and the tests' oracle for them.
+
+``anchor.lifted`` is the anchor the sigma forms live on: the symplectic
+cover of a cosymplectic anchor, and a symplectic anchor itself, so code
+reads it for either parity.  ``decompose_prime`` is the one split of the
+lifted table.  There is one sharp, ``_sharp_extend``; ``bivector_sharp``
+is it on a 1-form.
 """
 
 from __future__ import annotations

@@ -10,6 +10,20 @@ output is deterministic byte-for-byte for a fixed spec file and seed.
 Exit codes: 0 when every requested verdict passes, 1 when a computation or
 verdict fails, 2 when the spec file itself is rejected (the message carries
 the JSON path).
+
+``parse_spec`` checks a spec's shape and semantic rules in one walk.
+Elaboration has one body and one result type, ``Elaborated``:
+``elaborate`` fills ``sigma1``, and ``elaborate_ansatz`` restates the
+ansatz with its constants in ``basis`` and ``specialize``; both read
+``table`` and ``sigma_table`` off the anchor.  Every command that needs a
+pencil goes through ``assemble``.
+
+``main`` reads the usage line's form, the command and the spec and then
+``--seed``, ``--format`` and ``--pair`` by their full names, by hand
+(``_read_argv``).  Any other argv (a prefix of an option, a negative
+value, ``--``, options before a positional, help, a usage error) goes to
+``argparse``, which ``_parse_argv`` imports only then.  Both readers give
+the same values.
 """
 
 from __future__ import annotations
@@ -567,6 +581,9 @@ def _header(title: str, spec: SpecFile, seed) -> list:
 
 
 def _cmd_check(spec: SpecFile, seed: int) -> tuple:
+    # Elaborated twice on purpose: plainly, as pencil and report do, which
+    # refuses an ansatz constant used outside the ansatz block, and with
+    # the ansatz constants, as solve-ansatz does
     elaborated = elaborate(spec, seed)
     has_ansatz = "ansatz" in spec.sigma1
     if has_ansatz:
@@ -708,7 +725,10 @@ def run(command: str, spec_path: str, seed: int = 0,
 
     The split between exit codes 2 and 1 follows the phase: everything up
     to and including elaboration is input validation (2), everything after
-    is computation whose failure is a verdict (1)."""
+    is computation whose failure is a verdict (1).  Unlike ``main`` it
+    leaves the heap alone at exit: a program that calls it owns its
+    process, and objects frozen then, such as cycles whose finalizers it
+    relies on, would never be collected."""
     if command not in COMMANDS:
         return 2, f"error: unknown command {command!r}"
     if format not in ("full", "summary"):

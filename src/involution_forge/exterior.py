@@ -14,6 +14,11 @@ Sign conventions (fixed once, everything downstream is calibrated to them):
 Powers are divided: ``divided_power(a, n)`` is a^n/n!, the one
 normalization of every volume form and contraction downstream
 (omega^n/n!, Theta^n/n!, Lambda^l/l!, omega^(r-2)/(r-2)!).
+
+``wedge``, ``interior``, ``pairing`` and ``schouten`` collect the signed
+products of each output component and reduce them once per pair of
+denominators (``symexpr.sum_of_products``); ``exterior_derivative`` and
+form sums add term by term (``accumulate``).
 """
 
 from __future__ import annotations
@@ -355,7 +360,8 @@ def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
     D^3 for D the lcm of the denominators: D^2 d_l(N/D) = D d_lN - N d_lD.
     The sum is divided by D^3 one factor of D at a time, which stops at the
     first factor the numerator is coprime to, instead of taking its gcd
-    with D^3."""
+    with D^3.  All-polynomial operands (D = 1) take neither the quotient
+    rule nor the division."""
     if not isinstance(P, MultiVector) or not isinstance(Q, MultiVector):
         raise UnsupportedDegrees("schouten acts on multivectors")
     P.table.require_same(Q.table)

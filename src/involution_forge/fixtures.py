@@ -4,13 +4,14 @@ Each fixture file is an ordinary spec file (consumable by the command
 line as-is) whose ``expected`` block freezes the hand-checked artifacts:
 bivector matrices, the pencil determinant and prefactor, the closed-form
 interior, Hamiltonian fields, ansatz solutions, ranks.  Tests compare the
-engine's output against these frozen values entry for entry.
+engine's output against these frozen values entry for entry.  There is
+no assembly helper: ``cli.assemble(fixture.spec, seed)`` assembles a
+fixture like any spec.
 """
 
 from __future__ import annotations
 
 import json
-from importlib import resources
 
 from .cli import parse_spec
 from .errors import UnknownFixture
@@ -33,6 +34,10 @@ def fixture_file(name: str):
             f"no bundled fixture named {name!r}; available: "
             f"{', '.join(FIXTURE_NAMES)}"
         )
+    # Imported here, not at module level: importlib.resources pulls in
+    # pathlib, tempfile and shutil, and no CLI command loads a fixture.
+    from importlib import resources
+
     return resources.files("involution_forge").joinpath(
         "data", f"{name}.json"
     )

@@ -7,7 +7,11 @@ the first row whose entry is not zero.  It is fraction-free: each row is
 cleared to integer or polynomial numerators, every update is one exact
 division, and each entry read off is cancelled once.  A pivot chosen this
 way may still vanish on a subvariety; results are generic in that sense,
-which is the intended reading everywhere this module is used.
+which is the intended reading everywhere this module is used.  On dense
+matrices whose rows have different denominators the cleared numerators
+grow, and there a field loop that divides by each pivot is faster; no
+shipped spec has such a matrix, and that field loop is kept in the tests
+as their oracle.  No caller eliminates a matrix twice.
 
 ``sampled_rank`` is the package's one sampled-rank loop.  A draw is uniform
 on [-B, B]^n for B = symexpr.SAMPLE_BOUND, so by Schwartz-Zippel a nonzero
@@ -233,7 +237,10 @@ def sampled_rank(rows: list, table: VarTable, rng, target=None, avoid=(),
     is read off its strict upper triangle: each pair gives one guard and
     one value per draw, and the value's negative fills the mirror entry.
     The guards it drops are copies, so the same points are accepted.  Past
-    the largest rank the shape allows, points are drawn but not evaluated."""
+    the largest rank the shape allows, points are drawn but not evaluated,
+    so the rng and the sample point it returns stay as they were.  Callers
+    build no guard list: the family and sigma-pair checks give a target,
+    ``verify.rank_at_sample`` gives none."""
     cells = [(i, j) for i, row in enumerate(rows)
              for j in range(i + 1 if skew else 0, len(row)) if row[j]]
     guards = [rows[i][j].den for i, j in cells

@@ -299,8 +299,9 @@ def check_sigma_conditions(Pi0: MultiVector, Pi1: MultiVector) -> list:
     Pi_i' = sharp(sigma_i): on a Poisson symplectic anchor (d omega = 0,
     as the spec reader requires) sharp is injective and takes R(a, b) =
     delta(a^b) - delta(a)^b - a^delta(b) to -[sharp a, sharp b] (Koszul
-    1985; Kosmann-Schwarzbach & Magri 1990).  A failing verdict carries
-    the bracket; failures are data, never exceptions."""
+    1985; Kosmann-Schwarzbach & Magri 1990).  The labels keep the
+    codifferential form the CLI has always printed.  A failing verdict
+    carries the bracket; failures are data, never exceptions."""
     verdicts = []
     for label, a, b in (
         ("delta(sigma0^sigma0) = 2 sigma0^delta(sigma0)", Pi0, Pi0),
@@ -478,7 +479,11 @@ class Pencil(Frozen):
     ``Pi1`` whose brackets [Pi0,Pi0], [Pi1,Pi1] and [Pi0,Pi1] it proved
     zero, as copies of their ``comps``.  A pencil built through this
     constructor, a copy included, carries no record, and an edit of
-    ``Pi0.comps`` or ``Pi1.comps`` in place voids it (``brackets_proved``)."""
+    ``Pi0.comps`` or ``Pi1.comps`` in place voids it (``brackets_proved``).
+    As a Frozen value it cannot have Pi0 or Pi1 reassigned.  On an odd
+    anchor the proof covers the reduced bivectors too, since
+    ``reduce_bivector`` refuses any Ds leg and any s-dependence.  The
+    lifted bivectors are not kept: take ``sharp(anchor.lifted, sigma_i)``."""
 
     __slots__ = (
         "anchor", "family", "partition", "Pi0", "Pi1", "sigma_lambda",

@@ -42,8 +42,9 @@ of the divisor over Z, where Gauss's lemma keeps every quotient integral.
 Arithmetic on reduced fractions takes gcds only where a factor can cancel
 (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1), and every cancellation goes
 through ``_cancel(p, q) -> (g, p/g, q/g)``, which takes no gcd when p or q
-is constant and divides nothing when g is 1.  A sum a/b + c/d cancels
-g = gcd(b, d) (g = b when b = d), so t = a*(d/g) + c*(b/g) over
+is constant and divides nothing when g is 1; no ``RationalFunction``
+method calls ``poly_gcd`` or ``poly_exact_div`` itself.  A sum a/b + c/d
+cancels g = gcd(b, d) (g = b when b = d), so t = a*(d/g) + c*(b/g) over
 (b/g)*(d/g)*g is reduced except for a factor of g, and a second cancel of
 t against g removes it.  A product cancels a against d and c against b; a
 quotient does the same with the divisor flipped and then makes its
@@ -58,17 +59,22 @@ denominators, not once per product: ``sum_of_products`` multiplies the
 numerators a*c term pair by term pair straight into one integer term dict
 per pair b, d (Johnson 1974; Monagan & Pearce 2007), with no polynomial
 built per product, cancels each group once against b*d, then adds the
-groups as above.  It multiplies before it cancels, so a product whose
-factors cancel only against each other can reach the exponent guard where
-one reduced product at a time would not; the guard is checked on every
-monomial of every product, cancelled or not, so it trips exactly when one
-product reaches it.  Where a polynomial q is expected to divide the numerator a of a/b,
-``quotient_by_factor`` divides by it exactly and takes no gcd: (a/q)/b
-is reduced, since gcd(a/q, b) divides gcd(a, b) = 1.  Where q does not
-divide a it cancels a against q alone, and a power of q is divided one
-factor at a time, stopping at the first factor a is coprime to.  The
-trial is kept out of ``_cancel``, where a failed trial would cost about
-as much as the gcd that follows it.
+groups as above.  Its term-pair loop, ``_add_product``, is the only one:
+``Polynomial.__mul__`` multiplies through it too.  It multiplies before
+it cancels, so a product whose factors cancel only against each other can
+reach the exponent guard where one reduced product at a time would not;
+the guard is checked on every monomial of every product, cancelled or
+not, so it trips exactly when one product reaches it.  ``wedge`` of
+(x1^20000*y)/(x1^20000 + 1) dx1 and (1/x1^20000) dy raises, where
+reducing each product first would give y/(x1^20000 + 1) dx1^dy.  Only the
+Python API reaches this: MAX_DEGREE keeps parsed specs far below the
+guard.  Where a polynomial q is expected to divide the numerator a of
+a/b, ``quotient_by_factor`` divides by it exactly and takes no gcd:
+(a/q)/b is reduced, since gcd(a/q, b) divides gcd(a, b) = 1.  Where q
+does not divide a it cancels a against q alone, and a power of q is
+divided one factor at a time, stopping at the first factor a is coprime
+to.  The trial is kept out of ``_cancel``, where a failed trial would
+cost about as much as the gcd that follows it.
 """
 
 from __future__ import annotations
@@ -122,7 +128,11 @@ class VarKind(enum.Enum):
 class Record:
     """Base of the record types: ``__init__`` takes the ``_fields`` a subclass
     names, by position or by keyword, and repr shows them.  A record stays
-    mutable and compares by identity."""
+    mutable and compares by identity.
+
+    No package module imports ``dataclasses`` instead: it imports inspect,
+    ast, dis and tokenize, and each decorated class execs the methods
+    generated for it, which every cold CLI call would pay."""
 
     __slots__ = ()
     _fields: tuple = ()

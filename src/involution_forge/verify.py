@@ -23,6 +23,12 @@ with no target), so the sample point depends only on the seed and pencil,
 and evaluate them only while the rank can still rise, each pair once.
 The closed-form check compares ``pencil.closed_form_bivector`` with
 Pi_lambda: the sign and the volume of the read-off live there alone.
+
+``casimir_check``, ``involution_table`` and ``lenard_magri_check`` stay as
+API and as the tests' oracles for the verdicts ``certify`` reads off the
+fields; ``certify`` calls none of them, nor ``hamiltonian_vf``, and reads
+``pencil.F_functions`` only for the rank bound and the determinant
+identity.
 """
 
 from __future__ import annotations

@@ -1,4 +1,19 @@
-"""Shared generators and reusable property suites for the test modules.
+"""Shared generators, reusable property suites and oracles for the test
+modules.
+
+The suites cover ring and field laws, Schwartz-Zippel identity testing,
+exterior-algebra laws, the Schouten-Jacobiator correspondence, the
+equivalence of the two formulations of the sigma conditions, and the
+Jacobian characterization of the bracket.  The oracles stay independent of
+the rules they check: the ``{exponent tuple: Fraction}`` polynomial
+``TuplePolynomial``, the per-token parser ``oracle_parse``, the field
+elimination loop, the product-by-product ``oracle_wedge`` and its kin,
+``oracle_schouten`` (whole wedges, one variable at a time),
+``oracle_sharp_extend`` (wedges of ``oracle_bivector_sharp`` images, not of
+the package's sharp), ``oracle_bracket_closed_form`` (the wedge
+df^dh^Phi_lambda, where the package reads each coordinate bracket off one
+component) and the Hodge ``star``, built from the public ``sharp`` and
+``interior``.
 
 Everything here is deterministic: every generator takes an explicit
 ``random.Random`` instance and the suites build their own seeded ones, so

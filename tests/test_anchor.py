@@ -1,4 +1,13 @@
-"""Anchor structures: musical maps, star, codifferential, lifting."""
+"""Anchor structures: musical maps, star, codifferential, lifting.
+
+The codifferential is checked against *d* with the Hodge star of
+``helpers``, which holds where d omega = 0: on every fixture's lifted
+anchor, on the sigma pair of every bundled and benchmark spec, and on a
+closed anchor whose Lambda varies.  On the same sigma pairs, sharp of the
+Koszul residual R(a, b) is minus the bracket [sharp a, sharp b], exactly;
+on an anchor that is not closed it is not.  The odd-anchor identities
+i_E vartheta = 1, i_E Theta = 0 and Lambda#(vartheta) = 0 are checked on
+every odd anchor that ships."""
 
 import itertools
 from fractions import Fraction

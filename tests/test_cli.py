@@ -1,4 +1,18 @@
-"""Command-line interface: exit codes, determinism, output shapes."""
+"""Command-line interface: exit codes, determinism, output shapes.
+
+Two Hypothesis properties end every input in exit 0, 1 or 2 with a
+message: one replaces one or two nodes of a bundled spec with malformed
+values, where ``parse_spec`` may raise only ``SpecError``; the other puts
+150 derandomized expressions in ``family[0]`` of ``toda_first`` (nesting
+and exponents up to and past their bounds, towers of powers, chained and
+zero divisions, sums of up to 2000 monomials, stray characters, literals
+past 4300 digits).  Expressions that the parser's bounds refuse before
+they expand are run in fresh processes under a time and memory limit.
+``report`` prints the same verdicts for seeds 0-3, ``report`` runs on the
+two benchmark specs, the largest polynomials in the suite, and importing
+the CLI loads only standard-library modules, none of the introspection
+modules, ``argparse`` or ``gettext``; neither does running ``main`` on the
+usage line's form."""
 
 import argparse
 import json
@@ -1358,6 +1372,24 @@ def test_cli_import_loads_no_introspection_modules():
     added = loaded(", involution_forge.cli") - loaded("")
     assert not added & {"dataclasses", "inspect", "ast", "dis",
                         "tokenize", "argparse", "gettext"}, sorted(added)
+
+
+def test_cli_import_loads_no_resource_machinery():
+    # no command loads a fixture, so importlib.resources and what it pulls
+    # in stay out of a CLI process.  Under -S, since a site hook may
+    # import them before any program code runs.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(involution_forge.__file__).parents[1])
+
+    def loaded(imports):
+        probe = f"import sys{imports}\nprint('\\n'.join(sys.modules))\n"
+        proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        return set(proc.stdout.split())
+
+    added = loaded(", involution_forge.cli") - loaded("")
+    assert not added & {"importlib.resources", "pathlib", "tempfile",
+                        "shutil"}, sorted(added)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -1,4 +1,11 @@
-"""Exterior algebra: wedge, derivative, pairing, interior, Schouten."""
+"""Exterior algebra: wedge, derivative, pairing, interior, Schouten.
+
+A Hypothesis property over forms whose components share, nest or lack
+denominators requires ``wedge``, ``interior``, ``pairing`` and
+``bivector_sharp`` to equal the product-by-product oracles of ``helpers``
+(each product by ``*``, added by ``+``) and to hold no zero component,
+also where the products cancel to zero.  ``schouten`` is checked against
+``oracle_schouten``."""
 
 import itertools
 from fractions import Fraction

@@ -1,12 +1,13 @@
 """Byte-for-byte replay of recorded CLI transcripts.
 
 The seed-0 ops of the bundled specs are replayed against
-benchmarks/golden.json, and ``report`` on the two benchmark specs against
-golden_benchmark_specs.json next to this file, stdout and exit code.  Each
-replay runs in a fresh interpreter with a fixed PYTHONHASHSEED, so the
-tests also pin that the printed output does not depend on string hashing
-(set iteration order).  The transcripts and the specs are read, never
-rewritten.
+benchmarks/golden.json, ``report`` on the two benchmark specs against
+golden_benchmark_specs.json next to this file, and ``bracket_ops`` against
+golden_brackets.json, stdout and exit code.  Each replay runs in a fresh
+interpreter with a fixed PYTHONHASHSEED, so the tests also pin that the
+printed output does not depend on string hashing (set iteration order).
+The tests read the transcripts and the specs and never rewrite them; run
+as a script, this file re-captures golden_brackets.json.
 """
 
 import itertools

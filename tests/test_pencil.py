@@ -11,6 +11,7 @@ import pytest
 from involution_forge import (
     CasimirPolynomial,
     ConditionFailed,
+    DegreeError,
     Form,
     FunctionFamily,
     Pencil,
@@ -56,6 +57,7 @@ from involution_forge.pencil import (
     check_recursion,
     check_sigma_conditions,
     closed_form_bivector,
+    compute_F_lambda,
     distribution,
     solve_recursion_ansatz,
 )
@@ -202,6 +204,14 @@ def test_assembly_without_pencil_parameter_fails_before_the_checks(
         assemble_pencil(elab.anchor, SigmaPair(elab.sigma0, elab.sigma1),
                         elab.family, elab.partition)
     assert calls == []
+
+
+def test_odd_anchor_refuses_an_even_number_of_casimir_polynomials(toda):
+    _, _, pencil = toda
+    assert len(pencil.F_functions) == 1
+    with pytest.raises(DegreeError, match="an odd anchor pairs with an odd "
+                       "number of Casimir polynomials, got 2"):
+        compute_F_lambda(pencil.anchor, pencil.F_functions * 2, pencil.r)
 
 
 def test_casimir_function_singleton_chain(toda):

@@ -1,5 +1,15 @@
 """Certification layer: every verdict label, witnesses on failure,
-determinism of the certificate."""
+determinism of the certificate.
+
+Metamorphic tests transform a spec in ways that must not change its
+certificate, and compare the verdict labels, pass flags and ranks of
+``report``: a triangular pullback of ``toda_first``; the swap of
+``sigma0`` and ``sigma1`` with every chain reversed (the pencil read with
+1/lambda) on the Toda specs, and on ``lagrange_top`` with its explicit
+``sigma1`` components as ``sigma0``; the rescaling sigma0 -> 2 sigma0,
+sigma1 -> (3/5) sigma1 with each chain entry f_j -> (3/10)^j f_j; and the
+reversal of the declared coordinates, which reverses the packed monomial
+order."""
 
 import copy
 import itertools
